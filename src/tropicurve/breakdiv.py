@@ -2,19 +2,22 @@
 
 Every degree-g divisor class on a metric graph contains exactly one break
 divisor, an effective divisor placing one point on each closed edge of some
-spanning-tree complement.  The decomposition is computed exactly: for each
-complement set of the model, the positions of the candidate points satisfy
-an affine lattice condition in the cycle-space coordinates (the Abel-Jacobi
-image of the difference must vanish), which reduces to enumerating integer
-points of a box.  The chip-firing layer independently verifies the result
-on the discretization lattice.
+spanning-tree complement.  The decomposition is computed exactly on the
+cycle space (`graphs.CycleSpace`) of the model subdivided at the support:
+for each complement set, the point on complement edge i sits at offset t_i
+from its a end, and d minus those points is principal exactly when
+t = w - period * k for an integer vector k, where w pairs an integer chain
+bounded by d minus the a ends with the fundamental cycles.  The points lie
+on their closed edges for the k in a box, found by enumerating its integer
+points.  The chip-firing layer independently verifies the result on the
+discretization lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import chipfiring
 from .divisors import (
@@ -24,8 +27,8 @@ from .divisors import (
     is_principal,
     make_divisor,
 )
-from .errors import WrongDegree
-from .graphs import GraphPoint, MetricGraph
+from .errors import CertificateFailure, WrongDegree
+from .graphs import CycleSpace, GraphPoint, MetricGraph
 from .linalg import integer_points_in_box
 
 VERIFY_LATTICE_CAP = 2000  # max discrete vertices for the chip-firing cross-check
@@ -89,45 +92,6 @@ def is_break_divisor(graph: MetricGraph, b: Divisor) -> BreakCheck:
     return BreakCheck(True, certificate=cert)
 
 
-def _integer_chain(graph: MetricGraph, d: Divisor) -> dict[str, int]:
-    """Integer 1-chain with boundary d (all support must be at vertices)."""
-    root = graph.vertices[0]
-    tree = graph.canonical_spanning_tree()
-    adj = {v: [] for v in graph.vertices}
-    for eid in tree:
-        e = graph.edges[eid]
-        adj[e.a].append((eid, e.b))
-        adj[e.b].append((eid, e.a))
-    prev = {root: None}
-    order = [root]
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for eid, w in adj[v]:
-            if w not in prev:
-                prev[w] = (v, eid)
-                order.append(w)
-                queue.append(w)
-    chain: dict[str, int] = {}
-    for pt, c in d.terms:
-        assert pt.is_vertex, "chain construction needs vertex-supported divisors"
-        v = pt.vertex
-        while prev[v] is not None:
-            u, eid = prev[v]
-            e = graph.edges[eid]
-            chain[eid] = chain.get(eid, 0) + (c if e.b == v else -c)
-            v = u
-    return {k: x for k, x in chain.items() if x}
-
-
-def _cycle_pairing(graph: MetricGraph, chain, cycle) -> Fraction:
-    total = Fraction(0)
-    for eid, coeff in cycle.items():
-        if eid in chain:
-            total += graph.edges[eid].length * chain[eid] * coeff
-    return total
-
-
 def break_divisor_decompose(
     graph: MetricGraph, d: Divisor
 ) -> tuple[Divisor, PLFunction]:
@@ -152,43 +116,28 @@ def break_divisor_decompose(
         for sub, lo, _hi in model.segments_of(eid):
             back[sub] = (eid, lo)
 
-    found: list[tuple[Divisor, tuple]] = []
+    found: set[Divisor] = set()
     for comp in model.all_complements():
-        check = model.spanning_tree_complement(list(comp))
-        tree = check.tree
-        cycles = [model.fundamental_cycle(tree, eid) for eid in comp]
+        cs = CycleSpace(model, [eid for eid in model.edges if eid not in comp])
         base = Divisor([(GraphPoint.at_vertex(model.edges[eid].a), 1) for eid in comp])
-        sigma = _integer_chain(model, dm - base)
-        w = [_cycle_pairing(model, sigma, cyc) for cyc in cycles]
-        gram = [
-            [
-                sum(
-                    model.edges[eid].length * ci * cycles[j].get(eid, 0)
-                    for eid, ci in cycles[i].items()
-                )
-                for j in range(g)
-            ]
-            for i in range(g)
-        ]
+        w = cs.pairing(cs.chain({pt.vertex: c for pt, c in (dm - base).terms}))
         lengths = [model.edges[eid].length for eid in comp]
-        columns = [[gram[i][j] for i in range(g)] for j in range(g)]
         lower = [w[i] - lengths[i] for i in range(g)]
-        upper = [w[i] for i in range(g)]
-        for k in integer_points_in_box(columns, lower, upper):
-            t = [w[i] - sum(columns[j][i] * k[j] for j in range(g)) for i in range(g)]
+        for k in integer_points_in_box(cs.period, lower, w):
+            t = [w[i] - sum(cs.period[i][j] * k[j] for j in range(g)) for i in range(g)]
             terms = []
             for i, eid in enumerate(comp):
                 orig, lo = back[eid]
                 terms.append((GraphPoint.on_edge(orig, lo + t[i]), 1))
-            cand = make_divisor(graph, terms)
-            found.append((cand, comp))
-    assert found, "every degree-g class contains a break divisor"
-    divisors = {cand for cand, _ in found}
-    assert len(divisors) == 1, f"break divisor not unique: {divisors}"
-    b = next(iter(divisors))
+            found.add(make_divisor(graph, terms))
+    if len(found) != 1:
+        raise CertificateFailure(f"expected one break divisor in the class, found {found}")
+    (b,) = found
     res = is_principal(graph, d - b)
-    assert res.principal, "decomposition produced a non-principal difference"
-    assert is_break_divisor(graph, b).ok, "decomposition produced a non-break divisor"
+    if not res.principal:
+        raise CertificateFailure("decomposition produced a non-principal difference")
+    if not is_break_divisor(graph, b).ok:
+        raise CertificateFailure("decomposition produced a non-break divisor")
     _verify_on_lattice(graph, d, b)
     return b, res.witness
 
@@ -202,6 +151,5 @@ def _verify_on_lattice(graph: MetricGraph, d: Divisor, b: Divisor) -> None:
     dg, locate = chipfiring.lattice_model(graph, spacing)
     chips_d = chipfiring.chips_of(dg, locate, d)
     chips_b = chipfiring.chips_of(dg, locate, b)
-    assert chipfiring.laplacian_equivalent(dg, chips_d, chips_b), (
-        "lattice chip-firing check failed"
-    )
+    if not chipfiring.laplacian_equivalent(dg, chips_d, chips_b):
+        raise CertificateFailure("lattice chip-firing check failed")

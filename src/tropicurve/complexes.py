@@ -159,15 +159,6 @@ class TropicalCurve:
     def is_infinite_vertex(self, v: str) -> bool:
         return not self.vertices[v].is_finite
 
-    def finite_subcomplex_betti(self) -> int:
-        """First Betti number of the bounded part."""
-        fin_v = {v for v, p in self.vertices.items() if p.is_finite}
-        fin_e = [
-            e
-            for e in self.edges.values()
-            if e.v1 in fin_v and e.v2 in fin_v
-        ]
-        return len(fin_e) - len(fin_v) + 1
 
 
 # -- reports ----------------------------------------------------------------------

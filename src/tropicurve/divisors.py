@@ -3,10 +3,15 @@
 A divisor is a finite formal integer combination of rational points.  A PL
 function is stored per edge: a start value at the a-endpoint, interior
 breakpoint offsets, and the integer slopes between them; rays carry a single
-eventual slope.  Principality of a degree-zero divisor is decided by one
-exact linear solve: slopes must satisfy the divisor equations at every
-vertex and integrate to zero around every fundamental cycle, and the unique
-rational solution must be integral.
+eventual slope.  Principality of a degree-zero divisor is decided on the
+cycle space (`graphs.CycleSpace`): the first-piece slopes must satisfy the
+divisor equations at every vertex and integrate to zero around every
+fundamental cycle.  Peeling the vertex charges along a spanning tree gives
+an integer solution of the vertex equations; adding sum_j k_j z_j over the
+fundamental cycles z_j, with k solving the g x g period system
+period * k = -w (w the cycle integrals of the peeled slopes), gives the
+unique rational solution, and the divisor is principal exactly when it is
+integral.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
+    CertificateFailure,
     DiscontinuousFunction,
     InvalidOffset,
     InvalidPillars,
@@ -24,7 +30,7 @@ from .errors import (
     NotPrincipal,
     UnknownEdge,
 )
-from .graphs import ExtendedGraph, GraphPoint, MetricGraph, validate_pillar_points
+from .graphs import CycleSpace, ExtendedGraph, GraphPoint, MetricGraph, validate_pillar_points
 from .linalg import solve_linear
 from .rationals import MINUS_INF, PLUS_INF, ExtRational, rat
 
@@ -33,10 +39,6 @@ Domain = Union[MetricGraph, ExtendedGraph]
 
 def _finite_part(domain: Domain) -> MetricGraph:
     return domain.finite if isinstance(domain, ExtendedGraph) else domain
-
-
-def _canonical(domain: Domain, pt: GraphPoint) -> GraphPoint:
-    return domain.canonical_point(pt)
 
 
 class Divisor:
@@ -110,7 +112,7 @@ class Divisor:
 
 def make_divisor(domain: Domain, items: Iterable[tuple[GraphPoint, int]]) -> Divisor:
     """Canonicalize points against a graph and collect coefficients."""
-    return Divisor(((_canonical(domain, p), c) for p, c in items))
+    return Divisor(((domain.canonical_point(p), c) for p, c in items))
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ class PLFunction:
 
     def value(self, pt: GraphPoint):
         """Value at a point; ExtRational at infinite vertices."""
-        cpt = _canonical(self.domain, pt)
+        cpt = self.domain.canonical_point(pt)
         if cpt.is_vertex:
             if isinstance(self.domain, ExtendedGraph) and self.domain.is_infinite_vertex(
                 cpt.vertex
@@ -438,44 +440,30 @@ def _edge_support(graph: MetricGraph, d: Divisor):
 
 
 def _solve_slopes(graph: MetricGraph, d: Divisor):
-    """Solve for the first-piece slope of every edge; None only for deg != 0."""
+    """First-piece slope of every edge: the unique solution of the divisor
+    equations at the vertices with zero integral around every cycle."""
     dv, interior = _edge_support(graph, d)
-    ids = graph.edge_ids()
-    index = {eid: i for i, eid in enumerate(ids)}
-    n = len(ids)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # vertex equations
-    for v in graph.vertices:
-        row = [Fraction(0)] * n
-        const = Fraction(0)
-        for eid, _w in graph.adjacency[v]:
-            e = graph.edges[eid]
-            if e.a == v:
-                row[index[eid]] += 1
-            if e.b == v:
-                row[index[eid]] -= 1
-                const += sum(c for _x, c in interior.get(eid, ()))
-        rows.append(row)
-        rhs.append(Fraction(dv.get(v, 0)) + const)
-    # cycle equations
-    tree = graph.canonical_spanning_tree()
-    comp = [eid for eid in ids if eid not in set(tree)]
-    for ceid in comp:
-        cyc = graph.fundamental_cycle(tree, ceid)
-        row = [Fraction(0)] * n
-        const = Fraction(0)
-        for eid, coeff in cyc.items():
-            e = graph.edges[eid]
-            row[index[eid]] += coeff * e.length
-            for x, c in interior.get(eid, ()):
-                const -= coeff * c * (e.length - x)
-        rows.append(row)
-        rhs.append(const)
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None, ids, interior
-    return dict(zip(ids, sol)), ids, interior
+    # the vertex equations read: minus the boundary of the slopes equals the
+    # vertex charge, with each edge's interior chips counted at its b end
+    charge = {v: -c for v, c in dv.items()}
+    tail: dict[str, Fraction] = {}  # integral of the interior slope changes
+    for eid, pts in interior.items():
+        e = graph.edges[eid]
+        charge[e.b] = charge.get(e.b, 0) - sum(c for _x, c in pts)
+        tail[eid] = sum(c * (e.length - x) for x, c in pts)
+    cs = CycleSpace(graph, graph.canonical_spanning_tree())
+    slopes = dict.fromkeys(graph.edges, 0) | cs.chain(charge)
+    w = [
+        p + sum(c * tail.get(eid, 0) for eid, c in cyc.items())
+        for p, cyc in zip(cs.pairing(slopes), cs.cycles)
+    ]
+    k = solve_linear(cs.period, [-x for x in w])
+    if k is None:
+        raise CertificateFailure("period matrix of the cycle space is singular")
+    for kj, cyc in zip(k, cs.cycles):
+        for eid, c in cyc.items():
+            slopes[eid] += kj * c
+    return slopes, interior
 
 
 def is_principal(
@@ -486,11 +474,10 @@ def is_principal(
     if d.degree() != 0:
         raise NonzeroDegree(f"divisor has degree {d.degree()}")
     d = make_divisor(graph, d.terms)  # re-anchor points after any refinement
-    slopes, ids, interior = _solve_slopes(graph, d)
-    assert slopes is not None, "degree-zero systems are always solvable"
-    for eid in ids:
-        if slopes[eid].denominator != 1:
-            return PrincipalityResult(False, obstruction=(eid, slopes[eid]))
+    slopes, interior = _solve_slopes(graph, d)
+    for eid, s in slopes.items():
+        if s.denominator != 1:
+            return PrincipalityResult(False, obstruction=(eid, s))
     witness = _integrate(graph, slopes, interior, basepoint, Fraction(0))
     return PrincipalityResult(True, witness=witness)
 

@@ -1,8 +1,7 @@
 """Exception hierarchy for tropicurve.
 
 Exceptions are grouped by the surface that raises them.  Everything derives
-from :class:`TropicurveError` so callers can catch broadly; the CLI maps
-subfamilies onto exit codes (input errors -> 2, search/budget failures -> 3).
+from :class:`TropicurveError` so callers can catch broadly.
 """
 
 
@@ -137,18 +136,4 @@ class MonotonicityViolation(TropicurveError):
 # -- i/o ----------------------------------------------------------------------
 
 class ParseError(TropicurveError):
-    def __init__(self, message, path=None):
-        self.path = path
-        if path:
-            message = f"{message} (at {path})"
-        super().__init__(message)
-
-
-INPUT_ERRORS = (
-    DisconnectedGraph, NonpositiveLength, DanglingEndpoint, PointsNotOnEdge,
-    PointNotInterior, WrongCardinality, UnknownEdge, UnknownVertex,
-    InvalidOffset, NonzeroDegree, WrongDegree, InvalidPillars, NotComplement,
-    DiscontinuousFunction, EmptyCoordinates, InvalidCoordinate, ParseError,
-)
-
-SEARCH_ERRORS = (PillarSearchExhausted, NoRoom, Stage0Failure)
+    pass

@@ -27,6 +27,7 @@ from .errors import (
     DuplicateId,
     InvalidOffset,
     NonpositiveLength,
+    NonzeroDegree,
     PointNotInterior,
     PointsNotOnEdge,
     UnknownEdge,
@@ -92,10 +93,6 @@ class GraphPoint:
         return f"GraphPoint(edge={self.edge!r}, offset={self.offset})"
 
 
-def _segments_sorted(segs):
-    return tuple(sorted(segs, key=lambda s: s[1]))
-
-
 class MetricGraph:
     """Immutable connected metric graph with positive rational edge lengths."""
 
@@ -156,9 +153,6 @@ class MetricGraph:
             return self._edges[edge_id]
         except KeyError:
             raise UnknownEdge(f"unknown edge {edge_id!r}") from None
-
-    def edge_ids(self) -> list[str]:
-        return list(self._edges)
 
     @property
     def adjacency(self) -> Mapping[str, list[tuple[str, str]]]:
@@ -342,8 +336,10 @@ class MetricGraph:
 
     # -- spanning trees ---------------------------------------------------------
 
-    def canonical_spanning_tree(self) -> list[str]:
-        """Kruskal by edge id; deterministic."""
+    def canonical_spanning_tree(self, first: Sequence[str] = ()) -> list[str]:
+        """Kruskal over the edges in `first`, then the rest by edge id;
+        deterministic."""
+        order = list(first) + [eid for eid in sorted(self._edges) if eid not in set(first)]
         parent = {v: v for v in self._vertices}
 
         def find(x):
@@ -353,33 +349,13 @@ class MetricGraph:
             return x
 
         tree = []
-        for eid in sorted(self._edges):
+        for eid in order:
             e = self._edges[eid]
             ra, rb = find(e.a), find(e.b)
             if ra != rb:
                 parent[ra] = rb
                 tree.append(eid)
         return tree
-
-    def is_spanning_tree(self, edge_ids: Sequence[str]) -> bool:
-        ids = set(edge_ids)
-        if len(ids) != len(self._vertices) - 1:
-            return False
-        parent = {v: v for v in self._vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for eid in ids:
-            e = self._edges[eid]
-            ra, rb = find(e.a), find(e.b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
 
     def spanning_tree_complement(self, edge_ids: Iterable[str]):
         """Check that removing the given g edges leaves a spanning tree.
@@ -432,61 +408,19 @@ class MetricGraph:
             return ComplementCheck(False, disconnected=tuple(missing))
         return ComplementCheck(True, tree=tuple(sorted(rest)))
 
-    def all_spanning_trees(self) -> Iterator[tuple[str, ...]]:
-        """Complements enumerated by brute force; fine for desk-scale graphs."""
-        g = self.betti_number()
-        ids = sorted(self._edges)
-        if g == 0:
-            yield tuple(ids)
-            return
-        for combo in combinations(ids, g):
-            rest = [eid for eid in ids if eid not in set(combo)]
-            if self.is_spanning_tree(rest):
-                yield tuple(rest)
-
     def all_complements(self) -> Iterator[tuple[str, ...]]:
         g = self.betti_number()
-        ids = sorted(self._edges)
         if g == 0:
             yield ()
             return
-        for combo in combinations(ids, g):
-            rest = [eid for eid in ids if eid not in set(combo)]
-            if self.is_spanning_tree(rest):
+        for combo in combinations(sorted(self._edges), g):
+            if self.spanning_tree_complement(combo).ok:
                 yield combo
 
     def fundamental_cycle(self, tree: Sequence[str], comp_edge: str) -> dict[str, int]:
-        """Signed edge-coefficients of the cycle closed by a complement edge.
-
-        The cycle runs along comp_edge from a to b, then back through the
-        tree.  Coefficient +1 means the cycle traverses the edge a->b.
-        """
-        e = self._edges[comp_edge]
-        tset = set(tree)
-        adj = {v: [] for v in self._vertices}
-        for eid in tset:
-            t = self._edges[eid]
-            adj[t.a].append((eid, t.b))
-            adj[t.b].append((eid, t.a))
-        # BFS path b -> a in the tree
-        prev = {e.b: None}
-        queue = [e.b]
-        while queue:
-            v = queue.pop(0)
-            if v == e.a:
-                break
-            for eid, w in adj[v]:
-                if w not in prev:
-                    prev[w] = (v, eid)
-                    queue.append(w)
-        coeffs = {comp_edge: 1}
-        v = e.a
-        while prev[v] is not None:
-            u, eid = prev[v]
-            t = self._edges[eid]
-            coeffs[eid] = coeffs.get(eid, 0) + (1 if (t.a == u and t.b == v) else -1)
-            v = u
-        return {k: c for k, c in coeffs.items() if c != 0}
+        """Signed edge-coefficients of the cycle closed by a complement edge
+        (see `CycleSpace.cycle`)."""
+        return CycleSpace(self, tree).cycle(comp_edge)
 
 
 @dataclass(frozen=True)
@@ -498,6 +432,78 @@ class ComplementCheck:
 
     def __bool__(self):
         return self.ok
+
+
+class CycleSpace:
+    """The integer cycle space of a graph, relative to one spanning tree.
+
+    The tree is rooted at the least vertex and walked once, breadth first.
+    Each complement edge (in id order) closes one fundamental cycle; these
+    cycles are a basis of the integer cycles.  `period` is their Gram matrix
+    under the length pairing, sum_e L_e z_i(e) z_j(e): symmetric and
+    positive definite.
+    """
+
+    def __init__(self, graph: MetricGraph, tree: Sequence[str]):
+        self.graph = graph
+        tset = set(tree)
+        self.complement = [eid for eid in graph.edges if eid not in tset]
+        root = graph.vertices[0]
+        self.up: dict[str, Optional[str]] = {root: None}  # tree edge toward the root
+        self.order = [root]
+        for v in self.order:
+            for eid, w in graph.adjacency[v]:
+                if eid in tset and w not in self.up:
+                    self.up[w] = eid
+                    self.order.append(w)
+        self.cycles = [self.cycle(eid) for eid in self.complement]
+        through: dict[str, list[tuple[int, int]]] = {}
+        for i, cyc in enumerate(self.cycles):
+            for eid, c in cyc.items():
+                through.setdefault(eid, []).append((i, c))
+        g = len(self.cycles)
+        self.period = [[Fraction(0)] * g for _ in range(g)]
+        for eid, hits in through.items():
+            length = graph.edges[eid].length
+            for i, ci in hits:
+                for j, cj in hits:
+                    self.period[i][j] += length * ci * cj
+
+    def cycle(self, comp_edge: str) -> dict[str, int]:
+        """The cycle along comp_edge from a to b, then back through the
+        tree.  Coefficient +1 means the cycle traverses the edge a->b."""
+        e = self.graph.edges[comp_edge]
+        coeffs = {comp_edge: 1}
+        for v, sign in ((e.b, 1), (e.a, -1)):
+            while self.up[v] is not None:
+                t = self.graph.edges[self.up[v]]
+                coeffs[t.id] = coeffs.get(t.id, 0) + (sign if t.a == v else -sign)
+                v = t.other(v)
+        return {k: c for k, c in coeffs.items() if c}
+
+    def chain(self, charges: Mapping[str, int]) -> dict[str, int]:
+        """The 1-chain on the tree edges whose boundary, b minus a per edge,
+        is the given degree-zero vertex charge.  Leaves are peeled toward
+        the root, so integer charges give an integer chain."""
+        rest = dict.fromkeys(self.order, 0)
+        for v, c in charges.items():
+            rest[v] += c
+        out = {}
+        for v in reversed(self.order[1:]):
+            t = self.graph.edges[self.up[v]]
+            out[t.id] = rest[v] if t.b == v else -rest[v]
+            rest[t.other(v)] += rest[v]
+        if rest[self.order[0]]:
+            raise NonzeroDegree(f"charges have degree {rest[self.order[0]]}")
+        return out
+
+    def pairing(self, chain: Mapping[str, int]) -> list[Fraction]:
+        """Length pairing sum_e L_e chain(e) z_i(e) with each cycle."""
+        edges = self.graph.edges
+        return [
+            sum((edges[eid].length * c * chain.get(eid, 0) for eid, c in cyc.items()), Fraction(0))
+            for cyc in self.cycles
+        ]
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
@@ -548,10 +554,6 @@ def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
         else:
             out[eid] = Edge(eid, a, b, length)
     return MetricGraph(vset, out, alias, lengths)
-
-
-def betti_number(graph: MetricGraph) -> int:
-    return graph.betti_number()
 
 
 def validate_pillar_points(
@@ -607,10 +609,6 @@ class ExtendedGraph:
             return self._rays[ray_id]
         except KeyError:
             raise UnknownEdge(f"unknown ray {ray_id!r}") from None
-
-    @property
-    def infinite_vertices(self) -> list[str]:
-        return [r.leaf for r in self._rays.values()]
 
     def ray_at_leaf(self, leaf: str) -> Ray:
         for r in self._rays.values():

@@ -120,15 +120,6 @@ PLUS_INF = ExtRational(+1)
 MINUS_INF = ExtRational(-1)
 
 
-def parse_ext(text: str) -> ExtRational:
-    stripped = text.strip()
-    if stripped in ("+inf", "inf"):
-        return PLUS_INF
-    if stripped == "-inf":
-        return MINUS_INF
-    return ExtRational.finite(parse_rat(stripped))
-
-
 def format_ext(value: ExtRational) -> str:
     if value.sign > 0:
         return "+inf"

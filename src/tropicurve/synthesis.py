@@ -47,7 +47,7 @@ from .errors import (
     Stage0Failure,
     UnknownEdge,
 )
-from .graphs import ExtendedGraph, GraphPoint, MetricGraph
+from .graphs import CycleSpace, ExtendedGraph, GraphPoint, MetricGraph
 from .linalg import integer_points_in_box, primitive
 from .tropicalize import (
     Embedding,
@@ -210,11 +210,6 @@ class PillarSet:
         return make_divisor(graph, terms)
 
 
-@dataclass
-class PillarConfig:
-    sets: dict[str, PillarSet]
-
-
 def _interval_image(emb: Embedding, frame: str, lo: Fraction, hi: Optional[Fraction]):
     """Image of a frame sub-interval as parametric segments
     (start values, slope vector, source length or None for rays)."""
@@ -324,12 +319,13 @@ def select_pillars(
     targets: Sequence[PillarTarget],
     frames: Optional[Frames] = None,
     budgets: Budgets = None,
-) -> PillarConfig:
+) -> dict[str, PillarSet]:
     """Deterministic pillar placement: a valid four-point tuple on every
     spanning-tree complement edge, with supports pairwise disjoint across
     all targets, outside each target's forbidden zones, and (when asked)
     with image disjoint from the image of the target's own edge.  Windows
-    shrink geometrically before the search gives up."""
+    shrink geometrically before the search gives up.  Returns the pillar
+    sets keyed by target id."""
     budgets = budgets or Budgets()
     frames = frames or Frames(emb.skeleton)
     fin = emb.skeleton.finite
@@ -387,7 +383,7 @@ def select_pillars(
                     f"(root {root!r}, forbidden {tgt.forbidden})"
                 )
         sets[tgt.target_id] = PillarSet(tgt.target_id, complement, tuples)
-    return PillarConfig(sets)
+    return sets
 
 
 def _apply_pillars(emb: Embedding, base: PLFunction, pset: Optional[PillarSet]) -> PLFunction:
@@ -694,7 +690,8 @@ def edge_function_infinite(
         base = make_divisor(skel.finite, [(ca, 1), (V(attach), -1)])
         d = _aj_corrections(emb, frames, base)
         res = is_principal(skel.finite, d)
-        assert res.principal, "corrected ray-anchor divisor must be principal"
+        if not res.principal:
+            raise CertificateFailure(f"corrected ray-anchor divisor is not principal: {d}")
         f_fin = res.witness
         f_fin = f_fin.add_constant(-f_fin.vertex_value(attach))
         f = _with_ray_slopes(skel, f_fin, {ray_id: 1})
@@ -816,37 +813,26 @@ def _one_sided_tent(
 
 
 def vertex_function(
-    emb: Embedding,
-    v: str,
-    side_neg: str,
-    side_pos: str,
-    pillars: Optional[PillarSet] = None,
-    frames: Optional[Frames] = None,
+    emb: Embedding, v: str, spec_neg: tuple, spec_pos: tuple, frames: Frames
 ) -> VertexFunctionResult:
-    """Tent coordinate at v: slope +1 into side_pos, -1 into side_neg, zero
-    on all other sides, support inside the two sides, simple divisor of six
-    points (three per side), value zero at v.
+    """Tent coordinate at v: slope +1 into the side of spec_pos, -1 into
+    the side of spec_neg (both `_side_frame` specs), zero on all other
+    sides, support inside the two sides, simple divisor of six points
+    (three per side), value zero at v.
 
     Rays on either side are subdivided so the support stays finite; the
     support auto-shrinks around blocked offsets and raises NoRoom when no
     placement fits.
     """
-    if side_neg == side_pos:
+    if spec_neg[:3] == spec_pos[:3]:
         raise EqualEdges(f"tent needs two distinct sides at {v!r}")
-    frames = frames or Frames(emb.skeleton)
-    skel = emb.skeleton
-    sides = [
-        _side_frame(skel, frames, v, side_neg),
-        _side_frame(skel, frames, v, side_pos),
-    ]
-    room = min(s[3] for s in sides)
+    room = min(spec_neg[3], spec_pos[3])
     r = room / 4
     p = room / 4
-    pts: list[tuple[str, Fraction]] = []
     for _try in range(40):
         pts = []
         ok = True
-        for root, v_off, direction, _room in sides:
+        for root, v_off, direction, _room in (spec_neg, spec_pos):
             for db in (r, r + p, 2 * r + p):
                 x = v_off + direction * db
                 pts.append((root, x))
@@ -869,44 +855,21 @@ def vertex_function(
     if refit:
         emb = refine_embedding(emb, refit)
     skel = emb.skeleton
-    neg = _one_sided_tent(skel, sides[0][0], sides[0][1], sides[0][2], r, p, -1)
-    pos = _one_sided_tent(skel, sides[1][0], sides[1][1], sides[1][2], r, p, +1)
+    neg = _one_sided_tent(skel, spec_neg[0], spec_neg[1], spec_neg[2], r, p, -1)
+    pos = _one_sided_tent(skel, spec_pos[0], spec_pos[1], spec_pos[2], r, p, +1)
     tent = neg + pos
     d = divisor_of(tent)
-    assert all(abs(c) == 1 for _pt, c in d.terms), "tent divisor must be simple"
-    assert d.coeff(V(v)) == 0, "tent must be harmonic at its vertex"
-    assert len(d.terms) == 6
-    f = _apply_pillars(emb, tent, pillars)
-    tent_points = tuple(skel.canonical_point(P(root, x)) for root, x in pts)
-    return VertexFunctionResult(emb, f, tent_points)
+    if d.coeff(V(v)) != 0 or len(d.terms) != 6 or any(abs(c) != 1 for _pt, c in d.terms):
+        raise CertificateFailure(f"tent at {v!r} needs six simple points off the vertex: {d}")
+    return VertexFunctionResult(
+        emb, tent, tuple(skel.canonical_point(P(root, x)) for root, x in pts)
+    )
 
 
 # -- stage 0: bootstrap coordinates for the core ------------------------------------------
 
 
-def _kruskal_with_priority(fin: MetricGraph, first: Sequence[str]) -> list[str]:
-    order = list(first) + [eid for eid in sorted(fin.edges) if eid not in set(first)]
-    parent = {v: v for v in fin.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for eid in order:
-        e = fin.edges[eid]
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(eid)
-    return tree
-
-
-def _aj_corrected_divisor(
-    emb: Embedding, frames: Frames, root_e: str, budgets: Budgets
-) -> Divisor:
+def _aj_corrected_divisor(emb: Embedding, frames: Frames, root_e: str) -> Divisor:
     """Degree-zero divisor (a - b) + correction pairs, principal by
     construction: a, b are fresh points near the two ends of root_e, and
     the correction pairs on a spanning-tree complement cancel the cycle
@@ -928,8 +891,6 @@ def _aj_corrections(
     """Append +-1 correction pairs on a spanning-tree complement so that
     the result is principal; the tree preferentially contains the pieces
     of `keep_in_tree` so no correction lands on that frame."""
-    from .breakdiv import _cycle_pairing, _integer_chain
-
     skel = emb.skeleton
     fin = skel.finite
     interior = [pt for pt in base.support() if not pt.is_vertex]
@@ -938,25 +899,12 @@ def _aj_corrections(
     priority = []
     if keep_in_tree is not None:
         priority = sorted(cid for cid, _lo, _hi in model.segments_of(keep_in_tree))
-    tree = _kruskal_with_priority(model, priority)
-    comp = [eid for eid in sorted(model.edges) if eid not in set(tree)]
-    g = len(comp)
+    cs = CycleSpace(model, model.canonical_spanning_tree(first=priority))
+    cycles, columns = cs.cycles, cs.period  # the period matrix is symmetric
+    g = len(cycles)
     if g == 0:
         return base
-    cycles = [model.fundamental_cycle(tree, c) for c in comp]
-    sigma = _integer_chain(model, dm)
-    w = [_cycle_pairing(model, sigma, cyc) for cyc in cycles]
-    gram = [
-        [
-            sum(
-                model.edges[eid].length * ci * cycles[j].get(eid, 0)
-                for eid, ci in cycles[i].items()
-            )
-            for j in range(g)
-        ]
-        for i in range(g)
-    ]
-    columns = [[gram[i][j] for i in range(g)] for j in range(g)]
+    w = cs.pairing(cs.chain({pt.vertex: c for pt, c in dm.terms}))
     # Allocation sites for cycle j: every current edge lying on cycle j and
     # on no other cycle (always includes the complement edge itself), with
     # the cycle's coefficient there.  Pairs on such edges contribute to the
@@ -1122,8 +1070,6 @@ def _separating_bump(
         q = min(g_around - wlo, whi - g_around) / 8
         offs = [g_around - q, g_around + q, g_around + 2 * q, g_around + 4 * q]
         if offs[3] >= whi:
-            offs = [g_around - 3 * q, g_around + q, g_around + 2 * q, g_around + 6 * q]
-            offs = [g_around - q, g_around + q, whi - 2 * q, whi - 0 * q - q]
             x1, x2 = g_around - q, g_around + q
             x3 = min(whi - 3 * q, x2 + q)
             if x3 <= x2:
@@ -1226,7 +1172,6 @@ def _separating_witness(
 
 def _register_new_roots(frames: Frames, before: Embedding, after: Embedding):
     old = set(before.skeleton.rays)
-    retired = set()
     for rid in after.skeleton.rays:
         if rid not in old:
             # only genuinely new rays become roots; tails of subdivided old
@@ -1237,7 +1182,7 @@ def _register_new_roots(frames: Frames, before: Embedding, after: Embedding):
                 frames.add_root(rid)
 
 
-def _root_slope_cover(emb: Embedding, frames: Frames, root: str):
+def _root_slope_cover(emb: Embedding, root: str):
     """Root-frame intervals on which some coordinate has nonzero slope."""
     covered = []
     for kind, cid, lo, hi in emb.skeleton.segments_of(root):
@@ -1272,7 +1217,7 @@ def _cover_gaps(emb: Embedding, frames: Frames, root: str, lo: Fraction,
     for round_no in range(24):
         cover = [
             (a, b if b is not None else hi)
-            for a, b in _root_slope_cover(emb, frames, root)
+            for a, b in _root_slope_cover(emb, root)
         ]
         gap = None
         cursor = lo
@@ -1408,7 +1353,10 @@ def stage0(
             continue
         e0 = sides[0]
         for ek in sides[1:]:
-            res = vertex_function(emb, v, e0, ek, frames=frames)
+            skel = emb.skeleton
+            res = vertex_function(
+                emb, v, _side_frame(skel, frames, v, e0), _side_frame(skel, frames, v, ek), frames
+            )
             name = namer("gt")()
             emb2 = extend_embedding(res.embedding, res.function, name)
             _register_new_roots(frames, res.embedding, emb2)
@@ -1427,9 +1375,10 @@ def stage0(
 
     # (3) one corrected-ramp witness per core edge for vertex separation
     for idx, root_e in enumerate(sorted(core_edges)):
-        d = _aj_corrected_divisor(emb, frames, root_e, budgets)
+        d = _aj_corrected_divisor(emb, frames, root_e)
         res = is_principal(emb.skeleton.finite, d)
-        assert res.principal, f"stage-0 divisor must be principal: {d}"
+        if not res.principal:
+            raise CertificateFailure(f"stage-0 divisor is not principal: {d}")
         f = _lift_to_skeleton(emb.skeleton, res.witness)
         emb2 = extend_embedding(emb, f, f"gs{idx}")
         _register_new_roots(frames, emb, emb2)
@@ -1519,7 +1468,7 @@ def fully_faithful_pipeline(
 
     for eid in finite_targets:
         res = edge_function_finite(
-            emb, eid, config.sets[f"edge:{eid}"], core_edges, core_vertices, frames
+            emb, eid, config[f"edge:{eid}"], core_edges, core_vertices, frames
         )
         emb2 = extend_embedding(res.embedding, res.function, f"f.{eid}")
         _register_new_roots(frames, res.embedding, emb2)
@@ -1534,7 +1483,7 @@ def fully_faithful_pipeline(
         )
     for rid in ray_targets:
         res = edge_function_infinite(
-            emb, rid, config.sets[f"ray:{rid}"], core_edges, core_vertices, frames
+            emb, rid, config[f"ray:{rid}"], core_edges, core_vertices, frames
         )
         emb2 = extend_embedding(res.embedding, res.function, f"f.{rid}")
         _register_new_roots(frames, res.embedding, emb2)
@@ -1622,16 +1571,14 @@ def smoothing_pipeline(
         }
         for k, ek in enumerate(others, start=1):
             name = f"v{pass_no}.{k}"
-            spec0 = side_specs[e0]
-            speck = side_specs[ek]
-            res = _tent_from_specs(emb, v, spec0, speck, frames)
+            res = vertex_function(emb, v, side_specs[e0], side_specs[ek], frames)
             forb = _tent_forbidden_zones(res.tent_points, frames, emb)
             pset = select_pillars(
                 res.embedding,
                 [PillarTarget(f"vertex:{v}:{name}", forbidden=forb)],
                 frames,
                 budgets,
-            ).sets[f"vertex:{v}:{name}"]
+            )[f"vertex:{v}:{name}"]
             f = _apply_pillars(res.embedding, res.function, pset)
             emb2 = extend_embedding(res.embedding, f, name)
             _register_new_roots(frames, res.embedding, emb2)
@@ -1664,47 +1611,6 @@ def smoothing_pipeline(
         "coordinates": len(emb.coords),
     }
     return emb.with_provenance("smoothing_pipeline"), report
-
-
-def _tent_from_specs(emb, v, spec_neg, spec_pos, frames) -> VertexFunctionResult:
-    room = min(spec_neg[3], spec_pos[3])
-    r = room / 4
-    p = room / 4
-    for _try in range(40):
-        pts = []
-        ok = True
-        for root, v_off, direction, _room in (spec_neg, spec_pos):
-            for db in (r, r + p, 2 * r + p):
-                x = v_off + direction * db
-                pts.append((root, x))
-                if not frames.clear_point(root, x):
-                    ok = False
-        if ok:
-            break
-        r = r * Fraction(15, 16)
-        p = p * Fraction(13, 16)
-    else:
-        raise NoRoom(f"could not place a tent at {v!r}")
-    for root, x in pts:
-        frames.block_point(root, x)
-    refit = [
-        P(root, x)
-        for root, x in pts
-        if not emb.skeleton.canonical_point(P(root, x)).is_vertex
-        and emb.skeleton.canonical_point(P(root, x)).edge in emb.skeleton.rays
-    ]
-    if refit:
-        emb = refine_embedding(emb, refit)
-    skel = emb.skeleton
-    neg = _one_sided_tent(skel, spec_neg[0], spec_neg[1], spec_neg[2], r, p, -1)
-    pos = _one_sided_tent(skel, spec_pos[0], spec_pos[1], spec_pos[2], r, p, +1)
-    tent = neg + pos
-    d = divisor_of(tent)
-    assert all(abs(c) == 1 for _pt, c in d.terms) and len(d.terms) == 6
-    assert d.coeff(V(v)) == 0
-    return VertexFunctionResult(
-        emb, tent, tuple(skel.canonical_point(P(root, x)) for root, x in pts)
-    )
 
 
 def _tent_forbidden_zones(tent_points, frames: Frames, emb) -> tuple:

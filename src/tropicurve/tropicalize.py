@@ -64,25 +64,9 @@ class Embedding:
     def ambient_dim(self) -> int:
         return len(self.coords)
 
-    def separates_vertices(self) -> bool:
-        seen = {}
-        for v in self.skeleton.finite.vertices:
-            key = tuple(f.vertex_value(v) for f in self.coords)
-            if key in seen and seen[key] != v:
-                return False
-            seen[key] = v
-        return bool(self.coords) or len(self.skeleton.finite.vertices) <= 1
-
-    @property
-    def raw(self) -> bool:
-        return not self.separates_vertices()
-
     def with_provenance(self, step: str, **params) -> "Embedding":
         entry = {"step": step, "params": params}
         return Embedding(self.skeleton, self.coords, self.provenance + (entry,))
-
-    def value_tuple(self, pt: GraphPoint) -> tuple[Fraction, ...]:
-        return tuple(f.value(pt) for f in self.coords)
 
 
 # -- pieces -------------------------------------------------------------------------

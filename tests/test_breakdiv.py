@@ -4,7 +4,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from tropicurve.breakdiv import break_divisor_decompose, is_break_divisor
+from tropicurve import breakdiv
+from tropicurve.breakdiv import BreakCheck, break_divisor_decompose, is_break_divisor
 from tropicurve.chipfiring import (
     chips_of,
     dhar_burnt,
@@ -16,7 +17,7 @@ from tropicurve.chipfiring import (
     DiscreteGraph,
 )
 from tropicurve.divisors import Divisor, divisor_of, is_principal, make_divisor
-from tropicurve.errors import WrongDegree
+from tropicurve.errors import CertificateFailure, WrongDegree
 from tropicurve.graphs import GraphPoint, build_graph
 
 V = GraphPoint.at_vertex
@@ -184,6 +185,12 @@ class TestDecompose:
         g = circle(3)
         with pytest.raises(WrongDegree):
             break_divisor_decompose(g, make_divisor(g, [(V("v"), 2)]))
+
+    def test_failed_result_check_raises_certificate_failure(self, monkeypatch):
+        g = circle(3)
+        monkeypatch.setattr(breakdiv, "is_break_divisor", lambda *_a: BreakCheck(False))
+        with pytest.raises(CertificateFailure):
+            break_divisor_decompose(g, make_divisor(g, [(V("v"), 1)]))
 
     def test_uniqueness_randomized(self):
         rng = random.Random(13)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropicurve import chipfiring
 from tropicurve.divisors import (
     Divisor,
     EdgeProfile,
@@ -166,6 +167,29 @@ class TestIsPrincipal:
         d = make_divisor(g, [(P("loop", Fraction(1, 2)), 1), (P("loop", Fraction(3, 2)), -1)])
         g2, _ = g.subdivide_at(P("loop", Fraction(1, 4)))
         assert not is_principal(g2, d).principal
+
+    def test_random_verdicts_agree_with_chip_firing(self):
+        # principal divisors with interior support, and the same divisors with
+        # one chip moved one lattice step; the lattice is kept small so the
+        # dense Laplacian solve stays cheap
+        rng = random.Random(29)
+        verdicts = []
+        while len(verdicts) < 40:
+            g = random_graph(rng)
+            d = divisor_of(random_pl_function(rng, g))
+            spacing = chipfiring.lattice_spacing(g, [d])
+            moved = next((pt for pt in d.support() if not pt.is_vertex), None)
+            if moved is None or sum(e.length for e in g.edges.values()) / spacing > 24:
+                continue
+            step = make_divisor(g, [(P(moved.edge, moved.offset + spacing), 1), (moved, -1)])
+            dg, locate = chipfiring.lattice_model(g, spacing)
+            for div in (d, d + step):
+                got = is_principal(g, div).principal
+                chips = chipfiring.chips_of(dg, locate, div)
+                assert got == chipfiring.laplacian_equivalent(dg, chips, [0] * dg.n)
+                verdicts.append(got)
+        assert verdicts[::2] == [True] * 20
+        assert 0 < verdicts[1::2].count(False) < 20
 
 
 class TestConstruct:

@@ -12,11 +12,14 @@ from tropicurve.errors import (
     WrongCardinality,
 )
 from tropicurve.graphs import (
+    CycleSpace,
     GraphPoint,
     build_extended,
     build_graph,
     validate_pillar_points,
 )
+
+from randgen import random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -175,6 +178,16 @@ class TestEdgeDistance:
             g.edge_distance("e1", P("e2", Fraction(1, 2)), P("e1", Fraction(1, 2)))
 
 
+def boundary(g, chain):
+    """Vertex charge of a 1-chain: +c at the b end, -c at the a end."""
+    bal = {v: 0 for v in g.vertices}
+    for eid, coeff in chain.items():
+        e = g.edges[eid]
+        bal[e.a] -= coeff
+        bal[e.b] += coeff
+    return bal
+
+
 class TestSpanningTrees:
     def test_circle_single_complement(self):
         g = circle_graph(3)
@@ -202,18 +215,39 @@ class TestSpanningTrees:
                 assert g.spanning_tree_complement(list(comp)).ok
 
     def test_fundamental_cycle_closes(self):
-        g = theta_graph(2, 3, 5)
-        tree = g.canonical_spanning_tree()
-        comp = [eid for eid in g.edges if eid not in tree]
-        for c in comp:
-            cyc = g.fundamental_cycle(tree, c)
-            # boundary of the cycle is zero: each vertex enters as often as it leaves
-            bal = {}
-            for eid, coeff in cyc.items():
-                e = g.edges[eid]
-                bal[e.a] = bal.get(e.a, 0) - coeff
-                bal[e.b] = bal.get(e.b, 0) + coeff
-            assert all(v == 0 for v in bal.values())
+        rng = random.Random(5)
+        for g in [theta_graph(2, 3, 5)] + [random_graph(rng) for _ in range(30)]:
+            tree = g.canonical_spanning_tree()
+            comp = [eid for eid in g.edges if eid not in tree]
+            for c in comp:
+                cyc = g.fundamental_cycle(tree, c)
+                assert cyc[c] == 1 and set(cyc) <= set(tree) | {c}
+                # boundary of the cycle is zero: each vertex enters as often as it leaves
+                assert all(v == 0 for v in boundary(g, cyc).values())
+
+    def test_cycle_space_chain_has_the_given_boundary(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            g = random_graph(rng)
+            tree = g.canonical_spanning_tree(first=[rng.choice(sorted(g.edges))])
+            cs = CycleSpace(g, tree)
+            charges = {v: rng.randrange(-3, 4) for v in g.vertices}
+            charges[g.vertices[-1]] -= sum(charges.values())
+            chain = cs.chain(charges)
+            assert set(chain) == set(tree)
+            assert boundary(g, chain) == charges
+
+    def test_cycle_space_period_is_the_length_gram_matrix(self):
+        rng = random.Random(7)
+        for g in [theta_graph(2, 3, 5), fig2_skeleton()] + [random_graph(rng) for _ in range(30)]:
+            tree = g.canonical_spanning_tree()
+            cs = CycleSpace(g, tree)
+            cycles = [g.fundamental_cycle(tree, c) for c in cs.complement]
+            assert cs.cycles == cycles and len(cycles) == g.betti_number()
+            for i, zi in enumerate(cycles):
+                for j, zj in enumerate(cycles):
+                    gram = sum(g.edges[e].length * zi.get(e, 0) * zj.get(e, 0) for e in g.edges)
+                    assert cs.period[i][j] == cs.period[j][i] == gram
 
 
 class TestPillars:
