@@ -16,6 +16,7 @@ integral.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -39,6 +40,15 @@ Domain = Union[MetricGraph, ExtendedGraph]
 
 def _finite_part(domain: Domain) -> MetricGraph:
     return domain.finite if isinstance(domain, ExtendedGraph) else domain
+
+
+def _segments(domain: Domain, frame: str) -> list:
+    """Current pieces of a (possibly retired) edge or ray id as
+    (kind, current_id, lo, hi) in the frame's offsets; hi is None on the
+    unbounded tail of a ray."""
+    if isinstance(domain, ExtendedGraph):
+        return domain.segments_of(frame)
+    return [("edge", cid, lo, hi) for cid, lo, hi in domain.segments_of(frame)]
 
 
 class Divisor:
@@ -339,20 +349,14 @@ class PLFunction:
         new_fin = _finite_part(new_domain)
         profiles: dict[str, EdgeProfile] = {}
         rays: dict[str, RayProfile] = {}
-
-        def seg_iter(domain, eid):
-            if isinstance(domain, ExtendedGraph):
-                return domain.segments_of(eid)
-            return [("edge", cid, lo, hi) for cid, lo, hi in domain.segments_of(eid)]
-
         for eid, prof in self.edge_profiles.items():
-            for kind, cid, lo, hi in seg_iter(new_domain, eid):
+            for kind, cid, lo, hi in _segments(new_domain, eid):
                 if kind == "edge":
                     profiles[cid] = prof.sub_profile(lo, hi)
                 else:  # pragma: no cover - finite edges never become rays
                     raise UnknownEdge(f"edge {eid!r} resolved to a ray")
         for rid, rprof in self.ray_profiles.items():
-            for kind, cid, lo, hi in seg_iter(new_domain, rid):
+            for kind, cid, lo, hi in _segments(new_domain, rid):
                 if kind == "ray":
                     rays[cid] = RayProfile(rprof.value_at(lo), rprof.slope)
                 else:
@@ -385,27 +389,57 @@ def constant_function(domain: Domain, value=0) -> PLFunction:
     return PLFunction(domain, profiles, rays, _validated=True)
 
 
-def trapezoid(domain: Domain, edge_id: str, offsets: Sequence, slope: int = 1) -> PLFunction:
-    """Zero function plus a trapezoid bump supported in one edge interior.
+def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> PLFunction:
+    """Zero function plus a trapezoid bump along one edge or ray id.
 
-    Rises with the given slope on [x1,x2], plateaus, and returns on
-    [x3,x4]; its divisor is slope * (x1 - x2 - x3 + x4).
+    The offsets x1 < x2 < x3 < x4 are in the frame of `frame`, an edge or
+    ray id that may have been subdivided since (a subdivided ray is a finite
+    stub plus an unbounded tail).  The bump rises with the given slope on
+    [x1,x2], plateaus, and returns on [x3,x4]; its divisor is
+    slope * (x1 - x2 - x3 + x4).  The support may cross subdivision
+    vertices, and every ray starts at its attach vertex's value.
+
+    Raises InvalidPillars when the offsets do not increase, leave the
+    frame, rise and fall unequally, or reach the unbounded tail of a ray.
     """
-    x1, x2, x3, x4 = (rat(x) for x in offsets)
-    fin = _finite_part(domain)
-    if edge_id not in fin.edges:
-        raise UnknownEdge(f"trapezoid edge {edge_id!r} must be a current edge")
-    length = fin.edges[edge_id].length
-    if not (0 < x1 < x2 < x3 < x4 < length):
-        raise InvalidPillars(f"offsets {offsets} not interior-monotone on {edge_id!r}")
+    xs = tuple(rat(x) for x in offsets)
+    x1, x2, x3, x4 = xs
+    segs = _segments(domain, frame)
+    end = segs[-1][3]
+    if not (x1 < x2 < x3 < x4):
+        raise InvalidPillars(f"offsets {offsets} do not increase on {frame!r}")
+    if x1 < 0 or (end is not None and x4 > end):
+        raise InvalidPillars(f"offsets {offsets} leave the frame of {frame!r}")
     if x2 - x1 != x4 - x3:
         raise InvalidPillars("trapezoid needs equal rise and fall lengths")
-    base = constant_function(domain, 0)
-    profiles = dict(base.edge_profiles)
-    profiles[edge_id] = EdgeProfile(
-        Fraction(0), (x1, x2, x3, x4), (0, slope, 0, -slope, 0)
-    )
-    return PLFunction(domain, profiles, base.ray_profiles, _validated=True)
+    shape = (0, slope, 0, -slope, 0)  # slope right of x: shape[#offsets <= x]
+
+    def value(x: Fraction) -> Fraction:
+        return slope * (min(max(x, x1), x2) - x1 - min(max(x, x3), x4) + x3)
+
+    fin = _finite_part(domain)
+    profiles = {eid: EdgeProfile(Fraction(0), (), (0,)) for eid in fin.edges}
+    vals: dict[str, Fraction] = {}
+    for _kind, cid, lo, hi in segs:
+        if hi is None:
+            if x4 > lo:
+                raise InvalidPillars(f"offsets {offsets} reach the unbounded tail of {frame!r}")
+            continue
+        inner = [x for x in xs if lo < x < hi]
+        profiles[cid] = EdgeProfile(
+            value(lo),
+            tuple(x - lo for x in inner),
+            tuple(shape[bisect_right(xs, x)] for x in [lo] + inner),
+        )
+        e = fin.edges[cid]
+        vals[e.a], vals[e.b] = value(lo), value(hi)
+    rays = {}
+    if isinstance(domain, ExtendedGraph):
+        rays = {
+            rid: RayProfile(vals.get(r.attach, Fraction(0)), 0)
+            for rid, r in domain.rays.items()
+        }
+    return PLFunction(domain, profiles, rays)
 
 
 def divisor_of(f: PLFunction) -> Divisor:

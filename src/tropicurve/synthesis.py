@@ -8,13 +8,19 @@ corrected by pillar trapezoids on a spanning-tree complement.  The second
 pipeline repairs singular image vertices: a vertex with adjacent edges
 e0..en receives n tent coordinates with slopes +1 into ek and -1 into e0,
 which project a neighborhood of the image vertex onto the coordinate-axes
-fan and make it smooth.  Both pipelines re-run their exact certificate at
-the end and refuse to return uncertified output.
+fan and make it smooth.
 
 All offsets allocated here are tracked in "root frames": the edge and ray
 ids present when a pipeline starts, plus rays it attaches later.  Root
 frames survive subdivision (alias tables translate), so bookkeeping stays
-consistent while the skeleton is refined.
+consistent while the skeleton is refined.  Every bump coordinate (each side
+of a tent, a pillar, a coverage or separating trapezoid) is one
+`divisors.trapezoid` in a root frame.
+
+One exact certificate, `is_fully_faithful`, drives both pipelines: each
+stage-0 patch round, repair round and smoothing pass reads the structured
+violations and the image it needs from a single call.  Neither pipeline
+returns output that has not passed it.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .linalg import integer_points_in_box, primitive
 from .tropicalize import (
     Embedding,
     extend_embedding,
+    frame_pieces,
     is_fully_faithful,
     refine_embedding,
     tropicalize,
@@ -60,12 +67,11 @@ from .tropicalize import (
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
 
-
-@dataclass
-class Budgets:
-    pillar_tries: int = 24
-    stage0_patches: int = 48
-    repair_rounds: int = 16
+# Search and repair budgets: window halvings per pillar, batched stage-0
+# patch rounds, and single-violation repair rounds of the first pipeline.
+PILLAR_TRIES = 24
+STAGE0_PATCHES = 48
+REPAIR_ROUNDS = 16
 
 
 # -- core designation -------------------------------------------------------------
@@ -214,30 +220,13 @@ def _interval_image(emb: Embedding, frame: str, lo: Fraction, hi: Optional[Fract
     """Image of a frame sub-interval as parametric segments
     (start values, slope vector, source length or None for rays)."""
     out = []
-    for kind, cid, slo, shi in emb.skeleton.segments_of(frame):
-        if kind == "ray":
-            a = max(lo, slo)
-            b = hi
-            if b is not None and b <= a:
-                continue
-            start = tuple(f.ray_profiles[cid].value_at(a - slo) for f in emb.coords)
-            slopes = tuple(f.ray_profiles[cid].slope for f in emb.coords)
-            out.append((start, slopes, None if b is None else b - a))
+    for _cid, plo, phi, vals, slopes in frame_pieces(emb, frame):
+        a = max(lo, plo)
+        b = phi if hi is None else (hi if phi is None else min(hi, phi))
+        if b is not None and b <= a:
             continue
-        b = shi if hi is None else min(hi, shi)
-        a = max(lo, slo)
-        if a >= b:
-            continue
-        cuts = {a - slo, b - slo}
-        for f in emb.coords:
-            for brk in f.edge_profiles[cid].breaks:
-                if a - slo < brk < b - slo:
-                    cuts.add(brk)
-        xs = sorted(cuts)
-        for x1, x2 in zip(xs, xs[1:]):
-            start = tuple(f.edge_profiles[cid].value_at(x1) for f in emb.coords)
-            slopes = tuple(f.edge_profiles[cid].slope_at(x1, +1) for f in emb.coords)
-            out.append((start, slopes, x2 - x1))
+        start = tuple(x + u * (a - plo) for x, u in zip(vals, slopes))
+        out.append((start, slopes, None if b is None else b - a))
     return out
 
 
@@ -315,10 +304,7 @@ def _images_disjoint(emb: Embedding, a, b) -> bool:
 
 
 def select_pillars(
-    emb: Embedding,
-    targets: Sequence[PillarTarget],
-    frames: Optional[Frames] = None,
-    budgets: Budgets = None,
+    emb: Embedding, targets: Sequence[PillarTarget], frames: Frames
 ) -> dict[str, PillarSet]:
     """Deterministic pillar placement: a valid four-point tuple on every
     spanning-tree complement edge, with supports pairwise disjoint across
@@ -326,8 +312,6 @@ def select_pillars(
     with image disjoint from the image of the target's own edge.  Windows
     shrink geometrically before the search gives up.  Returns the pillar
     sets keyed by target id."""
-    budgets = budgets or Budgets()
-    frames = frames or Frames(emb.skeleton)
     fin = emb.skeleton.finite
     g = fin.betti_number()
     tree = set(fin.canonical_spanning_tree())
@@ -358,7 +342,7 @@ def select_pillars(
             tries = 0
             for wlo, whi in sorted(windows):
                 width = whi - wlo
-                while tries < budgets.pillar_tries and width > 0:
+                while tries < PILLAR_TRIES and width > 0:
                     tries += 1
                     offs = [wlo + width * Fraction(k, 8) for k in (1, 2, 5, 6)]
                     if all(frames.clear_point(root, o) for o in offs):
@@ -386,28 +370,25 @@ def select_pillars(
     return sets
 
 
+def _fits_one_edge(skel: ExtendedGraph, root: str, offs) -> bool:
+    """Whether bump offsets in a root frame all lie inside one current edge."""
+    cp = [skel.canonical_point(P(root, o)) for o in offs]
+    return not any(c.is_vertex for c in cp) and len({c.edge for c in cp}) == 1
+
+
 def _apply_pillars(emb: Embedding, base: PLFunction, pset: Optional[PillarSet]) -> PLFunction:
     if pset is None:
         return base
     f = base
     for pts in pset.tuples:
-        cp = [emb.skeleton.canonical_point(p) for p in pts]
-        if any(c.is_vertex for c in cp) or len({c.edge for c in cp}) != 1:
+        root, offs = pts[0].edge, [p.offset for p in pts]
+        if not _fits_one_edge(emb.skeleton, root, offs):
             raise PillarFailure(f"pillar tuple {pts} no longer fits one edge")
-        f = f + trapezoid(emb.skeleton, cp[0].edge, sorted(c.offset for c in cp))
+        f = f + trapezoid(emb.skeleton, root, offs)
     return f
 
 
 # -- explicit PL building blocks ------------------------------------------------------
-
-
-def _lift_to_skeleton(skel: ExtendedGraph, f_fin: PLFunction) -> PLFunction:
-    """Extend a function on the finite part by constants along all rays."""
-    rays = {
-        rid: RayProfile(f_fin.vertex_value(r.attach), 0)
-        for rid, r in skel.rays.items()
-    }
-    return PLFunction(skel, f_fin.edge_profiles, rays)
 
 
 def _vertex_path(fin: MetricGraph, va: str, vb: str) -> list[tuple[str, str]]:
@@ -602,7 +583,7 @@ def edge_function_finite(
     pillars: Optional[PillarSet],
     core_edges: frozenset[str],
     core_vertices: frozenset[str],
-    frames: Optional[Frames] = None,
+    frames: Frames,
 ) -> EdgeFunctionResult:
     """Slope-one ramp along a finite non-core edge plus pillar trapezoids.
 
@@ -610,7 +591,6 @@ def edge_function_finite(
     it when v already carries a ray); the pole charge sits at the far
     endpoint or a fresh point beyond it.  The function value is zero at v.
     """
-    frames = frames or Frames(emb.skeleton)
     skel = emb.skeleton
     fin = skel.finite
     pieces = _current_pieces(skel, frame)
@@ -651,7 +631,7 @@ def edge_function_finite(
     ramp = ramp.add_constant(-ramp.vertex_value(v))
     f = _apply_pillars(emb, ramp, pillars)
     if pillars is not None and pillars.complement and descend_ray is None and end_ray is None:
-        _assert_cor34_shape(skel, f, va, vb, pillars)
+        _check_cor34_shape(skel, f, va, vb, pillars)
     zero = V(skel.rays[descend_ray].leaf) if descend_ray else V(va)
     pole = V(skel.rays[end_ray].leaf) if end_ray else V(vb)
     return EdgeFunctionResult(emb, f, zero, pole)
@@ -663,11 +643,10 @@ def edge_function_infinite(
     pillars: Optional[PillarSet],
     core_edges: frozenset[str],
     core_vertices: frozenset[str],
-    frames: Optional[Frames] = None,
+    frames: Frames,
 ) -> EdgeFunctionResult:
     """Slope-one ramp diverging along an existing ray; the pole is the
     ray's own infinite vertex, the zero charge sits near the attach point."""
-    frames = frames or Frames(emb.skeleton)
     skel = emb.skeleton
     segs = skel.segments_of(frame)
     stub_pieces = {cid for kind, cid, _lo, _hi in segs if kind == "edge"}
@@ -704,17 +683,19 @@ def edge_function_infinite(
     return EdgeFunctionResult(emb, f, zero, None)
 
 
-def _assert_cor34_shape(skel, f, va, vb, pillars: PillarSet):
+def _check_cor34_shape(skel, f, va, vb, pillars: PillarSet):
     """The assembled divisor must agree with the certified witness route."""
     fin = skel.finite
     base = make_divisor(fin, [(V(va), 1), (V(vb), -1)])
     expected = base + pillars.correction_divisor(skel)
     got = divisor_of(f)
-    assert got == expected, f"edge function divisor mismatch: {got} != {expected}"
+    if got != expected:
+        raise CertificateFailure(f"edge function divisor mismatch: {got} != {expected}")
     ref = cor34_certificate(
         fin, base, list(pillars.complement), [list(t) for t in pillars.tuples]
     )
-    assert divisor_of(ref) == make_divisor(fin, expected.terms)
+    if divisor_of(ref) != make_divisor(fin, expected.terms):
+        raise CertificateFailure(f"certified witness divisor mismatch: {divisor_of(ref)}")
 
 
 # -- vertex functions ------------------------------------------------------------------
@@ -743,73 +724,6 @@ def _side_frame(skel: ExtendedGraph, frames: Frames, v: str, side_id: str):
     if e.b == v:
         return root, shi, -1, (shi - slo) / 2
     raise UnknownEdge(f"edge {side_id!r} is not incident to {v!r}")
-
-
-def _one_sided_tent(
-    skel: ExtendedGraph,
-    root: str,
-    v_off: Fraction,
-    direction: int,
-    r: Fraction,
-    p: Fraction,
-    sign: int,
-) -> PLFunction:
-    """Bump along one side of a vertex: slope `sign` out to distance r,
-    plateau of width p, return to zero; zero elsewhere on the skeleton."""
-    d_breaks = (r, r + p, 2 * r + p)
-
-    def g_slope(d: Fraction) -> int:
-        if d < 0:
-            return 0
-        if d < d_breaks[0]:
-            return sign
-        if d < d_breaks[1]:
-            return 0
-        if d < d_breaks[2]:
-            return -sign
-        return 0
-
-    def g_value(d: Fraction) -> Fraction:
-        if d <= 0:
-            return Fraction(0)
-        val = Fraction(0)
-        marks = [Fraction(0), *d_breaks]
-        slopes = [sign, 0, -sign]
-        for (m1, m2), s in zip(zip(marks, marks[1:]), slopes):
-            if d <= m2:
-                return val + s * (d - m1)
-            val += s * (m2 - m1)
-        return val
-
-    profiles = {
-        eid: EdgeProfile(Fraction(0), (), (0,)) for eid in skel.finite.edges
-    }
-    rays = {rid: RayProfile(Fraction(0), 0) for rid in skel.rays}
-    for kind, cid, lo, hi in skel.segments_of(root):
-        def dist(x: Fraction) -> Fraction:
-            return (x - v_off) * direction
-
-        if kind == "ray":
-            assert dist(lo) >= d_breaks[2] or dist(lo) < 0, (
-                "tent support spills into an unbounded ray"
-            )
-            continue
-        length = hi - lo
-        increasing = direction > 0
-        inner = []
-        for db in d_breaks:
-            x = v_off + direction * db
-            if lo < x < hi:
-                inner.append(x - lo)
-        inner.sort()
-        cuts = [Fraction(0)] + inner + [length]
-        slopes = []
-        for t1, t2 in zip(cuts, cuts[1:]):
-            xm = lo + (t1 + t2) / 2
-            s = g_slope(dist(xm))
-            slopes.append(s if increasing else -s)
-        profiles[cid] = EdgeProfile(g_value(dist(lo)), tuple(inner), tuple(slopes))
-    return PLFunction(skel, profiles, rays, _validated=True)
 
 
 def vertex_function(
@@ -855,9 +769,14 @@ def vertex_function(
     if refit:
         emb = refine_embedding(emb, refit)
     skel = emb.skeleton
-    neg = _one_sided_tent(skel, spec_neg[0], spec_neg[1], spec_neg[2], r, p, -1)
-    pos = _one_sided_tent(skel, spec_pos[0], spec_pos[1], spec_pos[2], r, p, +1)
-    tent = neg + pos
+
+    def one_sided(spec, sign: int) -> PLFunction:
+        # slope `sign` out to distance r from v, plateau p, back to zero
+        root, v_off, direction, _room = spec
+        offs = sorted(v_off + direction * d for d in (0, r, r + p, 2 * r + p))
+        return trapezoid(skel, root, offs, sign)
+
+    tent = one_sided(spec_neg, -1) + one_sided(spec_pos, +1)
     d = divisor_of(tent)
     if d.coeff(V(v)) != 0 or len(d.terms) != 6 or any(abs(c) != 1 for _pt, c in d.terms):
         raise CertificateFailure(f"tent at {v!r} needs six simple points off the vertex: {d}")
@@ -1006,24 +925,6 @@ def _fresh_straddle_pair(frames: Frames, root, lo, hi, gap):
     return None
 
 
-def _violations(emb: Embedding):
-    """Structured fully-faithful violations from one tropicalization."""
-    curve, emap = tropicalize(emb)
-    out = []
-    for rec in emap.pieces:
-        if rec.stretch == 0:
-            out.append(("contracted", rec.source, rec.lo, rec.hi))
-        elif rec.stretch > 1:
-            out.append(("stretch", rec.source, rec.lo, rec.hi))
-    for eid, srcs in sorted(emap.edge_sources.items()):
-        if len(srcs) > 1:
-            out.append(("coverage", eid, srcs))
-    for vid, pts in sorted(emap.vertex_sources.items()):
-        if len(pts) > 1:
-            out.append(("preimages", vid, tuple(sorted(pts))))
-    return curve, emap, out
-
-
 def _core_violation(emb: Embedding, viol, core_pieces: set[str], core_vertices) -> bool:
     kind = viol[0]
     skel = emb.skeleton
@@ -1084,10 +985,9 @@ def _separating_bump(
     if not all(frames.clear_point(root, o) for o in offs):
         return None
     frames.block_interval(root, offs[0], offs[3])
-    cp = [emb.skeleton.canonical_point(P(root, o)) for o in offs]
-    if any(c.is_vertex for c in cp) or len({c.edge for c in cp}) != 1:
+    if not _fits_one_edge(skel, root, offs):
         return None
-    return trapezoid(skel, cp[0].edge, sorted(c.offset for c in cp))
+    return trapezoid(skel, root, offs)
 
 
 def _repair_step(
@@ -1164,7 +1064,7 @@ def _separating_witness(
     res = is_principal(fin, d)
     if not res.principal:
         return None
-    f = _lift_to_skeleton(skel, res.witness)
+    f = _with_ray_slopes(skel, res.witness, {})
     emb2 = extend_embedding(emb, f, name)
     _register_new_roots(frames, emb, emb2)
     return emb2
@@ -1184,22 +1084,9 @@ def _register_new_roots(frames: Frames, before: Embedding, after: Embedding):
 
 def _root_slope_cover(emb: Embedding, root: str):
     """Root-frame intervals on which some coordinate has nonzero slope."""
-    covered = []
-    for kind, cid, lo, hi in emb.skeleton.segments_of(root):
-        if kind == "ray":
-            if any(f.ray_profiles[cid].slope for f in emb.coords):
-                covered.append((lo, None))
-            continue
-        cuts = {Fraction(0), hi - lo}
-        for f in emb.coords:
-            cuts.update(
-                b for b in f.edge_profiles[cid].breaks if 0 < b < hi - lo
-            )
-        xs = sorted(cuts)
-        for x1, x2 in zip(xs, xs[1:]):
-            if any(f.edge_profiles[cid].slope_at(x1, +1) for f in emb.coords):
-                covered.append((lo + x1, lo + x2))
-    covered.sort()
+    covered = sorted(
+        (lo, hi) for _cid, lo, hi, _vals, slopes in frame_pieces(emb, root) if any(slopes)
+    )
     merged = []
     for a, b in covered:
         if merged and merged[-1][1] is not None and merged[-1][1] >= a:
@@ -1237,7 +1124,9 @@ def _cover_gaps(emb: Embedding, frames: Frames, root: str, lo: Fraction,
         offs = _straddle_trapezoid(frames, root, glo, ghi, length)
         if offs is None:
             raise Stage0Failure(f"no straddling trapezoid fits on {root!r}")
-        bump = _trapezoid_on_root(emb.skeleton, root, offs)
+        if not _fits_one_edge(emb.skeleton, root, offs):
+            raise Stage0Failure(f"trapezoid {offs} on {root!r} crosses a vertex")
+        bump = trapezoid(emb.skeleton, root, offs)
         name = namer()
         emb2 = extend_embedding(emb, bump, name)
         _register_new_roots(frames, emb, emb2)
@@ -1297,13 +1186,6 @@ def _root_length(skel: ExtendedGraph, root: str) -> Fraction:
     return segs[-1][3]
 
 
-def _trapezoid_on_root(skel: ExtendedGraph, root: str, offs) -> PLFunction:
-    cp = [skel.canonical_point(P(root, o)) for o in offs]
-    if any(c.is_vertex for c in cp) or len({c.edge for c in cp}) != 1:
-        raise Stage0Failure(f"trapezoid {offs} on {root!r} crosses a vertex")
-    return trapezoid(skel, cp[0].edge, sorted(c.offset for c in cp))
-
-
 def _core_sides_at(skel: ExtendedGraph, core_edges: frozenset[str], v: str):
     """Current core edge pieces incident to v, sorted by root id."""
     out = []
@@ -1323,7 +1205,6 @@ def stage0(
     core_vertices: frozenset[str],
     frames: Frames,
     report: "PipelineReport",
-    budgets: Budgets,
 ) -> Embedding:
     """Bootstrap coordinates making the core injective with unit stretch.
 
@@ -1379,18 +1260,19 @@ def stage0(
         res = is_principal(emb.skeleton.finite, d)
         if not res.principal:
             raise CertificateFailure(f"stage-0 divisor is not principal: {d}")
-        f = _lift_to_skeleton(emb.skeleton, res.witness)
+        f = _with_ray_slopes(emb.skeleton, res.witness, {})
         emb2 = extend_embedding(emb, f, f"gs{idx}")
         _register_new_roots(frames, emb, emb2)
         emb = emb2
         report.log(construction="core-ramp", target=root_e, coordinate=f"gs{idx}")
 
     # (4) batched patches for residual core violations
-    for patch_round in range(budgets.stage0_patches):
+    for patch_round in range(STAGE0_PATCHES):
         core_pieces = _core_current(emb.skeleton, core_edges)
-        _curve, _emap, viols = _violations(emb)
         core_viols = [
-            v for v in viols if _core_violation(emb, v, core_pieces, core_vertices)
+            v
+            for v in is_fully_faithful(emb).violations
+            if _core_violation(emb, v, core_pieces, core_vertices)
         ]
         if not core_viols:
             return emb
@@ -1428,15 +1310,12 @@ class PipelineReport:
         }
 
 
-def fully_faithful_pipeline(
-    emb: Embedding, budgets: Budgets = None
-) -> tuple[Embedding, PipelineReport]:
+def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     """Refine until the tropicalization is injective with all weights one.
 
     Hard-fails with CertificateFailure if the final exact certificate does
     not pass; never returns an uncertified embedding.
     """
-    budgets = budgets or Budgets()
     report = PipelineReport()
     rep0 = is_fully_faithful(emb)
     report.initial = {
@@ -1451,7 +1330,7 @@ def fully_faithful_pipeline(
     frames = Frames(emb.skeleton)
     fin = emb.skeleton.finite
     core_edges, core_vertices = designate_core(fin)
-    emb = stage0(emb, core_edges, core_vertices, frames, report, budgets)
+    emb = stage0(emb, core_edges, core_vertices, frames, report)
 
     finite_targets = [
         eid for eid in sorted(fin.edges) if eid not in core_edges
@@ -1464,7 +1343,7 @@ def fully_faithful_pipeline(
     pillar_targets = [
         PillarTarget(f"edge:{eid}", avoid_image_of=eid) for eid in finite_targets
     ] + [PillarTarget(f"ray:{rid}", avoid_image_of=rid) for rid in ray_targets]
-    config = select_pillars(emb, pillar_targets, frames, budgets)
+    config = select_pillars(emb, pillar_targets, frames)
 
     for eid in finite_targets:
         res = edge_function_finite(
@@ -1496,22 +1375,22 @@ def fully_faithful_pipeline(
             unit_stretch_new_edges=True,
         )
 
-    for round_no in range(budgets.repair_rounds):
+    for round_no in range(REPAIR_ROUNDS):
         rep = is_fully_faithful(emb)
         if rep:
             break
-        _curve, _emap, viols = _violations(emb)
-        assert viols, "certificate failed without structured violations"
-        emb2 = _repair_step(emb, frames, viols[0], f"r{round_no}")
+        viol = rep.violations[0]
+        emb2 = _repair_step(emb, frames, viol, f"r{round_no}")
         if emb2 is None:
             raise CertificateFailure(
-                f"unrepairable violation {viols[0][:2]}; reasons: {rep.reasons}"
+                f"unrepairable violation {viol[:2]}; reasons: {rep.reasons}"
             )
-        report.log(construction="repair", target=str(viols[0][:2]))
+        report.log(construction="repair", target=str(viol[:2]))
         emb = emb2
-    rep = is_fully_faithful(emb)
-    if not rep:
-        raise CertificateFailure(f"final certificate failed: {rep.reasons}")
+    else:
+        rep = is_fully_faithful(emb)
+        if not rep:
+            raise CertificateFailure(f"final certificate failed: {rep.reasons}")
     report.final = {"fully_faithful": True, "coordinates": len(emb.coords)}
     return emb.with_provenance("fully_faithful_pipeline"), report
 
@@ -1526,32 +1405,32 @@ def _outgoing_direction(emb: Embedding, v: str, side_id: str):
     return tuple(-f.edge_profiles[side_id].slope_at(e.length, -1) for f in emb.coords)
 
 
-def smoothing_pipeline(
-    emb: Embedding, budgets: Budgets = None
-) -> tuple[Embedding, PipelineReport]:
+def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     """Refine a fully faithful embedding until the image curve is smooth.
 
     Singular image vertices are resolved one at a time; the count of
     singular vertices strictly decreases after every pass (violations of
     that invariant indicate a bug and raise MonotonicityViolation).
     """
-    budgets = budgets or Budgets()
-    if not is_fully_faithful(emb):
-        emb, report = fully_faithful_pipeline(emb, budgets)
+    rep = is_fully_faithful(emb)
+    if not rep:
+        emb, report = fully_faithful_pipeline(emb)
+        rep = is_fully_faithful(emb)
     else:
         report = PipelineReport()
         report.initial = {"fully_faithful": True}
     frames = Frames(emb.skeleton)
-    curve, emap = tropicalize(emb)
-    sm = check_smooth(curve)
+    sm = check_smooth(rep.curve)
     report.singular_counts.append(len(sm.singular_vertices))
     guard = len(sm.singular_vertices) + 1
     pass_no = 0
     while not sm.smooth and pass_no < guard:
-        assert not sm.heavy_edges, "fully faithful output cannot carry weights"
+        if sm.heavy_edges:
+            raise CertificateFailure(f"fully faithful image has heavy edges {sm.heavy_edges}")
         target = sm.singular_vertices[0]
-        preimages = emap.vertex_sources[target.vertex]
-        assert len(preimages) == 1, "fully faithful output is injective"
+        preimages = rep.emap.vertex_sources[target.vertex]
+        if len(preimages) != 1:
+            raise CertificateFailure(f"image vertex {target.vertex!r} has {len(preimages)} preimages")
         pt = next(iter(preimages))
         if not pt.is_vertex:
             emb = refine_embedding(emb, [pt])
@@ -1577,7 +1456,6 @@ def smoothing_pipeline(
                 res.embedding,
                 [PillarTarget(f"vertex:{v}:{name}", forbidden=forb)],
                 frames,
-                budgets,
             )[f"vertex:{v}:{name}"]
             f = _apply_pillars(res.embedding, res.function, pset)
             emb2 = extend_embedding(res.embedding, f, name)
@@ -1594,8 +1472,7 @@ def smoothing_pipeline(
             raise CertificateFailure(
                 f"smoothing pass broke full faithfulness: {rep.reasons}"
             )
-        curve, emap = tropicalize(emb)
-        sm = check_smooth(curve)
+        sm = check_smooth(rep.curve)
         report.singular_counts.append(len(sm.singular_vertices))
         if report.singular_counts[-1] >= report.singular_counts[-2]:
             raise MonotonicityViolation(

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .complexes import TropEdge, TropPoint, TropicalCurve, check_balancing
 from .divisors import Divisor, PLFunction, divisor_of
 from .errors import (
+    CertificateFailure,
     ContractedEdge,
     DivisorCollision,
     EmptyCoordinates,
@@ -117,26 +119,28 @@ class EdgeMap:
         return [p for p in self.pieces if p.stretch == 0]
 
 
-def _source_pieces(emb: Embedding):
-    """Break every skeleton edge at the union of coordinate breakpoints.
+def frame_pieces(emb: Embedding, frame: str):
+    """Walk an edge or ray id, possibly subdivided since, cut at every
+    coordinate breakpoint.
 
-    Yields (source_id, lo, hi_or_None, start_values, slope_vector).
+    Yields (current_id, lo, hi, start_values, slope_vector) per linear
+    piece, lo and hi in the frame's offsets; hi is None on an unbounded ray
+    tail.
     """
-    skel = emb.skeleton
-    for eid in sorted(skel.finite.edges):
-        e = skel.finite.edges[eid]
-        cuts = {Fraction(0), e.length}
+    for kind, cid, slo, shi in emb.skeleton.segments_of(frame):
+        if kind == "ray":
+            vals = tuple(f.ray_profiles[cid].start for f in emb.coords)
+            slopes = tuple(f.ray_profiles[cid].slope for f in emb.coords)
+            yield cid, slo, None, vals, slopes
+            continue
+        cuts = {Fraction(0), shi - slo}
         for f in emb.coords:
-            cuts.update(f.edge_profiles[eid].breaks)
+            cuts.update(f.edge_profiles[cid].breaks)
         xs = sorted(cuts)
         for lo, hi in zip(xs, xs[1:]):
-            vals = tuple(f.edge_profiles[eid].value_at(lo) for f in emb.coords)
-            slopes = tuple(f.edge_profiles[eid].slope_at(lo, +1) for f in emb.coords)
-            yield eid, lo, hi, vals, slopes
-    for rid in sorted(skel.rays):
-        vals = tuple(f.ray_profiles[rid].start for f in emb.coords)
-        slopes = tuple(f.ray_profiles[rid].slope for f in emb.coords)
-        yield rid, Fraction(0), None, vals, slopes
+            vals = tuple(f.edge_profiles[cid].value_at(lo) for f in emb.coords)
+            slopes = tuple(f.edge_profiles[cid].slope_at(lo, +1) for f in emb.coords)
+            yield cid, slo + lo, slo + hi, vals, slopes
 
 
 def _canonical_direction(slopes: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
@@ -209,7 +213,11 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
     lines: dict = {}
     pieces: list[PieceRecord] = []
     contracted_items: list[tuple[str, Fraction, Optional[Fraction], tuple]] = []
-    for source, lo, hi, vals, slopes in _source_pieces(emb):
+    # a current edge or ray is its own frame, so each piece's id is its source
+    sources = sorted(skel.finite.edges) + sorted(skel.rays)
+    for source, lo, hi, vals, slopes in chain.from_iterable(
+        frame_pieces(emb, frame) for frame in sources
+    ):
         if not any(slopes):
             contracted_items.append((source, lo, hi, vals))
             continue
@@ -284,7 +292,8 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         wc, origin = key
         items = lines[key]
         bps = sorted(cuts[key])
-        assert bps, "every line has at least one item endpoint"
+        if not bps:
+            raise CertificateFailure(f"image line {key} has no piece endpoint")
         intervals: list[tuple[Optional[Fraction], Optional[Fraction]]] = []
         if any(i.u_lo is None for i in items):
             intervals.append((None, bps[0]))
@@ -399,7 +408,8 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         },
     )
     rep = check_balancing(curve)
-    assert rep.balanced, f"tropicalization violated balancing: {rep.defects}"
+    if not rep.balanced:
+        raise CertificateFailure(f"tropicalization violated balancing: {rep.defects}")
     return curve, emap
 
 
@@ -459,43 +469,76 @@ def is_faithful_function(emb: Embedding, f: PLFunction) -> bool:
     return all(abs(c) == 1 for _pt, c in d.terms)
 
 
+_REASONS = {
+    "empty": lambda v: "embedding has no coordinates",
+    "contracted": lambda v: f"piece of {v[1]!r} at [{v[2]}, {v[3]}] is contracted",
+    "stretch": lambda v: f"piece of {v[1]!r} at [{v[2]}, {v[3]}] has stretching factor {v[4]}",
+    "coverage": lambda v: f"image edge {v[1]!r} is covered by {len(v[2])} pieces",
+    "weight": lambda v: f"image edge {v[1]!r} has weight {v[2]}",
+    "preimages": lambda v: f"image vertex {v[1]!r} has {len(v[2])} skeleton preimages",
+}
+_KINDS = tuple(_REASONS)
+
+
 @dataclass(frozen=True)
 class FaithfulReport:
-    fully_faithful: bool
-    reasons: tuple[str, ...] = ()
+    """Verdict of the fully-faithful certificate, with what it was read from.
+
+    `violations` holds one tuple per defect, its kind first:
+    ("contracted", source, lo, hi) and ("stretch", source, lo, hi, factor)
+    in source-piece order, then ("coverage", image_edge, source_pieces),
+    ("weight", image_edge, weight) and ("preimages", image_vertex,
+    skeleton_points); ("empty",) stands alone for an embedding without
+    coordinates.  A weight defect always follows the stretch or coverage
+    defect that causes it.  `curve` and `emap` are the tropicalization the
+    verdict was read from (None without coordinates); `reasons` are the
+    violations in words, grouped by kind.
+    """
+
+    violations: tuple = ()
+    curve: Optional[TropicalCurve] = None
+    emap: Optional[EdgeMap] = None
+
+    @property
+    def fully_faithful(self) -> bool:
+        return not self.violations
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        grouped = sorted(self.violations, key=lambda v: _KINDS.index(v[0]))
+        return tuple(dict.fromkeys(_REASONS[v[0]](v) for v in grouped))
 
     def __bool__(self):
-        return self.fully_faithful
+        return not self.violations
 
 
 def is_fully_faithful(emb: Embedding) -> FaithfulReport:
     """Exact certificate: no contracted pieces, globally injective, and all
-    weights and stretching factors equal to one."""
+    weights and stretching factors equal to one.
+
+    One tropicalization gives both the verdict and the structured
+    violations that the pipelines repair.
+    """
     try:
         curve, emap = tropicalize(emb)
     except EmptyCoordinates:
-        return FaithfulReport(False, ("embedding has no coordinates",))
-    reasons = []
-    for rec in emap.contracted:
-        reasons.append(f"piece of {rec.source!r} at [{rec.lo}, {rec.hi}] is contracted")
+        return FaithfulReport((("empty",),))
+    out = []
     for rec in emap.pieces:
-        if rec.stretch > 1:
-            reasons.append(
-                f"piece of {rec.source!r} at [{rec.lo}, {rec.hi}] has stretching factor {rec.stretch}"
-            )
+        if rec.stretch == 0:
+            out.append(("contracted", rec.source, rec.lo, rec.hi))
+        elif rec.stretch > 1:
+            out.append(("stretch", rec.source, rec.lo, rec.hi, rec.stretch))
     for eid, srcs in sorted(emap.edge_sources.items()):
         if len(srcs) > 1:
-            reasons.append(f"image edge {eid!r} is covered by {len(srcs)} pieces")
+            out.append(("coverage", eid, srcs))
     for eid, e in curve.edges.items():
         if e.weight != 1:
-            reasons.append(f"image edge {eid!r} has weight {e.weight}")
+            out.append(("weight", eid, e.weight))
     for vid, pts in sorted(emap.vertex_sources.items()):
         if len(pts) > 1:
-            reasons.append(
-                f"image vertex {vid!r} has {len(pts)} skeleton preimages"
-            )
-    reasons = tuple(dict.fromkeys(reasons))
-    return FaithfulReport(not reasons, reasons)
+            out.append(("preimages", vid, tuple(sorted(pts))))
+    return FaithfulReport(tuple(out), curve, emap)
 
 
 # -- extension ----------------------------------------------------------------------
@@ -551,8 +594,10 @@ def extend_embedding(emb: Embedding, f: PLFunction, name: str) -> Embedding:
     # structural stretching-factor check on the new rays: the added
     # coordinate is the only one with nonzero slope there, and it is +-1
     for rid in ray_slopes:
-        assert abs(new_f.ray_profiles[rid].slope) == 1
-        assert all(g.ray_profiles[rid].slope == 0 for g in new_coords)
+        if abs(new_f.ray_profiles[rid].slope) != 1 or any(
+            g.ray_profiles[rid].slope for g in new_coords
+        ):
+            raise CertificateFailure(f"new ray {rid!r} does not have stretching factor one")
     entry = {
         "step": "extend",
         "params": {

@@ -8,6 +8,7 @@ from tropicurve.divisors import (
     Divisor,
     EdgeProfile,
     PLFunction,
+    RayProfile,
     constant_function,
     construct_pl_with_divisor,
     cor34_certificate,
@@ -17,7 +18,7 @@ from tropicurve.divisors import (
     trapezoid,
 )
 from tropicurve.errors import InvalidPillars, NonzeroDegree, NotPrincipal
-from tropicurve.graphs import GraphPoint, build_graph
+from tropicurve.graphs import GraphPoint, build_extended, build_graph
 
 from randgen import random_graph, random_pl_function
 
@@ -76,6 +77,47 @@ class TestDivisorOf:
             g, [(P("e", 1), 1), (P("e", 2), -1), (P("e", 7), -1), (P("e", 8), 1)]
         )
         assert divisor_of(f) == expected
+
+    def test_trapezoid_in_a_subdivided_frame(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            g = random_graph(rng)
+            eid = rng.choice(sorted(g.edges))
+            length = g.edges[eid].length
+            x1, x2, x3 = sorted(length * Fraction(k, 16) for k in rng.sample(range(1, 8), 3))
+            offs = (x1, x2, x3, x3 + x2 - x1)
+            # two cuts inside the support, two outside it
+            cuts = ((x1 + x2) / 2, (x3 + offs[3]) / 2, x1 / 2, (offs[3] + length) / 2)
+            g2 = g.subdivide_many(P(eid, x) for x in cuts)
+            f2 = trapezoid(g2, eid, offs)
+            assert f2.edge_profiles == trapezoid(g, eid, offs).transport(g2).edge_profiles
+            signs = zip(offs, (1, -1, -1, 1))
+            assert divisor_of(f2) == make_divisor(g2, [(P(eid, x), c) for x, c in signs])
+
+    def test_trapezoid_gives_a_ray_in_its_support_the_vertex_value(self):
+        g = build_graph(["a", "b"], [("e", "a", "b", 10)])
+        ext = build_extended(g, [("r", P("e", 4)), ("s", V("b"))])
+        f = trapezoid(ext, "e", (1, 3, 6, 8), slope=-1)
+        assert f.ray_profiles == {
+            "r": RayProfile(Fraction(-2), 0),
+            "s": RayProfile(Fraction(0), 0),
+        }
+
+    @pytest.mark.parametrize(
+        "frame, offsets",
+        [
+            ("e", (1, 3, 2, 4)),  # not increasing
+            ("e", (-1, 1, 2, 4)),  # leaves the frame
+            ("e", (7, 8, 9, 11)),  # leaves the frame
+            ("e", (1, 2, 3, 5)),  # rise and fall differ
+            ("r", (1, 2, 3, 4)),  # reaches the unbounded tail past 2
+        ],
+    )
+    def test_trapezoid_rejects_bad_offsets(self, frame, offsets):
+        g = build_graph(["a", "b"], [("e", "a", "b", 10)])
+        ext, _ = build_extended(g, [("r", V("a"))]).subdivide_at(P("r", 2))
+        with pytest.raises(InvalidPillars):
+            trapezoid(ext, frame, offsets)
 
     def test_degree_zero_on_finite_graphs(self):
         rng = random.Random(5)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropicurve.complexes import check_balancing, check_smooth
+from tropicurve.complexes import BalancingReport, check_balancing, check_smooth
 from tropicurve.divisors import (
     EdgeProfile,
     PLFunction,
@@ -12,6 +12,7 @@ from tropicurve.divisors import (
     trapezoid,
 )
 from tropicurve.errors import (
+    CertificateFailure,
     ContractedEdge,
     DivisorCollision,
     EmptyCoordinates,
@@ -58,6 +59,21 @@ def fold_embedding():
             "loop.1": EdgeProfile(Fraction(1), (), (-1,)),
         },
         {"rv": RayProfile(Fraction(0), -2), "rm": RayProfile(Fraction(1), 2)},
+    )
+    return Embedding(ext, [f])
+
+
+def contracted_embedding():
+    """Path a-b-c whose one coordinate is constant on the edge b-c."""
+    g = build_graph(["a", "b", "c"], [("e1", "a", "b", 2), ("e2", "b", "c", 1)])
+    ext = build_extended(g, [("ra", V("a")), ("rb", V("b"))])
+    f = PLFunction(
+        ext,
+        {
+            "e1": EdgeProfile(Fraction(0), (), (1,)),
+            "e2": EdgeProfile(Fraction(2), (), (0,)),
+        },
+        {"ra": RayProfile(Fraction(0), -1), "rb": RayProfile(Fraction(2), 1)},
     )
     return Embedding(ext, [f])
 
@@ -111,20 +127,16 @@ class TestTropicalize:
         curve, _ = tropicalize(fold_embedding())
         assert check_balancing(curve).balanced
 
+    def test_balancing_defect_raises_certificate_failure(self, monkeypatch):
+        import tropicurve.tropicalize as trop
+
+        unbalanced = BalancingReport(False, (("t0", (1,)),))
+        monkeypatch.setattr(trop, "check_balancing", lambda curve: unbalanced)
+        with pytest.raises(CertificateFailure, match="balancing"):
+            tropicalize(fold_embedding())
+
     def test_contracted_edge_recorded(self):
-        g = build_graph(
-            ["a", "b", "c"], [("e1", "a", "b", 2), ("e2", "b", "c", 1)]
-        )
-        ext = build_extended(g, [("ra", V("a")), ("rb", V("b"))])
-        f = PLFunction(
-            ext,
-            {
-                "e1": EdgeProfile(Fraction(0), (), (1,)),
-                "e2": EdgeProfile(Fraction(2), (), (0,)),
-            },
-            {"ra": RayProfile(Fraction(0), -1), "rb": RayProfile(Fraction(2), 1)},
-        )
-        emb = Embedding(ext, [f])
+        emb = contracted_embedding()
         _curve, emap = tropicalize(emb)
         assert any(rec.source == "e2" for rec in emap.contracted)
 
@@ -151,19 +163,7 @@ class TestStretching:
         assert stretching_factor(emb, "e") == 2
 
     def test_contracted_edge_raises(self):
-        g = build_graph(
-            ["a", "b", "c"], [("e1", "a", "b", 2), ("e2", "b", "c", 1)]
-        )
-        ext = build_extended(g, [("ra", V("a")), ("rb", V("b"))])
-        f = PLFunction(
-            ext,
-            {
-                "e1": EdgeProfile(Fraction(0), (), (1,)),
-                "e2": EdgeProfile(Fraction(2), (), (0,)),
-            },
-            {"ra": RayProfile(Fraction(0), -1), "rb": RayProfile(Fraction(2), 1)},
-        )
-        emb = Embedding(ext, [f])
+        emb = contracted_embedding()
         with pytest.raises(ContractedEdge):
             stretching_factor(emb, "e2")
 
@@ -268,21 +268,14 @@ class TestFullyFaithful:
         rep = is_fully_faithful(fold_embedding())
         assert not rep.fully_faithful
         assert any("weight" in r or "covered" in r for r in rep.reasons)
+        kinds = [v[0] for v in rep.violations]
+        assert kinds == ["stretch", "stretch", "coverage", "weight", "weight", "weight"]
 
     def test_contracted_blocks(self):
-        g = build_graph(["a", "b", "c"], [("e1", "a", "b", 2), ("e2", "b", "c", 1)])
-        ext = build_extended(g, [("ra", V("a")), ("rb", V("b"))])
-        f = PLFunction(
-            ext,
-            {
-                "e1": EdgeProfile(Fraction(0), (), (1,)),
-                "e2": EdgeProfile(Fraction(2), (), (0,)),
-            },
-            {"ra": RayProfile(Fraction(0), -1), "rb": RayProfile(Fraction(2), 1)},
-        )
-        rep = is_fully_faithful(Embedding(ext, [f]))
+        rep = is_fully_faithful(contracted_embedding())
         assert not rep.fully_faithful
         assert any("contracted" in r for r in rep.reasons)
+        assert [v[0] for v in rep.violations] == ["contracted"]
 
 
 class TestRandomizedBalancing:
