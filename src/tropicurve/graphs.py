@@ -8,7 +8,9 @@ the finite part.
 Graphs are immutable: subdivision returns a new graph.  Every graph keeps a
 cumulative alias table mapping retired edge ids to the segments that replaced
 them, so points expressed in an ancestor's (edge, offset) frame stay
-meaningful after arbitrarily many refinements.  Loop edges are split at
+meaningful after arbitrarily many refinements; `parent` reads that table
+backwards, from a segment to the retired id it came from and its offset
+there.  Loop edges are split at
 their midpoint on ingestion, which keeps every stored edge loop-free and
 makes (edge, offset) coordinates unambiguous.
 """
@@ -105,6 +107,7 @@ class MetricGraph:
         for e in self._edges.values():
             self._lengths[e.id] = e.length
         self._adj_cache = None
+        self._parent_cache = None
         self._dist_cache: dict[str, dict[str, Fraction]] = {}
         if not _validated:
             self._validate()
@@ -163,6 +166,13 @@ class MetricGraph:
                 adj[e.b].append((e.id, e.a))
             self._adj_cache = adj
         return self._adj_cache
+
+    def parent(self, edge_id: str) -> Optional[tuple[str, Fraction]]:
+        """(retired id, offset in its frame) of an edge id that subdivision
+        made, None for any other id."""
+        if self._parent_cache is None:
+            self._parent_cache = _alias_parents(self._alias)
+        return self._parent_cache.get(edge_id)
 
     def incident_edges(self, v: str) -> list[str]:
         if v not in self._vertex_set:
@@ -506,6 +516,10 @@ class CycleSpace:
         ]
 
 
+def _alias_parents(alias: Mapping[str, tuple]) -> dict[str, tuple[str, Fraction]]:
+    return {sub: (old, lo) for old, segs in alias.items() for sub, lo, _hi in segs}
+
+
 def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
     """Validated construction from (id, a, b, length) records.
 
@@ -590,6 +604,7 @@ class ExtendedGraph:
         self.finite = finite
         self._rays = dict(sorted(rays.items()))
         self._alias: dict[str, tuple] = dict(_alias or {})
+        self._parent_cache = None
         leafs = set()
         for r in self._rays.values():
             if r.attach not in finite.vertices:
@@ -615,6 +630,12 @@ class ExtendedGraph:
             if r.leaf == leaf:
                 return r
         raise UnknownVertex(f"no ray ends at {leaf!r}")
+
+    def parent(self, edge_id: str) -> Optional[tuple[str, Fraction]]:
+        """`MetricGraph.parent`, also for the stub and tail of a ray."""
+        if self._parent_cache is None:
+            self._parent_cache = _alias_parents(self._alias)
+        return self._parent_cache.get(edge_id) or self.finite.parent(edge_id)
 
     def is_infinite_vertex(self, v: str) -> bool:
         return any(r.leaf == v for r in self._rays.values())

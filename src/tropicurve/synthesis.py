@@ -11,11 +11,13 @@ which project a neighborhood of the image vertex onto the coordinate-axes
 fan and make it smooth.
 
 All offsets allocated here are tracked in "root frames": the edge and ray
-ids present when a pipeline starts, plus rays it attaches later.  Root
-frames survive subdivision (alias tables translate), so bookkeeping stays
-consistent while the skeleton is refined.  Every bump coordinate (each side
-of a tent, a pillar, a coverage or separating trapezoid) is one
-`divisors.trapezoid` in a root frame.
+ids present when a pipeline starts, plus rays it attaches later.  The
+graph's alias tables, read backwards through `parent`, lead every current
+id to its root frame, so bookkeeping stays consistent while the skeleton is
+refined and nothing is registered as it grows.  Every bump coordinate (each
+side of a tent, a pillar, a coverage or separating trapezoid) is one
+`divisors.trapezoid` in a root frame, and every ramp is the witness of a
+principal divisor from `is_principal`.
 
 One exact certificate, `is_fully_faithful`, drives both pipelines: each
 stage-0 patch round, repair round and smoothing pass reads the structured
@@ -32,7 +34,6 @@ from typing import Optional, Sequence
 from .complexes import check_smooth
 from .divisors import (
     Divisor,
-    EdgeProfile,
     PLFunction,
     RayProfile,
     construct_pl_with_divisor,
@@ -57,8 +58,10 @@ from .graphs import CycleSpace, ExtendedGraph, GraphPoint, MetricGraph
 from .linalg import integer_points_in_box, primitive
 from .tropicalize import (
     Embedding,
+    FaithfulReport,
     extend_embedding,
     frame_pieces,
+    images_meet,
     is_fully_faithful,
     refine_embedding,
     tropicalize,
@@ -115,34 +118,42 @@ def designate_core(fin: MetricGraph) -> tuple[frozenset[str], frozenset[str]]:
 class Frames:
     """Offset allocation in stable root frames.
 
-    Roots are edge/ray ids fixed at pipeline start (descendants created by
-    subdivision are located back into them).  Blocked points mark future
-    ray attachments; blocked intervals reserve pillar supports so no later
-    subdivision lands inside them.
+    Roots are the edge/ray ids current when the frames are made, plus the
+    rays attached later: a current id walks `parent` up to one of the first
+    or to an id with no parent, which is one of the second.  Blocked points
+    mark future ray attachments; blocked intervals reserve pillar supports
+    so no later subdivision lands inside them.
     """
 
     def __init__(self, skel: ExtendedGraph):
-        self.roots: list[str] = sorted(skel.finite.edges) + sorted(skel.rays)
+        self.start_ids = frozenset(skel.finite.edges) | frozenset(skel.rays)
         self.points: dict[str, set[Fraction]] = {}
         self.intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
 
-    def add_root(self, root: str):
-        self.roots.append(root)
-
     def locate(self, skel: ExtendedGraph, cid: str) -> tuple[str, Fraction]:
         """Root frame and offset shift of a current edge or ray id."""
-        for root in self.roots:
-            for _kind, sub, lo, _hi in skel.segments_of(root):
-                if sub == cid:
-                    return root, lo
-        raise UnknownEdge(f"{cid!r} not found under any root frame")
+        if cid not in skel.finite.edges and cid not in skel.rays:
+            raise UnknownEdge(f"{cid!r} is not a current edge or ray")
+        shift = Fraction(0)
+        while cid not in self.start_ids and (up := skel.parent(cid)) is not None:
+            cid, lo = up
+            shift += lo
+        return cid, shift
 
     def root_range(self, skel: ExtendedGraph, cid: str):
+        """Root frame and offsets of a current edge or ray id (None for the
+        end of a ray)."""
         root, lo = self.locate(skel, cid)
-        for kind, sub, slo, shi in skel.segments_of(root):
-            if sub == cid:
-                return root, slo, shi
-        raise UnknownEdge(cid)
+        edge = skel.finite.edges.get(cid)
+        return root, lo, None if edge is None else lo + edge.length
+
+    def fresh_near(self, skel: ExtendedGraph, cid: str, v: str) -> tuple[str, Fraction]:
+        """A fresh root-frame point in the quarter of the current edge cid
+        next to its endpoint v; blocks it."""
+        root, slo, shi = self.root_range(skel, cid)
+        quarter = (shi - slo) / 4
+        lo = slo if skel.finite.edges[cid].a == v else shi - quarter
+        return root, self.fresh_point(root, lo, lo + quarter)
 
     def block_point(self, root: str, off: Fraction):
         self.points.setdefault(root, set()).add(off)
@@ -216,91 +227,20 @@ class PillarSet:
         return make_divisor(graph, terms)
 
 
-def _interval_image(emb: Embedding, frame: str, lo: Fraction, hi: Optional[Fraction]):
-    """Image of a frame sub-interval as parametric segments
-    (start values, slope vector, source length or None for rays)."""
-    out = []
-    for _cid, plo, phi, vals, slopes in frame_pieces(emb, frame):
+def _clipped_pieces(emb: Embedding, frame: str, lo: Fraction, hi: Optional[Fraction]):
+    """`frame_pieces` of a frame cut to [lo, hi] (hi None: to the end)."""
+    for cid, plo, phi, vals, slopes in frame_pieces(emb, frame):
         a = max(lo, plo)
         b = phi if hi is None else (hi if phi is None else min(hi, phi))
-        if b is not None and b <= a:
-            continue
-        start = tuple(x + u * (a - plo) for x, u in zip(vals, slopes))
-        out.append((start, slopes, None if b is None else b - a))
-    return out
-
-
-def _point_on_segment(x, seg) -> bool:
-    p, u, length = seg
-    if not any(u):
-        return x == p
-    k = next(i for i in range(len(u)) if u[i])
-    t = Fraction(x[k] - p[k], u[k])
-    if t < 0 or (length is not None and t > length):
-        return False
-    return all(pi + t * ui == xi for pi, ui, xi in zip(p, u, x))
-
-
-def _intervals_meet(a, b) -> bool:
-    lo1, hi1 = a
-    lo2, hi2 = b
-    lo = lo1 if lo2 is None else (lo2 if lo1 is None else max(lo1, lo2))
-    hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
-    if lo is None or hi is None:
-        return True
-    return lo <= hi
-
-
-def _segments_meet(seg1, seg2) -> bool:
-    """Exact intersection test for parametric segments, rays, and points."""
-    (p, u, lp), (q, w, lq) = seg1, seg2
-    n = len(p)
-    if not any(u):
-        return _point_on_segment(p, seg2)
-    if not any(w):
-        return _point_on_segment(q, seg1)
-    parallel = all(
-        u[i] * w[j] == u[j] * w[i] for i in range(n) for j in range(i + 1, n)
-    )
-    if parallel:
-        k = next(i for i in range(n) if u[i])
-        t0 = Fraction(q[k] - p[k], u[k])
-        if tuple(pi + t0 * ui for pi, ui in zip(p, u)) != q:
-            return False
-        rho = Fraction(w[k], u[k])
-        if lq is None:
-            other = (t0, None) if rho > 0 else (None, t0)
-        else:
-            end = t0 + lq * rho
-            other = (t0, end) if rho > 0 else (end, t0)
-        return _intervals_meet((Fraction(0), lp), other)
-    pivot = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = -u[i] * w[j] + u[j] * w[i]
-            if det != 0:
-                pivot = (i, j, det)
-                break
-        if pivot:
-            break
-    i, j, det = pivot
-    bi, bj = q[i] - p[i], q[j] - p[j]
-    t = Fraction(-bi * w[j] + bj * w[i], det)
-    s = Fraction(u[i] * bj - u[j] * bi, det)
-    for k in range(n):
-        if p[k] + t * u[k] != q[k] + s * w[k]:
-            return False
-    if t < 0 or (lp is not None and t > lp):
-        return False
-    return 0 <= s and (lq is None or s <= lq)
+        if b is None or a < b:
+            yield cid, a, b, tuple(x + u * (a - plo) for x, u in zip(vals, slopes)), slopes
 
 
 def _images_disjoint(emb: Embedding, a, b) -> bool:
-    for sa in _interval_image(emb, *a):
-        for sb in _interval_image(emb, *b):
-            if _segments_meet(sa, sb):
-                return False
-    return True
+    pieces_b = list(_clipped_pieces(emb, *b))
+    return not any(
+        images_meet(pa, pb) for pa in _clipped_pieces(emb, *a) for pb in pieces_b
+    )
 
 
 def select_pillars(
@@ -391,39 +331,6 @@ def _apply_pillars(emb: Embedding, base: PLFunction, pset: Optional[PillarSet]) 
 # -- explicit PL building blocks ------------------------------------------------------
 
 
-def _vertex_path(fin: MetricGraph, va: str, vb: str) -> list[tuple[str, str]]:
-    """Deterministic shortest path as (edge_id, from_vertex) steps."""
-    import heapq
-
-    dist: dict[str, tuple] = {va: (Fraction(0), ())}
-    heap = [(Fraction(0), (), va)]
-    prev: dict[str, tuple[str, str]] = {}
-    seen = set()
-    while heap:
-        d, tiebreak, v = heapq.heappop(heap)
-        if v in seen:
-            continue
-        seen.add(v)
-        if v == vb:
-            break
-        for eid, w in sorted(fin.adjacency[v]):
-            nd = d + fin.edges[eid].length
-            cand = (nd, tiebreak + (eid,))
-            if w not in dist or cand < dist[w]:
-                dist[w] = cand
-                prev[w] = (v, eid)
-                heapq.heappush(heap, (nd, cand[1], w))
-    if va != vb and vb not in prev:
-        raise NotSeparated(f"no path between {va!r} and {vb!r}")
-    steps = []
-    v = vb
-    while v != va:
-        u, eid = prev[v]
-        steps.append((eid, u))
-        v = u
-    return list(reversed(steps))
-
-
 def slope_one_ramp(
     skel: ExtendedGraph,
     va: str,
@@ -432,59 +339,28 @@ def slope_one_ramp(
     start_ray: Optional[str] = None,
 ) -> PLFunction:
     """Rise with slope one from vertex va to vertex vb, constant on
-    everything hanging off the path.  With `end_ray` the rise continues
-    along that ray at vb toward +inf (a pole shadow at its leaf); with
-    `start_ray` the function descends along that ray at va toward -inf
-    (a zero shadow at its leaf).
+    everything hanging off the path: the witness of (va) - (vb), zero at
+    va.  With `end_ray` the rise continues along that ray at vb toward +inf
+    (a pole shadow at its leaf); with `start_ray` the function descends
+    along that ray at va toward -inf (a zero shadow at its leaf).
 
-    Every component of the complement of the open path must meet the path
-    in a single point; otherwise the constant extension is inconsistent
-    and NotSeparated is raised.
+    (va) - (vb) is principal exactly when va and vb are joined by bridges
+    alone; otherwise NotSeparated is raised.
     """
+    slopes = {}
+    for rid, at, slope in ((end_ray, vb, 1), (start_ray, va, -1)):
+        if rid is None:
+            continue
+        if rid not in skel.rays:
+            raise UnknownEdge(f"unknown ray {rid!r}")
+        if skel.rays[rid].attach != at:
+            raise UnknownEdge(f"ray {rid!r} does not attach at {at!r}")
+        slopes[rid] = slope
     fin = skel.finite
-    steps = _vertex_path(fin, va, vb) if va != vb else []
-    walk: dict[str, int] = {}
-    vals: dict[str, Fraction] = {va: Fraction(0)}
-    acc = Fraction(0)
-    for eid, u in steps:
-        e = fin.edges[eid]
-        walk[eid] = 1 if e.a == u else -1
-        acc += e.length
-        vals[e.other(u)] = acc
-    queue = sorted(vals)
-    while queue:
-        v = queue.pop(0)
-        for eid, w in fin.adjacency[v]:
-            if eid in walk:
-                continue
-            if w in vals:
-                if vals[w] != vals[v]:
-                    raise NotSeparated(
-                        f"path {va!r}->{vb!r} runs through a cycle (edge {eid!r})"
-                    )
-                continue
-            vals[w] = vals[v]
-            queue.append(w)
-    profiles = {
-        eid: EdgeProfile(vals[e.a], (), (walk.get(eid, 0),))
-        for eid, e in fin.edges.items()
-    }
-    rays = {}
-    for rid, r in skel.rays.items():
-        slope = 0
-        if rid == end_ray:
-            if r.attach != vb:
-                raise UnknownEdge(f"ray {end_ray!r} does not attach at {vb!r}")
-            slope = 1
-        elif rid == start_ray:
-            if r.attach != va:
-                raise UnknownEdge(f"ray {start_ray!r} does not attach at {va!r}")
-            slope = -1
-        rays[rid] = RayProfile(vals[r.attach], slope)
-    for want in (end_ray, start_ray):
-        if want is not None and want not in rays:
-            raise UnknownEdge(f"unknown ray {want!r}")
-    return PLFunction(skel, profiles, rays)
+    res = is_principal(fin, make_divisor(fin, [(V(va), 1), (V(vb), -1)]), V(va))
+    if not res.principal:
+        raise NotSeparated(f"{va!r} and {vb!r} are not joined by bridges alone")
+    return _with_ray_slopes(skel, res.witness, slopes)
 
 
 # -- anchors -----------------------------------------------------------------------------
@@ -519,16 +395,9 @@ def _fresh_vertex_on(
     """Subdivide a fresh interior point close to `near_vertex` on a finite
     edge and return it as a vertex (safe for ray attachment: subdividing a
     finite edge does not create a ray endpoint)."""
-    skel = emb.skeleton
-    root, slo, shi = frames.root_range(skel, cid)
-    e = skel.finite.edges[cid]
-    if e.a == near_vertex:
-        lo, hi = slo, slo + (shi - slo) / 4
-    else:
-        lo, hi = shi - (shi - slo) / 4, shi
-    off = frames.fresh_point(root, lo, hi)
-    emb2 = refine_embedding(emb, [P(root, off)])
-    return emb2, emb2.skeleton.canonical_point(P(root, off)).vertex
+    pt = P(*frames.fresh_near(emb.skeleton, cid, near_vertex))
+    emb2 = refine_embedding(emb, [pt])
+    return emb2, emb2.skeleton.canonical_point(pt).vertex
 
 
 def _anchor_near(
@@ -810,10 +679,12 @@ def _aj_corrections(
     """Append +-1 correction pairs on a spanning-tree complement so that
     the result is principal; the tree preferentially contains the pieces
     of `keep_in_tree` so no correction lands on that frame."""
-    skel = emb.skeleton
-    fin = skel.finite
-    interior = [pt for pt in base.support() if not pt.is_vertex]
-    model = fin.subdivide_many(interior)
+    fin = emb.skeleton.finite
+    refined = emb.skeleton
+    for pt in base.support():
+        if not pt.is_vertex:
+            refined, _ = refined.subdivide_at(pt)
+    model = refined.finite
     dm = make_divisor(model, base.terms)
     priority = []
     if keep_in_tree is not None:
@@ -840,7 +711,7 @@ def _aj_corrections(
                 continue
             if any(cycles[i].get(eid, 0) for i in range(g) if i != j):
                 continue
-            root, slo, shi = _model_root_range(emb.skeleton, frames, model, eid)
+            root, slo, shi = frames.root_range(refined, eid)
             own.append((root, slo, shi, cj))
         sites.append(own)
         spans.append(max((shi - slo for _r, slo, shi, _c in own), default=Fraction(0)))
@@ -891,18 +762,6 @@ def _aj_corrections(
         else:
             raise NoRoom(f"correction total {dj} exceeds cycle capacity")
     return make_divisor(fin, terms)
-
-
-def _model_root_range(skel: ExtendedGraph, frames: Frames, model: MetricGraph, model_eid: str):
-    """Root frame window of an edge of a temporary refinement model."""
-    for root in frames.roots:
-        for kind, cid, lo, _hi in skel.segments_of(root):
-            if kind != "edge":
-                continue
-            for sub, slo, shi in model.segments_of(cid):
-                if sub == model_eid:
-                    return root, lo + slo, lo + shi
-    raise UnknownEdge(f"model edge {model_eid!r} has no root frame")
 
 
 def _fresh_straddle_pair(frames: Frames, root, lo, hi, gap):
@@ -1001,16 +860,12 @@ def _repair_step(
         bump = _separating_bump(emb, frames, cid, viol[2], viol[3])
         if bump is None:
             return None
-        emb2 = extend_embedding(emb, bump, name)
-        _register_new_roots(frames, emb, emb2)
-        return emb2
+        return extend_embedding(emb, bump, name)
     if kind == "coverage":
         for src, lo, hi in viol[2]:
             bump = _separating_bump(emb, frames, src, lo, hi)
             if bump is not None:
-                emb2 = extend_embedding(emb, bump, name)
-                _register_new_roots(frames, emb, emb2)
-                return emb2
+                return extend_embedding(emb, bump, name)
         return None
     if kind == "preimages":
         for pt in viol[2]:
@@ -1023,9 +878,7 @@ def _repair_step(
                 emb, frames, pt.edge, Fraction(0), e.length, around=pt.offset
             )
             if bump is not None:
-                emb2 = extend_embedding(emb, bump, name)
-                _register_new_roots(frames, emb, emb2)
-                return emb2
+                return extend_embedding(emb, bump, name)
         verts = [pt.vertex for pt in viol[2] if pt.is_vertex]
         if len(verts) >= 2:
             return _separating_witness(emb, frames, verts[0], verts[1], name)
@@ -1042,18 +895,10 @@ def _separating_witness(
     fin = skel.finite
     spots = []
     for v in (x, y):
-        edges = [eid for eid, _w in sorted(fin.adjacency[v])]
-        if not edges:
+        if not fin.adjacency[v]:
             return None
-        cid = edges[0]
-        root, slo, shi = frames.root_range(skel, cid)
-        e = fin.edges[cid]
-        if e.a == v:
-            win = (slo, slo + (shi - slo) / 4)
-        else:
-            win = (shi - (shi - slo) / 4, shi)
         try:
-            spots.append(P(root, frames.fresh_point(root, *win)))
+            spots.append(P(*frames.fresh_near(skel, min(fin.adjacency[v])[0], v)))
         except NoRoom:
             return None
     base = make_divisor(fin, [(spots[0], 1), (spots[1], -1)])
@@ -1064,22 +909,7 @@ def _separating_witness(
     res = is_principal(fin, d)
     if not res.principal:
         return None
-    f = _with_ray_slopes(skel, res.witness, {})
-    emb2 = extend_embedding(emb, f, name)
-    _register_new_roots(frames, emb, emb2)
-    return emb2
-
-
-def _register_new_roots(frames: Frames, before: Embedding, after: Embedding):
-    old = set(before.skeleton.rays)
-    for rid in after.skeleton.rays:
-        if rid not in old:
-            # only genuinely new rays become roots; tails of subdivided old
-            # rays are still reachable through their original root frame
-            try:
-                frames.locate(after.skeleton, rid)
-            except UnknownEdge:
-                frames.add_root(rid)
+    return extend_embedding(emb, _with_ray_slopes(skel, res.witness, {}), name)
 
 
 def _root_slope_cover(emb: Embedding, root: str):
@@ -1128,9 +958,7 @@ def _cover_gaps(emb: Embedding, frames: Frames, root: str, lo: Fraction,
             raise Stage0Failure(f"trapezoid {offs} on {root!r} crosses a vertex")
         bump = trapezoid(emb.skeleton, root, offs)
         name = namer()
-        emb2 = extend_embedding(emb, bump, name)
-        _register_new_roots(frames, emb, emb2)
-        emb = emb2
+        emb = extend_embedding(emb, bump, name)
         report.log(construction="coverage-trapezoid", target=root, coordinate=name)
     raise Stage0Failure(f"coverage fill did not converge on {root!r}")
 
@@ -1239,9 +1067,7 @@ def stage0(
                 emb, v, _side_frame(skel, frames, v, e0), _side_frame(skel, frames, v, ek), frames
             )
             name = namer("gt")()
-            emb2 = extend_embedding(res.embedding, res.function, name)
-            _register_new_roots(frames, res.embedding, emb2)
-            emb = emb2
+            emb = extend_embedding(res.embedding, res.function, name)
             report.log(construction="core-tent", target=v, coordinate=name)
             sides = _core_sides_at(emb.skeleton, core_edges, v)
             e0 = sides[0]
@@ -1260,10 +1086,7 @@ def stage0(
         res = is_principal(emb.skeleton.finite, d)
         if not res.principal:
             raise CertificateFailure(f"stage-0 divisor is not principal: {d}")
-        f = _with_ray_slopes(emb.skeleton, res.witness, {})
-        emb2 = extend_embedding(emb, f, f"gs{idx}")
-        _register_new_roots(frames, emb, emb2)
-        emb = emb2
+        emb = extend_embedding(emb, _with_ray_slopes(emb.skeleton, res.witness, {}), f"gs{idx}")
         report.log(construction="core-ramp", target=root_e, coordinate=f"gs{idx}")
 
     # (4) batched patches for residual core violations
@@ -1316,8 +1139,16 @@ def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     Hard-fails with CertificateFailure if the final exact certificate does
     not pass; never returns an uncertified embedding.
     """
+    emb, report, _rep = _fully_faithful(emb, is_fully_faithful(emb))
+    return emb, report
+
+
+def _fully_faithful(
+    emb: Embedding, rep0: FaithfulReport
+) -> tuple[Embedding, PipelineReport, FaithfulReport]:
+    """`fully_faithful_pipeline` from the input's certificate `rep0`; also
+    returns the output's certificate."""
     report = PipelineReport()
-    rep0 = is_fully_faithful(emb)
     report.initial = {
         "fully_faithful": bool(rep0),
         "coordinates": len(emb.coords),
@@ -1325,7 +1156,7 @@ def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     }
     if rep0:
         report.final = {"fully_faithful": True, "noop": True}
-        return emb.with_provenance("fully_faithful_pipeline", noop=True), report
+        return emb.with_provenance("fully_faithful_pipeline", noop=True), report, rep0
 
     frames = Frames(emb.skeleton)
     fin = emb.skeleton.finite
@@ -1349,9 +1180,7 @@ def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         res = edge_function_finite(
             emb, eid, config[f"edge:{eid}"], core_edges, core_vertices, frames
         )
-        emb2 = extend_embedding(res.embedding, res.function, f"f.{eid}")
-        _register_new_roots(frames, res.embedding, emb2)
-        emb = emb2
+        emb = extend_embedding(res.embedding, res.function, f"f.{eid}")
         report.log(
             construction="finite-edge-ramp",
             target=eid,
@@ -1364,9 +1193,7 @@ def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         res = edge_function_infinite(
             emb, rid, config[f"ray:{rid}"], core_edges, core_vertices, frames
         )
-        emb2 = extend_embedding(res.embedding, res.function, f"f.{rid}")
-        _register_new_roots(frames, res.embedding, emb2)
-        emb = emb2
+        emb = extend_embedding(res.embedding, res.function, f"f.{rid}")
         report.log(
             construction="infinite-edge-ramp",
             target=rid,
@@ -1392,7 +1219,7 @@ def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         if not rep:
             raise CertificateFailure(f"final certificate failed: {rep.reasons}")
     report.final = {"fully_faithful": True, "coordinates": len(emb.coords)}
-    return emb.with_provenance("fully_faithful_pipeline"), report
+    return emb.with_provenance("fully_faithful_pipeline"), report, rep
 
 
 def _outgoing_direction(emb: Embedding, v: str, side_id: str):
@@ -1414,8 +1241,7 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     """
     rep = is_fully_faithful(emb)
     if not rep:
-        emb, report = fully_faithful_pipeline(emb)
-        rep = is_fully_faithful(emb)
+        emb, report, rep = _fully_faithful(emb, rep)
     else:
         report = PipelineReport()
         report.initial = {"fully_faithful": True}
@@ -1458,9 +1284,7 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
                 frames,
             )[f"vertex:{v}:{name}"]
             f = _apply_pillars(res.embedding, res.function, pset)
-            emb2 = extend_embedding(res.embedding, f, name)
-            _register_new_roots(frames, res.embedding, emb2)
-            emb = emb2
+            emb = extend_embedding(res.embedding, f, name)
             report.log(
                 construction="vertex-tent",
                 target=v,

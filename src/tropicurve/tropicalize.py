@@ -187,6 +187,40 @@ def _line_intersection(origin1, w1, origin2, w2):
     return t, s
 
 
+def line_item(source: str, lo: Fraction, hi: Optional[Fraction], vals, slopes):
+    """A non-contracted linear piece (a `frame_pieces` tuple) on its image
+    line: the line's key (canonical direction, origin) and the `_Item`."""
+    m, wc, sense = _canonical_direction(slopes)
+    origin, u0 = _line_frame(vals, wc)
+    if hi is None:
+        u_lo, u_hi = (u0, None) if sense > 0 else (None, u0)
+    else:
+        span = m * (hi - lo)
+        u_lo, u_hi = (u0, u0 + span) if sense > 0 else (u0 - span, u0)
+    return (wc, origin), _Item(source, lo, hi, m, sense, u_lo, u_hi, u0)
+
+
+def images_meet(piece_a, piece_b) -> bool:
+    """Whether the images of two linear pieces (`frame_pieces` tuples)
+    share a point; the image of a contracted piece is a single point."""
+    if not any(piece_a[4]):
+        piece_a, piece_b = piece_b, piece_a
+    if not any(piece_a[4]):
+        return piece_a[3] == piece_b[3]
+    (wc, origin), item = line_item(*piece_a)
+    if not any(piece_b[4]):
+        at, u = _line_frame(piece_b[3], wc)
+        return at == origin and item.covers(u)
+    (wc2, origin2), other = line_item(*piece_b)
+    if wc2 == wc:  # parallel: on a common line they meet at the higher start
+        if origin2 != origin:
+            return False
+        lows = [x for x in (item.u_lo, other.u_lo) if x is not None]
+        return not lows or (item.covers(max(lows)) and other.covers(max(lows)))
+    hit = _line_intersection(origin, wc, origin2, wc2)
+    return hit is not None and item.covers(hit[0]) and other.covers(hit[1])
+
+
 def _infinite_point(origin, wc, sign, n) -> TropPoint:
     """Limit point of a ray: infinite in the direction's support, with the
     line's canonical representative as the boundary-stratum anchor (rays on
@@ -221,16 +255,8 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         if not any(slopes):
             contracted_items.append((source, lo, hi, vals))
             continue
-        m, wc, sense = _canonical_direction(slopes)
-        origin, u0 = _line_frame(vals, wc)
-        anchor_u = u0
-        if hi is None:
-            u_lo, u_hi = (u0, None) if sense > 0 else (None, u0)
-        else:
-            span = m * (hi - lo)
-            u_lo, u_hi = (u0, u0 + span) if sense > 0 else (u0 - span, u0)
-        item = _Item(source, lo, hi, m, sense, u_lo, u_hi, anchor_u)
-        lines.setdefault((wc, origin), []).append(item)
+        key, item = line_item(source, lo, hi, vals, slopes)
+        lines.setdefault(key, []).append(item)
 
     if not lines:
         # everything contracted: a single image point

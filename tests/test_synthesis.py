@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from tropicurve.divisors import (
     RayProfile,
     divisor_of,
     is_principal,
+    make_divisor,
+    trapezoid,
 )
-from tropicurve.errors import DivisorCollision, Stage0Failure
+from tropicurve.errors import DivisorCollision, NotSeparated, Stage0Failure, UnknownEdge
 from tropicurve.graphs import GraphPoint, build_extended, build_graph
 from tropicurve.synthesis import (
     Frames,
@@ -19,11 +22,18 @@ from tropicurve.synthesis import (
     _repair_step,
     _side_frame,
     fully_faithful_pipeline,
+    slope_one_ramp,
     smoothing_pipeline,
     tate_demo,
     vertex_function,
 )
-from tropicurve.tropicalize import Embedding, is_fully_faithful, refine_embedding, tropicalize
+from tropicurve.tropicalize import (
+    Embedding,
+    extend_embedding,
+    is_fully_faithful,
+    refine_embedding,
+    tropicalize,
+)
 
 from randgen import random_graph
 from test_tropicalize import contracted_embedding
@@ -84,6 +94,32 @@ def sweep_genus(seed):
 TREE_SEEDS = [s for s in range(40) if sweep_genus(s) == 0]
 
 
+def output_digest(emb, report):
+    """First 16 hex digits of the sha256 of a pipeline's whole output: the
+    skeleton ids, every coordinate's profiles and the report."""
+    skel = emb.skeleton
+    text = repr((
+        skel.finite.vertices,
+        sorted((e.id, e.a, e.b, e.length) for e in skel.finite.edges.values()),
+        sorted((r.id, r.attach, r.leaf) for r in skel.rays.values()),
+        [(sorted(f.edge_profiles.items()), sorted(f.ray_profiles.items())) for f in emb.coords],
+        report.to_dict(),
+    ))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Output digests of the pipelines: a change to anything they build, down
+# to one offset or one report entry, shows here.
+TREE_DIGESTS = {
+    2: "812eec3782cfd041", 5: "2522464a2e017ec6", 6: "461d7c27b5f0dfa3",
+    10: "3291cfe43527730f", 14: "166c372121d7674d", 17: "0f91e65e8a40d171",
+    28: "9646c2470556ebf7", 29: "64cf64a32334e5e0", 30: "902d47ce3f31b0ff",
+    31: "908a0aa66e97805d", 32: "812eec3782cfd041", 33: "2664f5b69a022ab7",
+    34: "5687ba3f78ef9df3", 35: "8beeb4be94cfd740",
+}
+TATE_LEAF_DIGESTS = ("ad88f7084e040cd0", "21dbf887fe9e0afb")  # both pipelines
+
+
 @pytest.mark.parametrize("graph, keep", [(theta(), "e1"), (dumbbell(), "l0.0")])
 def test_aj_corrections_are_principal_and_spare_the_kept_frame(graph, keep):
     emb = Embedding(build_extended(graph, []), [])
@@ -106,6 +142,62 @@ def test_tent_on_a_subdivided_edge_and_a_ray():
     assert len(d.terms) == 6 and all(abs(c) == 1 for _pt, c in d.terms)
     assert d.coeff(V("v")) == 0
     assert res.function.value(V("v")) == 0
+
+
+def scanned_root_range(skel, roots, cid):
+    """Root frame and offsets of a current id, by scanning the current
+    pieces of every root frame in turn."""
+    for root in roots:
+        for _kind, sub, lo, hi in skel.segments_of(root):
+            if sub == cid:
+                return root, lo, hi
+    raise UnknownEdge(cid)
+
+
+def test_root_frames_survive_subdivision():
+    emb = Embedding(build_extended(dumbbell(), [("r", V("v"))]), [])
+    frames = Frames(emb.skeleton)
+    start_ids = sorted(emb.skeleton.finite.edges) + sorted(emb.skeleton.rays)
+    emb = extend_embedding(emb, trapezoid(emb.skeleton, "l1.0", ["1/4", "1/2", 1, "5/4"]), "t")
+    assert "t.0" in emb.skeleton.rays and emb.skeleton.parent("t.0") is None
+    # twice each: a start edge, a loop half, a start ray's stub and tail,
+    # and a ray attached after the frames were made
+    emb = refine_embedding(
+        emb,
+        [P("bar", Fraction(1, 4)), P("bar", Fraction(3, 4)), P("l0.0", Fraction(1, 2)),
+         P("l0.0", Fraction(1, 4)), P("r", 2), P("r", 1), P("r", 3), P("t.0", 1), P("t.0", 2)],
+    )
+    skel = emb.skeleton
+    added = [rid for step in emb.provenance if step["step"] == "extend" for rid in step["params"]["attached"]]
+    roots = start_ids + added
+    current = sorted(skel.finite.edges) + sorted(skel.rays)
+    assert {"bar.R.L", "l0.0.L.R", "r.stub.L", "r.tail.stub", "t.0.tail.stub"} <= set(current)
+    for cid in current:
+        root, lo, hi = scanned_root_range(skel, roots, cid)
+        assert frames.root_range(skel, cid) == (root, lo, hi)
+        assert frames.locate(skel, cid) == (root, lo)
+    for retired in ("bar", "l0.0", "l0", "r", "r.tail", "t.0", "nowhere"):
+        with pytest.raises(UnknownEdge):
+            frames.locate(skel, retired)
+
+
+@pytest.mark.parametrize("seed", TREE_SEEDS)
+def test_slope_one_ramp_is_the_witness_of_two_vertices(seed):
+    skel = bare_skeleton(random_graph(random.Random(seed))).skeleton
+    fin = skel.finite
+    va, vb = random.Random(seed).sample(list(fin.vertices), 2)
+    f = slope_one_ramp(skel, va, vb)
+    assert divisor_of(f) == make_divisor(skel, [(V(va), 1), (V(vb), -1)])
+    assert (f.vertex_value(va), f.vertex_value(vb)) == (0, fin.distance(V(va), V(vb)))
+    elsewhere = next(rid for rid, r in sorted(skel.rays.items()) if r.attach != vb)
+    with pytest.raises(UnknownEdge):
+        slope_one_ramp(skel, va, vb, end_ray=elsewhere)
+
+
+def test_slope_one_ramp_needs_bridges():
+    skel = build_extended(theta(), [])
+    with pytest.raises(NotSeparated):
+        slope_one_ramp(skel, "u", "v")
 
 
 # `_separating_bump` runs on no benchmark input; this pin is its only check.
@@ -146,17 +238,20 @@ def test_smoothing_certifies_seeded_trees(seed):
     assert check_smooth(tropicalize(out)[0]).smooth
     counts = report.singular_counts
     assert all(a > b for a, b in zip(counts, counts[1:]))
+    assert output_digest(out, report) == TREE_DIGESTS[seed]
 
 
 def test_tate_leaf_certifies_through_both_pipelines():
-    out, _report = fully_faithful_pipeline(tate_leaf(3, "p5", Fraction(1, 2)))
+    out, report = fully_faithful_pipeline(tate_leaf(3, "p5", Fraction(1, 2)))
     assert is_fully_faithful(out).fully_faithful
+    assert output_digest(out, report) == TATE_LEAF_DIGESTS[0]
     out, report = smoothing_pipeline(out)
     assert is_fully_faithful(out).fully_faithful
     curve, _emap = tropicalize(out)
     assert check_smooth(curve).smooth
     assert report.singular_counts == [0]
     assert (len(out.coords), len(curve.vertices)) == (19, 233)
+    assert output_digest(out, report) == TATE_LEAF_DIGESTS[1]
 
 
 @pytest.mark.xfail(

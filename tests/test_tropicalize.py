@@ -24,6 +24,7 @@ from tropicurve.rationals import MINUS_INF, PLUS_INF
 from tropicurve.tropicalize import (
     Embedding,
     extend_embedding,
+    images_meet,
     is_faithful_function,
     is_fully_faithful,
     stretching_factor,
@@ -257,6 +258,38 @@ class TestExtend:
         for rid in emb2.skeleton.rays:
             if rid.startswith("c1."):
                 assert stretching_factor(emb2, rid) == 1
+
+
+def piece(start, slopes, length):
+    """A linear piece as `frame_pieces` yields it: offsets [1, 1 + length]
+    (length None: a ray), `start` the image of offset 1."""
+    start = tuple(Fraction(x) for x in start)
+    return ("p", Fraction(1), None if length is None else 1 + Fraction(length), start, slopes)
+
+
+MEET_CASES = {
+    "crossing": (piece((0, 0), (1, 1), 2), piece((0, 2), (1, -1), 2), True),
+    "meeting at an endpoint": (piece((0, 0), (1, 0), 1), piece((1, 0), (0, 1), 1), True),
+    "parallel and disjoint": (piece((0, 0), (1, 0), 1), piece((0, 1), (1, 0), 1), False),
+    "collinear overlapping": (piece((0, 0), (1, 0), 2), piece((3, 0), (-2, 0), 1), True),
+    "collinear with a gap": (piece((0, 0), (1, 0), 1), piece((2, 0), (1, 0), 1), False),
+    "collinear touching": (piece((0, 0), (1, 0), 1), piece((2, 0), (-1, 0), 1), True),
+    "ray across a segment": (piece((0, 0), (1, 1), None), piece((3, 0), (0, 1), 5), True),
+    "segment behind a ray": (piece((0, 0), (1, 1), None), piece((-1, -2), (0, 1), 2), False),
+    "collinear rays apart": (piece((0, 0), (1, 0), None), piece((-1, 0), (-1, 0), None), False),
+    "point on a segment": (piece((1, 1), (0, 0), 1), piece((0, 0), (2, 2), 1), True),
+    "point off a segment": (piece((1, 2), (0, 0), 1), piece((0, 0), (2, 2), 1), False),
+    "point on the line past the end": (piece((3, 3), (0, 0), 1), piece((0, 0), (2, 2), 1), False),
+    "two equal points": (piece((1, 2), (0, 0), 1), piece((1, 2), (0, 0), 3), True),
+    "two points": (piece((1, 2), (0, 0), 1), piece((2, 1), (0, 0), 1), False),
+    "skew lines in space": (piece((0, 0, 0), (1, 0, 0), 2), piece((1, -1, 1), (0, 1, 0), 2), False),
+}
+
+
+@pytest.mark.parametrize("a, b, meet", MEET_CASES.values(), ids=MEET_CASES.keys())
+def test_images_meet(a, b, meet):
+    assert images_meet(a, b) is meet
+    assert images_meet(b, a) is meet
 
 
 class TestFullyFaithful:
