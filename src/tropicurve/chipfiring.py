@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InvalidOffset, WrongDegree
 from .graphs import GraphPoint, MetricGraph

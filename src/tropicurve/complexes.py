@@ -10,12 +10,12 @@ span a saturated lattice of rank valence-1; infinite vertices univalent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import DanglingEndpoint, InvalidOffset, UnknownVertex
-from .linalg import is_saturated_span, matrix_rank, primitive
+from .linalg import is_saturated_span, primitive
 from .rationals import ExtRational
 
 Direction = tuple[int, ...]

@@ -24,7 +24,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .errors import (
     CertificateFailure,
     DiscontinuousFunction,
-    InvalidOffset,
     InvalidPillars,
     NonzeroDegree,
     NotComplement,
@@ -487,6 +486,8 @@ def _solve_slopes(graph: MetricGraph, d: Divisor):
         tail[eid] = sum(c * (e.length - x) for x, c in pts)
     cs = CycleSpace(graph, graph.canonical_spanning_tree())
     slopes = dict.fromkeys(graph.edges, 0) | cs.chain(charge)
+    if not cs.cycles:
+        return slopes, interior
     w = [
         p + sum(c * tail.get(eid, 0) for eid, c in cyc.items())
         for p, cyc in zip(cs.pairing(slopes), cs.cycles)

@@ -14,15 +14,18 @@ All offsets allocated here are tracked in "root frames": the edge and ray
 ids present when a pipeline starts, plus rays it attaches later.  The
 graph's alias tables, read backwards through `parent`, lead every current
 id to its root frame, so bookkeeping stays consistent while the skeleton is
-refined and nothing is registered as it grows.  Every bump coordinate (each
-side of a tent, a pillar, a coverage or separating trapezoid) is one
-`divisors.trapezoid` in a root frame, and every ramp is the witness of a
-principal divisor from `is_principal`.
+refined and nothing is registered as it grows.  Free offsets come from two
+searches of `Frames`: `claim` for points at fixed gaps (ray attachments,
+divisor pairs, the ends of coverage trapezoids) and `bump` for trapezoid
+supports in free windows (pillars, separating bumps).  Every bump
+coordinate (each side of a tent, a pillar, a coverage or separating
+trapezoid) is one `divisors.trapezoid` in a root frame, and every ramp is
+the witness of a principal divisor from `is_principal`.
 
 One exact certificate, `is_fully_faithful`, drives both pipelines: each
-stage-0 patch round, repair round and smoothing pass reads the structured
-violations and the image it needs from a single call.  Neither pipeline
-returns output that has not passed it.
+stage-0 patch round, repair round and smoothing pass reads the named
+`Violation` records and the image it needs from a single call.  Neither
+pipeline returns output that has not passed it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import check_smooth
+from .complexes import TropicalCurve, check_smooth
 from .divisors import (
     Divisor,
     PLFunction,
@@ -55,10 +58,11 @@ from .errors import (
     UnknownEdge,
 )
 from .graphs import CycleSpace, ExtendedGraph, GraphPoint, MetricGraph
-from .linalg import integer_points_in_box, primitive
+from .linalg import integer_points_in_box
 from .tropicalize import (
     Embedding,
     FaithfulReport,
+    Violation,
     extend_embedding,
     frame_pieces,
     images_meet,
@@ -70,8 +74,10 @@ from .tropicalize import (
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
 
-# Search and repair budgets: window halvings per pillar, batched stage-0
-# patch rounds, and single-violation repair rounds of the first pipeline.
+# Search and repair budgets: dyadic halvings per claimed offset, window
+# halvings per bump, batched stage-0 patch rounds, and single-violation
+# repair rounds of the first pipeline.
+CLAIM_DEPTH = 8
 PILLAR_TRIES = 24
 STAGE0_PATCHES = 48
 REPAIR_ROUNDS = 16
@@ -121,8 +127,10 @@ class Frames:
     Roots are the edge/ray ids current when the frames are made, plus the
     rays attached later: a current id walks `parent` up to one of the first
     or to an id with no parent, which is one of the second.  Blocked points
-    mark future ray attachments; blocked intervals reserve pillar supports
-    so no later subdivision lands inside them.
+    mark future ray attachments; blocked intervals reserve bump supports so
+    no later subdivision lands inside them.  Every offset search goes
+    through one of two primitives: `claim` for fresh points at fixed gaps,
+    `bump` for trapezoid supports in free windows.
     """
 
     def __init__(self, skel: ExtendedGraph):
@@ -153,7 +161,7 @@ class Frames:
         root, slo, shi = self.root_range(skel, cid)
         quarter = (shi - slo) / 4
         lo = slo if skel.finite.edges[cid].a == v else shi - quarter
-        return root, self.fresh_point(root, lo, lo + quarter)
+        return root, self.claim(root, lo, lo + quarter)
 
     def block_point(self, root: str, off: Fraction):
         self.points.setdefault(root, set()).add(off)
@@ -168,30 +176,44 @@ class Frames:
             not (lo <= off <= hi) for lo, hi in self.intervals.get(root, ())
         )
 
-    def fresh_point(self, root: str, lo: Fraction, hi: Fraction) -> Fraction:
-        """Deterministic fresh offset strictly inside (lo, hi); blocks it."""
-        span = hi - lo
-        k = 1
-        while k < 2**16:
-            for num in range(1, 2 * k, 2):
-                off = lo + span * Fraction(num, 2 * k)
-                if self.clear_point(root, off):
-                    self.block_point(root, off)
-                    return off
-            k *= 2
-        raise NoRoom(f"no free offset on {root!r} in ({lo}, {hi})")
+    def claim(self, root: str, lo: Fraction, hi: Fraction, *gaps: Fraction) -> Fraction:
+        """The first dyadic offset a of (lo, hi - max(gaps)), up to
+        CLAIM_DEPTH halvings, with a and every a + gap clear; blocks them
+        all.  Raises NoRoom when there is none."""
+        span = hi - lo - max(gaps, default=0)
+        for level in range(CLAIM_DEPTH if span > 0 else 0):
+            for num in range(1, 2 ** (level + 1), 2):
+                a = lo + span * Fraction(num, 2 ** (level + 1))
+                pattern = [a] + [a + gap for gap in gaps]
+                if all(self.clear_point(root, x) for x in pattern):
+                    for x in pattern:
+                        self.block_point(root, x)
+                    return a
+        raise NoRoom(f"no free offset on {root!r} in ({lo}, {hi}) for gaps {gaps}")
 
-    def windows(self, root: str, lo: Fraction, hi: Fraction):
-        """Maximal open subintervals of (lo, hi) avoiding blocked intervals
-        and blocked points."""
-        marks = [
-            (max(lo, a), min(hi, b))
-            for a, b in self.intervals.get(root, ())
-            if max(lo, a) < min(hi, b)
-        ]
-        for off in self.points.get(root, ()):
-            if lo < off < hi:
-                marks.append((off, off))
+    def bump(self, root: str, lo: Fraction, hi: Fraction, accept, avoid=()):
+        """Trapezoid offsets at 1/8, 2/8, 5/8 and 6/8 of a free window of
+        (lo, hi) outside the `avoid` zones, halving the width, PILLAR_TRIES
+        tries in all; blocks [x1, x4] of the first that `accept` takes.
+        None when no try is taken."""
+        tries = 0
+        for wlo, whi in self.windows(root, lo, hi, avoid):
+            width = whi - wlo
+            while tries < PILLAR_TRIES:
+                tries += 1
+                offs = [wlo + width * Fraction(k, 8) for k in (1, 2, 5, 6)]
+                if all(self.clear_point(root, o) for o in offs) and accept(offs):
+                    self.block_interval(root, offs[0], offs[3])
+                    return offs
+                width = width / 2
+        return None
+
+    def windows(self, root: str, lo: Fraction, hi: Fraction, avoid=()):
+        """Maximal open subintervals of (lo, hi) avoiding blocked intervals,
+        blocked points and the (root, lo, hi) zones of `avoid`."""
+        zones = self.intervals.get(root, []) + [(a, b) for r, a, b in avoid if r == root]
+        marks = [(max(lo, a), min(hi, b)) for a, b in zones if max(lo, a) < min(hi, b)]
+        marks += [(off, off) for off in self.points.get(root, ()) if lo < off < hi]
         marks.sort()
         out = []
         cur = lo
@@ -201,7 +223,7 @@ class Frames:
             cur = max(cur, b)
         if cur < hi:
             out.append((cur, hi))
-        return [(a, b) for a, b in out if a < b]
+        return out
 
 
 # -- pillar selection ------------------------------------------------------------------
@@ -249,63 +271,30 @@ def select_pillars(
     """Deterministic pillar placement: a valid four-point tuple on every
     spanning-tree complement edge, with supports pairwise disjoint across
     all targets, outside each target's forbidden zones, and (when asked)
-    with image disjoint from the image of the target's own edge.  Windows
-    shrink geometrically before the search gives up.  Returns the pillar
-    sets keyed by target id."""
+    with image disjoint from the image of the target's own edge: one
+    `Frames.bump` per complement edge.  Returns the pillar sets keyed by
+    target id."""
     fin = emb.skeleton.finite
-    g = fin.betti_number()
     tree = set(fin.canonical_spanning_tree())
     complement = tuple(eid for eid in sorted(fin.edges) if eid not in tree)
     sets: dict[str, PillarSet] = {}
     for tgt in targets:
-        if g == 0:
-            sets[tgt.target_id] = PillarSet(tgt.target_id, (), [])
-            continue
         tuples = []
         for cid in complement:
             root, slo, shi = frames.root_range(emb.skeleton, cid)
-            windows = []
-            for wlo, whi in frames.windows(root, slo, shi):
-                ok = True
-                for froot, flo, fhi in tgt.forbidden:
-                    if froot == root and max(wlo, flo) < min(whi, fhi):
-                        # clip the window against the forbidden zone
-                        if flo > wlo:
-                            windows.append((wlo, flo))
-                        if fhi < whi:
-                            windows.append((fhi, whi))
-                        ok = False
-                        break
-                if ok:
-                    windows.append((wlo, whi))
-            placed = False
-            tries = 0
-            for wlo, whi in sorted(windows):
-                width = whi - wlo
-                while tries < PILLAR_TRIES and width > 0:
-                    tries += 1
-                    offs = [wlo + width * Fraction(k, 8) for k in (1, 2, 5, 6)]
-                    if all(frames.clear_point(root, o) for o in offs):
-                        ok = True
-                        if tgt.avoid_image_of is not None and emb.coords:
-                            ok = _images_disjoint(
-                                emb,
-                                (root, offs[0], offs[3]),
-                                (tgt.avoid_image_of, Fraction(0), None),
-                            )
-                        if ok:
-                            frames.block_interval(root, offs[0], offs[3])
-                            tuples.append(tuple(P(root, o) for o in offs))
-                            placed = True
-                            break
-                    width = width / 2
-                if placed:
-                    break
-            if not placed:
+
+            def accept(offs):
+                return tgt.avoid_image_of is None or not emb.coords or _images_disjoint(
+                    emb, (root, offs[0], offs[3]), (tgt.avoid_image_of, Fraction(0), None)
+                )
+
+            offs = frames.bump(root, slo, shi, accept, tgt.forbidden)
+            if offs is None:
                 raise PillarSearchExhausted(
                     f"target {tgt.target_id!r}: no pillar window on {cid!r} "
                     f"(root {root!r}, forbidden {tgt.forbidden})"
                 )
+            tuples.append(tuple(P(root, o) for o in offs))
         sets[tgt.target_id] = PillarSet(tgt.target_id, complement, tuples)
     return sets
 
@@ -534,7 +523,7 @@ def edge_function_infinite(
         if not core_list:
             raise NotSeparated(f"no anchor available for ray {frame!r}")
         root, slo, shi = frames.root_range(skel, core_list[0])
-        ca = skel.canonical_point(P(root, frames.fresh_point(root, slo, shi)))
+        ca = skel.canonical_point(P(root, frames.claim(root, slo, shi)))
         base = make_divisor(skel.finite, [(ca, 1), (V(attach), -1)])
         d = _aj_corrections(emb, frames, base)
         res = is_principal(skel.finite, d)
@@ -574,7 +563,7 @@ def _check_cor34_shape(skel, f, va, vb, pillars: PillarSet):
 class VertexFunctionResult:
     embedding: Embedding
     function: PLFunction
-    tent_points: tuple[GraphPoint, ...]
+    zones: tuple[tuple[str, Fraction, Fraction], ...]  # (root, min, max) per root frame
 
 
 def _side_frame(skel: ExtendedGraph, frames: Frames, v: str, side_id: str):
@@ -605,7 +594,8 @@ def vertex_function(
 
     Rays on either side are subdivided so the support stays finite; the
     support auto-shrinks around blocked offsets and raises NoRoom when no
-    placement fits.
+    placement fits.  `zones` are the (root, min, max) spans of the six
+    offsets per root frame, for pillars to keep out of.
     """
     if spec_neg[:3] == spec_pos[:3]:
         raise EqualEdges(f"tent needs two distinct sides at {v!r}")
@@ -649,8 +639,11 @@ def vertex_function(
     d = divisor_of(tent)
     if d.coeff(V(v)) != 0 or len(d.terms) != 6 or any(abs(c) != 1 for _pt, c in d.terms):
         raise CertificateFailure(f"tent at {v!r} needs six simple points off the vertex: {d}")
+    zones: dict[str, list[Fraction]] = {}
+    for root, x in pts:
+        zones.setdefault(root, []).append(x)
     return VertexFunctionResult(
-        emb, tent, tuple(skel.canonical_point(P(root, x)) for root, x in pts)
+        emb, tent, tuple((root, min(xs), max(xs)) for root, xs in sorted(zones.items()))
     )
 
 
@@ -665,8 +658,8 @@ def _aj_corrected_divisor(emb: Embedding, frames: Frames, root_e: str) -> Diviso
     skel = emb.skeleton
     segs = skel.segments_of(root_e)
     lo0, hi0 = segs[0][2], segs[-1][3]
-    a_off = frames.fresh_point(root_e, lo0, lo0 + (hi0 - lo0) / 4)
-    b_off = frames.fresh_point(root_e, hi0 - (hi0 - lo0) / 4, hi0)
+    a_off = frames.claim(root_e, lo0, lo0 + (hi0 - lo0) / 4)
+    b_off = frames.claim(root_e, hi0 - (hi0 - lo0) / 4, hi0)
     ca = skel.canonical_point(P(root_e, a_off))
     cb = skel.canonical_point(P(root_e, b_off))
     base = make_divisor(skel.finite, [(ca, 1), (cb, -1)])
@@ -743,49 +736,29 @@ def _aj_corrections(
             site = max(own, key=lambda s: s[2] - s[1])
             root, slo, shi, cj = site
             chunk_mag = min(abs(rem), (shi - slo) * Fraction(3, 4))
-            chunk = chunk_mag if rem > 0 else -chunk_mag
-            pair = None
-            while pair is None and chunk_mag > 0:
-                pair = _fresh_straddle_pair(frames, root, slo, shi, chunk_mag)
-                if pair is None:
+            while True:
+                try:
+                    alpha = frames.claim(root, slo, shi, chunk_mag)
+                    break
+                except NoRoom:
+                    if chunk_mag < (shi - slo) / 2**CLAIM_DEPTH:
+                        raise
                     chunk_mag /= 2
-                    chunk = chunk_mag if rem > 0 else -chunk_mag
-            if pair is None:
-                raise NoRoom(f"no room left for correction pairs on {root!r}")
-            alpha, beta = pair
+            beta = alpha + chunk_mag
             # a pair with gap g here moves the j-th coordinate by g * cj
-            if (chunk > 0) == (cj > 0):
+            if (rem > 0) == (cj > 0):
                 terms += [(P(root, beta), 1), (P(root, alpha), -1)]
             else:
                 terms += [(P(root, alpha), 1), (P(root, beta), -1)]
-            rem -= chunk
+            rem -= chunk_mag if rem > 0 else -chunk_mag
         else:
             raise NoRoom(f"correction total {dj} exceeds cycle capacity")
     return make_divisor(fin, terms)
 
 
-def _fresh_straddle_pair(frames: Frames, root, lo, hi, gap):
-    """Two fresh offsets alpha < beta = alpha + gap inside (lo, hi); the
-    open span between them may contain other blocked points.  Returns None
-    when no placement is clear."""
-    span = hi - lo - gap
-    if span <= 0:
-        return None
-    k = 1
-    while k <= 128:
-        for num in range(1, 2 * k, 2):
-            alpha = lo + span * Fraction(num, 2 * k)
-            beta = alpha + gap
-            if frames.clear_point(root, alpha) and frames.clear_point(root, beta):
-                frames.block_point(root, alpha)
-                frames.block_point(root, beta)
-                return alpha, beta
-        k *= 2
-    return None
-
-
-def _core_violation(emb: Embedding, viol, core_pieces: set[str], core_vertices) -> bool:
-    kind = viol[0]
+def _core_violation(emb: Embedding, viol: Violation, core_pieces: set[str], core_vertices) -> bool:
+    """Whether a violation involves the core: a contracted or stretched
+    core piece, or two core pieces or points sharing one image."""
     skel = emb.skeleton
 
     def pt_in_core(pt: GraphPoint) -> bool:
@@ -797,100 +770,69 @@ def _core_violation(emb: Embedding, viol, core_pieces: set[str], core_vertices) 
             )
         return pt.edge in core_pieces
 
-    if kind in ("contracted", "stretch"):
-        return viol[1] in core_pieces
-    if kind == "coverage":
-        return sum(1 for src, _lo, _hi in viol[2] if src in core_pieces) >= 2
-    if kind == "preimages":
-        return sum(1 for pt in viol[2] if pt_in_core(pt)) >= 2
-    return False
+    hits = sum(src in core_pieces for src, _lo, _hi in viol.pieces)
+    hits += sum(map(pt_in_core, viol.points))
+    return hits >= (1 if viol.kind in ("contracted", "stretch") else 2)
 
 
 def _separating_bump(
     emb: Embedding, frames: Frames, cid: str, lo: Fraction, hi: Optional[Fraction],
     around: Optional[Fraction] = None,
 ) -> Optional[PLFunction]:
-    """A trapezoid inside a free window of the piece [lo, hi] of the
-    current edge cid, optionally with its rising part covering `around`."""
+    """A trapezoid on one current edge inside the piece [lo, hi] of the
+    current edge cid: a `Frames.bump`, or with `around` one whose rise is
+    centred on that offset of the free window holding it."""
     skel = emb.skeleton
     if cid in skel.rays:
         return None
     root, shift = frames.locate(skel, cid)
     glo = shift + lo
     ghi = shift + (hi if hi is not None else skel.finite.edges[cid].length)
-    wins = frames.windows(root, glo, ghi)
-    if around is not None:
-        g_around = shift + around
-        wins = [wn for wn in wins if wn[0] < g_around < wn[1]]
-    if not wins:
+    if around is None:
+        offs = frames.bump(root, glo, ghi, lambda offs: _fits_one_edge(skel, root, offs))
+        return None if offs is None else trapezoid(skel, root, offs)
+    at = shift + around
+    win = next(((a, b) for a, b in frames.windows(root, glo, ghi) if a < at < b), None)
+    if win is None:
         return None
-    wlo, whi = wins[0]
-    if around is not None:
-        g_around = shift + around
-        q = min(g_around - wlo, whi - g_around) / 8
-        offs = [g_around - q, g_around + q, g_around + 2 * q, g_around + 4 * q]
-        if offs[3] >= whi:
-            x1, x2 = g_around - q, g_around + q
-            x3 = min(whi - 3 * q, x2 + q)
-            if x3 <= x2:
-                x3 = x2 + (whi - x2) / 4
-            x4 = x3 + (x2 - x1)
-            if x4 >= whi:
-                return None
-            offs = [x1, x2, x3, x4]
-    else:
-        width = whi - wlo
-        offs = [wlo + width * Fraction(k, 8) for k in (1, 2, 5, 6)]
-    if not all(frames.clear_point(root, o) for o in offs):
-        return None
-    frames.block_interval(root, offs[0], offs[3])
+    q = min(at - win[0], win[1] - at) / 8
+    offs = [at - q, at + q, at + 2 * q, at + 4 * q]
     if not _fits_one_edge(skel, root, offs):
         return None
+    frames.block_interval(root, offs[0], offs[3])
     return trapezoid(skel, root, offs)
 
 
 def _repair_step(
-    emb: Embedding, frames: Frames, viol, name: str
+    emb: Embedding, frames: Frames, viol: Violation, name: str
 ) -> Optional[Embedding]:
-    """One targeted fix for a fully-faithful violation; None when this
-    violation kind has no local remedy."""
-    kind = viol[0]
-    if kind in ("contracted", "stretch"):
-        cid = viol[1]
-        bump = _separating_bump(emb, frames, cid, viol[2], viol[3])
-        if bump is None:
-            return None
-        return extend_embedding(emb, bump, name)
-    if kind == "coverage":
-        for src, lo, hi in viol[2]:
-            bump = _separating_bump(emb, frames, src, lo, hi)
-            if bump is not None:
-                return extend_embedding(emb, bump, name)
-        return None
-    if kind == "preimages":
-        for pt in viol[2]:
-            if pt.is_vertex:
-                continue
-            e = emb.skeleton.finite.edges.get(pt.edge)
-            if e is None:
-                continue
-            bump = _separating_bump(
-                emb, frames, pt.edge, Fraction(0), e.length, around=pt.offset
-            )
-            if bump is not None:
-                return extend_embedding(emb, bump, name)
-        verts = [pt.vertex for pt in viol[2] if pt.is_vertex]
-        if len(verts) >= 2:
-            return _separating_witness(emb, frames, verts[0], verts[1], name)
-        return None
+    """One targeted fix for a fully-faithful violation: a bump on one of its
+    pieces, a bump around one of its interior points, or a witness telling
+    two of its finite vertices apart; None when it has no local remedy."""
+    fin = emb.skeleton.finite
+    sites = [(src, lo, hi, None) for src, lo, hi in viol.pieces] + [
+        (pt.edge, Fraction(0), fin.edges[pt.edge].length, pt.offset)
+        for pt in viol.points
+        if not pt.is_vertex and pt.edge in fin.edges
+    ]
+    for cid, lo, hi, around in sites:
+        bump = _separating_bump(emb, frames, cid, lo, hi, around)
+        if bump is not None:
+            return extend_embedding(emb, bump, name)
+    verts = [
+        pt.vertex for pt in viol.points
+        if pt.is_vertex and not emb.skeleton.is_infinite_vertex(pt.vertex)
+    ]
+    if len(verts) >= 2:
+        return _separating_witness(emb, frames, verts[0], verts[1], name)
     return None
 
 
 def _separating_witness(
     emb: Embedding, frames: Frames, x: str, y: str, name: str
 ) -> Optional[Embedding]:
-    """Corrected-ramp witness with charges next to two colliding vertices;
-    its harmonic values generically tell them apart."""
+    """Corrected-ramp witness with charges next to two colliding finite
+    vertices; its harmonic values generically tell them apart."""
     skel = emb.skeleton
     fin = skel.finite
     spots = []
@@ -965,44 +907,27 @@ def _cover_gaps(emb: Embedding, frames: Frames, root: str, lo: Fraction,
 
 def _straddle_trapezoid(frames: Frames, root: str, glo, ghi, length):
     """Trapezoid offsets whose rising (or falling) part straddles the start
-    of the gap (glo, ghi) and makes progress into it.  Tries a left-anchored
-    rise, then a mirrored right-anchored fall, then shrinks the reach."""
+    of the gap (glo, ghi) and makes progress into it: [x1, x2] runs from
+    just left of glo into the gap and is the rise, with the fall of the
+    same width claimed to its right, or, when the right has no room, the
+    fall, with the rise claimed to its left.  The reach shrinks when
+    nothing is free."""
     if glo <= 0 or ghi >= length:
         return None  # endpoints belong to tent coverage
     reach = ghi - glo
     for _shrink in range(10):
-        # rise [x1, x2] with x1 just left of glo, x2 inside the gap
-        back = min(glo / 2, reach / 4)
         try:
-            x1 = frames.fresh_point(root, glo - back, glo)
-            x2 = frames.fresh_point(root, glo, glo + reach)
+            x1 = frames.claim(root, glo - min(glo / 2, reach / 4), glo)
+            x2 = frames.claim(root, glo, glo + reach)
+            h = x2 - x1
+            if x2 + 2 * h < length:
+                x3 = frames.claim(root, x2, min(x2 + h, length - h) + h, h)
+                return (x1, x2, x3, x3 + h)
+            if x1 - 2 * h > 0:
+                x1m = frames.claim(root, x1 - 2 * h, x1, h)
+                return (x1m, x1m + h, x1, x2)
         except NoRoom:
-            reach /= 2
-            continue
-        h = x2 - x1
-        if x2 + 2 * h < length:
-            try:
-                x3 = frames.fresh_point(root, x2, min(x2 + h, length - h))
-            except NoRoom:
-                reach /= 2
-                continue
-            x4 = x3 + h
-            if frames.clear_point(root, x4):
-                frames.block_point(root, x4)
-                return (x1, x2, x3, x4)
-        # mirrored: fall [x3, x4] straddles glo from the left instead
-        x3m, x4m = x1, x2
-        hm = x4m - x3m
-        if x3m - 2 * hm > 0:
-            try:
-                x2m = frames.fresh_point(root, max(Fraction(0), x3m - hm), x3m)
-            except NoRoom:
-                reach /= 2
-                continue
-            x1m = x2m - hm
-            if x1m > 0 and frames.clear_point(root, x1m):
-                frames.block_point(root, x1m)
-                return (x1m, x2m, x3m, x4m)
+            pass
         reach /= 2
     return None
 
@@ -1015,16 +940,11 @@ def _root_length(skel: ExtendedGraph, root: str) -> Fraction:
 
 
 def _core_sides_at(skel: ExtendedGraph, core_edges: frozenset[str], v: str):
-    """Current core edge pieces incident to v, sorted by root id."""
-    out = []
-    for root in sorted(core_edges):
-        for kind, cid, _lo, _hi in skel.segments_of(root):
-            if kind != "edge":
-                continue
-            e = skel.finite.edges[cid]
-            if v in (e.a, e.b):
-                out.append(cid)
-    return sorted(dict.fromkeys(out))
+    """Current core edge pieces incident to v, sorted by id."""
+    fin = skel.finite
+    return sorted(
+        cid for cid in _core_current(skel, core_edges) if v in (fin.edges[cid].a, fin.edges[cid].b)
+    )
 
 
 def stage0(
@@ -1103,7 +1023,7 @@ def stage0(
         for viol in core_viols:
             emb2 = _repair_step(emb, frames, viol, f"gp{patch_round}.{len(emb.coords)}")
             if emb2 is not None:
-                report.log(construction="core-patch", target=str(viol[:2]))
+                report.log(construction="core-patch", target=viol.label)
                 emb = emb2
                 progressed = True
         if not progressed:
@@ -1210,9 +1130,9 @@ def _fully_faithful(
         emb2 = _repair_step(emb, frames, viol, f"r{round_no}")
         if emb2 is None:
             raise CertificateFailure(
-                f"unrepairable violation {viol[:2]}; reasons: {rep.reasons}"
+                f"unrepairable violation {viol.label}; reasons: {rep.reasons}"
             )
-        report.log(construction="repair", target=str(viol[:2]))
+        report.log(construction="repair", target=viol.label)
         emb = emb2
     else:
         rep = is_fully_faithful(emb)
@@ -1277,10 +1197,9 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         for k, ek in enumerate(others, start=1):
             name = f"v{pass_no}.{k}"
             res = vertex_function(emb, v, side_specs[e0], side_specs[ek], frames)
-            forb = _tent_forbidden_zones(res.tent_points, frames, emb)
             pset = select_pillars(
                 res.embedding,
-                [PillarTarget(f"vertex:{v}:{name}", forbidden=forb)],
+                [PillarTarget(f"vertex:{v}:{name}", forbidden=res.zones)],
                 frames,
             )[f"vertex:{v}:{name}"]
             f = _apply_pillars(res.embedding, res.function, pset)
@@ -1312,18 +1231,6 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         "coordinates": len(emb.coords),
     }
     return emb.with_provenance("smoothing_pipeline"), report
-
-
-def _tent_forbidden_zones(tent_points, frames: Frames, emb) -> tuple:
-    zones: dict[str, list[Fraction]] = {}
-    for pt in tent_points:
-        if pt.is_vertex:
-            continue
-        root, shift = frames.locate(emb.skeleton, pt.edge)
-        zones.setdefault(root, []).append(shift + pt.offset)
-    return tuple(
-        (root, min(offs), max(offs)) for root, offs in sorted(zones.items())
-    )
 
 
 # -- the worked elliptic-curve example ------------------------------------------------------

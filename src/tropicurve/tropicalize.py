@@ -12,10 +12,10 @@ computed over the rationals; injectivity and weight-one checks are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .complexes import TropEdge, TropPoint, TropicalCurve, check_balancing
 from .divisors import Divisor, PLFunction, divisor_of
@@ -495,13 +495,37 @@ def is_faithful_function(emb: Embedding, f: PLFunction) -> bool:
     return all(abs(c) == 1 for _pt, c in d.terms)
 
 
+class Violation(NamedTuple):
+    """One defect of the fully-faithful certificate.
+
+    `kind` names it; `at` is the source id of a contracted or stretched
+    piece, or the image edge or vertex id (None for "empty"); `pieces` are
+    the (source, lo, hi) source pieces involved, `points` the skeleton
+    preimages of an image vertex, and `value` a stretching factor or an
+    edge weight.
+    """
+
+    kind: str
+    at: Optional[str] = None
+    pieces: tuple = ()
+    points: tuple = ()
+    value: Optional[int] = None
+
+    @property
+    def label(self) -> str:
+        """Kind and site, as pipeline reports print them."""
+        return str((self.kind,) if self.at is None else (self.kind, self.at))
+
+
 _REASONS = {
     "empty": lambda v: "embedding has no coordinates",
-    "contracted": lambda v: f"piece of {v[1]!r} at [{v[2]}, {v[3]}] is contracted",
-    "stretch": lambda v: f"piece of {v[1]!r} at [{v[2]}, {v[3]}] has stretching factor {v[4]}",
-    "coverage": lambda v: f"image edge {v[1]!r} is covered by {len(v[2])} pieces",
-    "weight": lambda v: f"image edge {v[1]!r} has weight {v[2]}",
-    "preimages": lambda v: f"image vertex {v[1]!r} has {len(v[2])} skeleton preimages",
+    "contracted": lambda v: "piece of {!r} at [{}, {}] is contracted".format(*v.pieces[0]),
+    "stretch": lambda v: "piece of {!r} at [{}, {}] has stretching factor {}".format(
+        *v.pieces[0], v.value
+    ),
+    "coverage": lambda v: f"image edge {v.at!r} is covered by {len(v.pieces)} pieces",
+    "weight": lambda v: f"image edge {v.at!r} has weight {v.value}",
+    "preimages": lambda v: f"image vertex {v.at!r} has {len(v.points)} skeleton preimages",
 }
 _KINDS = tuple(_REASONS)
 
@@ -510,18 +534,16 @@ _KINDS = tuple(_REASONS)
 class FaithfulReport:
     """Verdict of the fully-faithful certificate, with what it was read from.
 
-    `violations` holds one tuple per defect, its kind first:
-    ("contracted", source, lo, hi) and ("stretch", source, lo, hi, factor)
-    in source-piece order, then ("coverage", image_edge, source_pieces),
-    ("weight", image_edge, weight) and ("preimages", image_vertex,
-    skeleton_points); ("empty",) stands alone for an embedding without
-    coordinates.  A weight defect always follows the stretch or coverage
-    defect that causes it.  `curve` and `emap` are the tropicalization the
-    verdict was read from (None without coordinates); `reasons` are the
-    violations in words, grouped by kind.
+    `violations` holds one `Violation` per defect: "contracted" and
+    "stretch" pieces in source-piece order, then "coverage" and "weight"
+    image edges and "preimages" image vertices; "empty" stands alone for an
+    embedding without coordinates.  A weight defect always follows the
+    stretch or coverage defect that causes it.  `curve` and `emap` are the
+    tropicalization the verdict was read from (None without coordinates);
+    `reasons` are the violations in words, grouped by kind.
     """
 
-    violations: tuple = ()
+    violations: tuple[Violation, ...] = ()
     curve: Optional[TropicalCurve] = None
     emap: Optional[EdgeMap] = None
 
@@ -531,8 +553,8 @@ class FaithfulReport:
 
     @property
     def reasons(self) -> tuple[str, ...]:
-        grouped = sorted(self.violations, key=lambda v: _KINDS.index(v[0]))
-        return tuple(dict.fromkeys(_REASONS[v[0]](v) for v in grouped))
+        grouped = sorted(self.violations, key=lambda v: _KINDS.index(v.kind))
+        return tuple(dict.fromkeys(_REASONS[v.kind](v) for v in grouped))
 
     def __bool__(self):
         return not self.violations
@@ -548,22 +570,23 @@ def is_fully_faithful(emb: Embedding) -> FaithfulReport:
     try:
         curve, emap = tropicalize(emb)
     except EmptyCoordinates:
-        return FaithfulReport((("empty",),))
+        return FaithfulReport((Violation("empty"),))
     out = []
     for rec in emap.pieces:
+        piece = ((rec.source, rec.lo, rec.hi),)
         if rec.stretch == 0:
-            out.append(("contracted", rec.source, rec.lo, rec.hi))
+            out.append(Violation("contracted", rec.source, piece))
         elif rec.stretch > 1:
-            out.append(("stretch", rec.source, rec.lo, rec.hi, rec.stretch))
+            out.append(Violation("stretch", rec.source, piece, value=rec.stretch))
     for eid, srcs in sorted(emap.edge_sources.items()):
         if len(srcs) > 1:
-            out.append(("coverage", eid, srcs))
+            out.append(Violation("coverage", eid, srcs))
     for eid, e in curve.edges.items():
         if e.weight != 1:
-            out.append(("weight", eid, e.weight))
+            out.append(Violation("weight", eid, value=e.weight))
     for vid, pts in sorted(emap.vertex_sources.items()):
         if len(pts) > 1:
-            out.append(("preimages", vid, tuple(sorted(pts))))
+            out.append(Violation("preimages", vid, points=tuple(sorted(pts))))
     return FaithfulReport(tuple(out), curve, emap)
 
 

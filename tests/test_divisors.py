@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropicurve import chipfiring
+from tropicurve import chipfiring, divisors
 from tropicurve.divisors import (
     Divisor,
     EdgeProfile,
@@ -232,6 +232,27 @@ class TestIsPrincipal:
                 verdicts.append(got)
         assert verdicts[::2] == [True] * 20
         assert 0 < verdicts[1::2].count(False) < 20
+
+    def test_trees_need_no_period_solve(self, monkeypatch):
+        # a tree has no cycles, so its slopes are the peeled chain alone
+        calls = []
+        solve = divisors.solve_linear
+        monkeypatch.setattr(divisors, "solve_linear", lambda *args: calls.append(args) or solve(*args))
+        trees = [g for g in (random_graph(random.Random(s)) for s in range(40)) if g.betti_number() == 0]
+        assert len(trees) == 14
+        for seed, g in enumerate(trees):
+            f = random_pl_function(random.Random(seed), g)
+            base = g.vertices[0]
+            res = is_principal(g, divisor_of(f), V(base))
+            assert divisor_of(res.witness) == divisor_of(f)
+            assert all(
+                res.witness.vertex_value(v) == f.vertex_value(v) - f.vertex_value(base)
+                for v in g.vertices
+            )
+        assert calls == []
+        g = circle()
+        is_principal(g, Divisor.zero())  # one cycle: one 1x1 solve
+        assert len(calls) == 1
 
 
 class TestConstruct:

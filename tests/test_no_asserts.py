@@ -1,7 +1,13 @@
-"""Result checks in the library must survive `python -O`, which strips
-`assert` statements; they raise typed errors instead."""
+"""Static checks over the library sources.
+
+Result checks must survive `python -O`, which strips `assert` statements,
+so the library raises typed errors instead; every `from` import is used;
+every annotation resolves."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import tropicurve
@@ -18,3 +24,40 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_has_no_unused_from_imports():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                unused += [
+                    f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name) not in used
+                ]
+    assert unused == []
+
+
+def test_library_annotations_resolve():
+    failed = []
+    for path in SOURCES:
+        module = importlib.import_module(f"tropicurve.{path.stem}")
+        for name, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            if obj.__module__ != module.__name__:
+                continue
+            targets = [(name, obj)]
+            if inspect.isclass(obj):
+                targets += [
+                    (f"{name}.{attr}", fn) for attr, fn in vars(obj).items() if inspect.isfunction(fn)
+                ]
+            for label, target in targets:
+                try:
+                    typing.get_type_hints(target)
+                except NameError as exc:
+                    failed.append(f"{module.__name__}.{label}: {exc}")
+    assert failed == []

@@ -14,14 +14,18 @@ from tropicurve.divisors import (
     make_divisor,
     trapezoid,
 )
-from tropicurve.errors import DivisorCollision, NotSeparated, Stage0Failure, UnknownEdge
+from tropicurve.errors import DivisorCollision, NoRoom, NotSeparated, Stage0Failure, UnknownEdge
 from tropicurve.graphs import GraphPoint, build_extended, build_graph
 from tropicurve.synthesis import (
+    PILLAR_TRIES,
     Frames,
+    PillarTarget,
     _aj_corrected_divisor,
     _repair_step,
+    _separating_bump,
     _side_frame,
     fully_faithful_pipeline,
+    select_pillars,
     slope_one_ramp,
     smoothing_pipeline,
     tate_demo,
@@ -36,7 +40,7 @@ from tropicurve.tropicalize import (
 )
 
 from randgen import random_graph
-from test_tropicalize import contracted_embedding
+from test_tropicalize import contracted_embedding, line_embedding
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -130,18 +134,84 @@ def test_aj_corrections_are_principal_and_spare_the_kept_frame(graph, keep):
     assert len(d.terms) > 2  # the base pair alone is not principal
 
 
-def test_tent_on_a_subdivided_edge_and_a_ray():
+def tent_on_a_subdivided_edge_and_a_ray():
     g = build_graph(["v", "w"], [("e", "v", "w", 4)])
     emb = Embedding(build_extended(g, [("r", V("v"))]), [])
     frames = Frames(emb.skeleton)
     emb = refine_embedding(emb, [P("e", 2)])  # the root frame "e" is now two edges
     skel = emb.skeleton
     sides = [_side_frame(skel, frames, "v", s) for s in ("e.L", "r")]
-    res = vertex_function(emb, "v", *sides, frames)
+    return vertex_function(emb, "v", *sides, frames), frames
+
+
+def test_tent_on_a_subdivided_edge_and_a_ray():
+    res, _frames = tent_on_a_subdivided_edge_and_a_ray()
     d = divisor_of(res.function)
     assert len(d.terms) == 6 and all(abs(c) == 1 for _pt, c in d.terms)
     assert d.coeff(V("v")) == 0
     assert res.function.value(V("v")) == 0
+
+
+def test_tent_zones_span_its_six_offsets():
+    res, frames = tent_on_a_subdivided_edge_and_a_ray()
+    assert sorted(frames.points) == ["e", "r"]  # the tent blocked its offsets only
+    assert [len(offs) for offs in frames.points.values()] == [3, 3]
+    assert res.zones == tuple(
+        (root, min(offs), max(offs)) for root, offs in sorted(frames.points.items())
+    )
+
+
+def test_claim_skips_blocked_points_and_intervals():
+    frames = Frames(build_extended(theta(), []))
+    frames.block_point("e1", Fraction(1, 2))
+    frames.block_interval("e1", Fraction(1, 8), Fraction(1, 4))
+    assert frames.claim("e1", 0, 1) == Fraction(3, 4)
+    assert not frames.clear_point("e1", Fraction(3, 4))
+    # with a gap of 1/2 on (0, 2) the candidates are a = 3/4, 3/8, 9/8, ...
+    frames.block_point("e2", Fraction(5, 4))
+    assert frames.claim("e2", 0, 2, Fraction(1, 2)) == Fraction(3, 8)
+    assert not frames.clear_point("e2", Fraction(3, 8))
+    assert not frames.clear_point("e2", Fraction(7, 8))
+    for lo, hi, gaps in ((1, 1, ()), (0, 1, (1,)), (0, 1, (2,))):
+        with pytest.raises(NoRoom):
+            frames.claim("e3", lo, hi, *gaps)
+    frames.block_interval("e3", 0, 3)
+    with pytest.raises(NoRoom):
+        frames.claim("e3", 0, 3)
+
+
+def test_bump_honours_avoid_and_halves_until_accepted():
+    frames = Frames(build_extended(theta(), []))
+    avoid = (("e2", 0, 1), ("e1", 1, 2))  # the e1 zone is another frame's
+    offs = frames.bump("e2", 0, 2, lambda offs: True, avoid)
+    assert offs == [Fraction(9, 8), Fraction(5, 4), Fraction(13, 8), Fraction(7, 4)]
+    assert frames.intervals == {"e2": [(Fraction(9, 8), Fraction(7, 4))]}
+    seen = []
+
+    def narrow(offs):
+        seen.append(offs)
+        return offs[3] <= Fraction(1, 2)
+
+    offs = frames.bump("e3", 0, 2, narrow)
+    assert [o[3] for o in seen] == [Fraction(3, 2), Fraction(3, 4), Fraction(3, 8)]
+    assert offs == [Fraction(1, 16), Fraction(1, 8), Fraction(5, 16), Fraction(3, 8)]
+    seen.clear()
+    assert frames.bump("e1", 0, 1, lambda offs: seen.append(offs)) is None
+    assert len(seen) == PILLAR_TRIES
+    assert "e1" not in frames.intervals
+
+
+def test_select_pillars_keep_out_of_forbidden_zones():
+    emb = Embedding(build_extended(theta(), []), [])
+    lengths = {"e1": 1, "e2": 2, "e3": 3}
+    forbidden = tuple((eid, Fraction(length, 4), Fraction(length)) for eid, length in lengths.items())
+    pset = select_pillars(emb, [PillarTarget("t", forbidden=forbidden)], Frames(emb.skeleton))["t"]
+    assert len(pset.complement) == 2
+    for pts in pset.tuples:
+        root = pts[0].edge
+        assert [pt.offset for pt in pts] == [Fraction(lengths[root], 32) * k for k in (1, 2, 5, 6)]
+    free = select_pillars(emb, [PillarTarget("t")], Frames(emb.skeleton))["t"]
+    assert all(pts[3].offset > Fraction(lengths[pts[0].edge], 4) for pts in free.tuples)
 
 
 def scanned_root_range(skel, roots, cid):
@@ -221,10 +291,32 @@ REPAIRED_REASONS = (
 def test_repair_step_bumps_a_contracted_piece():
     emb = contracted_embedding()
     viol = is_fully_faithful(emb).violations[0]
-    assert viol[0] == "contracted"
+    assert viol.kind == "contracted"
     fixed = _repair_step(emb, Frames(emb.skeleton), viol, "r0")
     assert len(fixed.coords) == 2
     assert is_fully_faithful(fixed).reasons == REPAIRED_REASONS
+
+
+def test_separating_bump_centres_its_rise_on_the_colliding_point():
+    emb = line_embedding()  # one edge "e" of length 2
+    frames = Frames(emb.skeleton)
+    frames.block_point("e", Fraction(3, 4))
+    f = _separating_bump(emb, frames, "e", Fraction(0), Fraction(2), around=Fraction(1, 2))
+    q = Fraction(1, 32)  # an eighth of the way from 1/2 to the free window's end at 3/4
+    offs = [Fraction(1, 2) + k * q for k in (-1, 1, 2, 4)]
+    assert divisor_of(f) == divisor_of(trapezoid(emb.skeleton, "e", offs))
+    assert frames.intervals == {"e": [(offs[0], offs[3])]}
+    assert _separating_bump(emb, frames, "e", Fraction(0), Fraction(2), around=Fraction(3, 4)) is None
+
+
+def test_repair_step_has_no_remedy_for_colliding_ray_leaves():
+    emb = contracted_embedding()
+    frames = Frames(emb.skeleton)
+    fixed = _repair_step(emb, frames, is_fully_faithful(emb).violations[0], "r0")
+    viol = next(v for v in is_fully_faithful(fixed).violations if v.at == "t2")
+    assert viol.kind == "preimages" and len(viol.points) == 2
+    assert all(fixed.skeleton.is_infinite_vertex(pt.vertex) for pt in viol.points)
+    assert _repair_step(fixed, frames, viol, "r1") is None
 
 
 def test_sweep_has_fourteen_trees():

@@ -301,14 +301,14 @@ class TestFullyFaithful:
         rep = is_fully_faithful(fold_embedding())
         assert not rep.fully_faithful
         assert any("weight" in r or "covered" in r for r in rep.reasons)
-        kinds = [v[0] for v in rep.violations]
+        kinds = [v.kind for v in rep.violations]
         assert kinds == ["stretch", "stretch", "coverage", "weight", "weight", "weight"]
 
     def test_contracted_blocks(self):
         rep = is_fully_faithful(contracted_embedding())
         assert not rep.fully_faithful
         assert any("contracted" in r for r in rep.reasons)
-        assert [v[0] for v in rep.violations] == ["contracted"]
+        assert [v.kind for v in rep.violations] == ["contracted"]
 
 
 class TestRandomizedBalancing:
