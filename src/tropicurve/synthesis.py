@@ -48,6 +48,7 @@ from .divisors import (
 )
 from .errors import (
     CertificateFailure,
+    EmptyCoordinates,
     EqualEdges,
     MonotonicityViolation,
     NoRoom,
@@ -1057,7 +1058,8 @@ def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     """Refine until the tropicalization is injective with all weights one.
 
     Hard-fails with CertificateFailure if the final exact certificate does
-    not pass; never returns an uncertified embedding.
+    not pass; never returns an uncertified embedding.  A skeleton with no
+    edges and no rays raises EmptyCoordinates.
     """
     emb, report, _rep = _fully_faithful(emb, is_fully_faithful(emb))
     return emb, report
@@ -1068,6 +1070,8 @@ def _fully_faithful(
 ) -> tuple[Embedding, PipelineReport, FaithfulReport]:
     """`fully_faithful_pipeline` from the input's certificate `rep0`; also
     returns the output's certificate."""
+    if not emb.skeleton.finite.edges and not emb.skeleton.rays:
+        raise EmptyCoordinates("skeleton has no edges and no rays to embed")
     report = PipelineReport()
     report.initial = {
         "fully_faithful": bool(rep0),

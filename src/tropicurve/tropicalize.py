@@ -6,8 +6,10 @@ only).  Tropicalizing maps every edge piece linearly by its integer slope
 vector; pieces with zero slope vector are contracted, the rest are arranged
 exactly: pieces on a common affine line are overlaid in a shared line
 parameter, transversal crossings split both lines, and weights add up as
-the stretching factors of the pieces covering an image edge.  Everything is
-computed over the rationals; injectivity and weight-one checks are exact.
+the stretching factors of the pieces covering an image edge.  Crossings are
+searched only between lines whose covered hulls (the coordinate box of the
+part a line's pieces cover) overlap.  Everything is computed over the
+rationals; injectivity and weight-one checks are exact.
 """
 
 from __future__ import annotations
@@ -200,6 +202,33 @@ def line_item(source: str, lo: Fraction, hi: Optional[Fraction], vals, slopes):
     return (wc, origin), _Item(source, lo, hi, m, sense, u_lo, u_hi, u0)
 
 
+def _covered_hull(key, items) -> tuple:
+    """Per coordinate, the exact (lo, hi) range of the points that `items`
+    cover on the line `key`; None for a side that a ray leaves unbounded."""
+    wc, origin = key
+    u_lo = None if any(i.u_lo is None for i in items) else min(i.u_lo for i in items)
+    u_hi = None if any(i.u_hi is None for i in items) else max(i.u_hi for i in items)
+    hull = []
+    for o, w in zip(origin, wc):
+        if w == 0:
+            hull.append((o, o))
+            continue
+        a = None if u_lo is None else o + u_lo * w
+        b = None if u_hi is None else o + u_hi * w
+        hull.append((a, b) if w > 0 else (b, a))
+    return tuple(hull)
+
+
+def _hulls_meet(h1, h2) -> bool:
+    """Whether two `_covered_hull`s overlap in every coordinate."""
+    for (lo1, hi1), (lo2, hi2) in zip(h1, h2):
+        if lo1 is not None and hi2 is not None and lo1 > hi2:
+            return False
+        if lo2 is not None and hi1 is not None and lo2 > hi1:
+            return False
+    return True
+
+
 def images_meet(piece_a, piece_b) -> bool:
     """Whether the images of two linear pieces (`frame_pieces` tuples)
     share a point; the image of a contracted piece is a single point."""
@@ -279,8 +308,12 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
                 cuts[key].add(item.u_lo)
             if item.u_hi is not None:
                 cuts[key].add(item.u_hi)
+    # a cut lies where both lines are covered, so inside both hulls
+    hulls = [_covered_hull(key, lines[key]) for key in line_keys]
     for a in range(len(line_keys)):
         for b in range(a + 1, len(line_keys)):
+            if not _hulls_meet(hulls[a], hulls[b]):
+                continue
             k1, k2 = line_keys[a], line_keys[b]
             hit = _line_intersection(k1[1], k1[0], k2[1], k2[0])
             if hit is None:
@@ -326,6 +359,9 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         intervals.extend(zip(bps, bps[1:]))
         if any(i.u_hi is None for i in items):
             intervals.append((bps[-1], None))
+        # every breakpoint ends an item or is a covered crossing, so each
+        # one is an endpoint of a covered interval below
+        at = {u: vertex_for(point_on(key, u)) for u in bps}
         for u1, u2 in intervals:
             if u1 is None:
                 probe = u2 - 1
@@ -340,19 +376,17 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
             eid = f"s{edge_counter}"
             edge_counter += 1
             if u1 is None:
-                v_fin = vertex_for(point_on(key, u2))
+                v_fin = at[u2]
                 v_inf = vertex_for(_infinite_point(origin, wc, -1, n))
                 edges[eid] = TropEdge(
                     eid, v_fin, v_inf, tuple(-x for x in wc), weight, None
                 )
             elif u2 is None:
-                v_fin = vertex_for(point_on(key, u1))
+                v_fin = at[u1]
                 v_inf = vertex_for(_infinite_point(origin, wc, +1, n))
                 edges[eid] = TropEdge(eid, v_fin, v_inf, wc, weight, None)
             else:
-                va = vertex_for(point_on(key, u1))
-                vb = vertex_for(point_on(key, u2))
-                edges[eid] = TropEdge(eid, va, vb, wc, weight, u2 - u1)
+                edges[eid] = TropEdge(eid, at[u1], at[u2], wc, weight, u2 - u1)
             edge_sources[eid] = []
             for i in covering:
                 if u1 is not None and u2 is not None:
@@ -374,8 +408,7 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
                         continue
                     off = i.src_at(u_end)
                     pt = skel.canonical_point(GraphPoint.on_edge(i.source, off))
-                    vid = vertex_ids[point_on(key, u_end)]
-                    vertex_sources[vid].add(pt)
+                    vertex_sources[at[u_end]].add(pt)
 
     # infinite endpoints: preimages are the ray leaves
     for key in line_keys:

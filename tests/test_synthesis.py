@@ -14,7 +14,15 @@ from tropicurve.divisors import (
     make_divisor,
     trapezoid,
 )
-from tropicurve.errors import DivisorCollision, NoRoom, NotSeparated, Stage0Failure, UnknownEdge
+from tropicurve import tropicalize as tropicalize_module
+from tropicurve.errors import (
+    DivisorCollision,
+    EmptyCoordinates,
+    NoRoom,
+    NotSeparated,
+    Stage0Failure,
+    UnknownEdge,
+)
 from tropicurve.graphs import GraphPoint, build_extended, build_graph
 from tropicurve.synthesis import (
     PILLAR_TRIES,
@@ -333,17 +341,44 @@ def test_smoothing_certifies_seeded_trees(seed):
     assert output_digest(out, report) == TREE_DIGESTS[seed]
 
 
-def test_tate_leaf_certifies_through_both_pipelines():
-    out, report = fully_faithful_pipeline(tate_leaf(3, "p5", Fraction(1, 2)))
+@pytest.fixture(scope="module")
+def tate_leaf_outputs():
+    """Output and report of each pipeline, the second run on the first's output."""
+    first = fully_faithful_pipeline(tate_leaf(3, "p5", Fraction(1, 2)))
+    return first, smoothing_pipeline(first[0])
+
+
+def test_tate_leaf_certifies_through_both_pipelines(tate_leaf_outputs):
+    (out, report), second = tate_leaf_outputs
     assert is_fully_faithful(out).fully_faithful
     assert output_digest(out, report) == TATE_LEAF_DIGESTS[0]
-    out, report = smoothing_pipeline(out)
+    out, report = second
     assert is_fully_faithful(out).fully_faithful
     curve, _emap = tropicalize(out)
     assert check_smooth(curve).smooth
     assert report.singular_counts == [0]
     assert (len(out.coords), len(curve.vertices)) == (19, 233)
     assert output_digest(out, report) == TATE_LEAF_DIGESTS[1]
+
+
+def test_tropicalize_intersects_only_lines_with_meeting_hulls(tate_leaf_outputs, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return line_intersection(*args)
+
+    line_intersection = tropicalize_module._line_intersection
+    monkeypatch.setattr(tropicalize_module, "_line_intersection", counted)
+    curve, _emap = tropicalize(tate_leaf_outputs[1][0])
+    assert len(curve.vertices) == 233
+    assert len(calls) < 1000  # 25,651 pairs of image lines
+
+
+@pytest.mark.parametrize("pipeline", [fully_faithful_pipeline, smoothing_pipeline])
+def test_pipelines_reject_a_one_vertex_skeleton(pipeline):
+    with pytest.raises(EmptyCoordinates, match="no edges and no rays"):
+        pipeline(Embedding(build_extended(build_graph(["o"], []), []), []))
 
 
 @pytest.mark.xfail(

@@ -23,10 +23,13 @@ from tropicurve.graphs import GraphPoint, build_extended, build_graph
 from tropicurve.rationals import MINUS_INF, PLUS_INF
 from tropicurve.tropicalize import (
     Embedding,
+    _covered_hull,
+    _hulls_meet,
     extend_embedding,
     images_meet,
     is_faithful_function,
     is_fully_faithful,
+    line_item,
     stretching_factor,
     tropicalize,
 )
@@ -290,6 +293,70 @@ MEET_CASES = {
 def test_images_meet(a, b, meet):
     assert images_meet(a, b) is meet
     assert images_meet(b, a) is meet
+
+
+def random_slopes(rng, n):
+    while True:
+        w = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(w):
+            return w
+
+
+def random_length(rng):
+    return None if rng.random() < 0.25 else Fraction(rng.randint(1, 8), rng.randint(1, 4))
+
+
+def random_point(rng, n):
+    return tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(n))
+
+
+def collinear_piece(rng, p):
+    """A random piece on the image line of the non-contracted piece `p`."""
+    w = p[4]
+    t = Fraction(rng.randint(-12, 12), 4)
+    start = tuple(x + t * y for x, y in zip(p[3], w))
+    k = rng.choice([-2, -1, 1, 2])
+    return piece(start, tuple(k * x for x in w), random_length(rng))
+
+
+def random_piece_pair(rng):
+    """Two non-contracted `piece`s in a common space of dimension 1 to 4:
+    independent, forced through a common point, or on a common line."""
+    n = rng.randint(1, 4)
+    wa, wb = random_slopes(rng, n), random_slopes(rng, n)
+    la, lb = random_length(rng), random_length(rng)
+    mode = rng.choice(["independent", "crossing", "collinear"])
+    if mode == "independent":
+        return piece(random_point(rng, n), wa, la), piece(random_point(rng, n), wb, lb)
+    a = piece(random_point(rng, n), wa, la)
+    if mode == "collinear":
+        return a, collinear_piece(rng, a)
+    at = tuple(x + Fraction(rng.randint(0, 4), 4) * (la or 1) * y for x, y in zip(a[3], wa))
+    s = Fraction(rng.randint(0, 4), 4) * (lb or 1)
+    return a, piece(tuple(x - s * y for x, y in zip(at, wb)), wb, lb)
+
+
+def piece_hull(*pieces):
+    """`_covered_hull` of collinear non-contracted pieces."""
+    keys, items = zip(*(line_item(*p) for p in pieces))
+    assert len(set(keys)) == 1
+    return _covered_hull(keys[0], items)
+
+
+def test_meeting_images_have_meeting_hulls():
+    """`tropicalize` intersects two image lines only when their hulls meet:
+    the hull of a line holds the image of every piece on it."""
+    rng = random.Random(7)
+    met = 0
+    for _ in range(2000):
+        a, b = random_piece_pair(rng)
+        c = collinear_piece(rng, a)
+        if images_meet(a, b):
+            met += 1
+            assert _hulls_meet(piece_hull(a), piece_hull(b)), (a, b)
+        if images_meet(a, b) or images_meet(c, b):
+            assert _hulls_meet(piece_hull(a, c), piece_hull(b)), (a, c, b)
+    assert met > 500
 
 
 class TestFullyFaithful:
