@@ -2,9 +2,10 @@
 
 Two pipelines.  The first makes an arbitrary embedding fully faithful: a
 bootstrap stage synthesizes coordinates that map the 2-edge-connected core
-injectively with unit stretching, then every remaining finite edge gets a
-slope-one ramp coordinate and every bare ray a divergent one, each ramp
-corrected by pillar trapezoids on a spanning-tree complement.  The second
+injectively with unit stretching, then every remaining finite edge and
+every bare ray gets one coordinate from `edge_ramp`: a slope-one ramp
+(divergent along a ray) corrected by pillar trapezoids on a spanning-tree
+complement, placed by one `select_pillars` call per target.  The second
 pipeline repairs singular image vertices: a vertex with adjacent edges
 e0..en receives n tent coordinates with slopes +1 into ek and -1 into e0,
 which project a neighborhood of the image vertex onto the coordinate-axes
@@ -20,7 +21,10 @@ divisor pairs, the ends of coverage trapezoids) and `bump` for trapezoid
 supports in free windows (pillars, separating bumps).  Every bump
 coordinate (each side of a tent, a pillar, a coverage or separating
 trapezoid) is one `divisors.trapezoid` in a root frame, and every ramp is
-the witness of a principal divisor from `is_principal`.
+the witness of a principal divisor from `is_principal`.  A divisor that
+needs correction pairs on a spanning-tree complement first (a stage-0 core
+ramp, a ray whose zero charge moves to the core, a separating witness)
+reaches it through `_corrected_witness` alone.
 
 One exact certificate, `is_fully_faithful`, drives both pipelines: each
 stage-0 patch round, repair round and smoothing pass reads the named
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .complexes import TropicalCurve, check_smooth
 from .divisors import (
@@ -230,24 +234,10 @@ class Frames:
 # -- pillar selection ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PillarTarget:
-    target_id: str
-    avoid_image_of: Optional[str] = None  # frame id; images must stay disjoint
-    forbidden: tuple[tuple[str, Fraction, Fraction], ...] = ()  # root-frame zones
-
-
 @dataclass
 class PillarSet:
-    target_id: str
-    complement: tuple[str, ...]  # current edge ids
+    complement: tuple[str, ...]  # current edge ids at selection
     tuples: list[tuple[GraphPoint, ...]]  # four root-frame points per edge
-
-    def correction_divisor(self, graph) -> Divisor:
-        terms = []
-        for p1, p2, p3, p4 in self.tuples:
-            terms += [(p1, 1), (p2, -1), (p3, -1), (p4, 1)]
-        return make_divisor(graph, terms)
 
 
 def _clipped_pieces(emb: Embedding, frame: str, lo: Fraction, hi: Optional[Fraction]):
@@ -267,37 +257,35 @@ def _images_disjoint(emb: Embedding, a, b) -> bool:
 
 
 def select_pillars(
-    emb: Embedding, targets: Sequence[PillarTarget], frames: Frames
-) -> dict[str, PillarSet]:
-    """Deterministic pillar placement: a valid four-point tuple on every
-    spanning-tree complement edge, with supports pairwise disjoint across
-    all targets, outside each target's forbidden zones, and (when asked)
-    with image disjoint from the image of the target's own edge: one
-    `Frames.bump` per complement edge.  Returns the pillar sets keyed by
-    target id."""
+    emb: Embedding,
+    frames: Frames,
+    avoid_image_of: Optional[str] = None,
+    forbidden: tuple[tuple[str, Fraction, Fraction], ...] = (),
+) -> PillarSet:
+    """Deterministic pillar placement for one target: a valid four-point
+    tuple on every spanning-tree complement edge, its support clear of
+    earlier supports and of the root-frame `forbidden` zones and, when
+    `avoid_image_of` names a frame, with image disjoint from that frame's
+    image: one `Frames.bump` per complement edge."""
     fin = emb.skeleton.finite
     tree = set(fin.canonical_spanning_tree())
     complement = tuple(eid for eid in sorted(fin.edges) if eid not in tree)
-    sets: dict[str, PillarSet] = {}
-    for tgt in targets:
-        tuples = []
-        for cid in complement:
-            root, slo, shi = frames.root_range(emb.skeleton, cid)
+    tuples = []
+    for cid in complement:
+        root, slo, shi = frames.root_range(emb.skeleton, cid)
 
-            def accept(offs):
-                return tgt.avoid_image_of is None or not emb.coords or _images_disjoint(
-                    emb, (root, offs[0], offs[3]), (tgt.avoid_image_of, Fraction(0), None)
-                )
+        def accept(offs):
+            return avoid_image_of is None or not emb.coords or _images_disjoint(
+                emb, (root, offs[0], offs[3]), (avoid_image_of, Fraction(0), None)
+            )
 
-            offs = frames.bump(root, slo, shi, accept, tgt.forbidden)
-            if offs is None:
-                raise PillarSearchExhausted(
-                    f"target {tgt.target_id!r}: no pillar window on {cid!r} "
-                    f"(root {root!r}, forbidden {tgt.forbidden})"
-                )
-            tuples.append(tuple(P(root, o) for o in offs))
-        sets[tgt.target_id] = PillarSet(tgt.target_id, complement, tuples)
-    return sets
+        offs = frames.bump(root, slo, shi, accept, forbidden)
+        if offs is None:
+            raise PillarSearchExhausted(
+                f"no pillar window on {cid!r} (root {root!r}, forbidden {forbidden})"
+            )
+        tuples.append(tuple(P(root, o) for o in offs))
+    return PillarSet(complement, tuples)
 
 
 def _fits_one_edge(skel: ExtendedGraph, root: str, offs) -> bool:
@@ -306,9 +294,7 @@ def _fits_one_edge(skel: ExtendedGraph, root: str, offs) -> bool:
     return not any(c.is_vertex for c in cp) and len({c.edge for c in cp}) == 1
 
 
-def _apply_pillars(emb: Embedding, base: PLFunction, pset: Optional[PillarSet]) -> PLFunction:
-    if pset is None:
-        return base
+def _apply_pillars(emb: Embedding, base: PLFunction, pset: PillarSet) -> PLFunction:
     f = base
     for pts in pset.tuples:
         root, offs = pts[0].edge, [p.offset for p in pts]
@@ -421,14 +407,6 @@ def _anchor_near(
 # -- edge functions ------------------------------------------------------------------------
 
 
-@dataclass
-class EdgeFunctionResult:
-    embedding: Embedding
-    function: PLFunction
-    zero_point: GraphPoint
-    pole_point: Optional[GraphPoint]  # None when the pole is an infinite vertex
-
-
 def _core_current(skel: ExtendedGraph, core_edges: frozenset[str]) -> set[str]:
     out = set()
     for root in core_edges:
@@ -436,123 +414,85 @@ def _core_current(skel: ExtendedGraph, core_edges: frozenset[str]) -> set[str]:
     return out
 
 
-def edge_function_finite(
+def edge_ramp(
     emb: Embedding,
     frame: str,
-    pillars: Optional[PillarSet],
+    pillars: PillarSet,
     core_edges: frozenset[str],
     core_vertices: frozenset[str],
     frames: Frames,
-) -> EdgeFunctionResult:
-    """Slope-one ramp along a finite non-core edge plus pillar trapezoids.
+) -> tuple[Embedding, PLFunction, GraphPoint, GraphPoint]:
+    """Slope-one ramp along a non-core edge or a ray frame, plus pillar
+    trapezoids: (embedding, function, zero, pole), value zero at the
+    core-side end v.
 
-    The zero charge sits at the core-side endpoint v (or a fresh point near
-    it when v already carries a ray); the pole charge sits at the far
-    endpoint or a fresh point beyond it.  The function value is zero at v.
+    The zero charge sits at v, or at a fresh point near it when v already
+    carries a ray, or rides down a ray at v to its leaf.  The pole charge
+    sits at the far end w or a fresh point beyond it, or rides a ray at w
+    to its leaf; a ray frame's far end is its own tail.  When the only ray
+    at v is the frame's own, the zero charge moves to a fresh core point
+    and the ramp is the corrected witness of that pair.
     """
     skel = emb.skeleton
-    fin = skel.finite
     pieces = _current_pieces(skel, frame)
     core_cur = _core_current(skel, core_edges)
     if pieces & core_cur:
         raise NotSeparated(f"edge {frame!r} belongs to the designated core")
     segs = skel.segments_of(frame)
-    if segs[-1][3] is None:
-        raise UnknownEdge(f"{frame!r} ends in a ray; use edge_function_infinite")
-    comp = _side_components(fin, pieces)
-    u1 = skel.canonical_point(P(frame, segs[0][2])).vertex
-    u2 = skel.canonical_point(P(frame, segs[-1][3])).vertex
-    if comp[u1] == comp[u2]:
-        raise NotSeparated(f"edge {frame!r} lies on a cycle")
-    core_rep = sorted(core_vertices)[0]
-    v, w = (u1, u2) if comp[u1] == comp[core_rep] else (u2, u1)
+    v = skel.canonical_point(P(frame, segs[0][2])).vertex
+    w = None
+    if segs[-1][3] is not None:
+        comp = _side_components(skel.finite, pieces)
+        w = skel.canonical_point(P(frame, segs[-1][3])).vertex
+        if comp[v] == comp[w]:
+            raise NotSeparated(f"edge {frame!r} lies on a cycle")
+        if comp[v] != comp[sorted(core_vertices)[0]]:
+            v, w = w, v
 
     emb, va, descend_ray = _anchor_near(emb, v, pieces, core_cur, frames)
     skel = emb.skeleton
-    fin = skel.finite
-    pieces = _current_pieces(skel, frame)
-    comp = _side_components(fin, pieces)
-    beyond_edges = [
-        eid
-        for eid, x in sorted(fin.adjacency[w])
-        if eid not in pieces and comp[x] == comp[w]
-    ]
-    beyond_rays = [rid for rid in sorted(skel.rays) if skel.rays[rid].attach == w]
-    end_ray = None
-    if beyond_edges:
-        emb, vb = _fresh_vertex_on(emb, frames, beyond_edges[0], w)
-    elif beyond_rays:
-        vb, end_ray = w, beyond_rays[0]
+    end_ray, vb = None, w
+    if w is None:
+        end_ray = next(cid for kind, cid, _lo, _hi in skel.segments_of(frame) if kind == "ray")
+        vb = skel.rays[end_ray].attach
+    elif beyond := [eid for eid, _x in sorted(skel.finite.adjacency[w]) if eid not in pieces]:
+        emb, vb = _fresh_vertex_on(emb, frames, beyond[0], w)
+        skel = emb.skeleton
     else:
-        vb = w  # bare leaf: w carries no ray yet, so the charge may sit here
-    skel = emb.skeleton
-    ramp = slope_one_ramp(skel, va, vb, end_ray=end_ray, start_ray=descend_ray)
-    ramp = ramp.add_constant(-ramp.vertex_value(v))
-    f = _apply_pillars(emb, ramp, pillars)
-    if pillars is not None and pillars.complement and descend_ray is None and end_ray is None:
-        _check_cor34_shape(skel, f, va, vb, pillars)
-    zero = V(skel.rays[descend_ray].leaf) if descend_ray else V(va)
-    pole = V(skel.rays[end_ray].leaf) if end_ray else V(vb)
-    return EdgeFunctionResult(emb, f, zero, pole)
-
-
-def edge_function_infinite(
-    emb: Embedding,
-    frame: str,
-    pillars: Optional[PillarSet],
-    core_edges: frozenset[str],
-    core_vertices: frozenset[str],
-    frames: Frames,
-) -> EdgeFunctionResult:
-    """Slope-one ramp diverging along an existing ray; the pole is the
-    ray's own infinite vertex, the zero charge sits near the attach point."""
-    skel = emb.skeleton
-    segs = skel.segments_of(frame)
-    stub_pieces = {cid for kind, cid, _lo, _hi in segs if kind == "edge"}
-    core_cur = _core_current(skel, core_edges)
-    v = skel.canonical_point(P(frame, segs[0][2])).vertex
-    emb, va, descend_ray = _anchor_near(emb, v, stub_pieces, core_cur, frames)
-    skel = emb.skeleton
-    ray_id = next(
-        cid for kind, cid, _lo, _hi in skel.segments_of(frame) if kind == "ray"
-    )
-    attach = skel.rays[ray_id].attach
-    if descend_ray == ray_id:
-        # the only ray at v is the target itself: move the zero charge to a
-        # fresh core point and cancel the cycle obstruction exactly
+        # a leaf: the pole rides its first ray, or sits on the bare leaf
+        end_ray = min((rid for rid, r in skel.rays.items() if r.attach == w), default=None)
+    if descend_ray is not None and descend_ray == end_ray:  # v's only ray is the frame's own
         core_list = sorted(_core_current(skel, core_edges))
         if not core_list:
             raise NotSeparated(f"no anchor available for ray {frame!r}")
         root, slo, shi = frames.root_range(skel, core_list[0])
-        ca = skel.canonical_point(P(root, frames.claim(root, slo, shi)))
-        base = make_divisor(skel.finite, [(ca, 1), (V(attach), -1)])
-        d = _aj_corrections(emb, frames, base)
-        res = is_principal(skel.finite, d)
-        if not res.principal:
-            raise CertificateFailure(f"corrected ray-anchor divisor is not principal: {d}")
-        f_fin = res.witness
-        f_fin = f_fin.add_constant(-f_fin.vertex_value(attach))
-        f = _with_ray_slopes(skel, f_fin, {ray_id: 1})
-        f = _apply_pillars(emb, f, pillars)
-        return EdgeFunctionResult(emb, f, ca, None)
-    ramp = slope_one_ramp(skel, va, attach, end_ray=ray_id, start_ray=descend_ray)
-    ramp = ramp.add_constant(-ramp.vertex_value(v))
-    f = _apply_pillars(emb, ramp, pillars)
-    zero = V(skel.rays[descend_ray].leaf) if descend_ray else V(va)
-    return EdgeFunctionResult(emb, f, zero, None)
+        zero = skel.canonical_point(P(root, frames.claim(root, slo, shi)))
+        base = make_divisor(skel.finite, [(zero, 1), (V(vb), -1)])
+        ramp = _with_ray_slopes(skel, _corrected_witness(emb, frames, base), {end_ray: 1})
+    else:
+        ramp = slope_one_ramp(skel, va, vb, end_ray=end_ray, start_ray=descend_ray)
+        zero = V(skel.rays[descend_ray].leaf) if descend_ray else V(va)
+    f = _apply_pillars(emb, ramp.add_constant(-ramp.vertex_value(v)), pillars)
+    if pillars.complement and descend_ray is None and end_ray is None:
+        _check_cor34_shape(skel, f, va, vb, pillars)
+    pole = V(skel.rays[end_ray].leaf) if end_ray else V(vb)
+    return emb, f, zero, pole
 
 
 def _check_cor34_shape(skel, f, va, vb, pillars: PillarSet):
-    """The assembled divisor must agree with the certified witness route."""
+    """The assembled divisor must agree with the certified witness route,
+    run on the current edges the pillar tuples lie on."""
     fin = skel.finite
     base = make_divisor(fin, [(V(va), 1), (V(vb), -1)])
-    expected = base + pillars.correction_divisor(skel)
+    tuples = [[skel.canonical_point(p) for p in pts] for pts in pillars.tuples]
+    terms = []
+    for p1, p2, p3, p4 in tuples:
+        terms += [(p1, 1), (p2, -1), (p3, -1), (p4, 1)]
+    expected = base + make_divisor(skel, terms)
     got = divisor_of(f)
     if got != expected:
         raise CertificateFailure(f"edge function divisor mismatch: {got} != {expected}")
-    ref = cor34_certificate(
-        fin, base, list(pillars.complement), [list(t) for t in pillars.tuples]
-    )
+    ref = cor34_certificate(fin, base, [pts[0].edge for pts in tuples], tuples)
     if divisor_of(ref) != make_divisor(fin, expected.terms):
         raise CertificateFailure(f"certified witness divisor mismatch: {divisor_of(ref)}")
 
@@ -651,28 +591,26 @@ def vertex_function(
 # -- stage 0: bootstrap coordinates for the core ------------------------------------------
 
 
-def _aj_corrected_divisor(emb: Embedding, frames: Frames, root_e: str) -> Divisor:
-    """Degree-zero divisor (a - b) + correction pairs, principal by
-    construction: a, b are fresh points near the two ends of root_e, and
-    the correction pairs on a spanning-tree complement cancel the cycle
-    obstruction of a - b exactly."""
-    skel = emb.skeleton
-    segs = skel.segments_of(root_e)
-    lo0, hi0 = segs[0][2], segs[-1][3]
-    a_off = frames.claim(root_e, lo0, lo0 + (hi0 - lo0) / 4)
-    b_off = frames.claim(root_e, hi0 - (hi0 - lo0) / 4, hi0)
-    ca = skel.canonical_point(P(root_e, a_off))
-    cb = skel.canonical_point(P(root_e, b_off))
-    base = make_divisor(skel.finite, [(ca, 1), (cb, -1)])
-    return _aj_corrections(emb, frames, base, keep_in_tree=root_e)
+def _core_ramp(emb: Embedding, frames: Frames, root_e: str) -> PLFunction:
+    """Corrected witness of (a) - (b) for fresh points a, b near the two
+    ends of root_e; the spanning tree keeps the pieces of root_e, so no
+    correction lands on that frame."""
+    fin = emb.skeleton.finite
+    length = fin.frame_length(root_e)
+    a_off = frames.claim(root_e, Fraction(0), length / 4)
+    b_off = frames.claim(root_e, length - length / 4, length)
+    base = make_divisor(fin, [(P(root_e, a_off), 1), (P(root_e, b_off), -1)])
+    return _corrected_witness(emb, frames, base, keep_in_tree=root_e)
 
 
-def _aj_corrections(
+def _corrected_witness(
     emb: Embedding, frames: Frames, base: Divisor, keep_in_tree: Optional[str] = None
-) -> Divisor:
-    """Append +-1 correction pairs on a spanning-tree complement so that
-    the result is principal; the tree preferentially contains the pieces
-    of `keep_in_tree` so no correction lands on that frame."""
+) -> PLFunction:
+    """The `is_principal` witness of `base` plus +-1 correction pairs on a
+    spanning-tree complement that cancel its cycle obstruction; the tree
+    preferentially contains the pieces of `keep_in_tree` so no correction
+    lands on that frame.  Raises CertificateFailure when the corrected
+    divisor is not principal."""
     fin = emb.skeleton.finite
     refined = emb.skeleton
     for pt in base.support():
@@ -686,8 +624,6 @@ def _aj_corrections(
     cs = CycleSpace(model, model.canonical_spanning_tree(first=priority))
     cycles, columns = cs.cycles, cs.period  # the period matrix is symmetric
     g = len(cycles)
-    if g == 0:
-        return base
     w = cs.pairing(cs.chain({pt.vertex: c for pt, c in dm.terms}))
     # Allocation sites for cycle j: every current edge lying on cycle j and
     # on no other cycle (always includes the complement edge itself), with
@@ -754,7 +690,11 @@ def _aj_corrections(
             rem -= chunk_mag if rem > 0 else -chunk_mag
         else:
             raise NoRoom(f"correction total {dj} exceeds cycle capacity")
-    return make_divisor(fin, terms)
+    d = make_divisor(fin, terms)
+    res = is_principal(fin, d)
+    if not res.principal:
+        raise CertificateFailure(f"corrected divisor is not principal: {d}")
+    return res.witness
 
 
 def _core_violation(emb: Embedding, viol: Violation, core_pieces: set[str], core_vertices) -> bool:
@@ -846,13 +786,10 @@ def _separating_witness(
             return None
     base = make_divisor(fin, [(spots[0], 1), (spots[1], -1)])
     try:
-        d = _aj_corrections(emb, frames, base)
-    except (NoRoom, Stage0Failure):
+        witness = _corrected_witness(emb, frames, base)
+    except (NoRoom, Stage0Failure, CertificateFailure):
         return None
-    res = is_principal(fin, d)
-    if not res.principal:
-        return None
-    return extend_embedding(emb, _with_ray_slopes(skel, res.witness, {}), name)
+    return extend_embedding(emb, _with_ray_slopes(skel, witness, {}), name)
 
 
 def _root_slope_cover(emb: Embedding, root: str):
@@ -893,7 +830,7 @@ def _cover_gaps(emb: Embedding, frames: Frames, root: str, lo: Fraction,
         if gap is None:
             return emb
         glo, ghi = gap
-        length = _root_length(emb.skeleton, root)
+        length = emb.skeleton.finite.frame_length(root)
         offs = _straddle_trapezoid(frames, root, glo, ghi, length)
         if offs is None:
             raise Stage0Failure(f"no straddling trapezoid fits on {root!r}")
@@ -931,13 +868,6 @@ def _straddle_trapezoid(frames: Frames, root: str, glo, ghi, length):
             pass
         reach /= 2
     return None
-
-
-def _root_length(skel: ExtendedGraph, root: str) -> Fraction:
-    segs = skel.segments_of(root)
-    if segs[-1][3] is None:
-        raise UnknownEdge(f"{root!r} is unbounded")
-    return segs[-1][3]
 
 
 def _core_sides_at(skel: ExtendedGraph, core_edges: frozenset[str], v: str):
@@ -996,18 +926,15 @@ def stage0(
     # (2) fill uncovered interiors of every core edge
     fill_namer = namer("gc")
     for root in sorted(core_edges):
-        length = _root_length(emb.skeleton, root)
+        length = emb.skeleton.finite.frame_length(root)
         emb = _cover_gaps(
             emb, frames, root, Fraction(0), length, fill_namer, report
         )
 
     # (3) one corrected-ramp witness per core edge for vertex separation
     for idx, root_e in enumerate(sorted(core_edges)):
-        d = _aj_corrected_divisor(emb, frames, root_e)
-        res = is_principal(emb.skeleton.finite, d)
-        if not res.principal:
-            raise CertificateFailure(f"stage-0 divisor is not principal: {d}")
-        emb = extend_embedding(emb, _with_ray_slopes(emb.skeleton, res.witness, {}), f"gs{idx}")
+        ramp = _with_ray_slopes(emb.skeleton, _core_ramp(emb, frames, root_e), {})
+        emb = extend_embedding(emb, ramp, f"gs{idx}")
         report.log(construction="core-ramp", target=root_e, coordinate=f"gs{idx}")
 
     # (4) batched patches for residual core violations
@@ -1061,8 +988,14 @@ def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     not pass; never returns an uncertified embedding.  A skeleton with no
     edges and no rays raises EmptyCoordinates.
     """
+    _check_skeleton(emb)
     emb, report, _rep = _fully_faithful(emb, is_fully_faithful(emb))
     return emb, report
+
+
+def _check_skeleton(emb: Embedding):
+    if not emb.skeleton.finite.edges and not emb.skeleton.rays:
+        raise EmptyCoordinates("skeleton has no edges and no rays to embed")
 
 
 def _fully_faithful(
@@ -1070,8 +1003,6 @@ def _fully_faithful(
 ) -> tuple[Embedding, PipelineReport, FaithfulReport]:
     """`fully_faithful_pipeline` from the input's certificate `rep0`; also
     returns the output's certificate."""
-    if not emb.skeleton.finite.edges and not emb.skeleton.rays:
-        raise EmptyCoordinates("skeleton has no edges and no rays to embed")
     report = PipelineReport()
     report.initial = {
         "fully_faithful": bool(rep0),
@@ -1095,34 +1026,20 @@ def _fully_faithful(
         for rid in emb.skeleton.rays
         if all(f.ray_profiles[rid].slope == 0 for f in emb.coords)
     )
-    pillar_targets = [
-        PillarTarget(f"edge:{eid}", avoid_image_of=eid) for eid in finite_targets
-    ] + [PillarTarget(f"ray:{rid}", avoid_image_of=rid) for rid in ray_targets]
-    config = select_pillars(emb, pillar_targets, frames)
-
-    for eid in finite_targets:
-        res = edge_function_finite(
-            emb, eid, config[f"edge:{eid}"], core_edges, core_vertices, frames
-        )
-        emb = extend_embedding(res.embedding, res.function, f"f.{eid}")
+    # All pillars are placed on the embedding the ramps start from: a ramp
+    # only adds a coordinate, so images disjoint now stay disjoint.
+    targets = finite_targets + ray_targets
+    psets = [select_pillars(emb, frames, avoid_image_of=t) for t in targets]
+    for target, pset in zip(targets, psets):
+        emb, f, zero, pole = edge_ramp(emb, target, pset, core_edges, core_vertices, frames)
+        emb = extend_embedding(emb, f, f"f.{target}")
+        finite = target in finite_targets
         report.log(
-            construction="finite-edge-ramp",
-            target=eid,
-            coordinate=f"f.{eid}",
-            zero_at=repr(res.zero_point),
-            pole_at=repr(res.pole_point),
-            unit_stretch_new_edges=True,
-        )
-    for rid in ray_targets:
-        res = edge_function_infinite(
-            emb, rid, config[f"ray:{rid}"], core_edges, core_vertices, frames
-        )
-        emb = extend_embedding(res.embedding, res.function, f"f.{rid}")
-        report.log(
-            construction="infinite-edge-ramp",
-            target=rid,
-            coordinate=f"f.{rid}",
-            zero_at=repr(res.zero_point),
+            construction="finite-edge-ramp" if finite else "infinite-edge-ramp",
+            target=target,
+            coordinate=f"f.{target}",
+            zero_at=repr(zero),
+            **({"pole_at": repr(pole)} if finite else {}),
             unit_stretch_new_edges=True,
         )
 
@@ -1161,8 +1078,10 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
 
     Singular image vertices are resolved one at a time; the count of
     singular vertices strictly decreases after every pass (violations of
-    that invariant indicate a bug and raise MonotonicityViolation).
+    that invariant indicate a bug and raise MonotonicityViolation).  A
+    skeleton with no edges and no rays raises EmptyCoordinates.
     """
+    _check_skeleton(emb)
     rep = is_fully_faithful(emb)
     if not rep:
         emb, report, rep = _fully_faithful(emb, rep)
@@ -1201,11 +1120,7 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         for k, ek in enumerate(others, start=1):
             name = f"v{pass_no}.{k}"
             res = vertex_function(emb, v, side_specs[e0], side_specs[ek], frames)
-            pset = select_pillars(
-                res.embedding,
-                [PillarTarget(f"vertex:{v}:{name}", forbidden=res.zones)],
-                frames,
-            )[f"vertex:{v}:{name}"]
+            pset = select_pillars(res.embedding, frames, forbidden=res.zones)
             f = _apply_pillars(res.embedding, res.function, pset)
             emb = extend_embedding(res.embedding, f, name)
             report.log(

@@ -2,7 +2,7 @@
 
 Result checks must survive `python -O`, which strips `assert` statements,
 so the library raises typed errors instead; every `from` import is used;
-every annotation resolves."""
+every annotation resolves; every private module-level helper is used."""
 
 import ast
 import importlib
@@ -61,3 +61,25 @@ def test_library_annotations_resolve():
                 except NameError as exc:
                     failed.append(f"{module.__name__}.{label}: {exc}")
     assert failed == []
+
+
+def test_library_has_no_unreferenced_private_helpers():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert unreferenced == []

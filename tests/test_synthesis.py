@@ -27,8 +27,7 @@ from tropicurve.graphs import GraphPoint, build_extended, build_graph
 from tropicurve.synthesis import (
     PILLAR_TRIES,
     Frames,
-    PillarTarget,
-    _aj_corrected_divisor,
+    _core_ramp,
     _repair_step,
     _separating_bump,
     _side_frame,
@@ -72,20 +71,24 @@ def bare_skeleton(graph):
     return Embedding(build_extended(graph, [(f"r{v}", V(v)) for v in leaves]), [])
 
 
-def tate_leaf(c, attach, leaf_length):
-    """`tate_demo(c)` plus a leaf edge at `attach` ending in a ray; both
-    coordinates are constant on it, so neither pipeline is a no-op."""
+def tate_leaf(c, attach, leaf_length, leaf_ray=True, zero_rays=()):
+    """`tate_demo(c)` plus a leaf edge at `attach` to a vertex t, with a
+    ray `rt` at t unless `leaf_ray` is false, and one ray per (id, vertex)
+    of `zero_rays`; both coordinates are constant on all of them, so
+    neither pipeline is a no-op."""
     emb, _curve = tate_demo(c)
     fin = emb.skeleton.finite
     edges = [(e.id, e.a, e.b, e.length) for e in fin.edges.values()]
     fin2 = build_graph(list(fin.vertices) + ["t"], edges + [("leaf", attach, "t", leaf_length)])
-    rays = [(r.id, V(r.attach)) for r in emb.skeleton.rays.values()] + [("rt", V("t"))]
+    added = [("rt", "t")] * leaf_ray + list(zero_rays)
+    rays = [(r.id, V(r.attach)) for r in emb.skeleton.rays.values()] + [(rid, V(v)) for rid, v in added]
     skel = build_extended(fin2, rays)
     coords = []
     for f in emb.coords:
         val = f.vertex_value(attach)
         profiles = dict(f.edge_profiles, leaf=EdgeProfile(val, (), (0,)))
-        coords.append(PLFunction(skel, profiles, dict(f.ray_profiles, rt=RayProfile(val, 0))))
+        zeros = {rid: RayProfile(val if v == "t" else f.vertex_value(v), 0) for rid, v in added}
+        coords.append(PLFunction(skel, profiles, dict(f.ray_profiles, **zeros)))
     return Embedding(skel, coords)
 
 
@@ -130,12 +133,13 @@ TREE_DIGESTS = {
     34: "5687ba3f78ef9df3", 35: "8beeb4be94cfd740",
 }
 TATE_LEAF_DIGESTS = ("ad88f7084e040cd0", "21dbf887fe9e0afb")  # both pipelines
+TATE_ANCHOR_DIGESTS = ("4d3644fd3fe3c543", "bc1dcfaf8a2dc993")  # plus a ray r0 at p4
 
 
 @pytest.mark.parametrize("graph, keep", [(theta(), "e1"), (dumbbell(), "l0.0")])
 def test_aj_corrections_are_principal_and_spare_the_kept_frame(graph, keep):
     emb = Embedding(build_extended(graph, []), [])
-    d = _aj_corrected_divisor(emb, Frames(emb.skeleton), keep)
+    d = divisor_of(_core_ramp(emb, Frames(emb.skeleton), keep))
     assert is_principal(graph, d).principal
     on_kept = [(pt, c) for pt, c in d.terms if not pt.is_vertex and pt.edge == keep]
     assert sorted(c for _pt, c in on_kept) == [-1, 1]  # only the two base points
@@ -213,12 +217,12 @@ def test_select_pillars_keep_out_of_forbidden_zones():
     emb = Embedding(build_extended(theta(), []), [])
     lengths = {"e1": 1, "e2": 2, "e3": 3}
     forbidden = tuple((eid, Fraction(length, 4), Fraction(length)) for eid, length in lengths.items())
-    pset = select_pillars(emb, [PillarTarget("t", forbidden=forbidden)], Frames(emb.skeleton))["t"]
+    pset = select_pillars(emb, Frames(emb.skeleton), forbidden=forbidden)
     assert len(pset.complement) == 2
     for pts in pset.tuples:
         root = pts[0].edge
         assert [pt.offset for pt in pts] == [Fraction(lengths[root], 32) * k for k in (1, 2, 5, 6)]
-    free = select_pillars(emb, [PillarTarget("t")], Frames(emb.skeleton))["t"]
+    free = select_pillars(emb, Frames(emb.skeleton))
     assert all(pts[3].offset > Fraction(lengths[pts[0].edge], 4) for pts in free.tuples)
 
 
@@ -331,14 +335,30 @@ def test_sweep_has_fourteen_trees():
     assert len(TREE_SEEDS) == 14
 
 
-@pytest.mark.parametrize("seed", TREE_SEEDS)
-def test_smoothing_certifies_seeded_trees(seed):
-    out, report = smoothing_pipeline(bare_skeleton(random_graph(random.Random(seed))))
+def assert_smooth_output(out, report):
     assert is_fully_faithful(out).fully_faithful
     assert check_smooth(tropicalize(out)[0]).smooth
     counts = report.singular_counts
     assert all(a > b for a, b in zip(counts, counts[1:]))
+
+
+@pytest.mark.parametrize("seed", TREE_SEEDS)
+def test_smoothing_certifies_seeded_trees(seed):
+    out, report = smoothing_pipeline(bare_skeleton(random_graph(random.Random(seed))))
+    assert_smooth_output(out, report)
     assert output_digest(out, report) == TREE_DIGESTS[seed]
+
+
+# Without rays a leaf carries no charge yet, so a ramp's pole sits on the
+# leaf itself.
+RAYLESS_TREE_DIGESTS = {2: "8df9334f7442850d", 5: "51c250385f4f46b6"}
+
+
+@pytest.mark.parametrize("seed", sorted(RAYLESS_TREE_DIGESTS))
+def test_smoothing_certifies_seeded_trees_without_rays(seed):
+    out, report = smoothing_pipeline(Embedding(build_extended(random_graph(random.Random(seed)), []), []))
+    assert_smooth_output(out, report)
+    assert output_digest(out, report) == RAYLESS_TREE_DIGESTS[seed]
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +381,29 @@ def test_tate_leaf_certifies_through_both_pipelines(tate_leaf_outputs):
     assert output_digest(out, report) == TATE_LEAF_DIGESTS[1]
 
 
+def test_tate_leaf_with_a_bare_ray_at_a_core_vertex():
+    """`r0` sorts before `r4` at p4 and both sides of p4 are core, so the
+    ramp of `r0` has nothing to descend along and takes its zero charge to
+    the core."""
+    out, report = fully_faithful_pipeline(tate_leaf(3, "p5", Fraction(1, 2), zero_rays=[("r0", "p4")]))
+    assert any(step["target"] == "r0" and step["zero_at"].startswith("GraphPoint(edge=")
+               for step in report.steps)
+    assert output_digest(out, report) == TATE_ANCHOR_DIGESTS[0]
+    out, report = smoothing_pipeline(out)
+    assert_smooth_output(out, report)
+    assert len(out.coords) == 20
+    assert output_digest(out, report) == TATE_ANCHOR_DIGESTS[1]
+
+
+def test_tate_leaf_without_its_ray_certifies():
+    """Pillars are placed before the edge ramps subdivide the frames they
+    lie in; the ramp of `leaf` must still check them on the current edges."""
+    out, report = smoothing_pipeline(tate_leaf(3, "q1", Fraction(1, 2), leaf_ray=False))
+    assert_smooth_output(out, report)
+    assert report.singular_counts == [0]
+    assert len(out.coords) == 18
+
+
 def test_tropicalize_intersects_only_lines_with_meeting_hulls(tate_leaf_outputs, monkeypatch):
     calls = []
 
@@ -377,8 +420,10 @@ def test_tropicalize_intersects_only_lines_with_meeting_hulls(tate_leaf_outputs,
 
 @pytest.mark.parametrize("pipeline", [fully_faithful_pipeline, smoothing_pipeline])
 def test_pipelines_reject_a_one_vertex_skeleton(pipeline):
-    with pytest.raises(EmptyCoordinates, match="no edges and no rays"):
-        pipeline(Embedding(build_extended(build_graph(["o"], []), []), []))
+    skel = build_extended(build_graph(["o"], []), [])
+    for coords in ([], [PLFunction(skel, {}, {})]):
+        with pytest.raises(EmptyCoordinates, match="no edges and no rays"):
+            pipeline(Embedding(skel, coords))
 
 
 @pytest.mark.xfail(
