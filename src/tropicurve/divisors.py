@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .errors import (
     CertificateFailure,
     DiscontinuousFunction,
+    InvalidOffset,
     InvalidPillars,
     NonzeroDegree,
     NotComplement,
@@ -226,6 +227,8 @@ class PLFunction:
         vals = self._vertex_values
         for eid, e in fin.edges.items():
             prof = self.edge_profiles[eid]
+            if prof.breaks and not (0 < prof.breaks[0] and prof.breaks[-1] < e.length):
+                raise InvalidOffset(f"breakpoints of edge {eid!r} leave (0, {e.length})")
             for v, val in ((e.a, prof.start), (e.b, prof.end_value(e.length))):
                 if v in vals:
                     if check and vals[v] != val:
@@ -341,40 +344,51 @@ class PLFunction:
     ) -> "PLFunction":
         """Re-express this function on a refinement of its domain.
 
-        Rays of the new domain that do not descend from the old one get the
-        slope given in `new_ray_slopes` (default 0, a constant extension).
+        An edge id still current in the new domain keeps its `EdgeProfile`
+        object, and a ray id that is still a ray keeps its `RayProfile`;
+        only ids the refinement retired are cut into the profiles of their
+        current pieces.  Rays of the new domain that do not descend from the
+        old one get the slope given in `new_ray_slopes` (default 0, a
+        constant extension).  The result is checked for continuity on every
+        edge, shared profiles included.
         """
         new_ray_slopes = dict(new_ray_slopes or {})
         new_fin = _finite_part(new_domain)
+        new_rays = new_domain.rays if isinstance(new_domain, ExtendedGraph) else {}
         profiles: dict[str, EdgeProfile] = {}
         rays: dict[str, RayProfile] = {}
         for eid, prof in self.edge_profiles.items():
+            if eid in new_fin.edges:
+                profiles[eid] = prof
+                continue
             for kind, cid, lo, hi in _segments(new_domain, eid):
                 if kind == "edge":
                     profiles[cid] = prof.sub_profile(lo, hi)
                 else:  # pragma: no cover - finite edges never become rays
                     raise UnknownEdge(f"edge {eid!r} resolved to a ray")
         for rid, rprof in self.ray_profiles.items():
+            if rid in new_rays:
+                rays[rid] = rprof
+                continue
             for kind, cid, lo, hi in _segments(new_domain, rid):
                 if kind == "ray":
                     rays[cid] = RayProfile(rprof.value_at(lo), rprof.slope)
                 else:
                     profiles[cid] = EdgeProfile(rprof.value_at(lo), (), (rprof.slope,))
-        if isinstance(new_domain, ExtendedGraph):
-            for rid, r in new_domain.rays.items():
-                if rid not in rays:
-                    start = None
-                    # anchor from the finite profiles at the attach vertex
-                    for eid2, e2 in new_fin.edges.items():
-                        if e2.a == r.attach:
-                            start = profiles[eid2].start
-                            break
-                        if e2.b == r.attach:
-                            start = profiles[eid2].end_value(e2.length)
-                            break
-                    if start is None:
-                        start = next(iter(rays.values())).start if rays else Fraction(0)
-                    rays[rid] = RayProfile(start, new_ray_slopes.get(rid, 0))
+        for rid, r in new_rays.items():
+            if rid not in rays:
+                start = None
+                # anchor from the finite profiles at the attach vertex
+                for eid2, e2 in new_fin.edges.items():
+                    if e2.a == r.attach:
+                        start = profiles[eid2].start
+                        break
+                    if e2.b == r.attach:
+                        start = profiles[eid2].end_value(e2.length)
+                        break
+                if start is None:
+                    start = next(iter(rays.values())).start if rays else Fraction(0)
+                rays[rid] = RayProfile(start, new_ray_slopes.get(rid, 0))
         return PLFunction(new_domain, profiles, rays)
 
 

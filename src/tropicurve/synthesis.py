@@ -28,8 +28,10 @@ reaches it through `_corrected_witness` alone.
 
 One exact certificate, `is_fully_faithful`, drives both pipelines: each
 stage-0 patch round, repair round and smoothing pass reads the named
-`Violation` records and the image it needs from a single call.  Neither
-pipeline returns output that has not passed it.
+`Violation` records and the image it needs from a single call, and
+`smoothing_pipeline` reads the certificate that `fully_faithful_pipeline`
+attached to its output instead of computing it again.  Neither pipeline
+returns output that has not passed it.
 """
 
 from __future__ import annotations
@@ -986,11 +988,13 @@ def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
 
     Hard-fails with CertificateFailure if the final exact certificate does
     not pass; never returns an uncertified embedding.  A skeleton with no
-    edges and no rays raises EmptyCoordinates.
+    edges and no rays raises EmptyCoordinates.  The returned embedding
+    carries its certificate for `smoothing_pipeline`.
     """
     _check_skeleton(emb)
-    emb, report, _rep = _fully_faithful(emb, is_fully_faithful(emb))
-    return emb, report
+    out, report, rep = _fully_faithful(emb, is_fully_faithful(emb))
+    out._certificate = rep
+    return out, report
 
 
 def _check_skeleton(emb: Embedding):
@@ -1080,9 +1084,15 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     singular vertices strictly decreases after every pass (violations of
     that invariant indicate a bug and raise MonotonicityViolation).  A
     skeleton with no edges and no rays raises EmptyCoordinates.
+
+    The input's certificate is the one `fully_faithful_pipeline` attached
+    to the very object it returned, if `emb` is that object; any other
+    input, a copy of that output included, is certified afresh.
     """
     _check_skeleton(emb)
-    rep = is_fully_faithful(emb)
+    rep = emb._certificate
+    if rep is None:
+        rep = is_fully_faithful(emb)
     if not rep:
         emb, report, rep = _fully_faithful(emb, rep)
     else:

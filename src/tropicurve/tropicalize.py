@@ -61,6 +61,10 @@ class Embedding:
         self.skeleton = skeleton
         self.coords = tuple(coords)
         self.provenance = tuple(provenance)
+        # The certificate of this very object, attached by
+        # `synthesis.fully_faithful_pipeline` to its output for
+        # `smoothing_pipeline`; no new Embedding starts with one.
+        self._certificate: Optional[FaithfulReport] = None
         for f in self.coords:
             validate_coordinate(skeleton, f)
 
@@ -331,12 +335,11 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
     vertex_sources: dict[str, set[GraphPoint]] = {}
 
     def vertex_for(pt: TropPoint) -> str:
-        if pt not in vertex_ids:
-            vid = f"t{len(vertex_ids)}"
-            vertex_ids[pt] = vid
+        vid = vertex_ids.setdefault(pt, f"t{len(vertex_ids)}")
+        if vid not in vertex_pts:
             vertex_pts[vid] = pt
             vertex_sources[vid] = set()
-        return vertex_ids[pt]
+        return vid
 
     edges: dict[str, TropEdge] = {}
     edge_sources: dict[str, list] = {}

@@ -17,7 +17,13 @@ from tropicurve.divisors import (
     make_divisor,
     trapezoid,
 )
-from tropicurve.errors import InvalidPillars, NonzeroDegree, NotPrincipal
+from tropicurve.errors import (
+    DiscontinuousFunction,
+    InvalidOffset,
+    InvalidPillars,
+    NonzeroDegree,
+    NotPrincipal,
+)
 from tropicurve.graphs import GraphPoint, build_extended, build_graph
 
 from randgen import random_graph, random_pl_function
@@ -135,6 +141,84 @@ class TestDivisorOf:
             assert divisor_of(f1 + f2) == divisor_of(f1) + divisor_of(f2)
             assert divisor_of(f1.add_constant(Fraction(3, 7))) == divisor_of(f1)
             assert divisor_of(-f1) == -divisor_of(f1)
+
+
+class TestPLFunction:
+    @pytest.mark.parametrize("validated", [False, True])
+    @pytest.mark.parametrize("brk", [0, 3])
+    def test_breakpoints_lie_inside_their_edge(self, brk, validated):
+        """A break at 0 of the unit edge would give the divisor a chip at
+        `e@0` beside the one at a, a break at 3 a chip off the edge."""
+        g = build_graph(["a", "b"], [("e", "a", "b", 1)])
+        prof = EdgeProfile(Fraction(0), (Fraction(brk),), (1, 2))
+        with pytest.raises(InvalidOffset):
+            PLFunction(g, {"e": prof}, _validated=validated)
+
+
+def refined_function(rng):
+    """A random function on a randgen graph with rays `r` and `s`, the
+    refinement that cuts one edge at a third, splits `r` by a new ray `n` at
+    offset 1 and attaches a new ray `m` at `s`'s vertex, and `n`'s slope."""
+    g = random_graph(rng)
+    f = random_pl_function(rng, g)
+    a, b = g.vertices[0], g.vertices[-1]
+    ext = build_extended(g, [("r", V(a)), ("s", V(b))])
+    slopes = {"r": rng.randrange(-2, 3), "s": rng.randrange(-2, 3)}
+    rays = {"r": RayProfile(f.vertex_value(a), slopes["r"]), "s": RayProfile(f.vertex_value(b), slopes["s"])}
+    fx = PLFunction(ext, f.edge_profiles, rays)
+    eid = rng.choice(sorted(g.edges))
+    new, _ = ext.subdivide_at(P(eid, g.edges[eid].length / 3))
+    return fx, new.with_new_rays([("n", P("r", 1)), ("m", V(b))]), {"n": rng.choice([-1, 1])}
+
+
+class TestTransport:
+    def test_transport_shares_the_profiles_of_current_ids(self):
+        rng = random.Random(47)
+        shared = 0
+        for _ in range(30):
+            f, new, new_slopes = refined_function(rng)
+            moved = f.transport(new, new_slopes)
+            old = f.domain
+            kept_edges = set(old.finite.edges) & set(new.finite.edges)
+            kept_rays = set(old.rays) & set(new.rays)
+            assert kept_rays == {"s"}
+            shared += len(kept_edges)
+            assert all(moved.edge_profiles[eid] is f.edge_profiles[eid] for eid in kept_edges)
+            assert all(moved.ray_profiles[rid] is f.ray_profiles[rid] for rid in kept_rays)
+            # every profile as cutting each old id into its current pieces gives it
+            edges, rays = {}, {}
+            for eid, prof in f.edge_profiles.items():
+                for _kind, cid, lo, hi in new.segments_of(eid):
+                    edges[cid] = prof.sub_profile(lo, hi)
+            for rid, rprof in f.ray_profiles.items():
+                for kind, cid, lo, _hi in new.segments_of(rid):
+                    start = rprof.value_at(lo)
+                    if kind == "ray":
+                        rays[cid] = RayProfile(start, rprof.slope)
+                    else:
+                        edges[cid] = EdgeProfile(start, (), (rprof.slope,))
+            rays["n"] = RayProfile(f.value(P("r", 1)), new_slopes["n"])
+            rays["m"] = RayProfile(f.vertex_value(new.rays["m"].attach), 0)
+            assert moved.edge_profiles == edges
+            assert moved.ray_profiles == rays
+        assert shared > 30
+
+    @pytest.mark.parametrize("cut", [None, "e1", "e2"])
+    def test_transport_checks_continuity_on_shared_profiles(self, cut):
+        """A jump at m, let through by `_validated=True`, is caught on every
+        refinement, also when both edges at m keep their profiles."""
+        ext = build_extended(path_amb(), [("r", V("a"))])
+        f = PLFunction(
+            ext,
+            {"e1": EdgeProfile(Fraction(0), (), (1,)), "e2": EdgeProfile(Fraction(5), (), (0,))},
+            {"r": RayProfile(Fraction(0), 1)},
+            _validated=True,
+        )
+        new = ext.with_new_rays([("n", V("b"))])
+        if cut is not None:
+            new, _ = new.subdivide_at(P(cut, Fraction(1, 2)))
+        with pytest.raises(DiscontinuousFunction):
+            f.transport(new)
 
 
 class TestIsPrincipal:

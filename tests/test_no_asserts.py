@@ -2,13 +2,17 @@
 
 Result checks must survive `python -O`, which strips `assert` statements,
 so the library raises typed errors instead; every `from` import is used;
-every annotation resolves; every private module-level helper is used."""
+every annotation resolves; every private module-level helper is used; the
+library stays exact and free of hidden options, with no float literal, no
+`float(...)` call and no read of `os.environ` or `getenv`."""
 
 import ast
 import importlib
 import inspect
 import typing
 from pathlib import Path
+
+import pytest
 
 import tropicurve
 
@@ -24,6 +28,39 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _inexact_or_environment(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "float"
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("environ", "getenv")
+    if isinstance(node, ast.Name):
+        return node.id in ("environ", "getenv")
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in ("environ", "getenv") for alias in node.names)
+    return False
+
+
+def test_library_has_no_floats_and_reads_no_environment():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _inexact_or_environment(node)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["x = 0.5", "x = 1e3", "x = float(y)", "import os\nx = os.environ['A']",
+     "import os\nx = os.getenv('A')", "from os import environ", "from os import getenv as g"],
+)
+def test_float_and_environment_reads_are_caught(source):
+    assert any(_inexact_or_environment(node) for node in ast.walk(ast.parse(source)))
 
 
 def test_library_has_no_unused_from_imports():

@@ -14,7 +14,7 @@ from tropicurve.divisors import (
     make_divisor,
     trapezoid,
 )
-from tropicurve import tropicalize as tropicalize_module
+from tropicurve import synthesis, tropicalize as tropicalize_module
 from tropicurve.errors import (
     DivisorCollision,
     EmptyCoordinates,
@@ -361,15 +361,33 @@ def test_smoothing_certifies_seeded_trees_without_rays(seed):
     assert output_digest(out, report) == RAYLESS_TREE_DIGESTS[seed]
 
 
+def counted_tropicalizations(monkeypatch) -> list:
+    """Record every call of `tropicalize` from here on."""
+    calls = []
+
+    def counted(emb):
+        calls.append(emb)
+        return tropicalize(emb)
+
+    monkeypatch.setattr(tropicalize_module, "tropicalize", counted)
+    monkeypatch.setattr(synthesis, "tropicalize", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def tate_leaf_outputs():
-    """Output and report of each pipeline, the second run on the first's output."""
-    first = fully_faithful_pipeline(tate_leaf(3, "p5", Fraction(1, 2)))
-    return first, smoothing_pipeline(first[0])
+    """Output and report of each pipeline, the second run on the first's
+    output, and the number of tropicalizations the two runs made."""
+    emb = tate_leaf(3, "p5", Fraction(1, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_tropicalizations(mp)
+        first = fully_faithful_pipeline(emb)
+        second = smoothing_pipeline(first[0])
+    return first, second, len(calls)
 
 
 def test_tate_leaf_certifies_through_both_pipelines(tate_leaf_outputs):
-    (out, report), second = tate_leaf_outputs
+    (out, report), second, _calls = tate_leaf_outputs
     assert is_fully_faithful(out).fully_faithful
     assert output_digest(out, report) == TATE_LEAF_DIGESTS[0]
     out, report = second
@@ -416,6 +434,30 @@ def test_tropicalize_intersects_only_lines_with_meeting_hulls(tate_leaf_outputs,
     curve, _emap = tropicalize(tate_leaf_outputs[1][0])
     assert len(curve.vertices) == 233
     assert len(calls) < 1000  # 25,651 pairs of image lines
+
+
+def test_one_op_certifies_each_embedding_once(tate_leaf_outputs, monkeypatch):
+    """`smoothing_pipeline` reads the certificate the first pipeline handed
+    on with its output; a direct certificate call still tropicalizes."""
+    (out, _report), _second, op_calls = tate_leaf_outputs
+    assert op_calls == 3
+    calls = counted_tropicalizations(monkeypatch)
+    assert is_fully_faithful(out)
+    assert calls == [out]
+
+
+@pytest.mark.parametrize(
+    "copy",
+    [lambda out: out.with_provenance("copy"), lambda out: Embedding(out.skeleton, out.coords)],
+    ids=["with_provenance", "constructor"],
+)
+def test_a_copy_of_the_first_output_is_certified_again(tate_leaf_outputs, monkeypatch, copy):
+    (out, _report), _second, _calls = tate_leaf_outputs
+    emb = copy(out)
+    calls = counted_tropicalizations(monkeypatch)
+    result = smoothing_pipeline(emb)
+    assert calls == [emb]
+    assert output_digest(*result) == TATE_LEAF_DIGESTS[1]
 
 
 @pytest.mark.parametrize("pipeline", [fully_faithful_pipeline, smoothing_pipeline])
