@@ -71,7 +71,7 @@ def is_break_divisor(graph: MetricGraph, b: Divisor) -> BreakCheck:
     def assign(k: int) -> Optional[tuple[str, ...]]:
         if k == g:
             edge_set = sorted(used)
-            if graph.spanning_tree_complement(edge_set).ok:
+            if graph.spanning_tree_complement(edge_set):
                 return tuple(edge_set)
             return None
         for eid in candidates[order[k]]:
@@ -113,7 +113,7 @@ def break_divisor_decompose(
     # map model edges back to the caller's frames
     back: dict[str, tuple[str, Fraction]] = {}
     for eid in graph.edges:
-        for sub, lo, _hi in model.segments_of(eid):
+        for _kind, sub, lo, _hi in model.segments_of(eid):
             back[sub] = (eid, lo)
 
     found: set[Divisor] = set()

@@ -38,19 +38,6 @@ from .rationals import MINUS_INF, PLUS_INF, ExtRational, rat
 Domain = Union[MetricGraph, ExtendedGraph]
 
 
-def _finite_part(domain: Domain) -> MetricGraph:
-    return domain.finite if isinstance(domain, ExtendedGraph) else domain
-
-
-def _segments(domain: Domain, frame: str) -> list:
-    """Current pieces of a (possibly retired) edge or ray id as
-    (kind, current_id, lo, hi) in the frame's offsets; hi is None on the
-    unbounded tail of a ray."""
-    if isinstance(domain, ExtendedGraph):
-        return domain.segments_of(frame)
-    return [("edge", cid, lo, hi) for cid, lo, hi in domain.segments_of(frame)]
-
-
 class Divisor:
     """Immutable formal sum of canonical graph points."""
 
@@ -209,21 +196,20 @@ class PLFunction:
         _validated: bool = False,
     ):
         self.domain = domain
-        fin = _finite_part(domain)
+        fin = domain.finite
         self.edge_profiles = dict(edge_profiles)
         self.ray_profiles = dict(ray_profiles or {})
         if set(fin.edges) != set(self.edge_profiles):
             missing = set(fin.edges) ^ set(self.edge_profiles)
             raise DiscontinuousFunction(f"edge/profile mismatch: {sorted(missing)}")
-        if isinstance(domain, ExtendedGraph):
-            if set(domain.rays) != set(self.ray_profiles):
-                missing_r = set(domain.rays) ^ set(self.ray_profiles)
-                raise DiscontinuousFunction(f"ray/profile mismatch: {sorted(missing_r)}")
+        if set(domain.rays) != set(self.ray_profiles):
+            missing_r = set(domain.rays) ^ set(self.ray_profiles)
+            raise DiscontinuousFunction(f"ray/profile mismatch: {sorted(missing_r)}")
         self._vertex_values: dict[str, Fraction] = {}
         self._compute_vertex_values(check=not _validated)
 
     def _compute_vertex_values(self, check: bool):
-        fin = _finite_part(self.domain)
+        fin = self.domain.finite
         vals = self._vertex_values
         for eid, e in fin.edges.items():
             prof = self.edge_profiles[eid]
@@ -237,17 +223,16 @@ class PLFunction:
                         )
                 else:
                     vals[v] = val
-        if isinstance(self.domain, ExtendedGraph):
-            if not fin.edges:
-                # single-vertex finite part: anchor from ray starts
-                for rid, r in self.domain.rays.items():
-                    vals.setdefault(r.attach, self.ray_profiles[rid].start)
-            if check:
-                for rid, r in self.domain.rays.items():
-                    if self.ray_profiles[rid].start != vals[r.attach]:
-                        raise DiscontinuousFunction(
-                            f"ray {rid!r} start disagrees with vertex {r.attach!r}"
-                        )
+        if not fin.edges:
+            # single-vertex finite part: anchor from ray starts
+            for rid, r in self.domain.rays.items():
+                vals.setdefault(r.attach, self.ray_profiles[rid].start)
+        if check:
+            for rid, r in self.domain.rays.items():
+                if self.ray_profiles[rid].start != vals[r.attach]:
+                    raise DiscontinuousFunction(
+                        f"ray {rid!r} start disagrees with vertex {r.attach!r}"
+                    )
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -258,9 +243,7 @@ class PLFunction:
         """Value at a point; ExtRational at infinite vertices."""
         cpt = self.domain.canonical_point(pt)
         if cpt.is_vertex:
-            if isinstance(self.domain, ExtendedGraph) and self.domain.is_infinite_vertex(
-                cpt.vertex
-            ):
+            if self.domain.is_infinite_vertex(cpt.vertex):
                 return self.ray_profiles[self.domain.ray_at_leaf(cpt.vertex).id].leaf_value()
             return self._vertex_values[cpt.vertex]
         if cpt.edge in self.ray_profiles:
@@ -270,7 +253,7 @@ class PLFunction:
     # -- divisor ---------------------------------------------------------------------
 
     def divisor(self) -> Divisor:
-        fin = _finite_part(self.domain)
+        fin = self.domain.finite
         terms: list[tuple[GraphPoint, int]] = []
         vertex_acc: dict[str, int] = {v: 0 for v in fin.vertices}
         for eid, e in fin.edges.items():
@@ -281,12 +264,11 @@ class PLFunction:
                 jump = prof.slopes[i + 1] - prof.slopes[i]
                 if jump:
                     terms.append((GraphPoint.on_edge(eid, brk), jump))
-        if isinstance(self.domain, ExtendedGraph):
-            for rid, r in self.domain.rays.items():
-                s = self.ray_profiles[rid].slope
-                vertex_acc[r.attach] += s
-                if s:
-                    terms.append((GraphPoint.at_vertex(r.leaf), -s))
+        for rid, r in self.domain.rays.items():
+            s = self.ray_profiles[rid].slope
+            vertex_acc[r.attach] += s
+            if s:
+                terms.append((GraphPoint.at_vertex(r.leaf), -s))
         for v, c in vertex_acc.items():
             if c:
                 terms.append((GraphPoint.at_vertex(v), c))
@@ -297,7 +279,7 @@ class PLFunction:
     def _zip(self, other: "PLFunction", op):
         if self.domain is not other.domain:
             raise DiscontinuousFunction("functions live on different graphs")
-        fin = _finite_part(self.domain)
+        fin = self.domain.finite
         profiles = {}
         for eid in fin.edges:
             pa, pb = self.edge_profiles[eid], other.edge_profiles[eid]
@@ -353,15 +335,15 @@ class PLFunction:
         edge, shared profiles included.
         """
         new_ray_slopes = dict(new_ray_slopes or {})
-        new_fin = _finite_part(new_domain)
-        new_rays = new_domain.rays if isinstance(new_domain, ExtendedGraph) else {}
+        new_fin = new_domain.finite
+        new_rays = new_domain.rays
         profiles: dict[str, EdgeProfile] = {}
         rays: dict[str, RayProfile] = {}
         for eid, prof in self.edge_profiles.items():
             if eid in new_fin.edges:
                 profiles[eid] = prof
                 continue
-            for kind, cid, lo, hi in _segments(new_domain, eid):
+            for kind, cid, lo, hi in new_domain.segments_of(eid):
                 if kind == "edge":
                     profiles[cid] = prof.sub_profile(lo, hi)
                 else:  # pragma: no cover - finite edges never become rays
@@ -370,7 +352,7 @@ class PLFunction:
             if rid in new_rays:
                 rays[rid] = rprof
                 continue
-            for kind, cid, lo, hi in _segments(new_domain, rid):
+            for kind, cid, lo, hi in new_domain.segments_of(rid):
                 if kind == "ray":
                     rays[cid] = RayProfile(rprof.value_at(lo), rprof.slope)
                 else:
@@ -394,11 +376,8 @@ class PLFunction:
 
 def constant_function(domain: Domain, value=0) -> PLFunction:
     value = rat(value)
-    fin = _finite_part(domain)
-    profiles = {eid: EdgeProfile(value, (), (0,)) for eid in fin.edges}
-    rays = {}
-    if isinstance(domain, ExtendedGraph):
-        rays = {rid: RayProfile(value, 0) for rid in domain.rays}
+    profiles = {eid: EdgeProfile(value, (), (0,)) for eid in domain.finite.edges}
+    rays = {rid: RayProfile(value, 0) for rid in domain.rays}
     return PLFunction(domain, profiles, rays, _validated=True)
 
 
@@ -417,7 +396,7 @@ def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> 
     """
     xs = tuple(rat(x) for x in offsets)
     x1, x2, x3, x4 = xs
-    segs = _segments(domain, frame)
+    segs = domain.segments_of(frame)
     end = segs[-1][3]
     if not (x1 < x2 < x3 < x4):
         raise InvalidPillars(f"offsets {offsets} do not increase on {frame!r}")
@@ -430,7 +409,7 @@ def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> 
     def value(x: Fraction) -> Fraction:
         return slope * (min(max(x, x1), x2) - x1 - min(max(x, x3), x4) + x3)
 
-    fin = _finite_part(domain)
+    fin = domain.finite
     profiles = {eid: EdgeProfile(Fraction(0), (), (0,)) for eid in fin.edges}
     vals: dict[str, Fraction] = {}
     for _kind, cid, lo, hi in segs:
@@ -446,12 +425,7 @@ def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> 
         )
         e = fin.edges[cid]
         vals[e.a], vals[e.b] = value(lo), value(hi)
-    rays = {}
-    if isinstance(domain, ExtendedGraph):
-        rays = {
-            rid: RayProfile(vals.get(r.attach, Fraction(0)), 0)
-            for rid, r in domain.rays.items()
-        }
+    rays = {rid: RayProfile(vals.get(r.attach, Fraction(0)), 0) for rid, r in domain.rays.items()}
     return PLFunction(domain, profiles, rays)
 
 
@@ -601,8 +575,7 @@ def cor34_certificate(
     them; returns the witness of
     d + sum_i (p_i1 + p_i4 - p_i2 - p_i3).
     """
-    check = graph.spanning_tree_complement(complement_edges)
-    if not check.ok:
+    if not graph.spanning_tree_complement(complement_edges):
         raise NotComplement(f"edges {list(complement_edges)} do not close a spanning tree")
     if len(pillar_points) != len(complement_edges):
         raise InvalidPillars("one pillar tuple required per complement edge")

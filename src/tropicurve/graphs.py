@@ -3,21 +3,25 @@
 A metric graph is a finite connected multigraph whose edges carry positive
 rational lengths.  An extended graph additionally carries infinite leaf
 edges ("rays"), each identified with [0, inf] and attached at a point of
-the finite part.
+the finite part; a metric graph is the extended graph with no rays, so both
+offer `finite`, `rays`, `is_infinite_vertex`, `canonical_point` and
+`segments_of`, and code on either needs no branch.
 
 Graphs are immutable: subdivision returns a new graph.  Every graph keeps a
-cumulative alias table mapping retired edge ids to the segments that replaced
-them, so points expressed in an ancestor's (edge, offset) frame stay
-meaningful after arbitrarily many refinements; `parent` reads that table
-backwards, from a segment to the retired id it came from and its offset
-there.  Loop edges are split at
-their midpoint on ingestion, which keeps every stored edge loop-free and
-makes (edge, offset) coordinates unambiguous.
+cumulative alias table mapping retired edge and ray ids to the segments that
+replaced them, so points expressed in an ancestor's (edge, offset) frame stay
+meaningful after arbitrarily many refinements.  One walk (`_walk`) follows
+the table from such a point down to a current id, and `segments_of` follows
+it to every current piece of a frame; `parent` reads it backwards, from a
+segment to the retired id it came from and its offset there.  Loop edges
+are split at their midpoint on ingestion, which keeps every stored edge
+loop-free and makes (edge, offset) coordinates unambiguous.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
@@ -95,17 +99,85 @@ class GraphPoint:
         return f"GraphPoint(edge={self.edge!r}, offset={self.offset})"
 
 
-class MetricGraph:
-    """Immutable connected metric graph with positive rational edge lengths."""
+def _walk(alias: Mapping[str, tuple], edge_id: str, off) -> tuple[str, Fraction]:
+    """Follow an alias table from an offset in the frame of a possibly
+    retired id down to the id it names now: (that id, the offset there).
+    An offset on a cut lands at the end of the earlier piece."""
+    off = rat(off)
+    if off < 0:
+        raise InvalidOffset(f"negative offset {off}")
+    while (segs := alias.get(edge_id)) is not None:
+        for sub, lo, hi in segs:
+            if off >= lo and (hi is INF or off <= hi):
+                edge_id, off = sub, off - lo
+                break
+        else:
+            raise InvalidOffset(f"offset {off} outside edge {edge_id!r}")
+    return edge_id, off
 
-    def __init__(self, vertices, edges, _alias=None, _lengths=None, _validated=False):
+
+def _fresh(base: str, taken) -> str:
+    """`base`, or `base.2`, `base.3`, ... : the first id not in `taken`."""
+    if base not in taken:
+        return base
+    for i in count(2):
+        cand = f"{base}.{i}"
+        if cand not in taken:
+            return cand
+
+
+class _Domain:
+    """Point and frame reading shared by both graph classes: a domain has a
+    finite part `finite`, rays `rays` (none on a metric graph) and one view
+    `_aliases` of every split it has made."""
+
+    def canonical_point(self, pt: GraphPoint) -> GraphPoint:
+        fin = self.finite
+        if pt.is_vertex:
+            if pt.vertex in fin._vertex_set or self.is_infinite_vertex(pt.vertex):
+                return pt
+            raise UnknownVertex(f"unknown vertex {pt.vertex!r}")
+        eid, off = _walk(self._aliases, pt.edge, pt.offset)
+        ray = self.rays.get(eid)
+        if ray is not None:
+            return GraphPoint.at_vertex(ray.attach) if off == 0 else GraphPoint.on_edge(eid, off)
+        e = fin.edge(eid)
+        if off > e.length:
+            raise InvalidOffset(f"offset {off} exceeds edge {eid!r}")
+        if off == 0:
+            return GraphPoint.at_vertex(e.a)
+        if off == e.length:
+            return GraphPoint.at_vertex(e.b)
+        return GraphPoint.on_edge(eid, off)
+
+    def segments_of(self, edge_id: str) -> list[tuple[str, str, Fraction, Optional[Fraction]]]:
+        """Current pieces of a possibly retired edge or ray id, as
+        (kind, current_id, lo, hi) in its frame, ordered by lo; kind is
+        "edge" or "ray", and hi is None on the unbounded tail of a ray."""
+        if edge_id in self.rays:
+            return [("ray", edge_id, Fraction(0), INF)]
+        e = self.finite.edges.get(edge_id)
+        if e is not None:
+            return [("edge", edge_id, Fraction(0), e.length)]
+        segs = self._aliases.get(edge_id)
+        if segs is None:
+            raise UnknownEdge(f"unknown edge {edge_id!r}")
+        return [
+            (kind, cid, lo + slo, INF if shi is INF else lo + shi)
+            for sub, lo, _hi in segs
+            for kind, cid, slo, shi in self.segments_of(sub)
+        ]
+
+
+class MetricGraph(_Domain):
+    """Immutable connected metric graph with positive rational edge lengths:
+    an extended graph without rays."""
+
+    def __init__(self, vertices, edges, _alias=None, _validated=False):
         self._vertices = tuple(sorted(vertices))
         self._vertex_set = frozenset(self._vertices)
         self._edges: dict[str, Edge] = dict(sorted(edges.items()))
-        self._alias: dict[str, tuple] = dict(_alias or {})
-        self._lengths: dict[str, Fraction] = dict(_lengths or {})
-        for e in self._edges.values():
-            self._lengths[e.id] = e.length
+        self._aliases: dict[str, tuple] = dict(_alias or {})
         self._adj_cache = None
         self._parent_cache = None
         self._dist_cache: dict[str, dict[str, Fraction]] = {}
@@ -124,24 +196,21 @@ class MetricGraph:
                 raise NonpositiveLength(f"edge {e.id!r} has length {e.length}")
             if e.a == e.b:
                 raise NonpositiveLength(f"edge {e.id!r} is a loop; split before storing")
-        if not self._is_connected():
+        if any(self.components().values()):
             raise DisconnectedGraph("graph is not connected")
 
-    def _is_connected(self) -> bool:
-        if not self._vertices:
-            return False
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
-        adj = self.adjacency
-        while stack:
-            v = stack.pop()
-            for eid, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._vertices)
-
     # -- read access ----------------------------------------------------------
+
+    @property
+    def finite(self) -> "MetricGraph":
+        return self
+
+    @property
+    def rays(self) -> Mapping[str, Ray]:
+        return {}
+
+    def is_infinite_vertex(self, v: str) -> bool:
+        return False
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -171,7 +240,7 @@ class MetricGraph:
         """(retired id, offset in its frame) of an edge id that subdivision
         made, None for any other id."""
         if self._parent_cache is None:
-            self._parent_cache = _alias_parents(self._alias)
+            self._parent_cache = _alias_parents(self._aliases)
         return self._parent_cache.get(edge_id)
 
     def incident_edges(self, v: str) -> list[str]:
@@ -185,74 +254,35 @@ class MetricGraph:
     def betti_number(self) -> int:
         return len(self._edges) - len(self._vertices) + 1
 
-    def frame_length(self, edge_id: str) -> Optional[Fraction]:
-        """Length of an edge id, current or retired (None for rays)."""
-        if edge_id in self._lengths:
-            return self._lengths[edge_id]
-        raise UnknownEdge(f"unknown edge {edge_id!r}")
+    def components(self, removed=()) -> dict[str, int]:
+        """Component number of every vertex once the edge ids in `removed`
+        are taken out, counted from 0 in vertex order."""
+        label: dict[str, int] = {}
+        adj = self.adjacency
+        comp = 0
+        for v in self._vertices:
+            if v in label:
+                continue
+            label[v] = comp
+            stack = [v]
+            while stack:
+                for eid, w in adj[stack.pop()]:
+                    if eid not in removed and w not in label:
+                        label[w] = comp
+                        stack.append(w)
+            comp += 1
+        return label
 
-    # -- points ---------------------------------------------------------------
-
-    def canonical_point(self, pt: GraphPoint) -> GraphPoint:
-        if pt.is_vertex:
-            if pt.vertex not in self._vertex_set:
-                raise UnknownVertex(f"unknown vertex {pt.vertex!r}")
-            return pt
-        edge_id, off = self._resolve(pt.edge, pt.offset)
-        e = self._edges[edge_id]
-        if off == 0:
-            return GraphPoint.at_vertex(e.a)
-        if off == e.length:
-            return GraphPoint.at_vertex(e.b)
-        return GraphPoint.on_edge(edge_id, off)
-
-    def _resolve(self, edge_id: str, off: Fraction) -> tuple[str, Fraction]:
-        off = rat(off)
-        if off < 0:
-            raise InvalidOffset(f"negative offset {off}")
-        guard = 0
-        while edge_id not in self._edges:
-            segs = self._alias.get(edge_id)
-            if segs is None:
-                raise UnknownEdge(f"unknown edge {edge_id!r}")
-            placed = False
-            for eid, lo, hi in segs:
-                if off >= lo and (hi is INF or off <= hi):
-                    edge_id, off = eid, off - lo
-                    placed = True
-                    break
-            if not placed:
-                raise InvalidOffset(f"offset {off} outside edge {edge_id!r}")
-            guard += 1
-            if guard > 10_000:  # pragma: no cover - malformed alias chain
-                raise UnknownEdge(f"alias cycle at {edge_id!r}")
-        if off > self._edges[edge_id].length:
-            raise InvalidOffset(f"offset {off} exceeds edge {edge_id!r}")
-        return edge_id, off
-
-    def segments_of(self, edge_id: str) -> list[tuple[str, Fraction, Fraction]]:
-        """Current segments covering a (possibly retired) edge id, as
-        (current_edge_id, lo, hi) in the retired frame, ordered by lo."""
+    def frame_length(self, edge_id: str) -> Fraction:
+        """Length of an edge id, current or retired."""
         if edge_id in self._edges:
-            return [(edge_id, Fraction(0), self._edges[edge_id].length)]
-        segs = self._alias.get(edge_id)
+            return self._edges[edge_id].length
+        segs = self._aliases.get(edge_id)
         if segs is None:
             raise UnknownEdge(f"unknown edge {edge_id!r}")
-        out = []
-        for eid, lo, hi in segs:
-            for sub, slo, shi in self.segments_of(eid):
-                out.append((sub, lo + slo, lo + shi))
-        return sorted(out, key=lambda s: s[1])
+        return segs[-1][2]
 
     # -- subdivision ------------------------------------------------------------
-
-    def _fresh(self, base: str, taken) -> str:
-        if base not in taken:
-            return base
-        for i in count(2):
-            cand = f"{base}.{i}"
-            if cand not in taken:
-                return cand
 
     def subdivide_at(self, pt: GraphPoint) -> tuple["MetricGraph", str]:
         """Insert a vertex at an interior point.  Metrically invisible.
@@ -266,21 +296,17 @@ class MetricGraph:
             warnings.warn("subdivide_at called on a vertex; no-op", stacklevel=2)
             return self, cpt.vertex
         e = self._edges[cpt.edge]
-        taken_v = set(self._vertex_set)
-        taken_e = set(self._lengths)
-        mid = self._fresh(f"{e.id}@{cpt.offset}", taken_v)
-        left = self._fresh(f"{e.id}.L", taken_e)
-        right = self._fresh(f"{e.id}.R", taken_e | {left})
+        taken_e = self._edges.keys() | self._aliases.keys()
+        mid = _fresh(f"{e.id}@{cpt.offset}", self._vertex_set)
+        left = _fresh(f"{e.id}.L", taken_e)
+        right = _fresh(f"{e.id}.R", taken_e | {left})
         edges = dict(self._edges)
         del edges[e.id]
         edges[left] = Edge(left, e.a, mid, cpt.offset)
         edges[right] = Edge(right, mid, e.b, e.length - cpt.offset)
-        alias = dict(self._alias)
+        alias = dict(self._aliases)
         alias[e.id] = ((left, Fraction(0), cpt.offset), (right, cpt.offset, e.length))
-        g = MetricGraph(
-            self._vertices + (mid,), edges, alias, self._lengths, _validated=True
-        )
-        return g, mid
+        return MetricGraph(self._vertices + (mid,), edges, alias, _validated=True), mid
 
     def subdivide_many(self, pts: Iterable[GraphPoint]) -> "MetricGraph":
         g = self
@@ -367,14 +393,10 @@ class MetricGraph:
                 tree.append(eid)
         return tree
 
-    def spanning_tree_complement(self, edge_ids: Iterable[str]):
-        """Check that removing the given g edges leaves a spanning tree.
-
-        Returns a ComplementCheck carrying either the tree or a violation
-        witness (a cycle in the remainder, or the vertex set of a component
-        disconnected from the rest).
-        """
-        ids = []
+    def spanning_tree_complement(self, edge_ids: Iterable[str]) -> bool:
+        """Whether removing the given g distinct current edges (any other
+        list raises) leaves a spanning tree: the V - 1 edges left form one
+        exactly when they connect every vertex."""
         seen = set()
         for eid in edge_ids:
             if eid not in self._edges:
@@ -382,41 +404,10 @@ class MetricGraph:
             if eid in seen:
                 raise WrongCardinality(f"edge {eid!r} listed twice")
             seen.add(eid)
-            ids.append(eid)
         g = self.betti_number()
-        if len(ids) != g:
-            raise WrongCardinality(f"expected {g} edges, got {len(ids)}")
-        rest = [eid for eid in self._edges if eid not in seen]
-        adj = {v: [] for v in self._vertices}
-        for eid in rest:
-            e = self._edges[eid]
-            adj[e.a].append((eid, e.b))
-            adj[e.b].append((eid, e.a))
-        # BFS detecting a cycle or disconnection
-        root = self._vertices[0]
-        parent_edge = {root: None}
-        order = [root]
-        stack = [root]
-        cycle = None
-        while stack and cycle is None:
-            v = stack.pop()
-            for eid, w in adj[v]:
-                if eid == parent_edge[v]:
-                    # skip the edge we arrived by (parallel edges have
-                    # distinct ids, so this is safe)
-                    continue
-                if w in parent_edge:
-                    cycle = eid
-                    break
-                parent_edge[w] = eid
-                order.append(w)
-                stack.append(w)
-        if cycle is not None:
-            return ComplementCheck(False, cycle=cycle)
-        if len(order) != len(self._vertices):
-            missing = sorted(self._vertex_set - set(order))
-            return ComplementCheck(False, disconnected=tuple(missing))
-        return ComplementCheck(True, tree=tuple(sorted(rest)))
+        if len(seen) != g:
+            raise WrongCardinality(f"expected {g} edges, got {len(seen)}")
+        return not any(self.components(seen).values())
 
     def all_complements(self) -> Iterator[tuple[str, ...]]:
         g = self.betti_number()
@@ -424,24 +415,13 @@ class MetricGraph:
             yield ()
             return
         for combo in combinations(sorted(self._edges), g):
-            if self.spanning_tree_complement(combo).ok:
+            if self.spanning_tree_complement(combo):
                 yield combo
 
     def fundamental_cycle(self, tree: Sequence[str], comp_edge: str) -> dict[str, int]:
         """Signed edge-coefficients of the cycle closed by a complement edge
         (see `CycleSpace.cycle`)."""
         return CycleSpace(self, tree).cycle(comp_edge)
-
-
-@dataclass(frozen=True)
-class ComplementCheck:
-    ok: bool
-    tree: Optional[tuple[str, ...]] = None
-    cycle: Optional[str] = None
-    disconnected: Optional[tuple[str, ...]] = None
-
-    def __bool__(self):
-        return self.ok
 
 
 class CycleSpace:
@@ -537,7 +517,6 @@ def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
         raise DanglingEndpoint("empty vertex list")
     out: dict[str, Edge] = {}
     alias: dict[str, tuple] = {}
-    lengths: dict[str, Fraction] = {}
     taken = set()
     for rec in edges:
         eid, a, b, length = rec
@@ -564,10 +543,9 @@ def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
             out[left] = Edge(left, a, mid, half)
             out[right] = Edge(right, mid, b, half)
             alias[eid] = ((left, Fraction(0), half), (right, half, length))
-            lengths[eid] = length
         else:
             out[eid] = Edge(eid, a, b, length)
-    return MetricGraph(vset, out, alias, lengths)
+    return MetricGraph(vset, out, alias)
 
 
 def validate_pillar_points(
@@ -593,25 +571,28 @@ def validate_pillar_points(
     return abs(x2 - x1) == abs(x4 - x3)
 
 
-class ExtendedGraph:
+class ExtendedGraph(_Domain):
     """A metric graph together with infinite leaf edges.
 
     The finite part is pre-subdivided so every ray attaches at a vertex.
-    Contracting all rays recovers the finite part.
+    Contracting all rays recovers the finite part.  The splits of rays are
+    kept in a table of their own; `_aliases` reads it first and then the
+    finite part's table, which it does not copy.
     """
 
     def __init__(self, finite: MetricGraph, rays: dict[str, Ray], _alias=None):
         self.finite = finite
         self._rays = dict(sorted(rays.items()))
-        self._alias: dict[str, tuple] = dict(_alias or {})
+        self._ray_alias: dict[str, tuple] = dict(_alias or {})
+        self._aliases = ChainMap(self._ray_alias, finite._aliases)
         self._parent_cache = None
-        leafs = set()
+        self._leaves: dict[str, Ray] = {}
         for r in self._rays.values():
-            if r.attach not in finite.vertices:
+            if r.attach not in finite._vertex_set:
                 raise DanglingEndpoint(f"ray {r.id!r} attaches at unknown vertex")
-            if r.leaf in leafs or r.leaf in finite.vertices:
+            if r.leaf in self._leaves or r.leaf in finite._vertex_set:
                 raise DuplicateId(f"infinite vertex {r.leaf!r} reused")
-            leafs.add(r.leaf)
+            self._leaves[r.leaf] = r
 
     # -- access -----------------------------------------------------------------
 
@@ -626,70 +607,22 @@ class ExtendedGraph:
             raise UnknownEdge(f"unknown ray {ray_id!r}") from None
 
     def ray_at_leaf(self, leaf: str) -> Ray:
-        for r in self._rays.values():
-            if r.leaf == leaf:
-                return r
-        raise UnknownVertex(f"no ray ends at {leaf!r}")
+        try:
+            return self._leaves[leaf]
+        except KeyError:
+            raise UnknownVertex(f"no ray ends at {leaf!r}") from None
 
     def parent(self, edge_id: str) -> Optional[tuple[str, Fraction]]:
         """`MetricGraph.parent`, also for the stub and tail of a ray."""
         if self._parent_cache is None:
-            self._parent_cache = _alias_parents(self._alias)
+            self._parent_cache = _alias_parents(self._ray_alias)
         return self._parent_cache.get(edge_id) or self.finite.parent(edge_id)
 
     def is_infinite_vertex(self, v: str) -> bool:
-        return any(r.leaf == v for r in self._rays.values())
+        return v in self._leaves
 
     def attach_vertices(self) -> set[str]:
         return {r.attach for r in self._rays.values()}
-
-    def canonical_point(self, pt: GraphPoint) -> GraphPoint:
-        if pt.is_vertex:
-            if pt.vertex in self.finite._vertex_set or self.is_infinite_vertex(pt.vertex):
-                return pt
-            raise UnknownVertex(f"unknown vertex {pt.vertex!r}")
-        # rays first (their ids never collide with finite edges)
-        eid, off = pt.edge, rat(pt.offset)
-        guard = 0
-        while True:
-            if eid in self._rays:
-                if off == 0:
-                    return GraphPoint.at_vertex(self._rays[eid].attach)
-                return GraphPoint.on_edge(eid, off)
-            segs = self._alias.get(eid)
-            if segs is None:
-                return self.finite.canonical_point(GraphPoint.on_edge(eid, off))
-            placed = False
-            for sub, lo, hi in segs:
-                if off >= lo and (hi is INF or off <= hi):
-                    eid, off = sub, off - lo
-                    placed = True
-                    break
-            if not placed:
-                raise InvalidOffset(f"offset outside edge {eid!r}")
-            guard += 1
-            if guard > 10_000:  # pragma: no cover
-                raise UnknownEdge(f"alias cycle at {eid!r}")
-
-    def segments_of(self, edge_id: str):
-        """Current segments of a possibly retired id, finite or ray.
-
-        Yields (kind, current_id, lo, hi) with hi None for the unbounded
-        tail of a ray; kind is "edge" or "ray".
-        """
-        if edge_id in self._rays:
-            return [("ray", edge_id, Fraction(0), INF)]
-        if edge_id in self._alias:
-            out = []
-            for sub, lo, hi in self._alias[edge_id]:
-                for kind, cid, slo, shi in self.segments_of(sub):
-                    out.append(
-                        (kind, cid, lo + slo, INF if shi is INF else lo + shi)
-                    )
-            return sorted(out, key=lambda s: s[2])
-        return [
-            ("edge", cid, lo, hi) for cid, lo, hi in self.finite.segments_of(edge_id)
-        ]
 
     # -- refinement ----------------------------------------------------------------
 
@@ -697,29 +630,27 @@ class ExtendedGraph:
         cpt = self.canonical_point(pt)
         if cpt.is_vertex:
             return self, cpt.vertex
-        if cpt.edge in self._rays:
-            r = self._rays[cpt.edge]
-            finite = self.finite
-            taken_v = set(finite.vertices) | {x.leaf for x in self._rays.values()}
-            taken_e = set(finite._lengths) | set(self._rays) | set(self._alias)
-            mid = finite._fresh(f"{r.id}@{cpt.offset}", taken_v)
-            stub = finite._fresh(f"{r.id}.stub", taken_e)
-            tail = finite._fresh(f"{r.id}.tail", taken_e | {stub})
-            new_finite = MetricGraph(
-                finite.vertices + (mid,),
-                {**finite._edges, stub: Edge(stub, r.attach, mid, cpt.offset)},
-                finite._alias,
-                finite._lengths,
-                _validated=True,
-            )
-            rays = dict(self._rays)
-            del rays[r.id]
-            rays[tail] = Ray(tail, mid, r.leaf)
-            alias = dict(self._alias)
-            alias[r.id] = ((stub, Fraction(0), cpt.offset), (tail, cpt.offset, INF))
-            return ExtendedGraph(new_finite, rays, alias), mid
-        new_finite, mid = self.finite.subdivide_at(cpt)
-        return ExtendedGraph(new_finite, self._rays, self._alias), mid
+        if cpt.edge not in self._rays:
+            new_finite, mid = self.finite.subdivide_at(cpt)
+            return ExtendedGraph(new_finite, self._rays, self._ray_alias), mid
+        r = self._rays[cpt.edge]
+        finite = self.finite
+        taken_e = finite.edges.keys() | self._rays.keys() | self._aliases.keys()
+        mid = _fresh(f"{r.id}@{cpt.offset}", finite._vertex_set | self._leaves.keys())
+        stub = _fresh(f"{r.id}.stub", taken_e)
+        tail = _fresh(f"{r.id}.tail", taken_e | {stub})
+        new_finite = MetricGraph(
+            finite.vertices + (mid,),
+            {**finite.edges, stub: Edge(stub, r.attach, mid, cpt.offset)},
+            finite._aliases,
+            _validated=True,
+        )
+        rays = dict(self._rays)
+        del rays[r.id]
+        rays[tail] = Ray(tail, mid, r.leaf)
+        alias = dict(self._ray_alias)
+        alias[r.id] = ((stub, Fraction(0), cpt.offset), (tail, cpt.offset, INF))
+        return ExtendedGraph(new_finite, rays, alias), mid
 
     def with_new_rays(
         self, attach_points: Sequence[tuple[str, GraphPoint]]
@@ -728,12 +659,12 @@ class ExtendedGraph:
         needed.  Ray ids must be fresh; leaves are derived as `<id>.inf`."""
         g = self
         for ray_id, pt in attach_points:
-            if ray_id in g._rays or ray_id in g._alias:
+            if ray_id in g._rays or ray_id in g._ray_alias:
                 raise DuplicateId(f"ray id {ray_id!r} already in use")
             g, v = g.subdivide_at(pt)
             rays = dict(g._rays)
             rays[ray_id] = Ray(ray_id, v, f"{ray_id}.inf")
-            g = ExtendedGraph(g.finite, rays, g._alias)
+            g = ExtendedGraph(g.finite, rays, g._ray_alias)
         return g
 
 

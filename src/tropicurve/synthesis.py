@@ -344,25 +344,6 @@ def slope_one_ramp(
 # -- anchors -----------------------------------------------------------------------------
 
 
-def _side_components(fin: MetricGraph, removed: set[str]) -> dict[str, int]:
-    label: dict[str, int] = {}
-    cur = 0
-    for v in fin.vertices:
-        if v in label:
-            continue
-        label[v] = cur
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for eid, w in fin.adjacency[x]:
-                if eid in removed or w in label:
-                    continue
-                label[w] = cur
-                stack.append(w)
-        cur += 1
-    return label
-
-
 def _current_pieces(skel: ExtendedGraph, frame: str) -> set[str]:
     return {cid for kind, cid, _lo, _hi in skel.segments_of(frame) if kind == "edge"}
 
@@ -444,7 +425,7 @@ def edge_ramp(
     v = skel.canonical_point(P(frame, segs[0][2])).vertex
     w = None
     if segs[-1][3] is not None:
-        comp = _side_components(skel.finite, pieces)
+        comp = skel.finite.components(pieces)
         w = skel.canonical_point(P(frame, segs[-1][3])).vertex
         if comp[v] == comp[w]:
             raise NotSeparated(f"edge {frame!r} lies on a cycle")
@@ -535,10 +516,13 @@ def vertex_function(
     sides, support inside the two sides, simple divisor of six points
     (three per side), value zero at v.
 
-    Rays on either side are subdivided so the support stays finite; the
-    support auto-shrinks around blocked offsets and raises NoRoom when no
-    placement fits.  `zones` are the (root, min, max) spans of the six
-    offsets per root frame, for pillars to keep out of.
+    A ray side is cut once, at distance 3r + p from v past the outermost
+    point: the support stays finite, and the tail left attaches where the
+    tent is zero, not at one of its divisor points.  The cut is blocked
+    like the six offsets.  The support auto-shrinks around blocked offsets
+    and raises NoRoom when no placement fits.  `zones` are the (root, min,
+    max) spans of the six offsets per root frame, for pillars to keep out
+    of.
     """
     if spec_neg[:3] == spec_pos[:3]:
         raise EqualEdges(f"tent needs two distinct sides at {v!r}")
@@ -562,14 +546,14 @@ def vertex_function(
         raise NoRoom(f"could not place a tent at {v!r}")
     for root, x in pts:
         frames.block_point(root, x)
-    refit = [
-        P(root, x)
-        for root, x in pts
-        if not emb.skeleton.canonical_point(P(root, x)).is_vertex
-        and emb.skeleton.canonical_point(P(root, x)).edge in emb.skeleton.rays
-    ]
-    if refit:
-        emb = refine_embedding(emb, refit)
+    cuts = []
+    for root, v_off, direction, _room in (spec_neg, spec_pos):
+        outer = emb.skeleton.canonical_point(P(root, v_off + direction * (2 * r + p)))
+        if not outer.is_vertex and outer.edge in emb.skeleton.rays:
+            cuts.append((root, v_off + direction * (3 * r + p)))
+            frames.block_point(*cuts[-1])
+    if cuts:
+        emb = refine_embedding(emb, [P(root, x) for root, x in cuts])
     skel = emb.skeleton
 
     def one_sided(spec, sign: int) -> PLFunction:
@@ -622,7 +606,7 @@ def _corrected_witness(
     dm = make_divisor(model, base.terms)
     priority = []
     if keep_in_tree is not None:
-        priority = sorted(cid for cid, _lo, _hi in model.segments_of(keep_in_tree))
+        priority = sorted(cid for _kind, cid, _lo, _hi in model.segments_of(keep_in_tree))
     cs = CycleSpace(model, model.canonical_spanning_tree(first=priority))
     cycles, columns = cs.cycles, cs.period  # the period matrix is symmetric
     g = len(cycles)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from tropicurve.errors import (
     DanglingEndpoint,
     DisconnectedGraph,
+    InvalidOffset,
     NonpositiveLength,
     PointNotInterior,
     PointsNotOnEdge,
@@ -188,19 +190,34 @@ def boundary(g, chain):
     return bal
 
 
+def union_find(vertices, edges):
+    """(acyclic, connected) for a set of edges on the given vertices."""
+    up = {v: v for v in vertices}
+
+    def find(v):
+        while up[v] != v:
+            v = up[v]
+        return v
+
+    acyclic = True
+    for e in edges:
+        a, b = find(e.a), find(e.b)
+        acyclic &= a != b
+        up[a] = b
+    return acyclic, len({find(v) for v in vertices}) == 1
+
+
 class TestSpanningTrees:
     def test_circle_single_complement(self):
         g = circle_graph(3)
         eid = next(iter(g.edges))
-        assert g.spanning_tree_complement([eid]).ok
+        assert g.spanning_tree_complement([eid])
 
     def test_theta_all_pairs(self):
         g = theta_graph()
         # brute-force oracle: enumerate all pairs
-        from itertools import combinations
-
         for pair in combinations(sorted(g.edges), 2):
-            assert g.spanning_tree_complement(list(pair)).ok
+            assert g.spanning_tree_complement(list(pair))
 
     def test_duplicate_rejected(self):
         g = theta_graph()
@@ -212,7 +229,21 @@ class TestSpanningTrees:
         for g in (theta_graph(2, 3, 5), fig2_skeleton(), circle_graph(4)):
             for comp in g.all_complements():
                 assert len(comp) == g.betti_number()
-                assert g.spanning_tree_complement(list(comp)).ok
+                assert g.spanning_tree_complement(list(comp))
+
+    def test_complements_agree_with_a_union_find_oracle(self):
+        """Every g-subset of 30 random graphs: the complement check accepts
+        exactly the subsets whose remaining edges are acyclic and connected."""
+        rng = random.Random(8)
+        seen = {(True, True): 0, (False, False): 0}  # accepted; rest holds a cycle
+        for _ in range(30):
+            g = random_graph(rng)
+            for comp in combinations(sorted(g.edges), g.betti_number()):
+                rest = [e for eid, e in g.edges.items() if eid not in comp]
+                acyclic, connected = union_find(g.vertices, rest)
+                seen[acyclic, connected] += 1  # V - 1 edges: no third case
+                assert g.spanning_tree_complement(comp) == (acyclic and connected)
+        assert all(seen.values())
 
     def test_fundamental_cycle_closes(self):
         rng = random.Random(5)
@@ -306,3 +337,56 @@ class TestExtended:
         assert ext2.canonical_point(P("r", 3)).edge.endswith(".tail")
         # contracting rays recovers the finite part vertex set plus stubs
         assert ext2.finite.betti_number() == 0
+
+    def test_negative_ray_offsets_are_rejected(self):
+        ext = build_extended(path_graph(), [("r", V("b"))])
+        split, _mid = ext.subdivide_at(P("r", 2))
+        for g in (ext, split):
+            for call in (g.canonical_point, g.subdivide_at, lambda pt: g.with_new_rays([("n", pt)])):
+                with pytest.raises(InvalidOffset):
+                    call(P("r", -1))
+
+    def test_one_walk_reads_both_alias_tables(self):
+        """Random refinements mix ray splits, stub subdivisions and finite
+        subdivisions; on every root frame the current pieces tile the
+        frame, `canonical_point` finds each piece, and `parent` walks each
+        piece back to the root with its offset there."""
+        rng = random.Random(9)
+        for _ in range(20):
+            g = random_graph(rng)
+            ext = build_extended(g, [(f"r{k}", V(v)) for k, v in enumerate(g.vertices[:2])])
+            roots = dict.fromkeys(ext.rays)
+            for eid in g.edges:  # a loop's root is the id its halves came from
+                while (up := g.parent(eid)) is not None:
+                    eid = up[0]
+                roots[eid] = g.frame_length(eid)
+            for step in range(12):
+                kind = rng.choice(["ray", "stub", "any", "new ray"])
+                stubs = sorted(eid for eid in ext.finite.edges if ".stub" in eid)
+                if kind == "stub" and stubs:
+                    frame = rng.choice(stubs)
+                    length = ext.finite.edges[frame].length
+                else:
+                    rays = [r for r, length in sorted(roots.items()) if length is None]
+                    frame = rng.choice(rays if kind == "ray" else sorted(roots))
+                    length = roots[frame]
+                off = Fraction(rng.randrange(1, 40), 8) if length is None else length * Fraction(rng.randrange(1, 16), 16)
+                if kind == "new ray":
+                    ext = ext.with_new_rays([(f"n{step}", P(frame, off))])
+                    roots[f"n{step}"] = None
+                else:
+                    ext, _v = ext.subdivide_at(P(frame, off))
+            for root, length in roots.items():
+                pieces = ext.segments_of(root)
+                assert pieces[0][2] == 0 and pieces[-1][3] == length
+                assert all(a[3] == b[2] for a, b in zip(pieces, pieces[1:]))
+                for kind, cid, lo, hi in pieces:
+                    if kind == "edge":
+                        assert ext.finite.edges[cid].length == hi - lo
+                    inside = lo + 1 if hi is None else (lo + hi) / 2
+                    assert ext.canonical_point(P(root, inside)) == P(cid, inside - lo)
+                    walked, shift = cid, Fraction(0)
+                    while walked != root:
+                        walked, off = ext.parent(walked)
+                        shift += off
+                    assert shift == lo

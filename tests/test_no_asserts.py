@@ -2,9 +2,10 @@
 
 Result checks must survive `python -O`, which strips `assert` statements,
 so the library raises typed errors instead; every `from` import is used;
-every annotation resolves; every private module-level helper is used; the
-library stays exact and free of hidden options, with no float literal, no
-`float(...)` call and no read of `os.environ` or `getenv`."""
+every annotation resolves; every private module-level helper and every
+private method is used; the library stays exact and free of hidden
+options, with no float literal, no `float(...)` call and no read of
+`os.environ` or `getenv`."""
 
 import ast
 import importlib
@@ -111,12 +112,19 @@ def test_library_has_no_unreferenced_private_helpers():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    # module-level functions and classes, and the methods of every class
+    defined = [
+        (path, node)
+        for path, tree in zip(SOURCES, trees)
+        for top in tree.body
+        for node in [top] + (top.body if isinstance(top, ast.ClassDef) else [])
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
     unreferenced = [
         f"{path.name}:{node.lineno} {node.name}"
-        for path, tree in zip(SOURCES, trees)
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        for path, node in defined
+        if node.name.startswith("_")
+        and not node.name.endswith("__")
         and node.name not in referenced
     ]
     assert unreferenced == []

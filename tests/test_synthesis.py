@@ -16,7 +16,6 @@ from tropicurve.divisors import (
 )
 from tropicurve import synthesis, tropicalize as tropicalize_module
 from tropicurve.errors import (
-    DivisorCollision,
     EmptyCoordinates,
     NoRoom,
     NotSeparated,
@@ -134,6 +133,8 @@ TREE_DIGESTS = {
 }
 TATE_LEAF_DIGESTS = ("ad88f7084e040cd0", "21dbf887fe9e0afb")  # both pipelines
 TATE_ANCHOR_DIGESTS = ("4d3644fd3fe3c543", "bc1dcfaf8a2dc993")  # plus a ray r0 at p4
+TATE_RAY_SIDE_DIGESTS = ("2a2a7a3b7acf2d7c", "512abe6d8e36fc6f")  # plus a ray r0 at p5
+STAR_DIGESTS = {"middle": "1120dc2e0fbc8d95", "right": "f6dde57e3f6cb465"}
 
 
 @pytest.mark.parametrize("graph, keep", [(theta(), "e1"), (dumbbell(), "l0.0")])
@@ -166,11 +167,27 @@ def test_tent_on_a_subdivided_edge_and_a_ray():
 
 def test_tent_zones_span_its_six_offsets():
     res, frames = tent_on_a_subdivided_edge_and_a_ray()
-    assert sorted(frames.points) == ["e", "r"]  # the tent blocked its offsets only
-    assert [len(offs) for offs in frames.points.values()] == [3, 3]
-    assert res.zones == tuple(
-        (root, min(offs), max(offs)) for root, offs in sorted(frames.points.items())
-    )
+    blocked = {root: sorted(offs) for root, offs in frames.points.items()}
+    assert sorted(blocked) == ["e", "r"]  # the tent blocked its offsets only
+    assert blocked["r"].pop() == 1  # and the cut of the ray side, at 3r + p for r = p = 1/4
+    assert [len(offs) for offs in blocked.values()] == [3, 3]
+    assert res.zones == tuple((root, offs[0], offs[-1]) for root, offs in sorted(blocked.items()))
+
+
+def test_a_lone_tent_on_a_ray_side_is_adjoined():
+    """The ray side is cut once, past the tent's outermost point, so the
+    tail left attaches where the tent is zero, off its divisor."""
+    g = build_graph(["v", "w"], [("e", "v", "w", 4)])
+    emb = Embedding(build_extended(g, [("r", V("v"))]), [])
+    frames = Frames(emb.skeleton)
+    sides = [_side_frame(emb.skeleton, frames, "v", s) for s in ("e", "r")]
+    res = vertex_function(emb, "v", *sides, frames)
+    skel = res.embedding.skeleton
+    assert sorted(skel.rays) == ["r.tail"]
+    attach = V(skel.rays["r.tail"].attach)
+    assert skel.canonical_point(P("r", 1)) == attach
+    assert res.function.value(attach) == 0 and attach not in divisor_of(res.function).support()
+    assert len(extend_embedding(res.embedding, res.function, "t").coords) == 1
 
 
 def test_claim_skips_blocked_points_and_intervals():
@@ -413,6 +430,16 @@ def test_tate_leaf_with_a_bare_ray_at_a_core_vertex():
     assert output_digest(out, report) == TATE_ANCHOR_DIGESTS[1]
 
 
+def test_tate_leaf_with_a_smoothing_tent_on_a_ray_side():
+    """A smoothing tent at p5 runs into the side of a ray there."""
+    out, report = fully_faithful_pipeline(tate_leaf(3, "p5", Fraction(1, 2), zero_rays=[("r0", "p5")]))
+    assert output_digest(out, report) == TATE_RAY_SIDE_DIGESTS[0]
+    out, report = smoothing_pipeline(out)
+    assert_smooth_output(out, report)
+    assert any(set(step["sides"]) & {"r0", "r5"} for step in report.steps)
+    assert output_digest(out, report) == TATE_RAY_SIDE_DIGESTS[1]
+
+
 def test_tate_leaf_without_its_ray_certifies():
     """Pillars are placed before the edge ramps subdivide the frames they
     lie in; the ramp of `leaf` must still check them on the current edges."""
@@ -468,18 +495,15 @@ def test_pipelines_reject_a_one_vertex_skeleton(pipeline):
             pipeline(Embedding(skel, coords))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=DivisorCollision,
-    reason="ROADMAP item 1: a tent's outermost point on a ray side is the tail's attachment",
-)
 @pytest.mark.parametrize(
-    "directions",
-    [[(1, 0), (-1, 0), (0, 1), (0, -1)], [(2, -1), (-1, 2), (-1, -1)]],
+    "name, directions",
+    [("middle", [(1, 0), (-1, 0), (0, 1), (0, -1)]), ("right", [(2, -1), (-1, 2), (-1, -1)])],
     ids=["middle", "right"],
 )
-def test_smoothing_fig1_stars(directions):
-    smoothing_pipeline(fig1_star(directions))
+def test_smoothing_fig1_stars(name, directions):
+    out, report = smoothing_pipeline(fig1_star(directions))
+    assert_smooth_output(out, report)
+    assert output_digest(out, report) == STAR_DIGESTS[name]
 
 
 @pytest.mark.xfail(
