@@ -11,7 +11,9 @@ an integer solution of the vertex equations; adding sum_j k_j z_j over the
 fundamental cycles z_j, with k solving the g x g period system
 period * k = -w (w the cycle integrals of the peeled slopes), gives the
 unique rational solution, and the divisor is principal exactly when it is
-integral.
+integral.  The period matrix is summed in integers over the common
+denominator of the lengths, and `linalg.solve_linear` solves the system by
+fraction-free elimination, so no step normalises a `Fraction`.
 """
 
 from __future__ import annotations

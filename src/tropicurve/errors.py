@@ -51,6 +51,17 @@ class InvalidOffset(TropicurveError):
     pass
 
 
+# -- linear algebra -----------------------------------------------------------
+# Also ValueErrors, so that `except ValueError` handlers catch them.
+
+class SingularMatrix(TropicurveError, ValueError):
+    pass
+
+
+class ZeroVector(TropicurveError, ValueError):
+    pass
+
+
 # -- divisors and piecewise linear functions -------------------------------
 
 class NonzeroDegree(TropicurveError):

@@ -21,6 +21,7 @@ loop-free and makes (edge, offset) coordinates unambiguous.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
@@ -431,7 +432,9 @@ class CycleSpace:
     Each complement edge (in id order) closes one fundamental cycle; these
     cycles are a basis of the integer cycles.  `period` is their Gram matrix
     under the length pairing, sum_e L_e z_i(e) z_j(e): symmetric and
-    positive definite.
+    positive definite.  `period` and `pairing` are summed in integers, as
+    numerators over the common denominator D of the edge lengths (each
+    length is `scaled[e]` / D), and each entry becomes a `Fraction` once.
     """
 
     def __init__(self, graph: MetricGraph, tree: Sequence[str]):
@@ -451,13 +454,22 @@ class CycleSpace:
         for i, cyc in enumerate(self.cycles):
             for eid, c in cyc.items():
                 through.setdefault(eid, []).append((i, c))
+        self.denominator = 1
+        for e in graph.edges.values():
+            self.denominator = math.lcm(self.denominator, e.length.denominator)
+        self.scaled = {
+            eid: e.length.numerator * (self.denominator // e.length.denominator)
+            for eid, e in graph.edges.items()
+        }
         g = len(self.cycles)
-        self.period = [[Fraction(0)] * g for _ in range(g)]
+        gram = [[0] * g for _ in range(g)]
         for eid, hits in through.items():
-            length = graph.edges[eid].length
+            length = self.scaled[eid]
             for i, ci in hits:
+                row = gram[i]
                 for j, cj in hits:
-                    self.period[i][j] += length * ci * cj
+                    row[j] += length * ci * cj
+        self.period = [[Fraction(v, self.denominator) for v in row] for row in gram]
 
     def cycle(self, comp_edge: str) -> dict[str, int]:
         """The cycle along comp_edge from a to b, then back through the
@@ -489,9 +501,9 @@ class CycleSpace:
 
     def pairing(self, chain: Mapping[str, int]) -> list[Fraction]:
         """Length pairing sum_e L_e chain(e) z_i(e) with each cycle."""
-        edges = self.graph.edges
+        scaled = self.scaled
         return [
-            sum((edges[eid].length * c * chain.get(eid, 0) for eid, c in cyc.items()), Fraction(0))
+            Fraction(sum(scaled[eid] * c * chain.get(eid, 0) for eid, c in cyc.items()), self.denominator)
             for cyc in self.cycles
         ]
 
@@ -656,10 +668,11 @@ class ExtendedGraph(_Domain):
         self, attach_points: Sequence[tuple[str, GraphPoint]]
     ) -> "ExtendedGraph":
         """Attach new infinite edges at the given points, subdividing as
-        needed.  Ray ids must be fresh; leaves are derived as `<id>.inf`."""
+        needed.  Ray ids must be fresh: no current or retired edge or ray
+        may carry them.  Leaves are derived as `<id>.inf`."""
         g = self
         for ray_id, pt in attach_points:
-            if ray_id in g._rays or ray_id in g._ray_alias:
+            if ray_id in g._rays or ray_id in g.finite.edges or ray_id in g._aliases:
                 raise DuplicateId(f"ray id {ray_id!r} already in use")
             g, v = g.subdivide_at(pt)
             rays = dict(g._rays)

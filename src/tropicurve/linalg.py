@@ -1,93 +1,117 @@
 """Exact linear algebra helpers.
 
-Small dense systems over the rationals (Gaussian elimination on
-Fractions) and the Smith normal form of integer matrices, both with
-arbitrary precision.  Matrices are lists of lists; nothing here is sized
-for more than a few dozen rows.
+Small dense systems over the rationals and the Smith normal form of integer
+matrices, both with arbitrary precision.  Every dense solve, inverse and
+rank goes through one fraction-free Gauss-Jordan elimination
+(`_eliminate`): each row is scaled by the common denominator of its
+entries, the elimination runs on Python ints, and a `Fraction` is built
+once per returned entry.  Matrices are lists of lists; nothing here is
+sized for more than a few dozen rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Sequence
+
+from .errors import SingularMatrix, ZeroVector
+
+
+def _integer_rows(rows: Iterable[Sequence[Rational]]) -> list[list[int]]:
+    """Each row times the lcm of its entries' denominators, as ints; a
+    system keeps its solutions.  The lcm is folded one entry at a time: a
+    `math.lcm(*row)` per row made a ladder-kernels run's resident memory
+    grow by about 1 MB over a few hundred operations."""
+    out = []
+    for row in rows:
+        den = 1
+        for v in row:
+            den = math.lcm(den, v.denominator)
+        out.append([v.numerator * (den // v.denominator) for v in row])
+    return out
+
+
+def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of the integer matrix `a`, in
+    place, pivoting on its first `ncols` columns (Bareiss 1968).
+
+    A step on pivot pv rewrites each other row i with a nonzero entry f in
+    the pivot column as (pv * row - f * pivot row) // last[i], where
+    last[i] is the pivot of the step that last rewrote row i (1 if none
+    did).  By Sylvester's identity the Bareiss rows, which every step
+    rewrites, are minors of `a`; row i stands for its Bareiss row times
+    last[i] / prev, prev the latest pivot, so each division is exact.  The
+    pivot row is brought up to date before a step uses it.  Returns the
+    pivot columns; row i of the result is its pivot entry a[i][cols[i]]
+    times row i of the reduced row echelon form, and the rows past the
+    pivots are zero exactly where they are zero in that form.
+    """
+    m = len(a)
+    cols: list[int] = []
+    last = [1] * m  # per row: the pivot of the step that last rewrote it
+    prev = 1
+    for c in range(ncols):
+        r = len(cols)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        last[r], last[p] = last[p], last[r]
+        if last[r] != prev:
+            a[r] = [x * prev // last[r] for x in a[r]]
+        top = a[r]
+        pv = top[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                a[i] = [(pv * x - f * y) // last[i] for x, y in zip(row, top)]
+                last[i] = pv
+        last[r] = pv
+        cols.append(c)
+        prev = pv
+    return cols
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve rows * x = rhs exactly.
 
-    Returns one solution (free variables pinned to 0) or None when the
-    system is inconsistent.
+    Each augmented row [row | rhs] is scaled to integers by its common
+    denominator and the system is reduced by `_eliminate`.  Returns one
+    solution (free variables pinned to 0) or None when the system is
+    inconsistent.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    n = len(rows[0]) if rows else 0
+    a = _integer_rows([*row, b] for row, b in zip(rows, rhs))
+    cols = _eliminate(a, n)
+    if any(row[n] for row in a[len(cols):]):
+        return None
     x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = a[row][n]
+    for row, col in zip(a, cols):
+        x[col] = Fraction(row[n], row[col])
     return x
 
 
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(rank, m) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pv = a[rank][c]
-        for i in range(rank + 1, m):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
+    """Rank over the rationals."""
+    a = _integer_rows(rows)
+    return len(_eliminate(a, len(a[0]) if a else 0))
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a square nonsingular matrix over the rationals."""
+    """Inverse of a square nonsingular matrix over the rationals; raises
+    `SingularMatrix` otherwise.  [A | I] is reduced by `_eliminate`; the
+    scaling of each row by its common denominator reaches the identity
+    block too, and cancels in the reduced form."""
     n = len(rows)
-    a = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        pv = a[c][c]
-        a[c] = [v / pv for v in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+    a = _integer_rows([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows))
+    cols = _eliminate(a, n)
+    if len(cols) < n:
+        raise SingularMatrix(f"singular {n}x{n} matrix (rank {len(cols)})")
+    return [[Fraction(v, row[c]) for v in row[n:]] for row, c in zip(a, cols)]
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -170,7 +194,7 @@ def primitive(vector: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Split an integer vector as m * w with w primitive; returns (m, w)."""
     g = content(vector)
     if g == 0:
-        raise ValueError("zero vector has no primitive direction")
+        raise ZeroVector("zero vector has no primitive direction")
     return g, tuple(v // g for v in vector)
 
 

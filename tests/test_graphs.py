@@ -7,6 +7,7 @@ import pytest
 from tropicurve.errors import (
     DanglingEndpoint,
     DisconnectedGraph,
+    DuplicateId,
     InvalidOffset,
     NonpositiveLength,
     PointNotInterior,
@@ -269,16 +270,35 @@ class TestSpanningTrees:
             assert boundary(g, chain) == charges
 
     def test_cycle_space_period_is_the_length_gram_matrix(self):
+        """`period` and `pairing`, summed in integers over the common
+        denominator of the lengths, equal the plain `Fraction` sums, also
+        when the lengths mix denominators 3, 7 and 8."""
         rng = random.Random(7)
-        for g in [theta_graph(2, 3, 5), fig2_skeleton()] + [random_graph(rng) for _ in range(30)]:
+        mixed = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 8), Fraction(1), Fraction(4, 21)]
+        graphs = [theta_graph(2, 3, 5), fig2_skeleton(), fig2_skeleton(Fraction(2, 3))]
+        graphs.append(theta_graph(Fraction(1, 3), Fraction(2, 7), Fraction(5, 8)))
+        for _ in range(30):
+            g = random_graph(rng)
+            graphs.append(g)
+            scaled = [(eid, e.a, e.b, e.length * rng.choice(mixed)) for eid, e in g.edges.items()]
+            graphs.append(build_graph(g.vertices, scaled))
+        denominators = set()
+        for g in graphs:
             tree = g.canonical_spanning_tree()
             cs = CycleSpace(g, tree)
+            denominators.add(cs.denominator)
             cycles = [g.fundamental_cycle(tree, c) for c in cs.complement]
             assert cs.cycles == cycles and len(cycles) == g.betti_number()
             for i, zi in enumerate(cycles):
                 for j, zj in enumerate(cycles):
                     gram = sum(g.edges[e].length * zi.get(e, 0) * zj.get(e, 0) for e in g.edges)
                     assert cs.period[i][j] == cs.period[j][i] == gram
+                    assert type(cs.period[i][j]) is Fraction
+            chain = {eid: rng.randrange(-3, 4) for eid in g.edges}
+            expected = [sum(g.edges[e].length * c * chain[e] for e, c in z.items()) for z in cycles]
+            paired = cs.pairing(chain)
+            assert paired == expected and all(type(x) is Fraction for x in paired)
+        assert any(d & (d - 1) for d in denominators)  # some D is not a power of 2
 
 
 class TestPillars:
@@ -337,6 +357,18 @@ class TestExtended:
         assert ext2.canonical_point(P("r", 3)).edge.endswith(".tail")
         # contracting rays recovers the finite part vertex set plus stubs
         assert ext2.finite.betti_number() == 0
+
+    def test_ray_ids_may_not_name_a_finite_edge(self):
+        """A ray named like a current or a retired finite edge would hide
+        that edge's frame: `segments_of("e")` would return only the ray."""
+        with pytest.raises(DuplicateId):
+            build_extended(build_graph(["a", "b"], [("e", "a", "b", 2)]), [("e", V("b"))])
+        split, _mid = path_graph().subdivide_at(P("e", Fraction(1, 2)))
+        ext = build_extended(split, [("r", V("b"))])
+        for used in ("e", "r", *split.edges):
+            with pytest.raises(DuplicateId):
+                ext.with_new_rays([(used, V("a"))])
+        assert [piece[:2] for piece in ext.segments_of("e")] == [("edge", "e.L"), ("edge", "e.R")]
 
     def test_negative_ray_offsets_are_rejected(self):
         ext = build_extended(path_graph(), [("r", V("b"))])

@@ -5,7 +5,8 @@ so the library raises typed errors instead; every `from` import is used;
 every annotation resolves; every private module-level helper and every
 private method is used; the library stays exact and free of hidden
 options, with no float literal, no `float(...)` call and no read of
-`os.environ` or `getenv`."""
+`os.environ` or `getenv`; and the integer kernel of `linalg` has no true
+division, the one way left for a float to enter it."""
 
 import ast
 import importlib
@@ -62,6 +63,26 @@ def test_library_has_no_floats_and_reads_no_environment():
 )
 def test_float_and_environment_reads_are_caught(source):
     assert any(_inexact_or_environment(node) for node in ast.walk(ast.parse(source)))
+
+
+def _true_divisions(source: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+
+
+def test_linalg_has_no_true_division():
+    """In `linalg` an int / int would be a float: every division there must
+    be `//` or `Fraction(n, d)`."""
+    path = Path(tropicurve.__file__).parent / "linalg.py"
+    assert _true_divisions(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", ["x = a / b", "x /= b", "x = [v / p for v in row]"])
+def test_true_division_is_caught(source):
+    assert _true_divisions(source) != []
 
 
 def test_library_has_no_unused_from_imports():
