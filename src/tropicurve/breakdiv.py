@@ -2,21 +2,23 @@
 
 Every degree-g divisor class on a metric graph contains exactly one break
 divisor, an effective divisor placing one point on each closed edge of some
-spanning-tree complement.  The decomposition is computed exactly on the
-cycle space (`graphs.CycleSpace`) of the model subdivided at the support:
-for each complement set, the point on complement edge i sits at offset t_i
-from its a end, and d minus those points is principal exactly when
-t = w - period * k for an integer vector k, where w pairs an integer chain
-bounded by d minus the a ends with the fundamental cycles.  The points lie
-on their closed edges for the k in a box, found by enumerating its integer
-points.  The chip-firing layer independently verifies the result on the
+spanning-tree complement (An-Baker-Kuperberg-Shokrieh, arXiv 1304.4259).
+The decomposition is computed exactly on the period lattice of the graph
+itself (`graphs.CycleSpace`), one cycle space per complement set: the point
+on complement edge i sits at offset t_i from its a end, and d minus those
+points is principal exactly when t = w - period * k for an integer vector
+k, where w are the cycle integrals (`CycleSpace.integrals`) of d minus the
+a ends.  The points lie on their closed edges for the k with
+w - length <= period * k <= w, which `CycleSpace.lattice_points` finds.
+A break divisor does not depend on the model of the graph, so no edge is
+subdivided.  The chip-firing layer independently verifies the result on the
 discretization lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from . import chipfiring
@@ -29,7 +31,6 @@ from .divisors import (
 )
 from .errors import CertificateFailure, WrongDegree
 from .graphs import CycleSpace, GraphPoint, MetricGraph
-from .linalg import integer_points_in_box
 
 VERIFY_LATTICE_CAP = 2000  # max discrete vertices for the chip-firing cross-check
 
@@ -64,32 +65,15 @@ def is_break_divisor(graph: MetricGraph, b: Divisor) -> BreakCheck:
             candidates.append(sorted(graph.incident_edges(pt.vertex)))
         else:
             candidates.append([pt.edge])
+    # assignments in the order of a depth-first search over the chips with
+    # the fewest candidate edges first; the first complement found is the
+    # certificate
     order = sorted(range(g), key=lambda i: len(candidates[i]))
-    chosen: list[str] = []
-    used: set[str] = set()
-
-    def assign(k: int) -> Optional[tuple[str, ...]]:
-        if k == g:
-            edge_set = sorted(used)
-            if graph.spanning_tree_complement(edge_set):
-                return tuple(edge_set)
-            return None
-        for eid in candidates[order[k]]:
-            if eid in used:
-                continue
-            used.add(eid)
-            chosen.append(eid)
-            found = assign(k + 1)
-            if found is not None:
-                return found
-            chosen.pop()
-            used.remove(eid)
-        return None
-
-    cert = assign(0)
-    if cert is None:
-        return BreakCheck(False, reason="no complement assignment")
-    return BreakCheck(True, certificate=cert)
+    for choice in product(*(candidates[i] for i in order)):
+        edge_set = sorted(set(choice))
+        if len(edge_set) == g and graph.spanning_tree_complement(edge_set):
+            return BreakCheck(True, certificate=tuple(edge_set))
+    return BreakCheck(False, reason="no complement assignment")
 
 
 def break_divisor_decompose(
@@ -106,29 +90,15 @@ def break_divisor_decompose(
         raise WrongDegree(f"divisor degree {d.degree()} != genus {g}")
     if g == 0:
         return Divisor.zero(), construct_pl_with_divisor(graph, d)
-    # model: subdivide at the interior support so integer chains exist
-    interior = [pt for pt in d.support() if not pt.is_vertex]
-    model = graph.subdivide_many(interior)
-    dm = make_divisor(model, d.terms)
-    # map model edges back to the caller's frames
-    back: dict[str, tuple[str, Fraction]] = {}
-    for eid in graph.edges:
-        for _kind, sub, lo, _hi in model.segments_of(eid):
-            back[sub] = (eid, lo)
-
     found: set[Divisor] = set()
-    for comp in model.all_complements():
-        cs = CycleSpace(model, [eid for eid in model.edges if eid not in comp])
-        base = Divisor([(GraphPoint.at_vertex(model.edges[eid].a), 1) for eid in comp])
-        w = cs.pairing(cs.chain({pt.vertex: c for pt, c in (dm - base).terms}))
-        lengths = [model.edges[eid].length for eid in comp]
-        lower = [w[i] - lengths[i] for i in range(g)]
-        for k in integer_points_in_box(cs.period, lower, w):
-            t = [w[i] - sum(cs.period[i][j] * k[j] for j in range(g)) for i in range(g)]
-            terms = []
-            for i, eid in enumerate(comp):
-                orig, lo = back[eid]
-                terms.append((GraphPoint.on_edge(orig, lo + t[i]), 1))
+    for comp in graph.all_complements():
+        cs = CycleSpace(graph, [eid for eid in graph.edges if eid not in comp])
+        edges = [graph.edges[eid] for eid in cs.complement]
+        a_ends = [(GraphPoint.at_vertex(e.a), -1) for e in edges]
+        _chain, w = cs.integrals([*d.terms, *a_ends])
+        lower = [wi - e.length for wi, e in zip(w, edges)]
+        for _k, shift in cs.lattice_points(lower, w):
+            terms = [(GraphPoint.on_edge(e.id, wi - si), 1) for e, wi, si in zip(edges, w, shift)]
             found.add(make_divisor(graph, terms))
     if len(found) != 1:
         raise CertificateFailure(f"expected one break divisor in the class, found {found}")

@@ -6,12 +6,13 @@ breakpoint offsets, and the integer slopes between them; rays carry a single
 eventual slope.  Principality of a degree-zero divisor is decided on the
 cycle space (`graphs.CycleSpace`): the first-piece slopes must satisfy the
 divisor equations at every vertex and integrate to zero around every
-fundamental cycle.  Peeling the vertex charges along a spanning tree gives
-an integer solution of the vertex equations; adding sum_j k_j z_j over the
-fundamental cycles z_j, with k solving the g x g period system
-period * k = -w (w the cycle integrals of the peeled slopes), gives the
-unique rational solution, and the divisor is principal exactly when it is
-integral.  The period matrix is summed in integers over the common
+fundamental cycle.  `CycleSpace.integrals` peels the vertex charges along a
+spanning tree, with each chip inside an edge counted at its b end, which
+gives an integer solution of the vertex equations, and returns w, the cycle
+integrals of the peeled slopes.  Adding sum_j k_j z_j over the fundamental
+cycles z_j, with k solving the g x g period system period * k = -w, gives
+the unique rational solution, and the divisor is principal exactly when it
+is integral.  The period matrix is summed in integers over the common
 denominator of the lengths, and `linalg.solve_linear` solves the system by
 fraction-free elimination, so no step normalises a `Fraction`.
 """
@@ -448,40 +449,28 @@ class PrincipalityResult:
         return self.principal
 
 
-def _edge_support(graph: MetricGraph, d: Divisor):
-    """Split canonical support into per-vertex and per-edge-interior parts."""
-    vertex_coeffs: dict[str, int] = {}
+def _interior_chips(d: Divisor) -> dict[str, list[tuple[Fraction, int]]]:
+    """The chips of a canonical divisor inside each edge, by offset."""
     interior: dict[str, list[tuple[Fraction, int]]] = {}
     for pt, c in d.terms:
-        if pt.is_vertex:
-            vertex_coeffs[pt.vertex] = vertex_coeffs.get(pt.vertex, 0) + c
-        else:
+        if not pt.is_vertex:
             interior.setdefault(pt.edge, []).append((pt.offset, c))
     for lst in interior.values():
         lst.sort()
-    return vertex_coeffs, interior
+    return interior
 
 
 def _solve_slopes(graph: MetricGraph, d: Divisor):
     """First-piece slope of every edge: the unique solution of the divisor
     equations at the vertices with zero integral around every cycle."""
-    dv, interior = _edge_support(graph, d)
-    # the vertex equations read: minus the boundary of the slopes equals the
-    # vertex charge, with each edge's interior chips counted at its b end
-    charge = {v: -c for v, c in dv.items()}
-    tail: dict[str, Fraction] = {}  # integral of the interior slope changes
-    for eid, pts in interior.items():
-        e = graph.edges[eid]
-        charge[e.b] = charge.get(e.b, 0) - sum(c for _x, c in pts)
-        tail[eid] = sum(c * (e.length - x) for x, c in pts)
+    interior = _interior_chips(d)
+    # minus the boundary of the slopes is d, so the peeled slopes are the
+    # tree chain of -d, with each edge's interior chips counted at its b end
     cs = CycleSpace(graph, graph.canonical_spanning_tree())
-    slopes = dict.fromkeys(graph.edges, 0) | cs.chain(charge)
+    chain, w = cs.integrals((pt, -c) for pt, c in d.terms)
+    slopes = dict.fromkeys(graph.edges, 0) | chain
     if not cs.cycles:
         return slopes, interior
-    w = [
-        p + sum(c * tail.get(eid, 0) for eid, c in cyc.items())
-        for p, cyc in zip(cs.pairing(slopes), cs.cycles)
-    ]
     k = solve_linear(cs.period, [-x for x in w])
     if k is None:
         raise CertificateFailure("period matrix of the cycle space is singular")

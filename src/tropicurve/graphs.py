@@ -25,7 +25,7 @@ import math
 from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -41,6 +41,7 @@ from .errors import (
     UnknownVertex,
     WrongCardinality,
 )
+from .linalg import invert_matrix
 from .rationals import rat
 
 INF = None  # marker for infinite offsets / lengths in segment tables
@@ -426,7 +427,8 @@ class MetricGraph(_Domain):
 
 
 class CycleSpace:
-    """The integer cycle space of a graph, relative to one spanning tree.
+    """The integer cycle space of a graph, relative to one spanning tree,
+    and its period lattice.
 
     The tree is rooted at the least vertex and walked once, breadth first.
     Each complement edge (in id order) closes one fundamental cycle; these
@@ -435,6 +437,11 @@ class CycleSpace:
     positive definite.  `period` and `pairing` are summed in integers, as
     numerators over the common denominator D of the edge lengths (each
     length is `scaled[e]` / D), and each entry becomes a `Fraction` once.
+
+    Principality, the lifting corrections and break divisors all read the
+    period lattice through two methods: `integrals` gives the cycle
+    integrals of a degree-zero divisor, and `lattice_points` finds the
+    lattice vectors period * k in a box.
     """
 
     def __init__(self, graph: MetricGraph, tree: Sequence[str]):
@@ -469,6 +476,8 @@ class CycleSpace:
                 row = gram[i]
                 for j, cj in hits:
                     row[j] += length * ci * cj
+        self._through = through
+        self._gram = gram  # D * period
         self.period = [[Fraction(v, self.denominator) for v in row] for row in gram]
 
     def cycle(self, comp_edge: str) -> dict[str, int]:
@@ -506,6 +515,58 @@ class CycleSpace:
             Fraction(sum(scaled[eid] * c * chain.get(eid, 0) for eid, c in cyc.items()), self.denominator)
             for cyc in self.cycles
         ]
+
+    def integrals(self, terms: Iterable[tuple[GraphPoint, int]]) -> tuple[dict[str, int], list[Fraction]]:
+        """The peeled tree chain of a degree-zero divisor, given by its
+        terms on this graph, and the integrals of that divisor's chain
+        along the fundamental cycles.
+
+        A chip c inside an edge counts at the edge's b end, which keeps the
+        chain integral; the segment from the chip to b then carries c too
+        much, so every cycle through the edge loses c times the chip's
+        distance to b.  These tails are summed per edge and paired only with
+        the cycles through that edge."""
+        edges = self.graph.edges
+        charges: dict[str, int] = {}
+        tails: dict[str, Fraction] = {}
+        for pt, c in terms:
+            if pt.is_vertex:
+                charges[pt.vertex] = charges.get(pt.vertex, 0) + c
+            else:
+                e = edges[pt.edge]
+                charges[e.b] = charges.get(e.b, 0) + c
+                tails[e.id] = tails.get(e.id, 0) + c * (e.length - pt.offset)
+        chain = self.chain(charges)
+        w = self.pairing(chain)
+        for eid, tail in tails.items():
+            for i, z in self._through.get(eid, ()):
+                w[i] -= z * tail
+        return chain, w
+
+    def lattice_points(
+        self, lower: Sequence[Fraction], upper: Sequence[Fraction]
+    ) -> Iterator[tuple[tuple[int, ...], list[Fraction]]]:
+        """Every integer vector k with lower <= period * k <= upper, in
+        lexicographic order, each with period * k.
+
+        The box is scaled by D to integer bounds on gram * k, gram = D *
+        period.  The inverse of gram maps that box to one integer range per
+        k_i, and the candidates are filtered on gram * k in integers, so a
+        `Fraction` is built only for a point that is yielded.  The number of
+        candidates grows exponentially in the genus."""
+        den = self.denominator
+        lo = [math.ceil(x * den) for x in lower]
+        hi = [math.floor(x * den) for x in upper]
+        gram = self._gram
+        ranges = []
+        for row in invert_matrix(gram):
+            least = sum(v * (a if v >= 0 else b) for v, a, b in zip(row, lo, hi))
+            most = sum(v * (b if v >= 0 else a) for v, a, b in zip(row, lo, hi))
+            ranges.append(range(math.ceil(least), math.floor(most) + 1))
+        for k in product(*ranges):
+            image = [sum(a * b for a, b in zip(row, k)) for row in gram]
+            if all(a <= y <= b for a, y, b in zip(lo, image, hi)):
+                yield k, [Fraction(y, den) for y in image]
 
 
 def _alias_parents(alias: Mapping[str, tuple]) -> dict[str, tuple[str, Fraction]]:

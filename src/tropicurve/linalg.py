@@ -206,51 +206,3 @@ def is_saturated_span(rows: Sequence[Sequence[int]]) -> tuple[bool, list[int]]:
     """
     divisors = smith_normal_form(rows)
     return all(d == 1 for d in divisors), divisors
-
-
-def integer_points_in_box(
-    columns: Sequence[Sequence[Fraction]],
-    lower: Sequence[Fraction],
-    upper: Sequence[Fraction],
-) -> list[tuple[int, ...]]:
-    """All k in Z^g with lower <= M k <= upper (component-wise).
-
-    ``columns`` are the columns of a nonsingular g x g rational matrix M.
-    Solves by interval propagation through M^{-1}: the preimage of the box
-    is bounded, each coordinate of k ranges in an interval computed from
-    the inverse, and candidates are filtered exactly.  Intended for g <= 4.
-    """
-    g = len(columns)
-    if g == 0:
-        return [()]
-    m_rows = [[columns[j][i] for j in range(g)] for i in range(g)]
-    inv = invert_matrix(m_rows)
-    ranges = []
-    for i in range(g):
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for j in range(g):
-            c = inv[i][j]
-            if c >= 0:
-                lo += c * lower[j]
-                hi += c * upper[j]
-            else:
-                lo += c * upper[j]
-                hi += c * lower[j]
-        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
-    out = []
-    for combo in _product_ranges(ranges):
-        image = [sum(columns[j][i] * combo[j] for j in range(g)) for i in range(g)]
-        if all(lower[i] <= image[i] <= upper[i] for i in range(g)):
-            out.append(tuple(combo))
-    return out
-
-
-def _product_ranges(ranges):
-    if not ranges:
-        yield ()
-        return
-    head, *tail = ranges
-    for v in head:
-        for rest in _product_ranges(tail):
-            yield (v,) + rest

@@ -65,7 +65,6 @@ from .errors import (
     UnknownEdge,
 )
 from .graphs import CycleSpace, ExtendedGraph, GraphPoint, MetricGraph
-from .linalg import integer_points_in_box
 from .tropicalize import (
     Embedding,
     FaithfulReport,
@@ -608,9 +607,9 @@ def _corrected_witness(
     if keep_in_tree is not None:
         priority = sorted(cid for _kind, cid, _lo, _hi in model.segments_of(keep_in_tree))
     cs = CycleSpace(model, model.canonical_spanning_tree(first=priority))
-    cycles, columns = cs.cycles, cs.period  # the period matrix is symmetric
+    cycles = cs.cycles
     g = len(cycles)
-    w = cs.pairing(cs.chain({pt.vertex: c for pt, c in dm.terms}))
+    _chain, w = cs.integrals(dm.terms)
     # Allocation sites for cycle j: every current edge lying on cycle j and
     # on no other cycle (always includes the complement edge itself), with
     # the cycle's coefficient there.  Pairs on such edges contribute to the
@@ -630,15 +629,13 @@ def _corrected_witness(
             root, slo, shi = frames.root_range(refined, eid)
             own.append((root, slo, shi, cj))
         sites.append(own)
-        spans.append(max((shi - slo for _r, slo, shi, _c in own), default=Fraction(0)))
+        spans.append(max(shi - slo for _r, slo, shi, _c in own))
     best = None
     for widen in (1, 2, 4):
         lower = [w[j] - widen * max(spans[j], Fraction(1)) * 4 for j in range(g)]
         upper = [w[j] + widen * max(spans[j], Fraction(1)) * 4 for j in range(g)]
-        for k in integer_points_in_box(columns, lower, upper):
-            d = [sum(columns[j][i] * k[j] for j in range(g)) - w[i] for i in range(g)]
-            if any(dj != 0 and spans[j] <= 0 for j, dj in enumerate(d)):
-                continue
+        for k, shift in cs.lattice_points(lower, upper):
+            d = [sj - wj for sj, wj in zip(shift, w)]
             cost = sum(
                 -((-abs(dj)) // max(spans[j] / 2, Fraction(1, 10**6)))
                 for j, dj in enumerate(d)

@@ -1,6 +1,8 @@
+import gc
+import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -18,7 +20,10 @@ from tropicurve.chipfiring import (
 )
 from tropicurve.divisors import Divisor, divisor_of, is_principal, make_divisor
 from tropicurve.errors import CertificateFailure, WrongDegree
-from tropicurve.graphs import GraphPoint, build_graph
+from tropicurve.graphs import CycleSpace, GraphPoint, build_graph
+from tropicurve.linalg import invert_matrix
+
+from randgen import random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -212,3 +217,100 @@ class TestDecompose:
             b, f = break_divisor_decompose(g, d)
             assert is_break_divisor(g, b).ok
             assert divisor_of(f) == d - b
+
+
+def box_points(period, lower, upper):
+    """Every integer k with lower <= period * k <= upper: each k_i ranges
+    over the interval the rational inverse maps the box to, and candidates
+    are filtered in `Fraction`s."""
+    inv = invert_matrix(period)
+    ranges = []
+    for row in inv:
+        lo = sum(c * (lower[j] if c >= 0 else upper[j]) for j, c in enumerate(row))
+        hi = sum(c * (upper[j] if c >= 0 else lower[j]) for j, c in enumerate(row))
+        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+    for k in product(*ranges):
+        image = [sum(p * kj for p, kj in zip(row, k)) for row in period]
+        if all(lo <= y <= hi for lo, y, hi in zip(lower, image, upper)):
+            yield k
+
+
+def model_break_divisors(g, d):
+    """Reference decomposition on the model subdivided at the support of d:
+    one cycle space per complement of the model, where every chip sits on
+    a vertex, and the points mapped back to the frames of g.  Returns every
+    break divisor it finds."""
+    genus = g.betti_number()
+    model = g.subdivide_many(pt for pt in d.support() if not pt.is_vertex)
+    dm = make_divisor(model, d.terms)
+    back = {}
+    for eid in g.edges:
+        for _kind, sub, lo, _hi in model.segments_of(eid):
+            back[sub] = (eid, lo)
+    found = set()
+    for comp in model.all_complements():
+        cs = CycleSpace(model, [eid for eid in model.edges if eid not in comp])
+        base = Divisor([(V(model.edges[eid].a), 1) for eid in comp])
+        w = cs.pairing(cs.chain({pt.vertex: c for pt, c in (dm - base).terms}))
+        lower = [w[i] - model.edges[eid].length for i, eid in enumerate(comp)]
+        for k in box_points(cs.period, lower, w):
+            t = [w[i] - sum(cs.period[i][j] * k[j] for j in range(genus)) for i in range(genus)]
+            terms = []
+            for i, eid in enumerate(comp):
+                orig, lo = back[eid]
+                terms.append((P(orig, lo + t[i]), 1))
+            found.add(make_divisor(g, terms))
+    return found
+
+
+def test_decomposition_matches_the_model_reference(monkeypatch):
+    """200 random graphs of genus 1 and 2 and degree-g divisors with chips
+    inside edges at denominators 3 and 8 and some at vertices: the
+    decomposition on the graph itself equals the only break divisor the
+    reference finds on the subdivided model.  The chip-firing cross-check
+    is kept to lattices of at most 100 vertices to bound the run time."""
+    monkeypatch.setattr(breakdiv, "VERIFY_LATTICE_CAP", 100)
+    rng = random.Random(17)
+    seen = 0
+    interior = 0
+    while seen < 200:
+        g = random_graph(rng)
+        genus = g.betti_number()
+        if genus == 0:
+            continue
+        terms = []
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.3:
+                terms.append((V(rng.choice(g.vertices)), rng.choice([1, 2, -1])))
+                continue
+            eid = rng.choice(sorted(g.edges))
+            den = rng.choice([3, 8])
+            terms.append((P(eid, g.edges[eid].length * Fraction(rng.randrange(1, den), den)), rng.choice([1, 2, -1])))
+        terms.append((V(rng.choice(g.vertices)), genus - sum(c for _pt, c in terms)))
+        d = make_divisor(g, terms)
+        b, f = break_divisor_decompose(g, d)
+        assert model_break_divisors(g, d) == {b}
+        assert divisor_of(f) == d - b
+        interior += any(not pt.is_vertex for pt in b.support())
+        seen += 1
+    assert interior > 100
+
+
+def test_break_check_leaves_no_reference_cycle():
+    """A call frees everything it made by reference counting alone."""
+    g = theta()
+    cases = [
+        make_divisor(g, [(V("u"), 2)]),
+        make_divisor(g, [(P("e1", Fraction(1, 3)), 1), (P("e2", Fraction(2, 3)), 1)]),
+        make_divisor(g, [(P("e1", Fraction(1, 3)), 1), (P("e1", Fraction(2, 3)), 1)]),
+    ]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for b in cases:
+            is_break_divisor(g, b)
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

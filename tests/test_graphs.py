@@ -1,6 +1,8 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,6 +23,7 @@ from tropicurve.graphs import (
     build_graph,
     validate_pillar_points,
 )
+from tropicurve.linalg import invert_matrix
 
 from randgen import random_graph
 
@@ -299,6 +302,95 @@ class TestSpanningTrees:
             paired = cs.pairing(chain)
             assert paired == expected and all(type(x) is Fraction for x in paired)
         assert any(d & (d - 1) for d in denominators)  # some D is not a power of 2
+
+
+def thirds_sevenths_eighths(seed, count):
+    """Theta, K4, a path and `count` random graphs, each length times 1/3,
+    1/7 or 1/8, so D mixes denominators; genus 0 to 3."""
+    rng = random.Random(seed)
+    k4 = build_graph(list("abcd"), [(x + y, x, y, 1) for x, y in combinations("abcd", 2)])
+    graphs = [theta_graph(2, 3, 5), k4, path_graph()] + [random_graph(rng) for _ in range(count)]
+    scale = [Fraction(1, 3), Fraction(1, 7), Fraction(1, 8)]
+    return rng, [
+        build_graph(g.vertices, [(eid, e.a, e.b, e.length * rng.choice(scale)) for eid, e in g.edges.items()])
+        for g in graphs
+    ]
+
+
+def brute_lattice_points(period, center, lower, upper):
+    """Every k with lower <= period * k <= upper, found among all k within
+    sum_j |inv_ij| * max|y_j - c_j| of the lattice point c = period *
+    center in each coordinate, a bound that holds for every point of the
+    box; filtered in `Fraction`s."""
+    c = [sum(p * kj for p, kj in zip(row, center)) for row in period]
+    reach = max((abs(y - cj) for cj, lo, hi in zip(c, lower, upper) for y in (lo, hi)), default=0)
+    bounds = [math.ceil(sum(abs(v) for v in row) * reach) for row in invert_matrix(period)]
+    for k in product(*(range(kc - b, kc + b + 1) for kc, b in zip(center, bounds))):
+        image = [sum(p * kj for p, kj in zip(row, k)) for row in period]
+        if all(lo <= y <= hi for lo, y, hi in zip(lower, image, upper)):
+            yield k, image
+
+
+class TestCycleSpaceKernel:
+    def test_lattice_points_match_a_brute_force_enumeration(self):
+        rng, graphs = thirds_sevenths_eighths(8, 40)
+        sizes = Counter()
+        for g in graphs:
+            cs = CycleSpace(g, g.canonical_spanning_tree())
+            period = cs.period
+            genus = len(period)
+            for _ in range(6):
+                center = [rng.randrange(-2, 3) for _ in range(genus)]
+                c = [sum(p * kj for p, kj in zip(row, center)) for row in period]
+                # half-widths up to twice the diagonal, the center moved off
+                # the lattice by up to a diagonal entry
+                half = [period[i][i] * rng.choice([0, Fraction(1, 5), Fraction(1, 2), 1, 2]) for i in range(genus)]
+                move = [period[i][i] * Fraction(rng.randrange(-4, 5), 8) for i in range(genus)]
+                lower = [ci + m - h for ci, m, h in zip(c, move, half)]
+                upper = [ci + m + h for ci, m, h in zip(c, move, half)]
+                got = list(cs.lattice_points(lower, upper))
+                assert got == list(brute_lattice_points(period, center, lower, upper))
+                assert all(type(y) is Fraction for _k, image in got for y in image)
+                sizes[min(len(got), 2)] += 1
+                # the lattice point itself, as a one-point box
+                assert list(cs.lattice_points(c, c)) == [(tuple(center), c)]
+                # and moved off the lattice by 1/(2D) in one coordinate
+                if genus:
+                    off = [c[0] + Fraction(1, 2 * cs.denominator), *c[1:]]
+                    assert list(cs.lattice_points(off, off)) == []
+        assert sizes[0] and sizes[1] and sizes[2]
+        assert {len(CycleSpace(g, g.canonical_spanning_tree()).cycles) for g in graphs} == {0, 1, 2, 3}
+
+    def test_cycle_integrals_match_the_model_subdivided_at_the_chips(self):
+        """Reference: subdivide at the chips, so each chip sits on a vertex,
+        and pair the model's tree chain with the model's cycles.  The model
+        tree keeps every piece of a tree edge and every piece of a
+        complement edge but the one at its a end, which then closes the
+        same cycle; the chain on that first piece is the graph's chain."""
+        rng, graphs = thirds_sevenths_eighths(9, 40)
+        for g in graphs:
+            tree = g.canonical_spanning_tree(first=[rng.choice(sorted(g.edges))])
+            cs = CycleSpace(g, tree)
+            terms = []
+            for _ in range(rng.randrange(1, 6)):
+                eid = rng.choice(sorted(g.edges))
+                den = rng.choice([3, 7, 8])
+                terms.append((P(eid, g.edges[eid].length * Fraction(rng.randrange(1, den), den)), rng.choice([-2, -1, 1, 2])))
+            terms.append((V(rng.choice(g.vertices)), -sum(c for _pt, c in terms)))
+            chain, w = cs.integrals(terms)
+
+            model = g.subdivide_many(pt for pt, _c in terms)
+            pieces = {eid: [sub for _kind, sub, _lo, _hi in model.segments_of(eid)] for eid in g.edges}
+            model_tree = [sub for eid, subs in pieces.items() for sub in (subs if eid in tree else subs[1:])]
+            ref = CycleSpace(model, model_tree)
+            charges = Counter()
+            for pt, c in terms:
+                charges[model.canonical_point(pt).vertex] += c
+            ref_chain = ref.chain(charges)
+            ref_w = dict(zip(ref.complement, ref.pairing(ref_chain)))
+            assert w == [ref_w[pieces[eid][0]] for eid in cs.complement]
+            assert all(type(x) is Fraction for x in w)
+            assert chain == {eid: ref_chain[pieces[eid][0]] for eid in tree}
 
 
 class TestPillars:

@@ -5,8 +5,10 @@ so the library raises typed errors instead; every `from` import is used;
 every annotation resolves; every private module-level helper and every
 private method is used; the library stays exact and free of hidden
 options, with no float literal, no `float(...)` call and no read of
-`os.environ` or `getenv`; and the integer kernel of `linalg` has no true
-division, the one way left for a float to enter it."""
+`os.environ` or `getenv`; the integer kernel of `linalg` has no true
+division, the one way left for a float to enter it; and no library module
+imports a private name from another, so each reaches the others only
+through their public API."""
 
 import ast
 import importlib
@@ -83,6 +85,39 @@ def test_linalg_has_no_true_division():
 @pytest.mark.parametrize("source", ["x = a / b", "x /= b", "x = [v / p for v in row]"])
 def test_true_division_is_caught(source):
     assert _true_divisions(source) != []
+
+
+def _private_imports(source: str) -> list[str]:
+    """Private names a `from` import takes from a module of the package."""
+    return [
+        f"{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "tropicurve")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_library_imports_no_private_names():
+    found = [f"{path.name}:{hit}" for path in SOURCES for hit in _private_imports(path.read_text())]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    ("source", "caught"),
+    [
+        ("from .linalg import _eliminate", True),
+        ("from .graphs import CycleSpace, _walk as walk", True),
+        ("from tropicurve.linalg import _integer_rows", True),
+        ("from . import _hidden", True),
+        ("from .linalg import invert_matrix", False),
+        ("from os import _exit", False),
+        ("from __future__ import annotations", False),
+    ],
+)
+def test_private_imports_are_caught(source, caught):
+    assert bool(_private_imports(source)) == caught
 
 
 def test_library_has_no_unused_from_imports():
