@@ -142,7 +142,14 @@ class EdgeProfile:
         return val + self.slopes[-1] * (off - prev)
 
     def end_value(self, length: Fraction) -> Fraction:
-        return self.value_at(length)
+        """Value at offset `length`.  The last one read is kept on the
+        profile: a profile that a transport keeps is read at its edge's
+        length again by every `PLFunction` built on it."""
+        memo = self.__dict__.get("_end")
+        if memo is None or (memo[0] is not length and memo[0] != length):
+            memo = (length, self.value_at(length))
+            object.__setattr__(self, "_end", memo)
+        return memo[1]
 
     def slope_at(self, off: Fraction, side: int = +1) -> int:
         """Slope on the piece to the right (side=+1) or left (side=-1) of off."""
@@ -392,7 +399,10 @@ def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> 
     stub plus an unbounded tail).  The bump rises with the given slope on
     [x1,x2], plateaus, and returns on [x3,x4]; its divisor is
     slope * (x1 - x2 - x3 + x4).  The support may cross subdivision
-    vertices, and every ray starts at its attach vertex's value.
+    vertices, and every ray starts at its attach vertex's value.  The bump
+    lifts to a function on the curve because its whole support lies in one
+    root frame, an edge or ray of the input skeleton: subdivision vertices
+    inside it are not vertices of the curve's skeleton.
 
     Raises InvalidPillars when the offsets do not increase, leave the
     frame, rise and fall unequally, or reach the unbounded tail of a ray.

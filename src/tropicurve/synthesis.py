@@ -1135,6 +1135,13 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         pass_no += 1
     if not sm.smooth:
         raise CertificateFailure("smoothing budget exhausted")
+    # rays cancel in |E| - |V| + 1: each adds one edge and one vertex
+    genus = emb.skeleton.finite.betti_number()
+    image_genus = len(rep.curve.edges) - len(rep.curve.vertices) + 1
+    if image_genus != genus:
+        raise CertificateFailure(
+            f"smooth image has first Betti number {image_genus}, the skeleton {genus}"
+        )
     report.final = {
         "smooth": True,
         "fully_faithful": True,

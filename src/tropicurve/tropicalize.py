@@ -6,17 +6,26 @@ only).  Tropicalizing maps every edge piece linearly by its integer slope
 vector; pieces with zero slope vector are contracted, the rest are arranged
 exactly: pieces on a common affine line are overlaid in a shared line
 parameter, transversal crossings split both lines, and weights add up as
-the stretching factors of the pieces covering an image edge.  Crossings are
-searched only between lines whose covered hulls (the coordinate box of the
-part a line's pieces cover) overlap.  Everything is computed over the
-rationals; injectivity and weight-one checks are exact.
+the stretching factors of the pieces covering an image edge.
+
+Everything is exact.  Image points are carried as Python ints over one
+common denominator D per tropicalization (the lcm of the denominators of
+every piece's offsets and start values), so line keys, breakpoints, hulls
+and vertex keys hash and compare ints; a crossing parameter is a Fraction
+only where the crossing's determinant does not divide it.  Fractions are
+made only for the returned curve and edge map.  Crossings are searched only
+between lines whose covered hulls (the coordinate box of the part a line's
+pieces cover) overlap, and the overlapping pairs are found by a sweep on
+one coordinate rather than by testing all pairs.  Injectivity and
+weight-one checks are exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .complexes import TropEdge, TropPoint, TropicalCurve, check_balancing
@@ -82,26 +91,37 @@ class Embedding:
 
 @dataclass
 class _Item:
-    """One non-contracted source piece, parametrized on its image line."""
+    """One non-contracted source piece, parametrized on its image line.
+
+    Line parameters are ints over the tropicalization's common denominator
+    D: the piece's point at parameter u is (origin + u * direction) / D.
+    """
 
     source: str
     src_lo: Fraction
     src_hi: Optional[Fraction]  # None for a ray tail
     stretch: int
     sense: int  # +1 when increasing source offset increases the line parameter
-    u_lo: Optional[Fraction]  # None = unbounded below
-    u_hi: Optional[Fraction]  # None = unbounded above
-    anchor_u: Fraction  # u at source offset src_lo
+    u_lo: Optional[int]  # None = unbounded below
+    u_hi: Optional[int]  # None = unbounded above
+    anchor_u: int  # u at source offset src_lo
+    scale: int  # stretch * D: line parameters per unit of source offset
 
-    def src_at(self, u: Fraction) -> Fraction:
-        return self.src_lo + self.sense * (u - self.anchor_u) / self.stretch
+    def src_at(self, u) -> Fraction:
+        return self.src_lo + Fraction(self.sense * (u - self.anchor_u), self.scale)
 
-    def covers(self, u: Fraction) -> bool:
+    def covers(self, u) -> bool:
         if self.u_lo is not None and u < self.u_lo:
             return False
         if self.u_hi is not None and u > self.u_hi:
             return False
         return True
+
+    def spans(self, u1, u2) -> bool:
+        """Whether the item covers [u1, u2] (None: unbounded that way)."""
+        return (self.u_lo is None or (u1 is not None and self.u_lo <= u1)) and (
+            self.u_hi is None or (u2 is not None and u2 <= self.u_hi)
+        )
 
 
 @dataclass
@@ -143,10 +163,31 @@ def frame_pieces(emb: Embedding, frame: str):
         for f in emb.coords:
             cuts.update(f.edge_profiles[cid].breaks)
         xs = sorted(cuts)
+        profiles = [f.edge_profiles[cid] for f in emb.coords]
+        vals = tuple(p.start for p in profiles)
         for lo, hi in zip(xs, xs[1:]):
-            vals = tuple(f.edge_profiles[cid].value_at(lo) for f in emb.coords)
-            slopes = tuple(f.edge_profiles[cid].slope_at(lo, +1) for f in emb.coords)
+            slopes = tuple(p.slope_at(lo, +1) for p in profiles)
             yield cid, slo + lo, slo + hi, vals, slopes
+            # no breakpoint lies inside (lo, hi): step every value to hi
+            step = hi - lo
+            vals = tuple(v + s * step if s else v for v, s in zip(vals, slopes))
+
+
+def _denominator(pieces) -> int:
+    """D: the lcm of the denominators of the pieces' offsets and start
+    values, folded one entry at a time (see `linalg._integer_rows`)."""
+    den = 1
+    for _source, lo, hi, vals, _slopes in pieces:
+        den = math.lcm(den, lo.denominator)
+        if hi is not None:
+            den = math.lcm(den, hi.denominator)
+        for x in vals:
+            den = math.lcm(den, x.denominator)
+    return den
+
+
+def _scaled(values, den: int) -> tuple[int, ...]:
+    return tuple(x.numerator * (den // x.denominator) for x in values)
 
 
 def _canonical_direction(slopes: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
@@ -158,57 +199,72 @@ def _canonical_direction(slopes: Sequence[int]) -> tuple[int, tuple[int, ...], i
     return m, w, +1
 
 
-def _line_frame(point: Sequence[Fraction], wc: Sequence[int]):
-    """(origin, u): the affine line through `point` with direction wc is
-    {origin + u*wc}; returns the origin and the parameter of `point`."""
+def _line_frame(point: Sequence[int], wc: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(origin, u) with point = origin + u * wc, for an integer point and a
+    canonical direction wc.  With p the first index where wc is nonzero
+    (so wc[p] > 0), u = point[p] // wc[p]; since wc is primitive, any two
+    integer points of one line give the same origin, which keys the line."""
     pivot = next(i for i, x in enumerate(wc) if x)
-    u = Fraction(point[pivot], wc[pivot])
-    origin = tuple(p - u * w for p, w in zip(point, wc))
-    return origin, u
+    u = point[pivot] // wc[pivot]
+    return tuple(p - u * w for p, w in zip(point, wc)), u
+
+
+def _pivot_numerators(key) -> tuple[int, ...]:
+    """The line's point with a zero in the first nonzero index p of its
+    direction, times D * wc[p]: o * wc[p] - origin[p] * w per coordinate.
+    Ordering lines by (direction, these) orders them by that point."""
+    wc, origin = key
+    pivot = next(i for i, x in enumerate(wc) if x)
+    wp, op = wc[pivot], origin[pivot]
+    return tuple(o * wp - op * w for o, w in zip(origin, wc))
 
 
 def _line_intersection(origin1, w1, origin2, w2):
-    """Intersection point of two non-parallel rational lines, or None."""
-    n = len(w1)
-    pair = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = w1[i] * w2[j] - w1[j] * w2[i]
-            if det != 0:
-                pair = (i, j, det)
-                break
-        if pair:
+    """Parameters (t, s) of the common point origin1 + t*w1 = origin2 + s*w2
+    of two non-parallel lines with integer origins and directions, or None.
+
+    Cramer's rule on the first coordinate pair with nonzero determinant
+    gives det*t and det*s, and every coordinate is checked in those
+    det-scaled integers.  t and s are ints when det divides them, else
+    Fractions."""
+    for i, j in combinations(range(len(w1)), 2):
+        det = w1[i] * w2[j] - w1[j] * w2[i]
+        if det:
             break
-    if pair is None:
+    else:
         return None  # parallel
-    i, j, det = pair
-    di = origin2[i] - origin1[i]
-    dj = origin2[j] - origin1[j]
-    t = Fraction(di * w2[j] - dj * w2[i], det)
-    k = next(kk for kk in range(n) if w2[kk])
-    s = Fraction(origin1[k] + t * w1[k] - origin2[k], w2[k])
-    for kk in range(n):
-        if origin1[kk] + t * w1[kk] != origin2[kk] + s * w2[kk]:
+    di, dj = origin2[i] - origin1[i], origin2[j] - origin1[j]
+    t = di * w2[j] - dj * w2[i]
+    s = di * w1[j] - dj * w1[i]
+    for o1, a, o2, b in zip(origin1, w1, origin2, w2):
+        if det * (o2 - o1) != t * a - s * b:
             return None
-    return t, s
+    return _quotient(t, det), _quotient(s, det)
 
 
-def line_item(source: str, lo: Fraction, hi: Optional[Fraction], vals, slopes):
+def _quotient(num: int, det: int):
+    return num // det if num % det == 0 else Fraction(num, det)
+
+
+def line_item(source: str, lo: Fraction, hi: Optional[Fraction], vals, slopes, den: int):
     """A non-contracted linear piece (a `frame_pieces` tuple) on its image
-    line: the line's key (canonical direction, origin) and the `_Item`."""
+    line, in integers over a common denominator `den` of its offsets and
+    values: the line's key (canonical direction, origin) and the `_Item`."""
     m, wc, sense = _canonical_direction(slopes)
-    origin, u0 = _line_frame(vals, wc)
+    origin, u0 = _line_frame(_scaled(vals, den), wc)
     if hi is None:
         u_lo, u_hi = (u0, None) if sense > 0 else (None, u0)
     else:
-        span = m * (hi - lo)
+        d = hi - lo
+        span = m * d.numerator * (den // d.denominator)
         u_lo, u_hi = (u0, u0 + span) if sense > 0 else (u0 - span, u0)
-    return (wc, origin), _Item(source, lo, hi, m, sense, u_lo, u_hi, u0)
+    return (wc, origin), _Item(source, lo, hi, m, sense, u_lo, u_hi, u0, m * den)
 
 
 def _covered_hull(key, items) -> tuple:
     """Per coordinate, the exact (lo, hi) range of the points that `items`
-    cover on the line `key`; None for a side that a ray leaves unbounded."""
+    cover on the line `key`, in the line's integers; None for a side that
+    a ray leaves unbounded."""
     wc, origin = key
     u_lo = None if any(i.u_lo is None for i in items) else min(i.u_lo for i in items)
     u_hi = None if any(i.u_hi is None for i in items) else max(i.u_hi for i in items)
@@ -233,6 +289,33 @@ def _hulls_meet(h1, h2) -> bool:
     return True
 
 
+def _meeting_pairs(hulls) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, of the hulls that `_hulls_meet`.
+
+    A sweep on the coordinate with the fewest unbounded hull sides: hulls
+    sorted by their low end there (unbounded first) pair only with the
+    later hulls that start before their high end, and only those
+    candidates are tested in full."""
+    if not hulls:
+        return []
+
+    def unbounded(c):
+        return sum((h[c][0] is None) + (h[c][1] is None) for h in hulls)
+
+    c = min(range(len(hulls[0])), key=unbounded)
+    order = sorted(range(len(hulls)), key=lambda a: (hulls[a][c][0] is not None, hulls[a][c][0] or 0))
+    pairs = []
+    for k, a in enumerate(order):
+        hi = hulls[a][c][1]
+        for b in order[k + 1 :]:
+            lo = hulls[b][c][0]
+            if hi is not None and lo is not None and lo > hi:
+                break
+            if _hulls_meet(hulls[a], hulls[b]):
+                pairs.append((a, b) if a < b else (b, a))
+    return pairs
+
+
 def images_meet(piece_a, piece_b) -> bool:
     """Whether the images of two linear pieces (`frame_pieces` tuples)
     share a point; the image of a contracted piece is a single point."""
@@ -240,11 +323,12 @@ def images_meet(piece_a, piece_b) -> bool:
         piece_a, piece_b = piece_b, piece_a
     if not any(piece_a[4]):
         return piece_a[3] == piece_b[3]
-    (wc, origin), item = line_item(*piece_a)
+    den = _denominator((piece_a, piece_b))
+    (wc, origin), item = line_item(*piece_a, den)
     if not any(piece_b[4]):
-        at, u = _line_frame(piece_b[3], wc)
+        at, u = _line_frame(_scaled(piece_b[3], den), wc)
         return at == origin and item.covers(u)
-    (wc2, origin2), other = line_item(*piece_b)
+    (wc2, origin2), other = line_item(*piece_b, den)
     if wc2 == wc:  # parallel: on a common line they meet at the higher start
         if origin2 != origin:
             return False
@@ -254,19 +338,26 @@ def images_meet(piece_a, piece_b) -> bool:
     return hit is not None and item.covers(hit[0]) and other.covers(hit[1])
 
 
-def _infinite_point(origin, wc, sign, n) -> TropPoint:
+def _infinite_point(key, den: int, sign: int) -> tuple[TropPoint, tuple]:
     """Limit point of a ray: infinite in the direction's support, with the
-    line's canonical representative as the boundary-stratum anchor (rays on
-    distinct parallel lines converge to distinct stratum points)."""
+    line's point that is zero at its direction's first nonzero index as the
+    boundary-stratum anchor (rays on distinct parallel lines converge to
+    distinct stratum points).  Also returns the point's sort key in the
+    line's integers (see `tropicalize`)."""
+    wc, origin = key
+    pivot = next(i for i, x in enumerate(wc) if x)
+    anchor = tuple(Fraction(x, den * wc[pivot]) for x in _pivot_numerators(key))
     coords = []
-    for i in range(n):
-        if wc[i] == 0:
-            coords.append(ExtRational.finite(origin[i]))
-        elif wc[i] * sign > 0:
-            coords.append(PLUS_INF)
+    order = []
+    for a, o, w in zip(anchor, origin, wc):
+        if w == 0:
+            coords.append(ExtRational.finite(a))
+            order.append((0, o))
         else:
-            coords.append(MINUS_INF)
-    return TropPoint(tuple(coords), anchor=(tuple(wc), tuple(origin)))
+            inf = PLUS_INF if w * sign > 0 else MINUS_INF
+            coords.append(inf)
+            order.append((inf.sign, 0))
+    return TropPoint(tuple(coords), anchor=(tuple(wc), anchor)), tuple(order)
 
 
 def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
@@ -277,21 +368,20 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
     n = emb.ambient_dim
     skel = emb.skeleton
 
-    lines: dict = {}
     pieces: list[PieceRecord] = []
     contracted_items: list[tuple[str, Fraction, Optional[Fraction], tuple]] = []
+    moving = []
     # a current edge or ray is its own frame, so each piece's id is its source
     sources = sorted(skel.finite.edges) + sorted(skel.rays)
     for source, lo, hi, vals, slopes in chain.from_iterable(
         frame_pieces(emb, frame) for frame in sources
     ):
-        if not any(slopes):
+        if any(slopes):
+            moving.append((source, lo, hi, vals, slopes))
+        else:
             contracted_items.append((source, lo, hi, vals))
-            continue
-        key, item = line_item(source, lo, hi, vals, slopes)
-        lines.setdefault(key, []).append(item)
 
-    if not lines:
+    if not moving:
         # everything contracted: a single image point
         vals = contracted_items[0][3] if contracted_items else (Fraction(0),) * n
         pt = TropPoint.finite(vals)
@@ -303,7 +393,13 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         emap = EdgeMap(recs, {"t0": _contracted_sources(skel, recs)}, {})
         return curve, emap
 
-    line_keys = sorted(lines.keys())
+    den = _denominator(moving)
+    lines: dict = {}
+    for piece in moving:
+        key, item = line_item(*piece, den)
+        lines.setdefault(key, []).append(item)
+
+    line_keys = sorted(lines, key=lambda key: (key[0], _pivot_numerators(key)))
     # transversal crossings: split both lines where covered on both
     cuts: dict = {key: set() for key in line_keys}
     for key in line_keys:
@@ -314,40 +410,54 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
                 cuts[key].add(item.u_hi)
     # a cut lies where both lines are covered, so inside both hulls
     hulls = [_covered_hull(key, lines[key]) for key in line_keys]
-    for a in range(len(line_keys)):
-        for b in range(a + 1, len(line_keys)):
-            if not _hulls_meet(hulls[a], hulls[b]):
-                continue
-            k1, k2 = line_keys[a], line_keys[b]
-            hit = _line_intersection(k1[1], k1[0], k2[1], k2[0])
-            if hit is None:
-                continue
-            t, s = hit
-            if any(i.covers(t) for i in lines[k1]) and any(
-                i.covers(s) for i in lines[k2]
-            ):
-                cuts[k1].add(t)
-                cuts[k2].add(s)
+    for a, b in _meeting_pairs(hulls):
+        k1, k2 = line_keys[a], line_keys[b]
+        hit = _line_intersection(k1[1], k1[0], k2[1], k2[0])
+        if hit is None:
+            continue
+        t, s = hit
+        if any(i.covers(t) for i in lines[k1]) and any(
+            i.covers(s) for i in lines[k2]
+        ):
+            cuts[k1].add(t)
+            cuts[k2].add(s)
 
-    # overlay each line
-    vertex_ids: dict[TropPoint, str] = {}
+    # overlay each line; vertices are keyed by their integer coordinates
+    # over D, or by (sign, line key) at infinity.  A vertex's sort key is a
+    # (sign of infinity, coordinate times D) pair per coordinate, which
+    # orders the points as their coordinates do.
+    vertex_ids: dict = {}
     vertex_pts: dict[str, TropPoint] = {}
+    vertex_order: dict[str, tuple] = {}
     vertex_sources: dict[str, set[GraphPoint]] = {}
 
-    def vertex_for(pt: TropPoint) -> str:
-        vid = vertex_ids.setdefault(pt, f"t{len(vertex_ids)}")
-        if vid not in vertex_pts:
-            vertex_pts[vid] = pt
+    def vertex_for(label, make) -> str:
+        """The id of the vertex `label`; `make()` gives a new one's point
+        and sort key."""
+        vid = vertex_ids.get(label)
+        if vid is None:
+            vid = vertex_ids[label] = f"t{len(vertex_ids)}"
+            vertex_pts[vid], vertex_order[vid] = make()
             vertex_sources[vid] = set()
         return vid
+
+    def finite_vertex(key, u) -> str:
+        wc, origin = key
+        at = tuple(o + u * w for o, w in zip(origin, wc))
+        return vertex_for(
+            at,
+            lambda: (
+                TropPoint.finite(tuple(Fraction(x, den) for x in at)),
+                tuple((0, x) for x in at),
+            ),
+        )
+
+    def infinite_vertex(key, sign) -> str:
+        return vertex_for((sign, key), lambda: _infinite_point(key, den, sign))
 
     edges: dict[str, TropEdge] = {}
     edge_sources: dict[str, list] = {}
     item_images: dict[int, list[str]] = {}
-
-    def point_on(key, u) -> TropPoint:
-        wc, origin = key
-        return TropPoint.finite(tuple(o + u * w for o, w in zip(origin, wc)))
 
     edge_counter = 0
     for key in line_keys:
@@ -356,7 +466,7 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         bps = sorted(cuts[key])
         if not bps:
             raise CertificateFailure(f"image line {key} has no piece endpoint")
-        intervals: list[tuple[Optional[Fraction], Optional[Fraction]]] = []
+        intervals: list[tuple] = []
         if any(i.u_lo is None for i in items):
             intervals.append((None, bps[0]))
         intervals.extend(zip(bps, bps[1:]))
@@ -364,15 +474,10 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
             intervals.append((bps[-1], None))
         # every breakpoint ends an item or is a covered crossing, so each
         # one is an endpoint of a covered interval below
-        at = {u: vertex_for(point_on(key, u)) for u in bps}
+        at = {u: finite_vertex(key, u) for u in bps}
         for u1, u2 in intervals:
-            if u1 is None:
-                probe = u2 - 1
-            elif u2 is None:
-                probe = u1 + 1
-            else:
-                probe = (u1 + u2) / 2
-            covering = [i for i in items if i.covers(probe)]
+            # no item ends strictly between two consecutive breakpoints
+            covering = [i for i in items if i.spans(u1, u2)]
             if not covering:
                 continue
             weight = sum(i.stretch for i in covering)
@@ -380,16 +485,16 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
             edge_counter += 1
             if u1 is None:
                 v_fin = at[u2]
-                v_inf = vertex_for(_infinite_point(origin, wc, -1, n))
+                v_inf = infinite_vertex(key, -1)
                 edges[eid] = TropEdge(
                     eid, v_fin, v_inf, tuple(-x for x in wc), weight, None
                 )
             elif u2 is None:
                 v_fin = at[u1]
-                v_inf = vertex_for(_infinite_point(origin, wc, +1, n))
+                v_inf = infinite_vertex(key, +1)
                 edges[eid] = TropEdge(eid, v_fin, v_inf, wc, weight, None)
             else:
-                edges[eid] = TropEdge(eid, at[u1], at[u2], wc, weight, u2 - u1)
+                edges[eid] = TropEdge(eid, at[u1], at[u2], wc, weight, Fraction(u2 - u1, den))
             edge_sources[eid] = []
             for i in covering:
                 if u1 is not None and u2 is not None:
@@ -418,9 +523,7 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         for i in lines[key]:
             if i.src_hi is None:
                 leaf = skel.ray(i.source).leaf
-                sign = +1 if i.sense > 0 else -1
-                pt = _infinite_point(key[1], key[0], sign, n)
-                vid = vertex_for(pt)
+                vid = infinite_vertex(key, +1 if i.sense > 0 else -1)
                 vertex_sources[vid].add(GraphPoint.at_vertex(leaf))
 
     # piece records, in deterministic source order
@@ -440,11 +543,13 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
     pieces.sort(key=lambda p: (p.source, p.lo))
 
     # rename vertices deterministically by coordinates
-    order = sorted(vertex_pts.items(), key=lambda kv: _point_sort_key(kv[1]))
-    rename = {old: f"t{k}" for k, (old, _pt) in enumerate(order)}
+    order = sorted(vertex_pts, key=vertex_order.__getitem__)
+    rename = {old: f"t{k}" for k, old in enumerate(order)}
     vertices = {rename[old]: pt for old, pt in vertex_pts.items()}
     new_edges = {}
-    edge_order = sorted(edges.values(), key=lambda e: (_point_sort_key(vertex_pts[e.v1]), _point_sort_key(vertex_pts[e.v2]), e.direction))
+    edge_order = sorted(
+        edges.values(), key=lambda e: (vertex_order[e.v1], vertex_order[e.v2], e.direction)
+    )
     edge_rename = {}
     for k, e in enumerate(edge_order):
         nid = f"s{k}"
@@ -473,10 +578,6 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
     if not rep.balanced:
         raise CertificateFailure(f"tropicalization violated balancing: {rep.defects}")
     return curve, emap
-
-
-def _point_sort_key(pt: TropPoint):
-    return tuple((c.sign, c.value if c.is_finite else Fraction(0)) for c in pt.coords)
 
 
 def _contracted_sources(skel: ExtendedGraph, recs) -> frozenset[GraphPoint]:

@@ -5,10 +5,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from tropicurve.complexes import TropicalCurve
-from tropicurve.tropicalize import _line_frame
 
 NEG = ("-inf",)
 POS = ("+inf",)
+
+
+def _line_frame(point, wc):
+    """(origin, u): the line through `point` with direction wc is
+    {origin + u*wc}, origin zero at the first nonzero index of wc."""
+    pivot = next(i for i, x in enumerate(wc) if x)
+    u = Fraction(point[pivot], wc[pivot])
+    return tuple(p - u * w for p, w in zip(point, wc)), u
 
 
 def line_signature(curve: TropicalCurve):

@@ -220,6 +220,37 @@ class TestTransport:
         with pytest.raises(DiscontinuousFunction):
             f.transport(new)
 
+    def test_kept_profiles_read_their_end_once_and_stay_checked(self, monkeypatch):
+        """A transport keeps the profile of `e1`, whose end value is then
+        read from its memo; a neighbour that disagrees with it, or an edge
+        `e1` of another length, still breaks continuity."""
+        reads = []
+        value_at = EdgeProfile.value_at
+
+        def counted(prof, off):
+            reads.append(prof)
+            return value_at(prof, off)
+
+        monkeypatch.setattr(EdgeProfile, "value_at", counted)
+        ext = build_extended(path_amb(), [("r", V("a"))])
+        kept = EdgeProfile(Fraction(0), (Fraction(1, 4),), (2, 1))
+        f = PLFunction(
+            ext, {"e1": kept, "e2": EdgeProfile(Fraction(5, 4), (), (0,))}, {"r": RayProfile(Fraction(0), -2)}
+        )
+        new, _ = ext.subdivide_at(P("e2", Fraction(1, 2)))
+        moved = [f.transport(new) for _ in range(5)]
+        assert all(g.edge_profiles["e1"] is kept for g in moved)
+        assert reads.count(kept) == 1
+        (_kind, after_m, _lo, _hi), _rest = new.segments_of("e2")
+        jump = dict(moved[0].edge_profiles, **{after_m: EdgeProfile(Fraction(1), (), (0,))})
+        with pytest.raises(DiscontinuousFunction, match="at vertex 'm'"):
+            PLFunction(new, jump, moved[0].ray_profiles)
+        longer = build_extended(
+            build_graph(["a", "m", "b"], [("e1", "a", "m", 2), ("e2", "m", "b", 1)]), [("r", V("a"))]
+        )
+        with pytest.raises(DiscontinuousFunction, match="at vertex 'm'"):
+            PLFunction(longer, f.edge_profiles, f.ray_profiles)
+
 
 class TestIsPrincipal:
     def test_zero_divisor(self):

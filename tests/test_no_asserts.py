@@ -5,10 +5,10 @@ so the library raises typed errors instead; every `from` import is used;
 every annotation resolves; every private module-level helper and every
 private method is used; the library stays exact and free of hidden
 options, with no float literal, no `float(...)` call and no read of
-`os.environ` or `getenv`; the integer kernel of `linalg` has no true
-division, the one way left for a float to enter it; and no library module
-imports a private name from another, so each reaches the others only
-through their public API."""
+`os.environ` or `getenv`; the integer code of `linalg` and `tropicalize`
+has no true division, the one way left for a float to enter it; and no
+library module imports a private name from another, so each reaches the
+others only through their public API."""
 
 import ast
 import importlib
@@ -76,10 +76,11 @@ def _true_divisions(source: str) -> list[int]:
 
 
 def test_linalg_has_no_true_division():
-    """In `linalg` an int / int would be a float: every division there must
-    be `//` or `Fraction(n, d)`."""
-    path = Path(tropicurve.__file__).parent / "linalg.py"
-    assert _true_divisions(path.read_text()) == []
+    """In `linalg` and `tropicalize`, which compute in ints, an int / int
+    would be a float: every division there must be `//` or `Fraction(n, d)`."""
+    for name in ("linalg.py", "tropicalize.py"):
+        path = Path(tropicurve.__file__).parent / name
+        assert _true_divisions(path.read_text()) == [], name
 
 
 @pytest.mark.parametrize("source", ["x = a / b", "x /= b", "x = [v / p for v in row]"])

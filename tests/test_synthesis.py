@@ -16,6 +16,7 @@ from tropicurve.divisors import (
 )
 from tropicurve import synthesis, tropicalize as tropicalize_module
 from tropicurve.errors import (
+    CertificateFailure,
     EmptyCoordinates,
     NoRoom,
     NotSeparated,
@@ -39,6 +40,7 @@ from tropicurve.synthesis import (
 )
 from tropicurve.tropicalize import (
     Embedding,
+    FaithfulReport,
     extend_embedding,
     is_fully_faithful,
     refine_embedding,
@@ -449,18 +451,28 @@ def test_tate_leaf_without_its_ray_certifies():
     assert len(out.coords) == 18
 
 
-def test_tropicalize_intersects_only_lines_with_meeting_hulls(tate_leaf_outputs, monkeypatch):
+def counted_calls(monkeypatch, name):
+    """Calls of the `tropicalize` module's function `name`, recorded from
+    now on; `tropicalize` looks it up in the module at every call."""
     calls = []
+    real = getattr(tropicalize_module, name)
 
     def counted(*args):
         calls.append(args)
-        return line_intersection(*args)
+        return real(*args)
 
-    line_intersection = tropicalize_module._line_intersection
-    monkeypatch.setattr(tropicalize_module, "_line_intersection", counted)
+    monkeypatch.setattr(tropicalize_module, name, counted)
+    return calls
+
+
+def test_tropicalize_intersects_only_lines_with_meeting_hulls(tate_leaf_outputs, monkeypatch):
+    crossings = counted_calls(monkeypatch, "_line_intersection")
+    hull_tests = counted_calls(monkeypatch, "_hulls_meet")
     curve, _emap = tropicalize(tate_leaf_outputs[1][0])
     assert len(curve.vertices) == 233
-    assert len(calls) < 1000  # 25,651 pairs of image lines
+    assert 0 < len(crossings) <= len(hull_tests)
+    assert len(crossings) < 1000  # 25,651 pairs of image lines
+    assert len(hull_tests) < 2500  # the sweep makes 1,819 of the 25,651
 
 
 def test_one_op_certifies_each_embedding_once(tate_leaf_outputs, monkeypatch):
@@ -504,6 +516,19 @@ def test_smoothing_fig1_stars(name, directions):
     out, report = smoothing_pipeline(fig1_star(directions))
     assert_smooth_output(out, report)
     assert output_digest(out, report) == STAR_DIGESTS[name]
+
+
+def test_smooth_output_has_the_first_betti_number_of_its_skeleton():
+    """A smooth image of a Mumford curve's skeleton has the skeleton's
+    first Betti number; a certificate whose image has another is refused."""
+    emb = line_embedding()
+    _tate, honeycomb = tate_demo()
+    assert check_smooth(honeycomb).smooth
+    emb._certificate = FaithfulReport((), honeycomb, None)
+    with pytest.raises(CertificateFailure, match="first Betti number 1, the skeleton 0"):
+        smoothing_pipeline(emb)
+    out, _report = smoothing_pipeline(line_embedding())
+    assert len(out.coords) == 1
 
 
 @pytest.mark.xfail(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropicurve import tropicalize as tropicalize_module
 from tropicurve.complexes import BalancingReport, check_balancing, check_smooth
 from tropicurve.divisors import (
     EdgeProfile,
@@ -24,7 +25,10 @@ from tropicurve.rationals import MINUS_INF, PLUS_INF
 from tropicurve.tropicalize import (
     Embedding,
     _covered_hull,
+    _denominator,
     _hulls_meet,
+    _line_intersection,
+    _meeting_pairs,
     extend_embedding,
     images_meet,
     is_faithful_function,
@@ -336,9 +340,9 @@ def random_piece_pair(rng):
     return a, piece(tuple(x - s * y for x, y in zip(at, wb)), wb, lb)
 
 
-def piece_hull(*pieces):
-    """`_covered_hull` of collinear non-contracted pieces."""
-    keys, items = zip(*(line_item(*p) for p in pieces))
+def piece_hull(den, *pieces):
+    """`_covered_hull` of collinear non-contracted pieces, over `den`."""
+    keys, items = zip(*(line_item(*p, den) for p in pieces))
     assert len(set(keys)) == 1
     return _covered_hull(keys[0], items)
 
@@ -351,13 +355,135 @@ def test_meeting_images_have_meeting_hulls():
     for _ in range(2000):
         a, b = random_piece_pair(rng)
         c = collinear_piece(rng, a)
+        den = _denominator((a, b, c))
         if images_meet(a, b):
             met += 1
-            assert _hulls_meet(piece_hull(a), piece_hull(b)), (a, b)
+            assert _hulls_meet(piece_hull(den, a), piece_hull(den, b)), (a, b)
         if images_meet(a, b) or images_meet(c, b):
-            assert _hulls_meet(piece_hull(a, c), piece_hull(b)), (a, c, b)
+            assert _hulls_meet(piece_hull(den, a, c), piece_hull(den, b)), (a, c, b)
     assert met > 500
 
+
+def random_hull(rng, n):
+    """A box in n coordinates whose sides are each unbounded one time in five."""
+    hull = []
+    for _ in range(n):
+        lo, hi = sorted(rng.randint(-12, 12) for _ in range(2))
+        hull.append((None if rng.random() < 0.2 else lo, None if rng.random() < 0.2 else hi))
+    return tuple(hull)
+
+
+def test_sweep_yields_exactly_the_meeting_pairs():
+    """The sweep in `tropicalize` finds every pair of hulls that all-pairs
+    `_hulls_meet` accepts, each once, and no other."""
+    rng = random.Random(11)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        hulls = [random_hull(rng, n) for _ in range(rng.randint(0, 20))]
+        every = [
+            (a, b)
+            for a in range(len(hulls))
+            for b in range(a + 1, len(hulls))
+            if _hulls_meet(hulls[a], hulls[b])
+        ]
+        assert sorted(_meeting_pairs(hulls)) == every, hulls
+        found += len(every)
+    assert found > 1000
+
+
+@pytest.mark.parametrize(
+    "origin2, w2, hit",
+    [
+        ((0, 3), (1, -1), (1, 1)),  # det -3 divides both numerators
+        ((0, 1), (2, -1), (Fraction(2, 5), Fraction(1, 5))),  # det -5 does not
+        ((1, 0), (1, 2), None),  # parallel
+    ],
+    ids=["int", "fraction", "parallel"],
+)
+def test_line_intersection_in_integers(origin2, w2, hit):
+    got = _line_intersection((0, 0), (1, 2), origin2, w2)
+    assert got == hit
+    assert got is None or [type(x) for x in got] == [type(x) for x in hit]
+
+
+def test_line_intersection_of_skew_lines():
+    assert _line_intersection((0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 1, 0)) is None
+
+
+def crossing_embedding():
+    """Path a-b-c-d with lengths 5/3, 1/3 and 4/5, one ray per vertex.
+
+    (x, y) maps e1 along (1, 2) from (0, 0) to (5/3, 10/3), e2 along
+    (1, 0) to (2, 10/3) and e3 along (-2, -1) to (2/5, 38/15).  e1 and e3
+    cross at (14/9, 28/9): 14/9 along e1 and 2/9 along e3.  Over the common
+    denominator 15 of the pieces that point is (70/3, 140/3), so both
+    crossing parameters are Fractions.
+    """
+    g = build_graph(
+        ["a", "b", "c", "d"],
+        [
+            ("e1", "a", "b", Fraction(5, 3)),
+            ("e2", "b", "c", Fraction(1, 3)),
+            ("e3", "c", "d", Fraction(4, 5)),
+        ],
+    )
+    ext = build_extended(g, [("ra", V("a")), ("rb", V("b")), ("rc", V("c")), ("rd", V("d"))])
+
+    def coordinate(starts, slopes, rays):
+        profiles = {
+            eid: EdgeProfile(Fraction(v), (), (s,)) for eid, v, s in zip(("e1", "e2", "e3"), starts, slopes)
+        }
+        return PLFunction(ext, profiles, {rid: RayProfile(Fraction(v), s) for rid, (v, s) in rays.items()})
+
+    x = coordinate(
+        (0, Fraction(5, 3), 2),
+        (1, 1, -2),
+        {"ra": (0, -1), "rb": (Fraction(5, 3), 0), "rc": (2, 3), "rd": (Fraction(2, 5), -2)},
+    )
+    y = coordinate(
+        (0, Fraction(10, 3), Fraction(10, 3)),
+        (2, 0, -1),
+        {"ra": (0, -2), "rb": (Fraction(10, 3), 2), "rc": (Fraction(10, 3), 1), "rd": (Fraction(38, 15), -1)},
+    )
+    return Embedding(ext, [x, y])
+
+
+def test_crossing_off_the_integer_grid(monkeypatch):
+    hits = []
+    line_intersection = tropicalize_module._line_intersection
+
+    def recorded(*args):
+        hit = line_intersection(*args)
+        hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(tropicalize_module, "_line_intersection", recorded)
+    curve, emap = tropicalize(crossing_embedding())
+    assert any(isinstance(x, Fraction) for hit in hits if hit for x in hit)
+    F = Fraction
+    cross = (F(14, 9), F(28, 9))
+    b, c, d = (F(5, 3), F(10, 3)), (F(2), F(10, 3)), (F(2, 5), F(38, 15))
+    finite = {vid: pt.finite_coords() for vid, pt in curve.vertices.items() if pt.is_finite}
+    assert set(finite.values()) == {(0, 0), cross, b, c, d}
+    segments = {
+        (frozenset({finite[e.v1], finite[e.v2]}), e.length, e.weight)
+        for e in curve.edges.values()
+        if e.length is not None
+    }
+    assert segments == {
+        (frozenset({(0, 0), cross}), F(14, 9), 1),
+        (frozenset({cross, b}), F(1, 9), 1),
+        (frozenset({b, c}), F(1, 3), 1),
+        (frozenset({c, cross}), F(2, 9), 1),
+        (frozenset({cross, d}), F(26, 45), 1),
+    }
+    rays = {(finite[e.v1], e.direction, e.weight) for e in curve.edges.values() if e.length is None}
+    assert rays == {((0, 0), (-1, -2), 1), (b, (0, 1), 2), (c, (3, 1), 1), (d, (-2, -1), 1)}
+    vid = {pt: v for v, pt in finite.items()}
+    assert emap.vertex_sources[vid[cross]] == {P("e1", F(14, 9)), P("e3", F(2, 9))}
+    (cross_to_d,) = [eid for eid, e in curve.edges.items() if {e.v1, e.v2} == {vid[cross], vid[d]}]
+    assert emap.edge_sources[cross_to_d] == (("e3", F(2, 9), F(4, 5)),)
 
 class TestFullyFaithful:
     def test_line_embedding_faithful(self):
