@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,8 +294,6 @@ class MetricGraph(_Domain):
         """
         cpt = self.canonical_point(pt)
         if cpt.is_vertex:
-            import warnings
-
             warnings.warn("subdivide_at called on a vertex; no-op", stacklevel=2)
             return self, cpt.vertex
         e = self._edges[cpt.edge]

@@ -17,14 +17,13 @@ graph's alias tables, read backwards through `parent`, lead every current
 id to its root frame, so bookkeeping stays consistent while the skeleton is
 refined and nothing is registered as it grows.  Free offsets come from two
 searches of `Frames`: `claim` for points at fixed gaps (ray attachments,
-divisor pairs, the ends of coverage trapezoids) and `bump` for trapezoid
-supports in free windows (pillars, separating bumps).  Every bump
-coordinate (each side of a tent, a pillar, a coverage or separating
-trapezoid) is one `divisors.trapezoid` in a root frame, and every ramp is
-the witness of a principal divisor from `is_principal`.  A divisor that
-needs correction pairs on a spanning-tree complement first (a stage-0 core
-ramp, a ray whose zero charge moves to the core, a separating witness)
-reaches it through `_corrected_witness` alone.
+divisor pairs) and `bump` for trapezoid supports in free windows (pillars,
+separating bumps).  Every bump coordinate (each side of a tent, a pillar, a
+separating trapezoid) is one `divisors.trapezoid` in a root frame, and
+every ramp is the witness of a principal divisor from `is_principal`.  A
+divisor that needs correction pairs on a spanning-tree complement first (a
+stage-0 core ramp, a ray whose zero charge moves to the core, a separating
+witness) reaches it through `_corrected_witness` alone.
 
 One exact certificate, `is_fully_faithful`, drives both pipelines: each
 stage-0 patch round, repair round and smoothing pass reads the named
@@ -64,7 +63,15 @@ from .errors import (
     Stage0Failure,
     UnknownEdge,
 )
-from .graphs import CycleSpace, ExtendedGraph, GraphPoint, MetricGraph
+from .graphs import (
+    CycleSpace,
+    ExtendedGraph,
+    GraphPoint,
+    MetricGraph,
+    build_extended,
+    build_graph,
+)
+from .rationals import rat
 from .tropicalize import (
     Embedding,
     FaithfulReport,
@@ -776,81 +783,37 @@ def _separating_witness(
 
 
 def _root_slope_cover(emb: Embedding, root: str):
-    """Root-frame intervals on which some coordinate has nonzero slope."""
-    covered = sorted(
-        (lo, hi) for _cid, lo, hi, _vals, slopes in frame_pieces(emb, root) if any(slopes)
-    )
+    """Maximal root-frame intervals on which some coordinate has nonzero
+    slope, in frame order (the order `frame_pieces` walks)."""
     merged = []
-    for a, b in covered:
-        if merged and merged[-1][1] is not None and merged[-1][1] >= a:
-            top = merged[-1][1]
-            merged[-1] = (merged[-1][0], b if (b is None or top < b) else top)
-        else:
-            merged.append((a, b))
+    for _cid, lo, hi, _vals, slopes in frame_pieces(emb, root):
+        if any(slopes):
+            if merged and merged[-1][1] == lo:
+                merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
     return merged
 
 
-def _cover_gaps(emb: Embedding, frames: Frames, root: str, lo: Fraction,
-                hi: Fraction, namer, report) -> Embedding:
-    """Add trapezoid coordinates until every point of (lo, hi) in the root
-    frame lies in a nonzero-slope zone of some coordinate."""
-    for round_no in range(24):
-        cover = [
-            (a, b if b is not None else hi)
-            for a, b in _root_slope_cover(emb, root)
-        ]
-        gap = None
-        cursor = lo
-        for a, b in cover:
-            if a > cursor:
-                gap = (cursor, min(a, hi))
-                break
-            cursor = max(cursor, b)
-            if cursor >= hi:
-                break
-        if gap is None and cursor < hi:
-            gap = (cursor, hi)
-        if gap is None:
-            return emb
-        glo, ghi = gap
-        length = emb.skeleton.finite.frame_length(root)
-        offs = _straddle_trapezoid(frames, root, glo, ghi, length)
-        if offs is None:
-            raise Stage0Failure(f"no straddling trapezoid fits on {root!r}")
-        if not _fits_one_edge(emb.skeleton, root, offs):
-            raise Stage0Failure(f"trapezoid {offs} on {root!r} crosses a vertex")
-        bump = trapezoid(emb.skeleton, root, offs)
-        name = namer()
-        emb = extend_embedding(emb, bump, name)
-        report.log(construction="coverage-trapezoid", target=root, coordinate=name)
-    raise Stage0Failure(f"coverage fill did not converge on {root!r}")
+def _check_core_cover(emb: Embedding, root: str):
+    """Raise Stage0Failure naming the first gap of the core root frame
+    `root`: an interval of (0, L) on which every coordinate is constant.
 
-
-def _straddle_trapezoid(frames: Frames, root: str, glo, ghi, length):
-    """Trapezoid offsets whose rising (or falling) part straddles the start
-    of the gap (glo, ghi) and makes progress into it: [x1, x2] runs from
-    just left of glo into the gap and is the rise, with the fall of the
-    same width claimed to its right, or, when the right has no room, the
-    fall, with the rise claimed to its left.  The reach shrinks when
-    nothing is free."""
-    if glo <= 0 or ghi >= length:
-        return None  # endpoints belong to tent coverage
-    reach = ghi - glo
-    for _shrink in range(10):
-        try:
-            x1 = frames.claim(root, glo - min(glo / 2, reach / 4), glo)
-            x2 = frames.claim(root, glo, glo + reach)
-            h = x2 - x1
-            if x2 + 2 * h < length:
-                x3 = frames.claim(root, x2, min(x2 + h, length - h) + h, h)
-                return (x1, x2, x3, x3 + h)
-            if x1 - 2 * h > 0:
-                x1m = frames.claim(root, x1 - 2 * h, x1, h)
-                return (x1m, x1m + h, x1, x2)
-        except NoRoom:
-            pass
-        reach /= 2
-    return None
+    A bump inside one current edge cannot close such a gap.  Every
+    coordinate is harmonic on the finite part (`Embedding` checks it), so
+    along the frame slopes change only at vertices: every gap end strictly
+    inside the frame is a vertex, like the frame's own ends.  A trapezoid
+    whose rise covers a gap's start, x1 < start < x2, crosses that vertex,
+    and one inside the gap leaves (start, x1) uncovered.
+    """
+    ends = [Fraction(0)] + [x for ab in _root_slope_cover(emb, root) for x in ab]
+    ends.append(emb.skeleton.finite.frame_length(root))
+    gaps = [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi]
+    if gaps:
+        lo, hi = gaps[0]
+        raise Stage0Failure(
+            f"core frame {root!r} is uncovered on ({lo}, {hi}), 1 of {len(gaps)} gaps"
+        )
 
 
 def _core_sides_at(skel: ExtendedGraph, core_edges: frozenset[str], v: str):
@@ -870,20 +833,15 @@ def stage0(
 ) -> Embedding:
     """Bootstrap coordinates making the core injective with unit stretch.
 
-    Tent coordinates cover every core vertex neighborhood, trapezoids fill
-    the remaining edge interiors, one corrected-ramp witness per core edge
-    separates the vertex values, and a batched patch loop resolves whatever
-    exact violations remain (within budget, else Stage0Failure).
+    Tent coordinates cover every core vertex neighborhood, the nonzero
+    slopes must then cover every core edge (`_check_core_cover`), one
+    corrected-ramp witness per core edge separates the vertex values, and a
+    batched patch loop resolves whatever exact violations remain (within
+    budget, else Stage0Failure).
     """
     if not core_edges:
         return emb
-    counter = [0]
-
-    def namer(prefix):
-        def gen():
-            counter[0] += 1
-            return f"{prefix}{counter[0]}"
-        return gen
+    tents = 0
 
     # (1) tents at core vertices
     fin0 = emb.skeleton.finite
@@ -900,19 +858,16 @@ def stage0(
             res = vertex_function(
                 emb, v, _side_frame(skel, frames, v, e0), _side_frame(skel, frames, v, ek), frames
             )
-            name = namer("gt")()
+            tents += 1
+            name = f"gt{tents}"
             emb = extend_embedding(res.embedding, res.function, name)
             report.log(construction="core-tent", target=v, coordinate=name)
             sides = _core_sides_at(emb.skeleton, core_edges, v)
             e0 = sides[0]
 
-    # (2) fill uncovered interiors of every core edge
-    fill_namer = namer("gc")
+    # (2) no piece of a core edge may be left constant under every coordinate
     for root in sorted(core_edges):
-        length = emb.skeleton.finite.frame_length(root)
-        emb = _cover_gaps(
-            emb, frames, root, Fraction(0), length, fill_namer, report
-        )
+        _check_core_cover(emb, root)
 
     # (3) one corrected-ramp witness per core edge for vertex separation
     for idx, root_e in enumerate(sorted(core_edges)):
@@ -1157,9 +1112,6 @@ def tate_demo(c=1) -> tuple[Embedding, TropicalCurve]:
     """Hexagon-with-spokes skeleton of a genus-one curve, embedded by the
     two witness coordinates of its canonical divisor pattern; tropicalizes
     to the symmetric honeycomb with nine rays."""
-    from .graphs import build_extended, build_graph
-    from .rationals import rat
-
     c = rat(c)
     if c <= 0:
         raise NoRoom(f"scale parameter must be positive, got {c}")

@@ -8,6 +8,12 @@ exactly: pieces on a common affine line are overlaid in a shared line
 parameter, transversal crossings split both lines, and weights add up as
 the stretching factors of the pieces covering an image edge.
 
+`tropicalize` returns the image curve and the `EdgeMap` the certificates
+read: each source piece's stretching factor (0 when contracted), each image
+vertex's skeleton preimages and each image edge's covering pieces.  Vertices
+and edges are collected in one pass and numbered once at the end, by
+coordinates and by ends and direction, so equal inputs get equal ids.
+
 Everything is exact.  Image points are carried as Python ints over one
 common denominator D per tropicalization (the lcm of the denominators of
 every piece's offsets and start values), so line keys, breakpoints, hulls
@@ -126,16 +132,27 @@ class _Item:
 
 @dataclass
 class PieceRecord:
+    """One linear piece of a current edge or ray: its offsets [lo, hi] in
+    that id's frame (hi None on a ray tail) and its stretching factor, the
+    content of its slope vector (0 when the piece is contracted)."""
+
     source: str
     lo: Fraction
     hi: Optional[Fraction]
-    stretch: int  # 0 for contracted pieces
-    image_edges: tuple[str, ...] = ()
-    image_point: Optional[tuple[Fraction, ...]] = None
+    stretch: int
 
 
 @dataclass
 class EdgeMap:
+    """How the skeleton covers the image.
+
+    `pieces` holds every linear piece in (source, lo) order;
+    `vertex_sources` maps each image vertex to its skeleton preimages
+    (canonical points, ray leaves at infinity); `edge_sources` maps each
+    image edge to the sorted (source, lo, hi) parts of the pieces that
+    cover it, whose stretching factors add up to the edge's weight.
+    """
+
     pieces: list[PieceRecord]
     vertex_sources: dict[str, frozenset[GraphPoint]]
     edge_sources: dict[str, tuple[tuple[str, Fraction, Optional[Fraction]], ...]]
@@ -338,6 +355,28 @@ def images_meet(piece_a, piece_b) -> bool:
     return hit is not None and item.covers(hit[0]) and other.covers(hit[1])
 
 
+class _ImageVertex(NamedTuple):
+    """An image vertex under construction in `tropicalize`.  `order` is its
+    sort key: a (sign of infinity, coordinate times D) pair per coordinate,
+    which orders points as their coordinates do."""
+
+    point: TropPoint
+    order: tuple
+    preimages: set
+
+
+class _ImageEdge(NamedTuple):
+    """An image edge under construction in `tropicalize`, from the vertex
+    labelled v1 toward v2 (length None when v2 is infinite)."""
+
+    v1: tuple
+    v2: tuple
+    direction: tuple
+    weight: int
+    length: Optional[Fraction]
+    sources: tuple
+
+
 def _infinite_point(key, den: int, sign: int) -> tuple[TropPoint, tuple]:
     """Limit point of a ray: infinite in the direction's support, with the
     line's point that is zero at its direction's first nonzero index as the
@@ -361,53 +400,42 @@ def _infinite_point(key, den: int, sign: int) -> tuple[TropPoint, tuple]:
 
 
 def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
-    """Image complex of the skeleton under the coordinate tuple, with the
-    per-piece stretching data.  The output always satisfies balancing."""
+    """Image complex of the skeleton under the coordinate tuple, with its
+    edge map.  The output always satisfies balancing."""
     if not emb.coords:
         raise EmptyCoordinates("embedding has no coordinates")
     n = emb.ambient_dim
     skel = emb.skeleton
 
-    pieces: list[PieceRecord] = []
-    contracted_items: list[tuple[str, Fraction, Optional[Fraction], tuple]] = []
+    contracted = []
     moving = []
     # a current edge or ray is its own frame, so each piece's id is its source
     sources = sorted(skel.finite.edges) + sorted(skel.rays)
-    for source, lo, hi, vals, slopes in chain.from_iterable(
-        frame_pieces(emb, frame) for frame in sources
-    ):
-        if any(slopes):
-            moving.append((source, lo, hi, vals, slopes))
-        else:
-            contracted_items.append((source, lo, hi, vals))
+    for piece in chain.from_iterable(frame_pieces(emb, frame) for frame in sources):
+        (moving if any(piece[4]) else contracted).append(piece)
+    pieces = [PieceRecord(source, lo, hi, 0) for source, lo, hi, _vals, _slopes in contracted]
 
     if not moving:
         # everything contracted: a single image point
-        vals = contracted_items[0][3] if contracted_items else (Fraction(0),) * n
-        pt = TropPoint.finite(vals)
-        curve = TropicalCurve(n, {"t0": pt}, {})
-        recs = [
-            PieceRecord(src, lo, hi, 0, image_point=vals)
-            for src, lo, hi, vals in contracted_items
-        ]
-        emap = EdgeMap(recs, {"t0": _contracted_sources(skel, recs)}, {})
-        return curve, emap
+        vals = contracted[0][3] if contracted else (Fraction(0),) * n
+        points = frozenset(skel.canonical_point(GraphPoint.on_edge(p.source, p.lo)) for p in pieces)
+        curve = TropicalCurve(n, {"t0": TropPoint.finite(vals)}, {})
+        return curve, EdgeMap(pieces, {"t0": points}, {})
 
     den = _denominator(moving)
     lines: dict = {}
     for piece in moving:
         key, item = line_item(*piece, den)
         lines.setdefault(key, []).append(item)
+        pieces.append(PieceRecord(item.source, item.src_lo, item.src_hi, item.stretch))
+    pieces.sort(key=lambda p: (p.source, p.lo))
 
     line_keys = sorted(lines, key=lambda key: (key[0], _pivot_numerators(key)))
     # transversal crossings: split both lines where covered on both
-    cuts: dict = {key: set() for key in line_keys}
-    for key in line_keys:
-        for item in lines[key]:
-            if item.u_lo is not None:
-                cuts[key].add(item.u_lo)
-            if item.u_hi is not None:
-                cuts[key].add(item.u_hi)
+    cuts = {
+        key: {u for i in lines[key] for u in (i.u_lo, i.u_hi) if u is not None}
+        for key in line_keys
+    }
     # a cut lies where both lines are covered, so inside both hulls
     hulls = [_covered_hull(key, lines[key]) for key in line_keys]
     for a, b in _meeting_pairs(hulls):
@@ -416,52 +444,32 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         if hit is None:
             continue
         t, s = hit
-        if any(i.covers(t) for i in lines[k1]) and any(
-            i.covers(s) for i in lines[k2]
-        ):
+        if any(i.covers(t) for i in lines[k1]) and any(i.covers(s) for i in lines[k2]):
             cuts[k1].add(t)
             cuts[k2].add(s)
 
-    # overlay each line; vertices are keyed by their integer coordinates
-    # over D, or by (sign, line key) at infinity.  A vertex's sort key is a
-    # (sign of infinity, coordinate times D) pair per coordinate, which
-    # orders the points as their coordinates do.
-    vertex_ids: dict = {}
-    vertex_pts: dict[str, TropPoint] = {}
-    vertex_order: dict[str, tuple] = {}
-    vertex_sources: dict[str, set[GraphPoint]] = {}
+    # overlay each line.  A vertex is labelled by its integer coordinates
+    # over D, or by (sign, line key) at infinity; `table` maps each label to
+    # its `_ImageVertex` and `edges` lists the `_ImageEdge`s, both in
+    # creation order.
+    table: dict = {}
 
-    def vertex_for(label, make) -> str:
-        """The id of the vertex `label`; `make()` gives a new one's point
-        and sort key."""
-        vid = vertex_ids.get(label)
-        if vid is None:
-            vid = vertex_ids[label] = f"t{len(vertex_ids)}"
-            vertex_pts[vid], vertex_order[vid] = make()
-            vertex_sources[vid] = set()
-        return vid
-
-    def finite_vertex(key, u) -> str:
+    def finite_vertex(key, u):
         wc, origin = key
         at = tuple(o + u * w for o, w in zip(origin, wc))
-        return vertex_for(
-            at,
-            lambda: (
-                TropPoint.finite(tuple(Fraction(x, den) for x in at)),
-                tuple((0, x) for x in at),
-            ),
-        )
+        if at not in table:
+            point = TropPoint.finite(tuple(Fraction(x, den) for x in at))
+            table[at] = _ImageVertex(point, tuple((0, x) for x in at), set())
+        return at
 
-    def infinite_vertex(key, sign) -> str:
-        return vertex_for((sign, key), lambda: _infinite_point(key, den, sign))
+    def infinite_vertex(key, sign):
+        if (sign, key) not in table:
+            table[sign, key] = _ImageVertex(*_infinite_point(key, den, sign), set())
+        return sign, key
 
-    edges: dict[str, TropEdge] = {}
-    edge_sources: dict[str, list] = {}
-    item_images: dict[int, list[str]] = {}
-
-    edge_counter = 0
+    edges: list[_ImageEdge] = []
     for key in line_keys:
-        wc, origin = key
+        wc, _origin = key
         items = lines[key]
         bps = sorted(cuts[key])
         if not bps:
@@ -476,115 +484,56 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         # one is an endpoint of a covered interval below
         at = {u: finite_vertex(key, u) for u in bps}
         for u1, u2 in intervals:
-            # no item ends strictly between two consecutive breakpoints
+            # no item ends strictly between two consecutive breakpoints, so
+            # the covering items cover both ends
             covering = [i for i in items if i.spans(u1, u2)]
             if not covering:
                 continue
-            weight = sum(i.stretch for i in covering)
-            eid = f"s{edge_counter}"
-            edge_counter += 1
-            if u1 is None:
-                v_fin = at[u2]
-                v_inf = infinite_vertex(key, -1)
-                edges[eid] = TropEdge(
-                    eid, v_fin, v_inf, tuple(-x for x in wc), weight, None
-                )
+            if u1 is None:  # the covering items are ray tails running to -inf
+                v1, v2, direction = at[u2], infinite_vertex(key, -1), tuple(-x for x in wc)
             elif u2 is None:
-                v_fin = at[u1]
-                v_inf = infinite_vertex(key, +1)
-                edges[eid] = TropEdge(eid, v_fin, v_inf, wc, weight, None)
+                v1, v2, direction = at[u1], infinite_vertex(key, +1), wc
             else:
-                edges[eid] = TropEdge(eid, at[u1], at[u2], wc, weight, Fraction(u2 - u1, den))
-            edge_sources[eid] = []
+                v1, v2, direction = at[u1], at[u2], wc
+            finite_ends = [u for u in (u1, u2) if u is not None]
+            length = Fraction(u2 - u1, den) if len(finite_ends) == 2 else None
+            srcs = []
             for i in covering:
-                if u1 is not None and u2 is not None:
-                    o1, o2 = i.src_at(u1), i.src_at(u2)
-                    lo, hi = min(o1, o2), max(o1, o2)
-                elif u1 is None:
-                    # sense must be -1 here (runs to -inf)
-                    lo, hi = i.src_at(u2), None
-                else:
-                    lo, hi = i.src_at(u1), None
-                edge_sources[eid].append((i.source, lo, hi))
-                item_images.setdefault(id(i), []).append(eid)
-            # finite endpoint preimages (infinite ends are handled below)
-            for u_end in (u1, u2):
-                if u_end is None:
-                    continue
-                for i in covering:
-                    if not i.covers(u_end):
-                        continue
-                    off = i.src_at(u_end)
+                offs = [i.src_at(u) for u in finite_ends]
+                for u, off in zip(finite_ends, offs):
                     pt = skel.canonical_point(GraphPoint.on_edge(i.source, off))
-                    vertex_sources[at[u_end]].add(pt)
+                    table[at[u]].preimages.add(pt)
+                if length is None:  # the infinite end's preimages are the ray leaves
+                    table[v2].preimages.add(GraphPoint.at_vertex(skel.ray(i.source).leaf))
+                srcs.append((i.source, min(offs), None if length is None else max(offs)))
+            weight = sum(i.stretch for i in covering)
+            edges.append(_ImageEdge(v1, v2, direction, weight, length, tuple(sorted(srcs))))
 
-    # infinite endpoints: preimages are the ray leaves
-    for key in line_keys:
-        for i in lines[key]:
-            if i.src_hi is None:
-                leaf = skel.ray(i.source).leaf
-                vid = infinite_vertex(key, +1 if i.sense > 0 else -1)
-                vertex_sources[vid].add(GraphPoint.at_vertex(leaf))
-
-    # piece records, in deterministic source order
-    for key in line_keys:
-        for i in sorted(lines[key], key=lambda it: (it.source, it.src_lo)):
-            pieces.append(
-                PieceRecord(
-                    i.source,
-                    i.src_lo,
-                    i.src_hi,
-                    i.stretch,
-                    tuple(item_images.get(id(i), ())),
-                )
-            )
-    for src, lo, hi, vals in contracted_items:
-        pieces.append(PieceRecord(src, lo, hi, 0, image_point=vals))
-    pieces.sort(key=lambda p: (p.source, p.lo))
-
-    # rename vertices deterministically by coordinates
-    order = sorted(vertex_pts, key=vertex_order.__getitem__)
-    rename = {old: f"t{k}" for k, old in enumerate(order)}
-    vertices = {rename[old]: pt for old, pt in vertex_pts.items()}
-    new_edges = {}
-    edge_order = sorted(
-        edges.values(), key=lambda e: (vertex_order[e.v1], vertex_order[e.v2], e.direction)
-    )
-    edge_rename = {}
-    for k, e in enumerate(edge_order):
-        nid = f"s{k}"
-        edge_rename[e.id] = nid
-        new_edges[nid] = TropEdge(nid, rename[e.v1], rename[e.v2], e.direction, e.weight, e.length)
-    curve = TropicalCurve(n, vertices, new_edges, _validated=True)
-    emap = EdgeMap(
-        [
-            PieceRecord(
-                p.source,
-                p.lo,
-                p.hi,
-                p.stretch,
-                tuple(edge_rename[x] for x in p.image_edges),
-                p.image_point,
-            )
-            for p in pieces
-        ],
-        {rename[v]: frozenset(pts) for v, pts in vertex_sources.items()},
+    # number vertices by sort key and edges by (their ends' sort keys,
+    # direction); both sorts are stable, so ties keep creation order
+    vid = {v: f"t{k}" for k, v in enumerate(sorted(table, key=lambda v: table[v].order))}
+    ranked = sorted(edges, key=lambda e: (table[e.v1].order, table[e.v2].order, e.direction))
+    eid = {id(e): f"s{k}" for k, e in enumerate(ranked)}
+    curve = TropicalCurve(
+        n,
+        {vid[v]: vertex.point for v, vertex in table.items()},
         {
-            edge_rename[eid]: tuple(sorted(srcs))
-            for eid, srcs in edge_sources.items()
+            eid[id(e)]: TropEdge(
+                eid[id(e)], vid[e.v1], vid[e.v2], e.direction, e.weight, e.length
+            )
+            for e in edges
         },
+        _validated=True,
+    )
+    emap = EdgeMap(
+        pieces,
+        {vid[v]: frozenset(vertex.preimages) for v, vertex in table.items()},
+        {eid[id(e)]: e.sources for e in edges},
     )
     rep = check_balancing(curve)
     if not rep.balanced:
         raise CertificateFailure(f"tropicalization violated balancing: {rep.defects}")
     return curve, emap
-
-
-def _contracted_sources(skel: ExtendedGraph, recs) -> frozenset[GraphPoint]:
-    pts = set()
-    for r in recs:
-        pts.add(skel.canonical_point(GraphPoint.on_edge(r.source, r.lo)))
-    return frozenset(pts)
 
 
 # -- stretching --------------------------------------------------------------------

@@ -6,9 +6,10 @@ every annotation resolves; every private module-level helper and every
 private method is used; the library stays exact and free of hidden
 options, with no float literal, no `float(...)` call and no read of
 `os.environ` or `getenv`; the integer code of `linalg` and `tropicalize`
-has no true division, the one way left for a float to enter it; and no
+has no true division, the one way left for a float to enter it; no
 library module imports a private name from another, so each reaches the
-others only through their public API."""
+others only through their public API; and every import sits at module
+level, so a module's dependencies all show at its top."""
 
 import ast
 import importlib
@@ -119,6 +120,40 @@ def test_library_imports_no_private_names():
 )
 def test_private_imports_are_caught(source, caught):
     assert bool(_private_imports(source)) == caught
+
+
+def _local_imports(source: str) -> list[int]:
+    """Lines of the imports inside a function or method body."""
+    return sorted({
+        node.lineno
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_library_imports_only_at_module_level():
+    found = [f"{path.name}:{line}" for path in SOURCES for line in _local_imports(path.read_text())]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    ("source", "caught"),
+    [
+        ("def f():\n    import warnings", True),
+        ("def f():\n    from .graphs import build_graph", True),
+        ("class C:\n    def m(self):\n        from .rationals import rat", True),
+        ("def f():\n    def g():\n        import os", True),
+        ("async def f():\n    import os", True),
+        ("import warnings\ndef f():\n    warnings.warn('x')", False),
+        ("from .graphs import build_graph", False),
+        ("try:\n    import numpy\nexcept ImportError:\n    numpy = None", False),
+        ("class C:\n    x = 1", False),
+    ],
+)
+def test_local_imports_are_caught(source, caught):
+    assert bool(_local_imports(source)) == caught
 
 
 def test_library_has_no_unused_from_imports():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from tropicurve.errors import (
 )
 from tropicurve.graphs import GraphPoint, build_extended, build_graph
 from tropicurve.rationals import MINUS_INF, PLUS_INF
+from tropicurve.synthesis import tate_demo
 from tropicurve.tropicalize import (
     Embedding,
     _covered_hull,
@@ -84,6 +86,27 @@ def contracted_embedding():
         {"ra": RayProfile(Fraction(0), -1), "rb": RayProfile(Fraction(2), 1)},
     )
     return Embedding(ext, [f])
+
+
+def tate_leaf(c, attach, leaf_length, leaf_ray=True, zero_rays=()):
+    """`tate_demo(c)` plus a leaf edge at `attach` to a vertex t, with a
+    ray `rt` at t unless `leaf_ray` is false, and one ray per (id, vertex)
+    of `zero_rays`; both coordinates are constant on all of them, so
+    neither pipeline is a no-op."""
+    emb, _curve = tate_demo(c)
+    fin = emb.skeleton.finite
+    edges = [(e.id, e.a, e.b, e.length) for e in fin.edges.values()]
+    fin2 = build_graph(list(fin.vertices) + ["t"], edges + [("leaf", attach, "t", leaf_length)])
+    added = [("rt", "t")] * leaf_ray + list(zero_rays)
+    rays = [(r.id, V(r.attach)) for r in emb.skeleton.rays.values()] + [(rid, V(v)) for rid, v in added]
+    skel = build_extended(fin2, rays)
+    coords = []
+    for f in emb.coords:
+        val = f.vertex_value(attach)
+        profiles = dict(f.edge_profiles, leaf=EdgeProfile(val, (), (0,)))
+        zeros = {rid: RayProfile(val if v == "t" else f.vertex_value(v), 0) for rid, v in added}
+        coords.append(PLFunction(skel, profiles, dict(f.ray_profiles, **zeros)))
+    return Embedding(skel, coords)
 
 
 class TestEmbedding:
@@ -484,6 +507,48 @@ def test_crossing_off_the_integer_grid(monkeypatch):
     assert emap.vertex_sources[vid[cross]] == {P("e1", F(14, 9)), P("e3", F(2, 9))}
     (cross_to_d,) = [eid for eid, e in curve.edges.items() if {e.v1, e.v2} == {vid[cross], vid[d]}]
     assert emap.edge_sources[cross_to_d] == (("e3", F(2, 9), F(4, 5)),)
+
+
+def tropicalization_digest(emb):
+    """First 16 hex digits of the sha256 of `tropicalize`'s whole output:
+    every image vertex and edge with its id, then the edge map's pieces,
+    vertex preimages and edge sources in the map's own order."""
+    curve, emap = tropicalize(emb)
+    text = repr((
+        curve.ambient_dim,
+        list(curve.vertices.items()),
+        list(curve.edges.items()),
+        [(p.source, p.lo, p.hi, p.stretch) for p in emap.pieces],
+        [(vid, sorted(pts)) for vid, pts in emap.vertex_sources.items()],
+        list(emap.edge_sources.items()),
+    ))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Digests of whole tropicalizations, image ids included.  The tate-leaf
+# pipeline outputs are built, and checked against their entries, in
+# `test_synthesis.py`; the second pipeline adds no coordinate to the first's
+# output, so both have one image.
+TROPICALIZATION_DIGESTS = {
+    "line": "5520d5ca93cb46e7",
+    "fold": "0aa72d695dad0c4d",
+    "contracted": "a2d17983ffa34ab8",
+    "tate-leaf": "4baf395e4a7642cc",
+    "tate-leaf first output": "a7ba9c3f2c7ab4b0",
+    "tate-leaf second output": "a7ba9c3f2c7ab4b0",
+}
+TROPICALIZED_FIXTURES = {
+    "line": line_embedding,
+    "fold": fold_embedding,
+    "contracted": contracted_embedding,
+    "tate-leaf": lambda: tate_leaf(3, "p5", Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", TROPICALIZED_FIXTURES)
+def test_tropicalization_digests(name):
+    assert tropicalization_digest(TROPICALIZED_FIXTURES[name]()) == TROPICALIZATION_DIGESTS[name]
+
 
 class TestFullyFaithful:
     def test_line_embedding_faithful(self):
