@@ -84,6 +84,13 @@ class TropicalCurve:
         self.ambient_dim = ambient_dim
         self.vertices = dict(sorted(vertices.items()))
         self.edges = dict(sorted(edges.items()))
+        # each vertex's (edge id, other end) pairs, in edge-id order
+        self._adjacency = {v: [] for v in self.vertices}
+        for eid, e in self.edges.items():
+            if e.v1 not in self._adjacency or e.v2 not in self._adjacency:
+                raise DanglingEndpoint(f"edge {eid!r} references unknown vertex")
+            self._adjacency[e.v1].append((eid, e.v2))
+            self._adjacency[e.v2].append((eid, e.v1))
         if not _validated:
             self._validate()
 
@@ -93,8 +100,6 @@ class TropicalCurve:
             if len(pt.coords) != n:
                 raise InvalidOffset(f"vertex {vid!r} has wrong dimension")
         for eid, e in self.edges.items():
-            if e.v1 not in self.vertices or e.v2 not in self.vertices:
-                raise DanglingEndpoint(f"edge {eid!r} references unknown vertex")
             if len(e.direction) != n:
                 raise InvalidOffset(f"edge {eid!r} direction has wrong dimension")
             if e.weight < 1:
@@ -134,27 +139,20 @@ class TropicalCurve:
         start = next(iter(self.vertices))
         stack = [start]
         seen.add(start)
-        adj = self.adjacency()
         while stack:
             v = stack.pop()
-            for _eid, w in adj[v]:
+            for _eid, w in self._adjacency[v]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         if len(seen) != len(self.vertices):
             raise DanglingEndpoint("curve is not connected")
 
-    def adjacency(self):
-        adj = {v: [] for v in self.vertices}
-        for eid, e in self.edges.items():
-            adj[e.v1].append((eid, e.v2))
-            adj[e.v2].append((eid, e.v1))
-        return adj
-
     def incident(self, v: str) -> list[str]:
-        if v not in self.vertices:
+        """Ids of the edges at v, in edge-id order."""
+        if v not in self._adjacency:
             raise UnknownVertex(f"unknown vertex {v!r}")
-        return [eid for eid, e in self.edges.items() if v in (e.v1, e.v2)]
+        return [eid for eid, _w in self._adjacency[v]]
 
     def is_infinite_vertex(self, v: str) -> bool:
         return not self.vertices[v].is_finite

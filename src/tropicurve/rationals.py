@@ -18,8 +18,6 @@ from typing import Union
 
 from .errors import ParseError
 
-Rat = Fraction
-
 RatLike = Union[Fraction, int, str]
 
 
@@ -68,7 +66,7 @@ class ExtRational:
         if sign == 0:
             if value is None:
                 raise ValueError("finite ExtRational needs a value")
-            object.__setattr__(self, "value", Fraction(value))
+            object.__setattr__(self, "value", rat(value))
         else:
             if sign not in (-1, 1):
                 raise ValueError("sign must be -1, 0 or +1")

@@ -22,15 +22,17 @@ separating bumps).  Every bump coordinate (each side of a tent, a pillar, a
 separating trapezoid) is one `divisors.trapezoid` in a root frame, and
 every ramp is the witness of a principal divisor from `is_principal`.  A
 divisor that needs correction pairs on a spanning-tree complement first (a
-stage-0 core ramp, a ray whose zero charge moves to the core, a separating
-witness) reaches it through `_corrected_witness` alone.
+stage-0 core ramp, a ray whose zero charge moves to the core) reaches it
+through `_corrected_witness` alone.
 
 One exact certificate, `is_fully_faithful`, drives both pipelines: each
-stage-0 patch round, repair round and smoothing pass reads the named
-`Violation` records and the image it needs from a single call, and
-`smoothing_pipeline` reads the certificate that `fully_faithful_pipeline`
-attached to its output instead of computing it again.  Neither pipeline
-returns output that has not passed it.
+stage-0 patch round and smoothing pass reads the named `Violation` records
+and the image it needs from a single call.  The first pipeline builds its
+coordinates and then certifies them once, raising `CertificateFailure`
+with the reasons if any violation is left; `smoothing_pipeline` reads the
+certificate that `fully_faithful_pipeline` attached to its output instead
+of computing it again.  Neither pipeline returns output that has not
+passed it, and each logs its construction steps in a `PipelineReport`.
 """
 
 from __future__ import annotations
@@ -87,13 +89,11 @@ from .tropicalize import (
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
 
-# Search and repair budgets: dyadic halvings per claimed offset, window
-# halvings per bump, batched stage-0 patch rounds, and single-violation
-# repair rounds of the first pipeline.
+# Search budgets: dyadic halvings per claimed offset, window halvings per
+# bump, and batched stage-0 patch rounds.
 CLAIM_DEPTH = 8
 PILLAR_TRIES = 24
 STAGE0_PATCHES = 48
-REPAIR_ROUNDS = 16
 
 
 # -- core designation -------------------------------------------------------------
@@ -737,9 +737,8 @@ def _separating_bump(
 def _repair_step(
     emb: Embedding, frames: Frames, viol: Violation, name: str
 ) -> Optional[Embedding]:
-    """One targeted fix for a fully-faithful violation: a bump on one of its
-    pieces, a bump around one of its interior points, or a witness telling
-    two of its finite vertices apart; None when it has no local remedy."""
+    """Stage 0's fix for one core violation: a bump on one of its pieces or
+    around one of its interior points; None when neither fits."""
     fin = emb.skeleton.finite
     sites = [(src, lo, hi, None) for src, lo, hi in viol.pieces] + [
         (pt.edge, Fraction(0), fin.edges[pt.edge].length, pt.offset)
@@ -750,36 +749,7 @@ def _repair_step(
         bump = _separating_bump(emb, frames, cid, lo, hi, around)
         if bump is not None:
             return extend_embedding(emb, bump, name)
-    verts = [
-        pt.vertex for pt in viol.points
-        if pt.is_vertex and not emb.skeleton.is_infinite_vertex(pt.vertex)
-    ]
-    if len(verts) >= 2:
-        return _separating_witness(emb, frames, verts[0], verts[1], name)
     return None
-
-
-def _separating_witness(
-    emb: Embedding, frames: Frames, x: str, y: str, name: str
-) -> Optional[Embedding]:
-    """Corrected-ramp witness with charges next to two colliding finite
-    vertices; its harmonic values generically tell them apart."""
-    skel = emb.skeleton
-    fin = skel.finite
-    spots = []
-    for v in (x, y):
-        if not fin.adjacency[v]:
-            return None
-        try:
-            spots.append(P(*frames.fresh_near(skel, min(fin.adjacency[v])[0], v)))
-        except NoRoom:
-            return None
-    base = make_divisor(fin, [(spots[0], 1), (spots[1], -1)])
-    try:
-        witness = _corrected_witness(emb, frames, base)
-    except (NoRoom, Stage0Failure, CertificateFailure):
-        return None
-    return extend_embedding(emb, _with_ray_slopes(skel, witness, {}), name)
 
 
 def _root_slope_cover(emb: Embedding, root: str):
@@ -922,10 +892,12 @@ class PipelineReport:
 def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     """Refine until the tropicalization is injective with all weights one.
 
-    Hard-fails with CertificateFailure if the final exact certificate does
-    not pass; never returns an uncertified embedding.  A skeleton with no
-    edges and no rays raises EmptyCoordinates.  The returned embedding
-    carries its certificate for `smoothing_pipeline`.
+    Stage 0 covers the core, then one `edge_ramp` per remaining finite edge
+    and bare ray; the result is certified once, and CertificateFailure
+    carries the reasons of any violation left, so no uncertified embedding
+    is returned.  A skeleton with no edges and no rays raises
+    EmptyCoordinates.  The returned embedding is a new object that carries
+    its certificate for `smoothing_pipeline`.
     """
     _check_skeleton(emb)
     out, report, rep = _fully_faithful(emb, is_fully_faithful(emb))
@@ -941,8 +913,8 @@ def _check_skeleton(emb: Embedding):
 def _fully_faithful(
     emb: Embedding, rep0: FaithfulReport
 ) -> tuple[Embedding, PipelineReport, FaithfulReport]:
-    """`fully_faithful_pipeline` from the input's certificate `rep0`; also
-    returns the output's certificate."""
+    """`fully_faithful_pipeline` from the input's certificate `rep0`: build,
+    certify once, and return a new Embedding with its certificate."""
     report = PipelineReport()
     report.initial = {
         "fully_faithful": bool(rep0),
@@ -951,7 +923,7 @@ def _fully_faithful(
     }
     if rep0:
         report.final = {"fully_faithful": True, "noop": True}
-        return emb.with_provenance("fully_faithful_pipeline", noop=True), report, rep0
+        return Embedding(emb.skeleton, emb.coords), report, rep0
 
     frames = Frames(emb.skeleton)
     fin = emb.skeleton.finite
@@ -983,24 +955,11 @@ def _fully_faithful(
             unit_stretch_new_edges=True,
         )
 
-    for round_no in range(REPAIR_ROUNDS):
-        rep = is_fully_faithful(emb)
-        if rep:
-            break
-        viol = rep.violations[0]
-        emb2 = _repair_step(emb, frames, viol, f"r{round_no}")
-        if emb2 is None:
-            raise CertificateFailure(
-                f"unrepairable violation {viol.label}; reasons: {rep.reasons}"
-            )
-        report.log(construction="repair", target=viol.label)
-        emb = emb2
-    else:
-        rep = is_fully_faithful(emb)
-        if not rep:
-            raise CertificateFailure(f"final certificate failed: {rep.reasons}")
+    rep = is_fully_faithful(emb)
+    if not rep:
+        raise CertificateFailure(f"final certificate failed: {rep.reasons}")
     report.final = {"fully_faithful": True, "coordinates": len(emb.coords)}
-    return emb.with_provenance("fully_faithful_pipeline"), report, rep
+    return Embedding(emb.skeleton, emb.coords), report, rep
 
 
 def _outgoing_direction(emb: Embedding, v: str, side_id: str):
@@ -1102,7 +1061,7 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         "fully_faithful": True,
         "coordinates": len(emb.coords),
     }
-    return emb.with_provenance("smoothing_pipeline"), report
+    return Embedding(emb.skeleton, emb.coords), report
 
 
 # -- the worked elliptic-curve example ------------------------------------------------------
@@ -1154,9 +1113,7 @@ def tate_demo(c=1) -> tuple[Embedding, TropicalCurve]:
                "r4": 0, "r5": -1, "r6": 1}
     g1 = _with_ray_slopes(skel, f1, slopes1)
     g2 = _with_ray_slopes(skel, f2, slopes2)
-    emb = Embedding(
-        skel, [g1, g2], [{"step": "tate_demo", "params": {"c": str(c)}}]
-    )
+    emb = Embedding(skel, [g1, g2])
     curve, _emap = tropicalize(emb)
     return emb, curve
 

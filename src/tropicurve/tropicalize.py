@@ -65,17 +65,12 @@ def validate_coordinate(skeleton: ExtendedGraph, f: PLFunction) -> Divisor:
 
 
 class Embedding:
-    """Skeleton + coordinates + a provenance log of pipeline steps."""
+    """A skeleton and a tuple of coordinates on it.  The construction steps
+    that built it are recorded in the pipelines' `PipelineReport`."""
 
-    def __init__(
-        self,
-        skeleton: ExtendedGraph,
-        coords: Sequence[PLFunction],
-        provenance: Sequence[dict] = (),
-    ):
+    def __init__(self, skeleton: ExtendedGraph, coords: Sequence[PLFunction]):
         self.skeleton = skeleton
         self.coords = tuple(coords)
-        self.provenance = tuple(provenance)
         # The certificate of this very object, attached by
         # `synthesis.fully_faithful_pipeline` to its output for
         # `smoothing_pipeline`; no new Embedding starts with one.
@@ -86,10 +81,6 @@ class Embedding:
     @property
     def ambient_dim(self) -> int:
         return len(self.coords)
-
-    def with_provenance(self, step: str, **params) -> "Embedding":
-        entry = {"step": step, "params": params}
-        return Embedding(self.skeleton, self.coords, self.provenance + (entry,))
 
 
 # -- pieces -------------------------------------------------------------------------
@@ -651,7 +642,7 @@ def is_fully_faithful(emb: Embedding) -> FaithfulReport:
     weights and stretching factors equal to one.
 
     One tropicalization gives both the verdict and the structured
-    violations that the pipelines repair.
+    violations that the pipelines read.
     """
     try:
         curve, emap = tropicalize(emb)
@@ -687,7 +678,7 @@ def refine_embedding(emb: Embedding, points: Sequence[GraphPoint]) -> Embedding:
     if skel is emb.skeleton:
         return emb
     coords = [f.transport(skel) for f in emb.coords]
-    return Embedding(skel, coords, emb.provenance)
+    return Embedding(skel, coords)
 
 
 def extend_embedding(emb: Embedding, f: PLFunction, name: str) -> Embedding:
@@ -733,11 +724,4 @@ def extend_embedding(emb: Embedding, f: PLFunction, name: str) -> Embedding:
             g.ray_profiles[rid].slope for g in new_coords
         ):
             raise CertificateFailure(f"new ray {rid!r} does not have stretching factor one")
-    entry = {
-        "step": "extend",
-        "params": {
-            "name": name,
-            "attached": [rid for rid, _pt in new_rays],
-        },
-    }
-    return Embedding(new_skel, new_coords + [new_f], emb.provenance + (entry,))
+    return Embedding(new_skel, new_coords + [new_f])

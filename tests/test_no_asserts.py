@@ -2,8 +2,8 @@
 
 Result checks must survive `python -O`, which strips `assert` statements,
 so the library raises typed errors instead; every `from` import is used;
-every annotation resolves; every private module-level helper and every
-private method is used; the library stays exact and free of hidden
+every annotation resolves; every private module-level helper, every
+private method and every module-level assigned name is used; the library stays exact and free of hidden
 options, with no float literal, no `float(...)` call and no read of
 `os.environ` or `getenv`; the integer code of `linalg` and `tropicalize`
 has no true division, the one way left for a float to enter it; no
@@ -220,3 +220,50 @@ def test_library_has_no_unreferenced_private_helpers():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def _unreferenced_module_names(sources: dict[str, str]) -> list[str]:
+    """Names assigned at the top level of some source, keyed by its name,
+    that no source reads: a `Name` load, an attribute or a `from` import."""
+    trees = {key: ast.parse(source) for key, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [
+        f"{key}:{node.lineno} {name.id}"
+        for key, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+        and not (name.id.startswith("__") and name.id.endswith("__"))
+        and name.id not in referenced
+    ]
+
+
+def test_library_has_no_unreferenced_module_names():
+    assert _unreferenced_module_names({path.name: path.read_text() for path in SOURCES}) == []
+
+
+@pytest.mark.parametrize(
+    ("sources", "caught"),
+    [
+        ({"a": "from fractions import Fraction\nRat = Fraction"}, True),
+        ({"a": "ROUNDS = 16\nBUDGET = 48\ndef f():\n    return range(BUDGET)"}, True),
+        ({"a": "x, y = 1, 2\nprint(x)"}, True),
+        ({"a": "x: int = 3"}, True),
+        ({"a": "LIMIT = 3\ndef f():\n    return LIMIT"}, False),
+        ({"a": "LIMIT = 3", "b": "from .a import LIMIT\nprint(LIMIT)"}, False),
+        ({"a": "LIMIT = 3", "b": "from . import a\nprint(a.LIMIT)"}, False),
+        ({"a": "__all__ = ['f']"}, False),
+    ],
+)
+def test_unreferenced_module_names_are_caught(sources, caught):
+    assert bool(_unreferenced_module_names(sources)) == caught

@@ -245,7 +245,9 @@ def test_root_frames_survive_subdivision():
     frames = Frames(emb.skeleton)
     start_ids = sorted(emb.skeleton.finite.edges) + sorted(emb.skeleton.rays)
     emb = extend_embedding(emb, trapezoid(emb.skeleton, "l1.0", ["1/4", "1/2", 1, "5/4"]), "t")
-    assert "t.0" in emb.skeleton.rays and emb.skeleton.parent("t.0") is None
+    added = sorted(set(emb.skeleton.rays) - set(start_ids))
+    assert added == [f"t.{k}" for k in range(4)]
+    assert all(emb.skeleton.parent(rid) is None for rid in added)
     # twice each: a start edge, a loop half, a start ray's stub and tail,
     # and a ray attached after the frames were made
     emb = refine_embedding(
@@ -254,7 +256,6 @@ def test_root_frames_survive_subdivision():
          P("l0.0", Fraction(1, 4)), P("r", 2), P("r", 1), P("r", 3), P("t.0", 1), P("t.0", 2)],
     )
     skel = emb.skeleton
-    added = [rid for step in emb.provenance if step["step"] == "extend" for rid in step["params"]["attached"]]
     roots = start_ids + added
     current = sorted(skel.finite.edges) + sorted(skel.rays)
     assert {"bar.R.L", "l0.0.L.R", "r.stub.L", "r.tail.stub", "t.0.tail.stub"} <= set(current)
@@ -478,9 +479,7 @@ def test_one_op_certifies_each_embedding_once(tate_leaf_outputs, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "copy",
-    [lambda out: out.with_provenance("copy"), lambda out: Embedding(out.skeleton, out.coords)],
-    ids=["with_provenance", "constructor"],
+    "copy", [lambda out: Embedding(out.skeleton, out.coords)], ids=["constructor"]
 )
 def test_a_copy_of_the_first_output_is_certified_again(tate_leaf_outputs, monkeypatch, copy):
     (out, _report), _second, _calls = tate_leaf_outputs
@@ -489,6 +488,31 @@ def test_a_copy_of_the_first_output_is_certified_again(tate_leaf_outputs, monkey
     result = smoothing_pipeline(emb)
     assert calls == [emb]
     assert output_digest(*result) == TATE_LEAF_DIGESTS[1]
+
+
+def test_first_pipeline_refuses_a_violation_its_construction_leaves(monkeypatch):
+    """The first pipeline certifies what it built once and refuses it with
+    the reasons of the violations left: with the coordinate of `e2`'s ramp
+    never added, a piece of `e2` stays contracted."""
+    extend = synthesis.extend_embedding
+    monkeypatch.setattr(
+        synthesis, "extend_embedding",
+        lambda emb, f, name: emb if name == "f.e2" else extend(emb, f, name),
+    )
+    certify = synthesis.is_fully_faithful
+    reports = []
+
+    def recorded_certificate(emb):
+        reports.append(certify(emb))
+        return reports[-1]
+
+    monkeypatch.setattr(synthesis, "is_fully_faithful", recorded_certificate)
+    with pytest.raises(CertificateFailure, match="final certificate failed") as failure:
+        fully_faithful_pipeline(contracted_embedding())
+    assert len(reports) == 2  # the input's certificate and the output's
+    (viol,) = reports[-1].violations
+    assert viol.kind == "contracted" and viol.pieces[0][0].startswith("e2")
+    assert reports[-1].reasons[0] in str(failure.value)
 
 
 @pytest.mark.parametrize("pipeline", [fully_faithful_pipeline, smoothing_pipeline])

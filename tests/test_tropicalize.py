@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tropicurve import tropicalize as tropicalize_module
-from tropicurve.complexes import BalancingReport, check_balancing, check_smooth
+from tropicurve.complexes import BalancingReport, TropPoint, check_balancing, check_smooth
 from tropicurve.divisors import (
     EdgeProfile,
     PLFunction,
@@ -170,6 +170,26 @@ class TestTropicalize:
         emb = contracted_embedding()
         _curve, emap = tropicalize(emb)
         assert any(rec.source == "e2" for rec in emap.contracted)
+
+    def test_constant_coordinates_give_one_point(self):
+        """Every piece contracted: the image is the one vertex t0, whose
+        preimages are the skeleton points the pieces start at."""
+        skel = contracted_embedding().skeleton
+        coords = [
+            PLFunction(
+                skel,
+                {eid: EdgeProfile(Fraction(c), (), (0,)) for eid in skel.finite.edges},
+                {rid: RayProfile(Fraction(c), 0) for rid in skel.rays},
+            )
+            for c in (5, -7)
+        ]
+        curve, emap = tropicalize(Embedding(skel, coords))
+        assert curve.vertices == {"t0": TropPoint.finite((5, -7))} and curve.edges == {}
+        assert emap.contracted == emap.pieces
+        assert [p.source for p in emap.pieces] == ["e1", "e2", "ra", "rb"]
+        starts = {skel.canonical_point(P(p.source, p.lo)) for p in emap.pieces}
+        assert emap.vertex_sources == {"t0": starts} and starts == {V("a"), V("b")}
+        assert emap.edge_sources == {}
 
 
 class TestStretching:
