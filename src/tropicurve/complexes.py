@@ -213,19 +213,6 @@ def check_balancing(curve: TropicalCurve) -> BalancingReport:
     return BalancingReport(not defects, tuple(defects))
 
 
-def local_cone(curve: TropicalCurve, v: str) -> list[tuple[Direction, int]]:
-    """Rays of the local one-dimensional fan, coincident rays merged with
-    weights summed; sorted for determinism."""
-    if curve.is_infinite_vertex(v):
-        raise UnknownVertex(f"local cone is defined at finite vertices, not {v!r}")
-    acc: dict[Direction, int] = {}
-    for eid in curve.incident(v):
-        e = curve.edges[eid]
-        d = e.endpoint_direction(v)
-        acc[d] = acc.get(d, 0) + e.weight
-    return sorted(acc.items())
-
-
 def check_vertex_smooth(curve: TropicalCurve, v: str) -> VertexSmoothness:
     if curve.is_infinite_vertex(v):
         val = len(curve.incident(v))

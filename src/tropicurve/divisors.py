@@ -12,7 +12,8 @@ gives an integer solution of the vertex equations, and returns w, the cycle
 integrals of the peeled slopes.  Adding sum_j k_j z_j over the fundamental
 cycles z_j, with k solving the g x g period system period * k = -w, gives
 the unique rational solution, and the divisor is principal exactly when it
-is integral.  The period matrix is summed in integers over the common
+is integral; the witness's vertex values are then read down the same
+spanning tree.  The period matrix is summed in integers over the common
 denominator of the lengths, and `linalg.solve_linear` solves the system by
 fraction-free elimination, so no step normalises a `Fraction`.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -32,7 +34,6 @@ from .errors import (
     NonzeroDegree,
     NotComplement,
     NotPrincipal,
-    UnknownEdge,
 )
 from .graphs import CycleSpace, ExtendedGraph, GraphPoint, MetricGraph, validate_pillar_points
 from .linalg import solve_linear
@@ -158,13 +159,6 @@ class EdgeProfile:
                 return self.slopes[i]
         return self.slopes[-1]
 
-    def reversed(self, length: Fraction) -> "EdgeProfile":
-        return EdgeProfile(
-            self.end_value(length),
-            tuple(length - b for b in reversed(self.breaks)),
-            tuple(-s for s in reversed(self.slopes)),
-        )
-
     def sub_profile(self, lo: Fraction, hi: Fraction) -> "EdgeProfile":
         inner = tuple(b - lo for b in self.breaks if lo < b < hi)
         slopes = []
@@ -186,6 +180,13 @@ class RayProfile:
 
     def value_at(self, off: Fraction) -> Fraction:
         return self.start + self.slope * off
+
+    def sub_profile(self, lo: Fraction, hi: Optional[Fraction]) -> Union["RayProfile", EdgeProfile]:
+        """The piece [lo, hi] of the ray: a ray again when hi is None (the
+        unbounded tail), else a one-slope edge profile (a finite stub)."""
+        if hi is None:
+            return RayProfile(self.value_at(lo), self.slope)
+        return EdgeProfile(self.value_at(lo), (), (self.slope,))
 
     def leaf_value(self) -> ExtRational:
         if self.slope > 0:
@@ -349,24 +350,14 @@ class PLFunction:
         new_rays = new_domain.rays
         profiles: dict[str, EdgeProfile] = {}
         rays: dict[str, RayProfile] = {}
-        for eid, prof in self.edge_profiles.items():
-            if eid in new_fin.edges:
-                profiles[eid] = prof
-                continue
-            for kind, cid, lo, hi in new_domain.segments_of(eid):
-                if kind == "edge":
-                    profiles[cid] = prof.sub_profile(lo, hi)
-                else:  # pragma: no cover - finite edges never become rays
-                    raise UnknownEdge(f"edge {eid!r} resolved to a ray")
-        for rid, rprof in self.ray_profiles.items():
-            if rid in new_rays:
-                rays[rid] = rprof
-                continue
-            for kind, cid, lo, hi in new_domain.segments_of(rid):
-                if kind == "ray":
-                    rays[cid] = RayProfile(rprof.value_at(lo), rprof.slope)
-                else:
-                    profiles[cid] = EdgeProfile(rprof.value_at(lo), (), (rprof.slope,))
+        for old, prof in chain(self.edge_profiles.items(), self.ray_profiles.items()):
+            if old in new_fin.edges:
+                profiles[old] = prof
+            elif old in new_rays:
+                rays[old] = prof
+            else:
+                for kind, cid, lo, hi in new_domain.segments_of(old):
+                    (rays if kind == "ray" else profiles)[cid] = prof.sub_profile(lo, hi)
         for rid, r in new_rays.items():
             if rid not in rays:
                 start = None
@@ -382,13 +373,6 @@ class PLFunction:
                     start = next(iter(rays.values())).start if rays else Fraction(0)
                 rays[rid] = RayProfile(start, new_ray_slopes.get(rid, 0))
         return PLFunction(new_domain, profiles, rays)
-
-
-def constant_function(domain: Domain, value=0) -> PLFunction:
-    value = rat(value)
-    profiles = {eid: EdgeProfile(value, (), (0,)) for eid in domain.finite.edges}
-    rays = {rid: RayProfile(value, 0) for rid in domain.rays}
-    return PLFunction(domain, profiles, rays, _validated=True)
 
 
 def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> PLFunction:
@@ -472,22 +456,24 @@ def _interior_chips(d: Divisor) -> dict[str, list[tuple[Fraction, int]]]:
 
 def _solve_slopes(graph: MetricGraph, d: Divisor):
     """First-piece slope of every edge: the unique solution of the divisor
-    equations at the vertices with zero integral around every cycle."""
+    equations at the vertices with zero integral around every cycle.  Also
+    returns the interior chips and the cycle space, whose tree the witness
+    is integrated down."""
     interior = _interior_chips(d)
     # minus the boundary of the slopes is d, so the peeled slopes are the
     # tree chain of -d, with each edge's interior chips counted at its b end
     cs = CycleSpace(graph, graph.canonical_spanning_tree())
-    chain, w = cs.integrals((pt, -c) for pt, c in d.terms)
-    slopes = dict.fromkeys(graph.edges, 0) | chain
+    tree_chain, w = cs.integrals((pt, -c) for pt, c in d.terms)
+    slopes = dict.fromkeys(graph.edges, 0) | tree_chain
     if not cs.cycles:
-        return slopes, interior
+        return slopes, interior, cs
     k = solve_linear(cs.period, [-x for x in w])
     if k is None:
         raise CertificateFailure("period matrix of the cycle space is singular")
     for kj, cyc in zip(k, cs.cycles):
         for eid, c in cyc.items():
             slopes[eid] += kj * c
-    return slopes, interior
+    return slopes, interior, cs
 
 
 def is_principal(
@@ -498,39 +484,30 @@ def is_principal(
     if d.degree() != 0:
         raise NonzeroDegree(f"divisor has degree {d.degree()}")
     d = make_divisor(graph, d.terms)  # re-anchor points after any refinement
-    slopes, interior = _solve_slopes(graph, d)
+    slopes, interior, cs = _solve_slopes(graph, d)
     for eid, s in slopes.items():
         if s.denominator != 1:
             return PrincipalityResult(False, obstruction=(eid, s))
-    witness = _integrate(graph, slopes, interior, basepoint, Fraction(0))
-    return PrincipalityResult(True, witness=witness)
+    return PrincipalityResult(True, witness=_integrate(cs, slopes, interior, basepoint))
 
 
 def _integrate(
-    graph: MetricGraph,
+    cs: CycleSpace,
     slopes: Mapping[str, Fraction],
     interior: Mapping[str, list[tuple[Fraction, int]]],
     basepoint: GraphPoint | None,
-    value: Fraction,
 ) -> PLFunction:
-    def edge_integral(eid: str) -> Fraction:
-        e = graph.edges[eid]
-        total = slopes[eid] * e.length
-        for x, c in interior.get(eid, ()):
-            total += c * (e.length - x)
-        return total
-
-    vals: dict[str, Fraction] = {graph.vertices[0]: Fraction(0)}
-    stack = [graph.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for eid, w in graph.adjacency[v]:
-            if w in vals:
-                continue
-            e = graph.edges[eid]
-            delta = edge_integral(eid)
-            vals[w] = vals[v] + (delta if e.a == v else -delta)
-            stack.append(w)
+    """The function with the given first-piece slopes and interior chips,
+    0 at the basepoint (default: the tree's root, the least vertex).  Vertex
+    values are read down the cycle space's tree, each from its parent's."""
+    graph = cs.graph
+    vals: dict[str, Fraction] = {cs.order[0]: Fraction(0)}
+    for v in cs.order[1:]:
+        e = graph.edges[cs.up[v]]
+        delta = slopes[e.id] * e.length
+        for x, c in interior.get(e.id, ()):
+            delta += c * (e.length - x)
+        vals[v] = vals[e.a] + delta if e.b == v else vals[e.b] - delta
     profiles: dict[str, EdgeProfile] = {}
     for eid, e in graph.edges.items():
         pts = interior.get(eid, ())
@@ -540,9 +517,7 @@ def _integrate(
             slope_list.append(slope_list[-1] + c)
         profiles[eid] = EdgeProfile(vals[e.a], breaks, tuple(slope_list))
     f = PLFunction(graph, profiles, {}, _validated=True)
-    if basepoint is None:
-        basepoint = GraphPoint.at_vertex(graph.vertices[0])
-    shift = rat(value) - f.value(basepoint)
+    shift = -f.value(basepoint) if basepoint is not None else 0
     return f.add_constant(shift) if shift else f
 
 
@@ -555,11 +530,8 @@ def construct_pl_with_divisor(
     result = is_principal(graph, d, basepoint)
     if not result.principal:
         raise NotPrincipal(f"divisor is not principal; obstruction {result.obstruction}")
-    f = result.witness
-    shift = rat(value) - (
-        f.value(basepoint) if basepoint is not None else Fraction(0)
-    )
-    return f.add_constant(shift) if shift else f
+    value = rat(value)  # the witness is 0 at the basepoint
+    return result.witness.add_constant(value) if value else result.witness
 
 
 def cor34_certificate(

@@ -23,10 +23,6 @@ class DanglingEndpoint(TropicurveError):
     pass
 
 
-class PointsNotOnEdge(TropicurveError):
-    pass
-
-
 class PointNotInterior(TropicurveError):
     pass
 
@@ -91,10 +87,6 @@ class DiscontinuousFunction(TropicurveError):
 # -- tropicalization --------------------------------------------------------
 
 class EmptyCoordinates(TropicurveError):
-    pass
-
-
-class ContractedEdge(TropicurveError):
     pass
 
 

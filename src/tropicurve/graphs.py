@@ -20,7 +20,6 @@ loop-free and makes (edge, offset) coordinates unambiguous.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from collections import ChainMap
@@ -37,7 +36,6 @@ from .errors import (
     NonpositiveLength,
     NonzeroDegree,
     PointNotInterior,
-    PointsNotOnEdge,
     UnknownEdge,
     UnknownVertex,
     WrongCardinality,
@@ -183,7 +181,6 @@ class MetricGraph(_Domain):
         self._aliases: dict[str, tuple] = dict(_alias or {})
         self._adj_cache = None
         self._parent_cache = None
-        self._dist_cache: dict[str, dict[str, Fraction]] = {}
         if not _validated:
             self._validate()
 
@@ -317,60 +314,6 @@ class MetricGraph(_Domain):
                 g, _ = g.subdivide_at(cpt)
         return g
 
-    # -- metric -------------------------------------------------------------------
-
-    def _vertex_distances(self, source: str) -> dict[str, Fraction]:
-        if source in self._dist_cache:
-            return self._dist_cache[source]
-        dist = {source: Fraction(0)}
-        heap = [(Fraction(0), source)]
-        adj = self.adjacency
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist.get(v, d):
-                continue
-            for eid, w in adj[v]:
-                nd = d + self._edges[eid].length
-                if w not in dist or nd < dist[w]:
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        self._dist_cache[source] = dist
-        return dist
-
-    def _point_anchors(self, pt: GraphPoint) -> list[tuple[str, Fraction]]:
-        """(vertex, distance-to-it) pairs anchoring a canonical point."""
-        if pt.is_vertex:
-            return [(pt.vertex, Fraction(0))]
-        e = self._edges[pt.edge]
-        return [(e.a, pt.offset), (e.b, e.length - pt.offset)]
-
-    def distance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
-        cp = self.canonical_point(p)
-        cq = self.canonical_point(q)
-        if cp == cq:
-            return Fraction(0)
-        best = None
-        if (not cp.is_vertex) and (not cq.is_vertex) and cp.edge == cq.edge:
-            best = abs(cp.offset - cq.offset)
-        for va, da in self._point_anchors(cp):
-            dmap = self._vertex_distances(va)
-            for vb, db in self._point_anchors(cq):
-                cand = da + dmap[vb] + db
-                if best is None or cand < best:
-                    best = cand
-        return best
-
-    def edge_distance(self, edge_id: str, p: GraphPoint, q: GraphPoint) -> Fraction:
-        """|offset(p) - offset(q)| along one edge frame (may exceed the
-        graph distance when the edge lies on a short cycle)."""
-        length = self.frame_length(edge_id)
-        for pt in (p, q):
-            if pt.is_vertex or pt.edge != edge_id:
-                raise PointsNotOnEdge(f"point {pt!r} is not on edge {edge_id!r}")
-            if not (0 <= pt.offset <= length):
-                raise InvalidOffset(f"offset {pt.offset} outside edge {edge_id!r}")
-        return abs(p.offset - q.offset)
-
     # -- spanning trees ---------------------------------------------------------
 
     def canonical_spanning_tree(self, first: Sequence[str] = ()) -> list[str]:
@@ -418,11 +361,6 @@ class MetricGraph(_Domain):
         for combo in combinations(sorted(self._edges), g):
             if self.spanning_tree_complement(combo):
                 yield combo
-
-    def fundamental_cycle(self, tree: Sequence[str], comp_edge: str) -> dict[str, int]:
-        """Signed edge-coefficients of the cycle closed by a complement edge
-        (see `CycleSpace.cycle`)."""
-        return CycleSpace(self, tree).cycle(comp_edge)
 
 
 class CycleSpace:

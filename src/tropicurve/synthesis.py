@@ -100,35 +100,26 @@ STAGE0_PATCHES = 48
 
 
 def designate_core(fin: MetricGraph) -> tuple[frozenset[str], frozenset[str]]:
-    """Edges and vertices of the leaf-pruned core of the finite part.
-
-    Iteratively strips valence-one vertices; what remains carries all the
-    cycles plus the bridges between them.  A tree prunes down to its
-    lexicographically least surviving vertex.
+    """Edges and vertices of the 2-core of the finite part: what is left
+    once vertices of valence at most one are stripped while any remain.  It
+    carries all the cycles plus the bridges between them.  A tree strips to
+    nothing and gives its least vertex with no edges.
     """
-    edges = set(fin.edges)
-    valence = {v: 0 for v in fin.vertices}
-    for e in fin.edges.values():
-        valence[e.a] += 1
-        valence[e.b] += 1
-    alive = set(fin.vertices)
-    while True:
-        leaves = sorted(v for v in alive if valence[v] <= 1)
-        if not leaves:
-            break
-        v = leaves[0]
-        alive.discard(v)
-        for eid in sorted(edges):
-            e = fin.edges[eid]
-            if v in (e.a, e.b):
-                edges.discard(eid)
-                valence[e.a] -= 1
-                valence[e.b] -= 1
-        if not alive:
-            break
-    if not alive:
-        alive = {sorted(fin.vertices)[0]}
-    return frozenset(edges), frozenset(alive)
+    adj = fin.adjacency
+    valence = {v: len(adj[v]) for v in fin.vertices}
+    queue = [v for v in fin.vertices if valence[v] <= 1]
+    stripped = set(queue)
+    while queue:
+        for _eid, w in adj[queue.pop()]:
+            if w not in stripped:
+                valence[w] -= 1
+                if valence[w] <= 1:
+                    stripped.add(w)
+                    queue.append(w)
+    core = valence.keys() - stripped
+    if not core:
+        return frozenset(), frozenset(fin.vertices[:1])
+    return frozenset(eid for eid, e in fin.edges.items() if e.a in core and e.b in core), frozenset(core)
 
 
 # -- root-frame bookkeeping ----------------------------------------------------------

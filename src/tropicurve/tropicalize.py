@@ -38,12 +38,10 @@ from .complexes import TropEdge, TropPoint, TropicalCurve, check_balancing
 from .divisors import Divisor, PLFunction, divisor_of
 from .errors import (
     CertificateFailure,
-    ContractedEdge,
     DivisorCollision,
     EmptyCoordinates,
     InvalidCoordinate,
     NonSimplePoint,
-    UnknownEdge,
 )
 from .graphs import ExtendedGraph, GraphPoint
 from .linalg import primitive
@@ -527,49 +525,7 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
     return curve, emap
 
 
-# -- stretching --------------------------------------------------------------------
-
-
-def stretching_factor(
-    emb: Embedding, edge_id: str, span: Optional[tuple[Fraction, Fraction]] = None
-) -> int:
-    """Content of the coordinate slope vector on one linear piece.
-
-    The slope vector must be constant over the span (no coordinate
-    breakpoints inside); zero vector raises ContractedEdge.
-    """
-    skel = emb.skeleton
-    if edge_id in skel.rays:
-        slopes = tuple(f.ray_profiles[edge_id].slope for f in emb.coords)
-    else:
-        fin = skel.finite
-        if edge_id not in fin.edges:
-            raise UnknownEdge(f"unknown edge {edge_id!r}")
-        e = fin.edges[edge_id]
-        lo, hi = span if span is not None else (Fraction(0), e.length)
-        for f in emb.coords:
-            prof = f.edge_profiles[edge_id]
-            if any(lo < b < hi for b in prof.breaks):
-                raise ContractedEdge(
-                    f"slope vector is not constant on [{lo}, {hi}] of {edge_id!r}"
-                )
-        slopes = tuple(
-            f.edge_profiles[edge_id].slope_at(lo, +1) for f in emb.coords
-        )
-    if not any(slopes):
-        raise ContractedEdge(f"edge {edge_id!r} is contracted by the coordinates")
-    m, _w = primitive(slopes)
-    return m
-
-
 # -- faithfulness -------------------------------------------------------------------
-
-
-def is_faithful_function(emb: Embedding, f: PLFunction) -> bool:
-    """All divisor support at distinct infinite vertices with coefficients
-    +-1 (simple zeros and poles, one per ray)."""
-    d = validate_coordinate(emb.skeleton, f)
-    return all(abs(c) == 1 for _pt, c in d.terms)
 
 
 class Violation(NamedTuple):

@@ -12,7 +12,6 @@ from tropicurve.complexes import (
     check_edge_smooth,
     check_smooth,
     check_vertex_smooth,
-    local_cone,
 )
 from tropicurve.linalg import is_saturated_span, matrix_rank, smith_normal_form
 
@@ -173,11 +172,6 @@ class TestCurveReports:
         assert not rep.smooth
         assert rep.heavy_edges == ("r0", "r1")
         assert not check_edge_smooth(curve, "r0")
-
-    def test_local_cone_merges(self):
-        curve = star_curve([(1, 0), (1, 0), (0, 1)], weights=[1, 2, 1])
-        cone = local_cone(curve, "o")
-        assert cone == [((0, 1), 1), ((1, 0), 3)]
 
     def test_unimodular_invariance(self):
         # smoothness verdicts survive a unimodular change of coordinates

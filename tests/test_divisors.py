@@ -9,7 +9,6 @@ from tropicurve.divisors import (
     EdgeProfile,
     PLFunction,
     RayProfile,
-    constant_function,
     construct_pl_with_divisor,
     cor34_certificate,
     divisor_of,
@@ -61,10 +60,6 @@ def fig2_skeleton(c=1):
 
 
 class TestDivisorOf:
-    def test_constant_is_zero(self):
-        g = path_amb()
-        assert divisor_of(constant_function(g, 5)).is_zero()
-
     def test_single_ramp(self):
         g = path_amb()
         f = PLFunction(
@@ -202,6 +197,12 @@ class TestTransport:
             assert moved.edge_profiles == edges
             assert moved.ray_profiles == rays
         assert shared > 30
+
+    def test_ray_sub_profile_is_a_tail_or_a_stub(self):
+        ray = RayProfile(Fraction(1), -2)
+        assert ray.sub_profile(Fraction(3, 2), None) == RayProfile(Fraction(-2), -2)
+        assert ray.sub_profile(Fraction(0), None) == ray
+        assert ray.sub_profile(Fraction(1, 2), Fraction(3, 2)) == EdgeProfile(Fraction(0), (), (-2,))
 
     @pytest.mark.parametrize("cut", [None, "e1", "e2"])
     def test_transport_checks_continuity_on_shared_profiles(self, cut):

@@ -13,7 +13,6 @@ from tropicurve.errors import (
     InvalidOffset,
     NonpositiveLength,
     PointNotInterior,
-    PointsNotOnEdge,
     WrongCardinality,
 )
 from tropicurve.graphs import (
@@ -109,79 +108,24 @@ class TestSubdivide:
 
     def test_loop_split_offsets(self):
         g = circle_graph(3)
-        g2, _ = g.subdivide_at(P("loop", 1))
-        # distances in the loop frame still work
-        assert g2.edge_distance("loop", P("loop", Fraction(1, 2)), P("loop", Fraction(5, 2))) == 2
+        g2, mid = g.subdivide_at(P("loop", 1))
+        # the loop was split at its midpoint 3/2 into loop.0 and loop.1, and
+        # loop.0 now at 1: points of the loop frame land on those pieces
+        assert [s[1:] for s in g2.segments_of("loop")] == [
+            ("loop.0.L", 0, 1), ("loop.0.R", 1, Fraction(3, 2)), ("loop.1", Fraction(3, 2), 3)
+        ]
+        assert g2.canonical_point(P("loop", Fraction(1, 2))) == P("loop.0.L", Fraction(1, 2))
+        assert g2.canonical_point(P("loop", 1)) == V(mid)
+        assert g2.canonical_point(P("loop", Fraction(5, 4))) == P("loop.0.R", Fraction(1, 4))
+        assert g2.canonical_point(P("loop", Fraction(3, 2))) == V("loop.mid")
+        assert g2.canonical_point(P("loop", Fraction(5, 2))) == P("loop.1", 1)
+        assert g2.canonical_point(P("loop", 3)) == V("v")
 
     def test_vertex_noop_warns(self):
         g = build_graph(["a", "b"], [("e", "a", "b", 2)])
         with pytest.warns(UserWarning):
             g2, vid = g.subdivide_at(P("e", 0))
         assert g2 is g and vid == "a"
-
-    def test_distance_is_subdivision_invariant(self):
-        rng = random.Random(7)
-        g = theta_graph(2, 3, 5)
-        p = P("e1", 1)
-        q = P("e3", 2)
-        d0 = g.distance(p, q)
-        g2 = g
-        for _ in range(4):
-            eid = rng.choice(list(g2.edges))
-            e = g2.edges[eid]
-            g2, _ = g2.subdivide_at(P(eid, e.length / 3))
-        assert g2.distance(p, q) == d0
-        assert g2.betti_number() == g.betti_number()
-
-
-class TestDistance:
-    def test_path_endpoints(self):
-        g = build_graph(["a", "b"], [("e", "a", "b", 5)])
-        assert g.distance(V("a"), V("b")) == 5
-
-    def test_circle_wraps(self):
-        g = circle_graph(3)
-        assert g.distance(P("loop", 0), P("loop", 2)) == 1
-
-    def test_identity(self):
-        g = circle_graph(3)
-        assert g.distance(P("loop", 2), P("loop", 2)) == 0
-
-    def test_symmetry_and_triangle(self):
-        rng = random.Random(3)
-        g = fig2_skeleton()
-        pts = []
-        for _ in range(6):
-            eid = rng.choice(list(g.edges))
-            e = g.edges[eid]
-            pts.append(P(eid, e.length * Fraction(rng.randrange(1, 4), 4)))
-        for a in pts:
-            for b in pts:
-                assert g.distance(a, b) == g.distance(b, a)
-                for c in pts:
-                    assert g.distance(a, c) <= g.distance(a, b) + g.distance(b, c)
-
-
-class TestEdgeDistance:
-    def test_loop_frame(self):
-        g = circle_graph(3)
-        d = g.edge_distance("loop", P("loop", Fraction(1, 2)), P("loop", Fraction(5, 2)))
-        assert d == 2
-        assert g.distance(P("loop", Fraction(1, 2)), P("loop", Fraction(5, 2))) == 1
-
-    def test_equal_offsets(self):
-        g = circle_graph(3)
-        assert g.edge_distance("loop", P("loop", 1), P("loop", 1)) == 0
-
-    def test_thirds(self):
-        g = path_graph()
-        d = g.edge_distance("e", P("e", Fraction(1, 3)), P("e", Fraction(5, 6)))
-        assert d == Fraction(1, 2)
-
-    def test_not_on_edge(self):
-        g = theta_graph()
-        with pytest.raises(PointsNotOnEdge):
-            g.edge_distance("e1", P("e2", Fraction(1, 2)), P("e1", Fraction(1, 2)))
 
 
 def boundary(g, chain):
@@ -255,7 +199,7 @@ class TestSpanningTrees:
             tree = g.canonical_spanning_tree()
             comp = [eid for eid in g.edges if eid not in tree]
             for c in comp:
-                cyc = g.fundamental_cycle(tree, c)
+                cyc = CycleSpace(g, tree).cycle(c)
                 assert cyc[c] == 1 and set(cyc) <= set(tree) | {c}
                 # boundary of the cycle is zero: each vertex enters as often as it leaves
                 assert all(v == 0 for v in boundary(g, cyc).values())
@@ -290,7 +234,7 @@ class TestSpanningTrees:
             tree = g.canonical_spanning_tree()
             cs = CycleSpace(g, tree)
             denominators.add(cs.denominator)
-            cycles = [g.fundamental_cycle(tree, c) for c in cs.complement]
+            cycles = [cs.cycle(c) for c in cs.complement]
             assert cs.cycles == cycles and len(cycles) == g.betti_number()
             for i, zi in enumerate(cycles):
                 for j, zj in enumerate(cycles):

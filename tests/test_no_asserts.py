@@ -3,7 +3,9 @@
 Result checks must survive `python -O`, which strips `assert` statements,
 so the library raises typed errors instead; every `from` import is used;
 every annotation resolves; every private module-level helper, every
-private method and every module-level assigned name is used; the library stays exact and free of hidden
+private method and every module-level assigned name is used; every public
+function, class and method is used by the library or the benchmark, apart
+from a short list of test oracles; the library stays exact and free of hidden
 options, with no float literal, no `float(...)` call and no read of
 `os.environ` or `getenv`; the integer code of `linalg` and `tropicalize`
 has no true division, the one way left for a float to enter it; no
@@ -14,7 +16,9 @@ level, so a module's dependencies all show at its top."""
 import ast
 import importlib
 import inspect
+import re
 import typing
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,7 @@ import pytest
 import tropicurve
 
 SOURCES = sorted(Path(tropicurve.__file__).parent.glob("*.py"))
+BENCHMARK = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
 def test_library_has_no_assert_statements():
@@ -267,3 +272,80 @@ def test_library_has_no_unreferenced_module_names():
 )
 def test_unreferenced_module_names_are_caught(sources, caught):
     assert bool(_unreferenced_module_names(sources)) == caught
+
+
+# Public names that only tests call: independent oracles and a test builder.
+TEST_ORACLES = {"matrix_rank", "q_reduced", "is_q_reduced", "subdivide_many"}
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _references(tree) -> tuple[Counter, Counter]:
+    """How often a tree names each identifier: (as a bare name or a `from`
+    import, as an attribute).  A string that is a dotted name, such as the
+    benchmark's "PLFunction.transport", counts as attributes."""
+    names, attrs = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            attrs.update(node.value.split("."))
+    return names, attrs
+
+
+def _unused_public_names(library: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Public module-level functions and classes, and public methods, of the
+    `library` sources that neither they nor the `users` name outside the
+    definition's own body.  A method counts only as an attribute, so the
+    builtin `reversed` does not keep a method `reversed` alive."""
+    trees = {key: ast.parse(source) for key, source in library.items()}
+    names, attrs = Counter(), Counter()
+    for tree in [*trees.values(), *(ast.parse(source) for source in users.values())]:
+        n, a = _references(tree)
+        names += n
+        attrs += a
+    unused = []
+    for key, tree in trees.items():
+        for top in tree.body:
+            members = [(node, False) for node in top.body] if isinstance(top, ast.ClassDef) else []
+            for node, module_level in [(top, True)] + members:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                    continue
+                own_names, own_attrs = _references(node)
+                uses = attrs[node.name] - own_attrs[node.name]
+                if module_level:
+                    uses += names[node.name] - own_names[node.name]
+                if uses <= 0:
+                    unused.append(f"{key}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_library_public_names_are_used():
+    library = {path.name: path.read_text() for path in SOURCES}
+    users = {f"perfbench/{path.name}": path.read_text() for path in BENCHMARK}
+    assert BENCHMARK
+    unused = _unused_public_names(library, users)
+    assert [hit for hit in unused if hit.split()[-1] not in TEST_ORACLES] == []
+
+
+@pytest.mark.parametrize(
+    ("library", "users", "caught"),
+    [
+        ({"a": "def f():\n    return 1"}, {}, True),
+        ({"a": "def f(n):\n    return f(n - 1)"}, {}, True),
+        ({"a": "class C:\n    def m(self):\n        return self.m()"}, {}, True),
+        ({"a": "class C:\n    def reversed(self):\n        return 1\nx = reversed([C])"}, {}, True),
+        ({"a": "class C:\n    def m(self):\n        return 1\nm = 2\nprint(m, C)"}, {}, True),
+        ({"a": "def f():\n    return 1\ndef g():\n    return f()\nprint(g)"}, {}, False),
+        ({"a": "def f():\n    return 1", "b": "from .a import f"}, {}, False),
+        ({"a": "def f():\n    return 1"}, {"bench": "from . import a\na.f()"}, False),
+        ({"a": "class C:\n    def m(self):\n        return 1\nC().m()"}, {}, False),
+        ({"a": "class C:\n    def m(self):\n        return 1\nC"}, {"bench": "T = ('a', 'C.m')"}, False),
+        ({"a": "def _f():\n    return 1\nclass C:\n    def __eq__(self, o):\n        return 1\nC"}, {}, False),
+    ],
+)
+def test_unused_public_names_are_caught(library, users, caught):
+    assert bool(_unused_public_names(library, users)) == caught

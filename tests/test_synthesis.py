@@ -31,6 +31,7 @@ from tropicurve.synthesis import (
     _root_slope_cover,
     _separating_bump,
     _side_frame,
+    designate_core,
     fully_faithful_pipeline,
     select_pillars,
     slope_one_ramp,
@@ -268,6 +269,19 @@ def test_root_frames_survive_subdivision():
             frames.locate(skel, retired)
 
 
+def tree_path_length(tree, va, vb):
+    """Length of the path from va to vb in a tree."""
+    dist = {va: 0}
+    stack = [va]
+    while stack:
+        v = stack.pop()
+        for eid, w in tree.adjacency[v]:
+            if w not in dist:
+                dist[w] = dist[v] + tree.edges[eid].length
+                stack.append(w)
+    return dist[vb]
+
+
 @pytest.mark.parametrize("seed", TREE_SEEDS)
 def test_slope_one_ramp_is_the_witness_of_two_vertices(seed):
     skel = bare_skeleton(random_graph(random.Random(seed))).skeleton
@@ -275,7 +289,7 @@ def test_slope_one_ramp_is_the_witness_of_two_vertices(seed):
     va, vb = random.Random(seed).sample(list(fin.vertices), 2)
     f = slope_one_ramp(skel, va, vb)
     assert divisor_of(f) == make_divisor(skel, [(V(va), 1), (V(vb), -1)])
-    assert (f.vertex_value(va), f.vertex_value(vb)) == (0, fin.distance(V(va), V(vb)))
+    assert (f.vertex_value(va), f.vertex_value(vb)) == (0, tree_path_length(fin, va, vb))
     elsewhere = next(rid for rid, r in sorted(skel.rays.items()) if r.attach != vb)
     with pytest.raises(UnknownEdge):
         slope_one_ramp(skel, va, vb, end_ray=elsewhere)
@@ -285,6 +299,47 @@ def test_slope_one_ramp_needs_bridges():
     skel = build_extended(theta(), [])
     with pytest.raises(NotSeparated):
         slope_one_ramp(skel, "u", "v")
+
+
+def stripped_core(fin):
+    """The 2-core by stripping the least vertex of valence at most one, one
+    at a time, with every edge at it; the least vertex for a tree."""
+    edges = set(fin.edges)
+    valence = {v: fin.valence(v) for v in fin.vertices}
+    alive = set(fin.vertices)
+    while leaves := sorted(v for v in alive if valence[v] <= 1):
+        alive.discard(leaves[0])
+        for eid in sorted(edges):
+            e = fin.edges[eid]
+            if leaves[0] in (e.a, e.b):
+                edges.discard(eid)
+                valence[e.a] -= 1
+                valence[e.b] -= 1
+    return frozenset(edges), frozenset(alive or fin.vertices[:1])
+
+
+def test_designate_core_equals_leaf_stripping():
+    pendant = build_graph(
+        ["a", "b", "c", "d", "x"],
+        [("e0", "a", "b", 1), ("e1", "b", "c", 1), ("e2", "c", "a", 1), ("e3", "c", "d", 2), ("e4", "d", "x", 1)],
+    )
+    hand_made = {
+        "vertex": build_graph(["o"], []),
+        "edge": build_graph(["a", "b"], [("e", "a", "b", 1)]),
+        "dumbbell": dumbbell(),
+        "multi-edge": build_graph(
+            ["u", "v", "w"], [("e1", "u", "v", 1), ("e2", "u", "v", 2), ("e3", "v", "w", 1), ("e4", "v", "w", 1)]
+        ),
+        "pendant": pendant,
+    }
+    graphs = list(hand_made.values()) + [random_graph(random.Random(seed)) for seed in range(200)]
+    for fin in graphs:
+        assert designate_core(fin) == stripped_core(fin)
+    assert designate_core(hand_made["vertex"]) == (frozenset(), frozenset({"o"}))
+    assert designate_core(hand_made["edge"]) == (frozenset(), frozenset({"a"}))
+    assert designate_core(pendant) == (frozenset({"e0", "e1", "e2"}), frozenset({"a", "b", "c"}))
+    assert designate_core(hand_made["dumbbell"]) == (frozenset(dumbbell().edges), frozenset(dumbbell().vertices))
+    assert sum(not core[0] for core in map(designate_core, graphs)) > 20  # trees are drawn too
 
 
 # `_separating_bump` runs on no benchmark input; this pin is its only check.
@@ -466,6 +521,20 @@ def test_tropicalize_intersects_only_lines_with_meeting_hulls(tate_leaf_outputs,
     assert 0 < len(crossings) <= len(hull_tests)
     assert len(crossings) < 1000  # 25,651 pairs of image lines
     assert len(hull_tests) < 2500  # the sweep makes 1,819 of the 25,651
+
+
+def test_a_certified_output_is_a_noop_for_both_pipelines(monkeypatch):
+    out, _report = smoothing_pipeline(bare_skeleton(random_graph(random.Random(TREE_SEEDS[0]))))
+    calls = counted_tropicalizations(monkeypatch)
+    again, report = fully_faithful_pipeline(out)
+    assert again is not out
+    assert again.skeleton is out.skeleton and again.coords == out.coords
+    assert report.final == {"fully_faithful": True, "noop": True} and report.steps == []
+    assert len(calls) == 1  # the entry certificate
+    smoothed, report = smoothing_pipeline(again)
+    assert len(calls) == 1  # the attached certificate, and an image already smooth
+    assert smoothed.skeleton is out.skeleton and smoothed.coords == out.coords
+    assert report.singular_counts == [0]
 
 
 def test_one_op_certifies_each_embedding_once(tate_leaf_outputs, monkeypatch):

@@ -15,7 +15,6 @@ from tropicurve.divisors import (
 )
 from tropicurve.errors import (
     CertificateFailure,
-    ContractedEdge,
     DivisorCollision,
     EmptyCoordinates,
     InvalidCoordinate,
@@ -33,11 +32,10 @@ from tropicurve.tropicalize import (
     _meeting_pairs,
     extend_embedding,
     images_meet,
-    is_faithful_function,
     is_fully_faithful,
     line_item,
-    stretching_factor,
     tropicalize,
+    validate_coordinate,
 )
 
 from randgen import random_graph
@@ -192,10 +190,16 @@ class TestTropicalize:
         assert emap.edge_sources == {}
 
 
+def stretches(emb, source):
+    """Stretching factors of the pieces of one current edge or ray, as the
+    `EdgeMap` of the tropicalization records them."""
+    return [p.stretch for p in tropicalize(emb)[1].pieces if p.source == source]
+
+
 class TestStretching:
     def test_unit(self):
         emb = line_embedding(2)
-        assert stretching_factor(emb, "e") == 1
+        assert stretches(emb, "e") == [1]
 
     def test_gcd_two(self):
         g = build_graph(["a", "b"], [("e", "a", "b", 1)])
@@ -211,12 +215,14 @@ class TestStretching:
             {"ra": RayProfile(Fraction(0), -4), "rb": RayProfile(Fraction(4), 4)},
         )
         emb = Embedding(ext, [f1, f2])
-        assert stretching_factor(emb, "e") == 2
+        assert stretches(emb, "e") == [2]
 
     def test_contracted_edge_raises(self):
+        """A contracted piece has stretch 0, and the certificate raises it
+        as a "contracted" violation."""
         emb = contracted_embedding()
-        with pytest.raises(ContractedEdge):
-            stretching_factor(emb, "e2")
+        assert stretches(emb, "e2") == [0] and stretches(emb, "e1") == [1]
+        assert [v.at for v in is_fully_faithful(emb).violations if v.kind == "contracted"] == ["e2"]
 
 
 class TestExtend:
@@ -248,7 +254,9 @@ class TestExtend:
         )
         assert coord.value(V(ray_at_a.leaf)) == MINUS_INF
         assert coord.value(V(ray_at_m.leaf)) == PLUS_INF
-        assert is_faithful_function(emb2, coord)
+        # the divisor moves to the new leaves: simple points, +1 over a
+        d = validate_coordinate(emb2.skeleton, coord)
+        assert dict(d.terms) == {V(ray_at_a.leaf): 1, V(ray_at_m.leaf): -1}
 
     def test_collision_rejected(self):
         g = build_graph(["a", "m", "b"], [("e1", "a", "m", 1), ("e2", "m", "b", 1)])
@@ -305,9 +313,10 @@ class TestExtend:
         )
         emb = Embedding(ext, [arclen])
         emb2 = extend_embedding(emb, trapezoid(ext, "e", (1, 2, 7, 8)), "c1")
-        for rid in emb2.skeleton.rays:
-            if rid.startswith("c1."):
-                assert stretching_factor(emb2, rid) == 1
+        new_rays = [rid for rid in emb2.skeleton.rays if rid.startswith("c1.")]
+        assert len(new_rays) == 4
+        for rid in new_rays:
+            assert stretches(emb2, rid) == [1]
 
 
 def piece(start, slopes, length):
