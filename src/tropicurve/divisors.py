@@ -31,6 +31,7 @@ from .errors import (
     DiscontinuousFunction,
     InvalidOffset,
     InvalidPillars,
+    NonIntegralCoefficient,
     NonzeroDegree,
     NotComplement,
     NotPrincipal,
@@ -43,7 +44,9 @@ Domain = Union[MetricGraph, ExtendedGraph]
 
 
 class Divisor:
-    """Immutable formal sum of canonical graph points."""
+    """Immutable formal sum of canonical graph points with integer
+    coefficients; a coefficient that is not an integer raises
+    NonIntegralCoefficient."""
 
     __slots__ = ("_terms",)
 
@@ -52,7 +55,9 @@ class Divisor:
         for pt, c in terms:
             if c == 0:
                 continue
-            acc[pt] = acc.get(pt, 0) + int(c)
+            if (k := int(c)) != c:
+                raise NonIntegralCoefficient(f"coefficient {c} at {pt!r} is not an integer")
+            acc[pt] = acc.get(pt, 0) + k
         self._terms = tuple(
             sorted(((p, c) for p, c in acc.items() if c != 0), key=lambda t: t[0])
         )
@@ -177,6 +182,10 @@ class RayProfile:
 
     start: Fraction
     slope: int
+
+    def __post_init__(self):
+        if not isinstance(self.slope, int):
+            raise DiscontinuousFunction("slopes must be integers")
 
     def value_at(self, off: Fraction) -> Fraction:
         return self.start + self.slope * off
@@ -360,16 +369,12 @@ class PLFunction:
                     (rays if kind == "ray" else profiles)[cid] = prof.sub_profile(lo, hi)
         for rid, r in new_rays.items():
             if rid not in rays:
-                start = None
-                # anchor from the finite profiles at the attach vertex
-                for eid2, e2 in new_fin.edges.items():
-                    if e2.a == r.attach:
-                        start = profiles[eid2].start
-                        break
-                    if e2.b == r.attach:
-                        start = profiles[eid2].end_value(e2.length)
-                        break
-                if start is None:
+                # anchor from the first edge, in id order, at the attach vertex
+                if adj := new_fin.adjacency[r.attach]:
+                    e2 = new_fin.edges[adj[0][0]]
+                    prof = profiles[e2.id]
+                    start = prof.start if e2.a == r.attach else prof.end_value(e2.length)
+                else:
                     start = next(iter(rays.values())).start if rays else Fraction(0)
                 rays[rid] = RayProfile(start, new_ray_slopes.get(rid, 0))
         return PLFunction(new_domain, profiles, rays)

@@ -68,6 +68,10 @@ class NotPrincipal(TropicurveError):
     pass
 
 
+class NonIntegralCoefficient(TropicurveError):
+    """A divisor coefficient that is not an integer."""
+
+
 class WrongDegree(TropicurveError):
     pass
 

@@ -7,14 +7,14 @@ the finite part; a metric graph is the extended graph with no rays, so both
 offer `finite`, `rays`, `is_infinite_vertex`, `canonical_point` and
 `segments_of`, and code on either needs no branch.
 
-Graphs are immutable: subdivision returns a new graph.  Every graph keeps a
-cumulative alias table mapping retired edge and ray ids to the segments that
-replaced them, so points expressed in an ancestor's (edge, offset) frame stay
-meaningful after arbitrarily many refinements.  One walk (`_walk`) follows
-the table from such a point down to a current id, and `segments_of` follows
-it to every current piece of a frame; `parent` reads it backwards, from a
-segment to the retired id it came from and its offset there.  Loop edges
-are split at their midpoint on ingestion, which keeps every stored edge
+Graphs are immutable: subdivision returns a new graph.  Every split, of an
+edge or of a ray, is written to one flat lineage that the finite part owns
+and an extended graph shares.  It maps each retired id to its current
+pieces in its own frame, and each id a split made to its parent id and its
+offset there.  So points expressed in an ancestor's (edge, offset) frame
+stay meaningful after arbitrarily many refinements: `segments_of`,
+`canonical_point` and `parent` each read the lineage once.  Loop edges are
+split at their midpoint on ingestion, which keeps every stored edge
 loop-free and makes (edge, offset) coordinates unambiguous.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
@@ -74,7 +73,7 @@ class GraphPoint:
     Canonical form is vertex-based whenever possible: offsets 0 or full
     length normalize to the corresponding endpoint.  Non-canonical instances
     (offsets in a retired edge's frame) are accepted by all graph operations
-    and resolved through the alias table.
+    and resolved through the lineage.
     """
 
     kind: int  # 0 = vertex, 1 = on-edge; kept first for a total order
@@ -100,23 +99,6 @@ class GraphPoint:
         return f"GraphPoint(edge={self.edge!r}, offset={self.offset})"
 
 
-def _walk(alias: Mapping[str, tuple], edge_id: str, off) -> tuple[str, Fraction]:
-    """Follow an alias table from an offset in the frame of a possibly
-    retired id down to the id it names now: (that id, the offset there).
-    An offset on a cut lands at the end of the earlier piece."""
-    off = rat(off)
-    if off < 0:
-        raise InvalidOffset(f"negative offset {off}")
-    while (segs := alias.get(edge_id)) is not None:
-        for sub, lo, hi in segs:
-            if off >= lo and (hi is INF or off <= hi):
-                edge_id, off = sub, off - lo
-                break
-        else:
-            raise InvalidOffset(f"offset {off} outside edge {edge_id!r}")
-    return edge_id, off
-
-
 def _fresh(base: str, taken) -> str:
     """`base`, or `base.2`, `base.3`, ... : the first id not in `taken`."""
     if base not in taken:
@@ -127,10 +109,27 @@ def _fresh(base: str, taken) -> str:
             return cand
 
 
+def _retire(frames, parents, old: str, pieces: tuple) -> tuple[dict, dict]:
+    """The lineage (frames, parents) after the current id `old` is cut into
+    `pieces`, (kind, id, lo, hi) in its frame.  Every ancestor of `old`,
+    walked up through `parents`, swaps its piece `old` for the new pieces
+    shifted into its own frame; the maps given are not changed."""
+    frames, parents = dict(frames), dict(parents)
+    frames[old] = pieces
+    for _kind, cid, lo, _hi in pieces:
+        parents[cid] = (old, lo)
+    anc = old
+    while (up := parents.get(anc)) is not None:
+        anc, base = up
+        pieces = tuple((kind, cid, base + lo, INF if hi is INF else base + hi) for kind, cid, lo, hi in pieces)
+        frames[anc] = tuple(new for piece in frames[anc] for new in (pieces if piece[1] == old else (piece,)))
+    return frames, parents
+
+
 class _Domain:
     """Point and frame reading shared by both graph classes: a domain has a
-    finite part `finite`, rays `rays` (none on a metric graph) and one view
-    `_aliases` of every split it has made."""
+    finite part `finite` and rays `rays` (none on a metric graph), and reads
+    every split it has made from the finite part's lineage."""
 
     def canonical_point(self, pt: GraphPoint) -> GraphPoint:
         fin = self.finite
@@ -138,7 +137,17 @@ class _Domain:
             if pt.vertex in fin._vertex_set or self.is_infinite_vertex(pt.vertex):
                 return pt
             raise UnknownVertex(f"unknown vertex {pt.vertex!r}")
-        eid, off = _walk(self._aliases, pt.edge, pt.offset)
+        eid, off = pt.edge, rat(pt.offset)
+        if off < 0:
+            raise InvalidOffset(f"negative offset {off}")
+        pieces = fin._frames.get(eid)
+        if pieces is not None:  # a retired id: an offset on a cut ends the earlier piece
+            for _kind, cid, lo, hi in pieces:
+                if hi is INF or off <= hi:
+                    eid, off = cid, off - lo
+                    break
+            else:
+                raise InvalidOffset(f"offset {off} outside edge {eid!r}")
         ray = self.rays.get(eid)
         if ray is not None:
             return GraphPoint.at_vertex(ray.attach) if off == 0 else GraphPoint.on_edge(eid, off)
@@ -151,36 +160,36 @@ class _Domain:
             return GraphPoint.at_vertex(e.b)
         return GraphPoint.on_edge(eid, off)
 
-    def segments_of(self, edge_id: str) -> list[tuple[str, str, Fraction, Optional[Fraction]]]:
+    def segments_of(self, edge_id: str) -> tuple[tuple[str, str, Fraction, Optional[Fraction]], ...]:
         """Current pieces of a possibly retired edge or ray id, as
         (kind, current_id, lo, hi) in its frame, ordered by lo; kind is
         "edge" or "ray", and hi is None on the unbounded tail of a ray."""
+        pieces = self.finite._frames.get(edge_id)
+        if pieces is not None:
+            return pieces
         if edge_id in self.rays:
-            return [("ray", edge_id, Fraction(0), INF)]
+            return (("ray", edge_id, Fraction(0), INF),)
         e = self.finite.edges.get(edge_id)
-        if e is not None:
-            return [("edge", edge_id, Fraction(0), e.length)]
-        segs = self._aliases.get(edge_id)
-        if segs is None:
+        if e is None:
             raise UnknownEdge(f"unknown edge {edge_id!r}")
-        return [
-            (kind, cid, lo + slo, INF if shi is INF else lo + shi)
-            for sub, lo, _hi in segs
-            for kind, cid, slo, shi in self.segments_of(sub)
-        ]
+        return (("edge", edge_id, Fraction(0), e.length),)
+
+    def parent(self, edge_id: str) -> Optional[tuple[str, Fraction]]:
+        """(retired id, offset in its frame) of an edge or ray id that a
+        split made, None for any other id."""
+        return self.finite._parents.get(edge_id)
 
 
 class MetricGraph(_Domain):
     """Immutable connected metric graph with positive rational edge lengths:
     an extended graph without rays."""
 
-    def __init__(self, vertices, edges, _alias=None, _validated=False):
+    def __init__(self, vertices, edges, _lineage=None, _validated=False):
         self._vertices = tuple(sorted(vertices))
         self._vertex_set = frozenset(self._vertices)
         self._edges: dict[str, Edge] = dict(sorted(edges.items()))
-        self._aliases: dict[str, tuple] = dict(_alias or {})
+        self._frames, self._parents = _lineage or ({}, {})
         self._adj_cache = None
-        self._parent_cache = None
         if not _validated:
             self._validate()
 
@@ -236,13 +245,6 @@ class MetricGraph(_Domain):
             self._adj_cache = adj
         return self._adj_cache
 
-    def parent(self, edge_id: str) -> Optional[tuple[str, Fraction]]:
-        """(retired id, offset in its frame) of an edge id that subdivision
-        made, None for any other id."""
-        if self._parent_cache is None:
-            self._parent_cache = _alias_parents(self._aliases)
-        return self._parent_cache.get(edge_id)
-
     def incident_edges(self, v: str) -> list[str]:
         if v not in self._vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
@@ -275,26 +277,23 @@ class MetricGraph(_Domain):
 
     def frame_length(self, edge_id: str) -> Fraction:
         """Length of an edge id, current or retired."""
-        if edge_id in self._edges:
-            return self._edges[edge_id].length
-        segs = self._aliases.get(edge_id)
-        if segs is None:
-            raise UnknownEdge(f"unknown edge {edge_id!r}")
-        return segs[-1][2]
+        return self.segments_of(edge_id)[-1][3]
 
     # -- subdivision ------------------------------------------------------------
 
-    def subdivide_at(self, pt: GraphPoint) -> tuple["MetricGraph", str]:
+    def subdivide_at(self, pt: GraphPoint, _rays=frozenset()) -> tuple["MetricGraph", str]:
         """Insert a vertex at an interior point.  Metrically invisible.
 
         Subdividing at an existing vertex is a no-op returning that vertex.
+        The new edge ids avoid every current or retired edge and ray id;
+        `_rays` names the current rays of an extended graph around this one.
         """
         cpt = self.canonical_point(pt)
         if cpt.is_vertex:
             warnings.warn("subdivide_at called on a vertex; no-op", stacklevel=2)
             return self, cpt.vertex
         e = self._edges[cpt.edge]
-        taken_e = self._edges.keys() | self._aliases.keys()
+        taken_e = self._edges.keys() | self._frames.keys() | _rays
         mid = _fresh(f"{e.id}@{cpt.offset}", self._vertex_set)
         left = _fresh(f"{e.id}.L", taken_e)
         right = _fresh(f"{e.id}.R", taken_e | {left})
@@ -302,9 +301,9 @@ class MetricGraph(_Domain):
         del edges[e.id]
         edges[left] = Edge(left, e.a, mid, cpt.offset)
         edges[right] = Edge(right, mid, e.b, e.length - cpt.offset)
-        alias = dict(self._aliases)
-        alias[e.id] = ((left, Fraction(0), cpt.offset), (right, cpt.offset, e.length))
-        return MetricGraph(self._vertices + (mid,), edges, alias, _validated=True), mid
+        pieces = (("edge", left, Fraction(0), cpt.offset), ("edge", right, cpt.offset, e.length))
+        lineage = _retire(self._frames, self._parents, e.id, pieces)
+        return MetricGraph(self._vertices + (mid,), edges, lineage, _validated=True), mid
 
     def subdivide_many(self, pts: Iterable[GraphPoint]) -> "MetricGraph":
         g = self
@@ -506,15 +505,11 @@ class CycleSpace:
                 yield k, [Fraction(y, den) for y in image]
 
 
-def _alias_parents(alias: Mapping[str, tuple]) -> dict[str, tuple[str, Fraction]]:
-    return {sub: (old, lo) for old, segs in alias.items() for sub, lo, _hi in segs}
-
-
 def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
     """Validated construction from (id, a, b, length) records.
 
     Loop edges are split at their midpoint; the original id stays usable
-    as a point frame through the alias table.
+    as a point frame through the lineage.
     """
     vset = []
     seen_v = set()
@@ -526,7 +521,7 @@ def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
     if not vset:
         raise DanglingEndpoint("empty vertex list")
     out: dict[str, Edge] = {}
-    alias: dict[str, tuple] = {}
+    lineage = ({}, {})
     taken = set()
     for rec in edges:
         eid, a, b, length = rec
@@ -552,10 +547,10 @@ def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
                 taken.add(part)
             out[left] = Edge(left, a, mid, half)
             out[right] = Edge(right, mid, b, half)
-            alias[eid] = ((left, Fraction(0), half), (right, half, length))
+            lineage = _retire(*lineage, eid, (("edge", left, Fraction(0), half), ("edge", right, half, length)))
         else:
             out[eid] = Edge(eid, a, b, length)
-    return MetricGraph(vset, out, alias)
+    return MetricGraph(vset, out, lineage)
 
 
 def validate_pillar_points(
@@ -585,17 +580,15 @@ class ExtendedGraph(_Domain):
     """A metric graph together with infinite leaf edges.
 
     The finite part is pre-subdivided so every ray attaches at a vertex.
-    Contracting all rays recovers the finite part.  The splits of rays are
-    kept in a table of their own; `_aliases` reads it first and then the
-    finite part's table, which it does not copy.
+    Contracting all rays recovers the finite part.  The finite part's
+    lineage also records the splits of rays, so a ray split makes a new
+    finite part (one more stub edge and one more vertex) and the extended
+    graph keeps no table of its own.
     """
 
-    def __init__(self, finite: MetricGraph, rays: dict[str, Ray], _alias=None):
+    def __init__(self, finite: MetricGraph, rays: dict[str, Ray]):
         self.finite = finite
         self._rays = dict(sorted(rays.items()))
-        self._ray_alias: dict[str, tuple] = dict(_alias or {})
-        self._aliases = ChainMap(self._ray_alias, finite._aliases)
-        self._parent_cache = None
         self._leaves: dict[str, Ray] = {}
         for r in self._rays.values():
             if r.attach not in finite._vertex_set:
@@ -622,12 +615,6 @@ class ExtendedGraph(_Domain):
         except KeyError:
             raise UnknownVertex(f"no ray ends at {leaf!r}") from None
 
-    def parent(self, edge_id: str) -> Optional[tuple[str, Fraction]]:
-        """`MetricGraph.parent`, also for the stub and tail of a ray."""
-        if self._parent_cache is None:
-            self._parent_cache = _alias_parents(self._ray_alias)
-        return self._parent_cache.get(edge_id) or self.finite.parent(edge_id)
-
     def is_infinite_vertex(self, v: str) -> bool:
         return v in self._leaves
 
@@ -641,26 +628,25 @@ class ExtendedGraph(_Domain):
         if cpt.is_vertex:
             return self, cpt.vertex
         if cpt.edge not in self._rays:
-            new_finite, mid = self.finite.subdivide_at(cpt)
-            return ExtendedGraph(new_finite, self._rays, self._ray_alias), mid
+            new_finite, mid = self.finite.subdivide_at(cpt, _rays=self._rays.keys())
+            return ExtendedGraph(new_finite, self._rays), mid
         r = self._rays[cpt.edge]
         finite = self.finite
-        taken_e = finite.edges.keys() | self._rays.keys() | self._aliases.keys()
+        taken_e = finite.edges.keys() | self._rays.keys() | finite._frames.keys()
         mid = _fresh(f"{r.id}@{cpt.offset}", finite._vertex_set | self._leaves.keys())
         stub = _fresh(f"{r.id}.stub", taken_e)
         tail = _fresh(f"{r.id}.tail", taken_e | {stub})
+        pieces = (("edge", stub, Fraction(0), cpt.offset), ("ray", tail, cpt.offset, INF))
         new_finite = MetricGraph(
             finite.vertices + (mid,),
             {**finite.edges, stub: Edge(stub, r.attach, mid, cpt.offset)},
-            finite._aliases,
+            _retire(finite._frames, finite._parents, r.id, pieces),
             _validated=True,
         )
         rays = dict(self._rays)
         del rays[r.id]
         rays[tail] = Ray(tail, mid, r.leaf)
-        alias = dict(self._ray_alias)
-        alias[r.id] = ((stub, Fraction(0), cpt.offset), (tail, cpt.offset, INF))
-        return ExtendedGraph(new_finite, rays, alias), mid
+        return ExtendedGraph(new_finite, rays), mid
 
     def with_new_rays(
         self, attach_points: Sequence[tuple[str, GraphPoint]]
@@ -670,12 +656,12 @@ class ExtendedGraph(_Domain):
         may carry them.  Leaves are derived as `<id>.inf`."""
         g = self
         for ray_id, pt in attach_points:
-            if ray_id in g._rays or ray_id in g.finite.edges or ray_id in g._aliases:
+            if ray_id in g._rays or ray_id in g.finite.edges or ray_id in g.finite._frames:
                 raise DuplicateId(f"ray id {ray_id!r} already in use")
             g, v = g.subdivide_at(pt)
             rays = dict(g._rays)
             rays[ray_id] = Ray(ray_id, v, f"{ray_id}.inf")
-            g = ExtendedGraph(g.finite, rays, g._ray_alias)
+            g = ExtendedGraph(g.finite, rays)
         return g
 
 

@@ -13,7 +13,7 @@ fan and make it smooth.
 
 All offsets allocated here are tracked in "root frames": the edge and ray
 ids present when a pipeline starts, plus rays it attaches later.  The
-graph's alias tables, read backwards through `parent`, lead every current
+graph's lineage, read backwards through `parent`, leads every current
 id to its root frame, so bookkeeping stays consistent while the skeleton is
 refined and nothing is registered as it grows.  Free offsets come from two
 searches of `Frames`: `claim` for points at fixed gaps (ray attachments,

@@ -20,6 +20,7 @@ from tropicurve.errors import (
     DiscontinuousFunction,
     InvalidOffset,
     InvalidPillars,
+    NonIntegralCoefficient,
     NonzeroDegree,
     NotPrincipal,
 )
@@ -60,6 +61,14 @@ def fig2_skeleton(c=1):
 
 
 class TestDivisorOf:
+    def test_coefficients_are_integers(self):
+        """A coefficient 3/2 used to be truncated to 1, so this divisor
+        had degree 0."""
+        with pytest.raises(NonIntegralCoefficient):
+            Divisor([(V("a"), Fraction(3, 2)), (V("b"), -1)])
+        d = Divisor([(V("a"), Fraction(2)), (V("b"), -2)])
+        assert d.degree() == 0 and all(type(c) is int for _pt, c in d.terms)
+
     def test_single_ramp(self):
         g = path_amb()
         f = PLFunction(
@@ -197,6 +206,17 @@ class TestTransport:
             assert moved.edge_profiles == edges
             assert moved.ray_profiles == rays
         assert shared > 30
+
+    def test_ray_slopes_are_integers(self):
+        """Ray slopes +1/2 and -1/2 at one vertex would cancel in the
+        divisor, so the function would pass as a harmonic coordinate."""
+        ext = build_extended(build_graph(["a", "b"], [("e", "a", "b", 1)]), [("r", V("a")), ("s", V("a"))])
+        with pytest.raises(DiscontinuousFunction):
+            PLFunction(
+                ext,
+                {"e": EdgeProfile(Fraction(0), (), (0,))},
+                {"r": RayProfile(Fraction(0), Fraction(1, 2)), "s": RayProfile(Fraction(0), Fraction(-1, 2))},
+            )
 
     def test_ray_sub_profile_is_a_tail_or_a_stub(self):
         ray = RayProfile(Fraction(1), -2)

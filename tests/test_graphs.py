@@ -406,6 +406,19 @@ class TestExtended:
                 ext.with_new_rays([(used, V("a"))])
         assert [piece[:2] for piece in ext.segments_of("e")] == [("edge", "e.L"), ("edge", "e.R")]
 
+    def test_finite_splits_avoid_ray_ids(self):
+        """A finite split may not name a piece like a current or a retired
+        ray: the edge `e` would then lead to the ray, and its left half
+        would be lost."""
+        ext = build_extended(build_graph(["a", "b"], [("e", "a", "b", 2)]), [("e.L", V("b"))])
+        retired, _mid = ext.subdivide_at(P("e.L", 1))
+        for g in (ext, retired):
+            split, mid = g.subdivide_at(P("e", 1))
+            assert not split.finite.edges.keys() & (split.rays.keys() | {"e.L"})
+            assert [piece[:2] for piece in split.segments_of("e")] == [("edge", "e.L.2"), ("edge", "e.R")]
+            assert split.canonical_point(P("e", Fraction(1, 2))) == P("e.L.2", Fraction(1, 2))
+            assert split.canonical_point(P("e", 1)) == V(mid)
+
     def test_negative_ray_offsets_are_rejected(self):
         ext = build_extended(path_graph(), [("r", V("b"))])
         split, _mid = ext.subdivide_at(P("r", 2))
@@ -414,7 +427,7 @@ class TestExtended:
                 with pytest.raises(InvalidOffset):
                     call(P("r", -1))
 
-    def test_one_walk_reads_both_alias_tables(self):
+    def test_one_lineage_reads_every_split(self):
         """Random refinements mix ray splits, stub subdivisions and finite
         subdivisions; on every root frame the current pieces tile the
         frame, `canonical_point` finds each piece, and `parent` walks each

@@ -11,7 +11,8 @@ options, with no float literal, no `float(...)` call and no read of
 has no true division, the one way left for a float to enter it; no
 library module imports a private name from another, so each reaches the
 others only through their public API; and every import sits at module
-level, so a module's dependencies all show at its top."""
+level, so a module's dependencies all show at its top; and every name the
+benchmark's tracer binds is defined where the tracer looks for it."""
 
 import ast
 import importlib
@@ -27,6 +28,7 @@ import tropicurve
 
 SOURCES = sorted(Path(tropicurve.__file__).parent.glob("*.py"))
 BENCHMARK = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 def test_library_has_no_assert_statements():
@@ -349,3 +351,49 @@ def test_library_public_names_are_used():
 )
 def test_unused_public_names_are_caught(library, users, caught):
     assert bool(_unused_public_names(library, users)) == caught
+
+
+def _untraceable(targets, sources: dict[str, str]) -> list[str]:
+    """The (module, qualified name) targets, with sources keyed by module
+    name, that name neither a function defined at the top level of the
+    module nor a method defined in its class's own body: the tracer reads
+    a method from the class `__dict__`, so an inherited one is not found."""
+    missing = []
+    for module, qualname in targets:
+        body = ast.parse(sources.get(module, "")).body
+        *owner, name = qualname.split(".")
+        for cls in owner:
+            body = next((node.body for node in body if isinstance(node, ast.ClassDef) and node.name == cls), [])
+        if not any(isinstance(node, ast.FunctionDef) and node.name == name for node in body):
+            missing.append(f"{module}.{qualname}")
+    return missing
+
+
+def test_traced_names_are_defined_where_the_tracer_binds_them():
+    tree = ast.parse(TRACING.read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]
+    ]
+    assert ("tropicurve.graphs", "ExtendedGraph.subdivide_at") in targets
+    sources = {f"tropicurve.{path.stem}": path.read_text() for path in SOURCES}
+    assert _untraceable(targets, sources) == []
+
+
+@pytest.mark.parametrize(
+    ("target", "source", "caught"),
+    [
+        (("m", "f"), "def f():\n    pass", False),
+        (("m", "C.g"), "class C:\n    def g(self):\n        pass", False),
+        (("m", "f"), "def f_renamed():\n    pass", True),
+        (("n", "f"), "def f():\n    pass", True),
+        (("m", "f"), "class C:\n    def f(self):\n        pass", True),
+        (("m", "f"), "if True:\n    def f():\n        pass", True),
+        (("m", "C.g"), "def g():\n    pass\nclass C:\n    pass", True),
+        (("m", "C.g"), "class _Domain:\n    def g(self):\n        pass\nclass C(_Domain):\n    pass", True),
+        (("m", "C.g"), "class D:\n    def g(self):\n        pass\nclass C:\n    pass", True),
+    ],
+)
+def test_untraceable_names_are_caught(target, source, caught):
+    assert bool(_untraceable([target], {"m": source})) == caught
