@@ -97,9 +97,6 @@ class Divisor:
     def __neg__(self) -> "Divisor":
         return Divisor(tuple((p, -c) for p, c in self._terms))
 
-    def __rmul__(self, k: int) -> "Divisor":
-        return Divisor(tuple((p, k * c) for p, c in self._terms))
-
     def __eq__(self, other):
         return isinstance(other, Divisor) and self._terms == other._terms
 
@@ -319,9 +316,6 @@ class PLFunction:
     def __add__(self, other: "PLFunction") -> "PLFunction":
         return self._zip(other, lambda x, y: x + y)
 
-    def __sub__(self, other: "PLFunction") -> "PLFunction":
-        return self._zip(other, lambda x, y: x - y)
-
     def __neg__(self) -> "PLFunction":
         profiles = {
             eid: EdgeProfile(-p.start, p.breaks, tuple(-s for s in p.slopes))
@@ -527,16 +521,14 @@ def _integrate(
 
 
 def construct_pl_with_divisor(
-    graph: MetricGraph,
-    d: Divisor,
-    basepoint: GraphPoint | None = None,
-    value=0,
+    graph: MetricGraph, d: Divisor, basepoint: GraphPoint | None = None
 ) -> PLFunction:
+    """The witness of d, 0 at the basepoint; raises NotPrincipal when d is
+    not principal."""
     result = is_principal(graph, d, basepoint)
     if not result.principal:
         raise NotPrincipal(f"divisor is not principal; obstruction {result.obstruction}")
-    value = rat(value)  # the witness is 0 at the basepoint
-    return result.witness.add_constant(value) if value else result.witness
+    return result.witness
 
 
 def cor34_certificate(
@@ -544,7 +536,6 @@ def cor34_certificate(
     d: Divisor,
     complement_edges: Sequence[str],
     pillar_points: Sequence[Sequence[GraphPoint]],
-    basepoint: GraphPoint | None = None,
 ) -> PLFunction:
     """Witness for d plus the pillar correction divisor.
 
@@ -568,4 +559,4 @@ def cor34_certificate(
         p1, p2, p3, p4 = (graph.canonical_point(p) for p in pts)
         correction_terms += [(p1, 1), (p2, -1), (p3, -1), (p4, 1)]
     assembled = d + Divisor(correction_terms)
-    return construct_pl_with_divisor(graph, assembled, basepoint, 0)
+    return construct_pl_with_divisor(graph, assembled)

@@ -4,8 +4,7 @@ All lengths, offsets and coordinate values in this package are
 :class:`fractions.Fraction` instances (arbitrary precision, stored reduced
 with positive denominator).  Coordinates of points in a tropical toric space
 additionally admit the values +inf and -inf; those are modelled by
-:class:`ExtRational`, a thin tagged wrapper with a total order
--inf < every finite value < +inf.
+:class:`ExtRational`, a thin tagged wrapper.
 
 Serialization uses decimal-free strings: "p/q" (or "p" when q == 1),
 "+inf", "-inf".
@@ -53,7 +52,7 @@ def format_rat(value: Fraction) -> str:
 
 
 class ExtRational:
-    """A rational number, +inf, or -inf, with a total order.
+    """A rational number, +inf, or -inf.
 
     Instances are immutable and hashable.  ``sign`` is -1, 0, +1 for
     -inf, finite, +inf respectively; ``value`` is the Fraction for finite
@@ -85,27 +84,13 @@ class ExtRational:
         return self.sign == 0
 
     def _key(self):
-        # (-1, 0), finite -> (0, value), (+1, 0); orders correctly.
+        # (-1, 0), finite -> (0, value), (+1, 0)
         return (self.sign, self.value if self.sign == 0 else Fraction(0))
 
     def __eq__(self, other):
         if not isinstance(other, ExtRational):
             return NotImplemented
         return self._key() == other._key()
-
-    def __lt__(self, other):
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
 
     def __hash__(self):
         return hash(self._key())

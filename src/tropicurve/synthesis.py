@@ -20,10 +20,10 @@ searches of `Frames`: `claim` for points at fixed gaps (ray attachments,
 divisor pairs) and `bump` for trapezoid supports in free windows (pillars,
 separating bumps).  Every bump coordinate (each side of a tent, a pillar, a
 separating trapezoid) is one `divisors.trapezoid` in a root frame, and
-every ramp is the witness of a principal divisor from `is_principal`.  A
-divisor that needs correction pairs on a spanning-tree complement first (a
-stage-0 core ramp, a ray whose zero charge moves to the core) reaches it
-through `_corrected_witness` alone.
+every ramp (a stage-0 core ramp, an edge or ray ramp) is built by
+`_corrected_witness`: the `is_principal` witness of a base divisor plus
+the correction pairs on a spanning-tree complement that make it principal.
+A base whose two points are joined by bridges alone needs no pair.
 
 One exact certificate, `is_fully_faithful`, drives both pipelines: each
 stage-0 patch round and smoothing pass reads the named `Violation` records
@@ -303,41 +303,6 @@ def _apply_pillars(emb: Embedding, base: PLFunction, pset: PillarSet) -> PLFunct
     return f
 
 
-# -- explicit PL building blocks ------------------------------------------------------
-
-
-def slope_one_ramp(
-    skel: ExtendedGraph,
-    va: str,
-    vb: str,
-    end_ray: Optional[str] = None,
-    start_ray: Optional[str] = None,
-) -> PLFunction:
-    """Rise with slope one from vertex va to vertex vb, constant on
-    everything hanging off the path: the witness of (va) - (vb), zero at
-    va.  With `end_ray` the rise continues along that ray at vb toward +inf
-    (a pole shadow at its leaf); with `start_ray` the function descends
-    along that ray at va toward -inf (a zero shadow at its leaf).
-
-    (va) - (vb) is principal exactly when va and vb are joined by bridges
-    alone; otherwise NotSeparated is raised.
-    """
-    slopes = {}
-    for rid, at, slope in ((end_ray, vb, 1), (start_ray, va, -1)):
-        if rid is None:
-            continue
-        if rid not in skel.rays:
-            raise UnknownEdge(f"unknown ray {rid!r}")
-        if skel.rays[rid].attach != at:
-            raise UnknownEdge(f"ray {rid!r} does not attach at {at!r}")
-        slopes[rid] = slope
-    fin = skel.finite
-    res = is_principal(fin, make_divisor(fin, [(V(va), 1), (V(vb), -1)]), V(va))
-    if not res.principal:
-        raise NotSeparated(f"{va!r} and {vb!r} are not joined by bridges alone")
-    return _with_ray_slopes(skel, res.witness, slopes)
-
-
 # -- anchors -----------------------------------------------------------------------------
 
 
@@ -407,11 +372,16 @@ def edge_ramp(
     core-side end v.
 
     The zero charge sits at v, or at a fresh point near it when v already
-    carries a ray, or rides down a ray at v to its leaf.  The pole charge
-    sits at the far end w or a fresh point beyond it, or rides a ray at w
-    to its leaf; a ray frame's far end is its own tail.  When the only ray
-    at v is the frame's own, the zero charge moves to a fresh core point
-    and the ramp is the corrected witness of that pair.
+    carries a ray, or rides down a ray at v to its leaf.  When the only ray
+    at v is the frame's own, it moves to a fresh core point instead.  The
+    pole charge sits at the far end w or a fresh point beyond it, or rides
+    a ray at w to its leaf; a ray frame's far end is its own tail.
+
+    The ramp is `_corrected_witness` of the base divisor (zero anchor) -
+    (pole anchor), with slope +1 on the pole's ray and -1 on the zero's.
+    When the two anchors are joined by bridges alone their cycle integrals
+    vanish, so no correction pair is placed and the ramp is the plain
+    witness of the base.
     """
     skel = emb.skeleton
     pieces = _current_pieces(skel, frame)
@@ -446,24 +416,25 @@ def edge_ramp(
         if not core_list:
             raise NotSeparated(f"no anchor available for ray {frame!r}")
         root, slo, shi = frames.root_range(skel, core_list[0])
-        zero = skel.canonical_point(P(root, frames.claim(root, slo, shi)))
-        base = make_divisor(skel.finite, [(zero, 1), (V(vb), -1)])
-        ramp = _with_ray_slopes(skel, _corrected_witness(emb, frames, base), {end_ray: 1})
+        zero = anchor = skel.canonical_point(P(root, frames.claim(root, slo, shi)))
+        descend_ray = None
     else:
-        ramp = slope_one_ramp(skel, va, vb, end_ray=end_ray, start_ray=descend_ray)
-        zero = V(skel.rays[descend_ray].leaf) if descend_ray else V(va)
+        anchor = V(va)
+        zero = V(skel.rays[descend_ray].leaf) if descend_ray else anchor
+    base = make_divisor(skel.finite, [(anchor, 1), (V(vb), -1)])
+    # a None key in the slope map names no ray and is never read
+    ramp = _with_ray_slopes(skel, _corrected_witness(emb, frames, base), {end_ray: 1, descend_ray: -1})
     f = _apply_pillars(emb, ramp.add_constant(-ramp.vertex_value(v)), pillars)
     if pillars.complement and descend_ray is None and end_ray is None:
-        _check_cor34_shape(skel, f, va, vb, pillars)
+        _check_cor34_shape(skel, f, base, pillars)
     pole = V(skel.rays[end_ray].leaf) if end_ray else V(vb)
     return emb, f, zero, pole
 
 
-def _check_cor34_shape(skel, f, va, vb, pillars: PillarSet):
+def _check_cor34_shape(skel, f, base: Divisor, pillars: PillarSet):
     """The assembled divisor must agree with the certified witness route,
     run on the current edges the pillar tuples lie on."""
     fin = skel.finite
-    base = make_divisor(fin, [(V(va), 1), (V(vb), -1)])
     tuples = [[skel.canonical_point(p) for p in pts] for pts in pillars.tuples]
     terms = []
     for p1, p2, p3, p4 in tuples:
@@ -592,8 +563,11 @@ def _corrected_witness(
     """The `is_principal` witness of `base` plus +-1 correction pairs on a
     spanning-tree complement that cancel its cycle obstruction; the tree
     preferentially contains the pieces of `keep_in_tree` so no correction
-    lands on that frame.  Raises CertificateFailure when the corrected
-    divisor is not principal."""
+    lands on that frame.  A base with zero cycle integrals (two points
+    joined by bridges alone) gets no pair and claims no offset.  The one
+    constructor of every ramp, stage-0 core ramps and edge ramps alike.
+    Raises CertificateFailure when the corrected divisor is not
+    principal."""
     fin = emb.skeleton.finite
     refined = emb.skeleton
     for pt in base.support():
@@ -998,8 +972,9 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
             raise CertificateFailure(f"image vertex {target.vertex!r} has {len(preimages)} preimages")
         pt = next(iter(preimages))
         if not pt.is_vertex:
-            emb = refine_embedding(emb, [pt])
-            pt = emb.skeleton.canonical_point(pt)
+            # harmonic coordinates map a lone interior point to a smooth
+            # two-valent vertex with directions +-d
+            raise CertificateFailure(f"singular image vertex {target.vertex!r} lies inside edge {pt.edge!r}")
         v = pt.vertex
         skel = emb.skeleton
         sides = sorted(
@@ -1096,8 +1071,8 @@ def tate_demo(c=1) -> tuple[Embedding, TropicalCurve]:
     )
     d1 = make_divisor(fin, [(V("p1"), -1), (V("p3"), 1), (V("p4"), 1), (V("p6"), -1)])
     d2 = make_divisor(fin, [(V("p2"), -1), (V("p3"), 1), (V("p5"), 1), (V("p6"), -1)])
-    f1 = construct_pl_with_divisor(fin, d1, V("q1"), 0)
-    f2 = construct_pl_with_divisor(fin, d2, V("q1"), 0)
+    f1 = construct_pl_with_divisor(fin, d1, V("q1"))
+    f2 = construct_pl_with_divisor(fin, d2, V("q1"))
     slopes1 = {"r11": 1, "r12": 0, "r21": -1, "r22": 1, "r31": -1, "r32": 0,
                "r4": -1, "r5": 0, "r6": 1}
     slopes2 = {"r11": 1, "r12": -1, "r21": 0, "r22": 1, "r31": 0, "r32": -1,

@@ -84,6 +84,24 @@ class TestDiscrete:
         assert len(dhar_burnt(dg, [0, 3], 0)) == 1
         assert len(dhar_burnt(dg, [0, 2], 0)) == 2
 
+    def test_q_reduced_fires_the_unburnt_set(self):
+        dg = DiscreteGraph(2, [(0, 1), (0, 1), (0, 1)])  # discrete theta
+        assert q_reduced(dg, [0, 3], 0) == [3, 0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_q_reduced_is_reduced_and_equivalent(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 6)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]  # a spanning tree
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(4))]
+        dg = DiscreteGraph(n, edges)
+        for _ in range(5):
+            chips = [rng.randrange(-2, 5) for _ in range(n)]
+            q = rng.randrange(n)
+            red = q_reduced(dg, chips, q)
+            assert is_q_reduced(dg, red, q)
+            assert laplacian_equivalent(dg, chips, red)
+
     def test_lattice_model_of_circle(self):
         g = circle(3)
         dg, locate = lattice_model(g, Fraction(1, 2))

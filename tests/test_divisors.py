@@ -310,7 +310,7 @@ class TestIsPrincipal:
         # arc slopes (0,-1,-1,0,1,1) from q1 around, spoke slopes (1,0,-1)
         g = fig2_skeleton()
         d = make_divisor(g, [(V("p1"), -1), (V("p3"), 1), (V("p6"), -1), (V("p4"), 1)])
-        f = construct_pl_with_divisor(g, d, V("q1"), 0)
+        f = construct_pl_with_divisor(g, d, V("q1"))
         expected = {
             "q1": 0,
             "p6": 0,
@@ -395,7 +395,7 @@ class TestConstruct:
     def test_ramp(self):
         g = path_amb()
         d = make_divisor(g, [(V("a"), 1), (V("m"), -1)])
-        f = construct_pl_with_divisor(g, d, V("a"), 0)
+        f = construct_pl_with_divisor(g, d, V("a"))
         assert f.value(V("a")) == 0
         assert f.value(V("m")) == 1  # rises with slope 1 away from a, then flat
         assert f.value(V("b")) == 1
@@ -406,7 +406,7 @@ class TestConstruct:
         d = make_divisor(
             g, [(P("e", 1), 1), (P("e", 2), -1), (P("e", 7), -1), (P("e", 8), 1)]
         )
-        f = construct_pl_with_divisor(g, d, V("a"), 0)
+        f = construct_pl_with_divisor(g, d, V("a"))
         ref = trapezoid(g, "e", (1, 2, 7, 8))
         for off in (0, 1, Fraction(3, 2), 2, 5, 7, Fraction(15, 2), 8, 10):
             assert f.value(P("e", off)) == ref.value(P("e", off))
@@ -414,8 +414,8 @@ class TestConstruct:
     def test_second_basepoint_differs_by_constant(self):
         g = fig2_skeleton()
         d = make_divisor(g, [(V("p1"), -1), (V("p3"), 1), (V("p6"), -1), (V("p4"), 1)])
-        f1 = construct_pl_with_divisor(g, d, V("q1"), 0)
-        f2 = construct_pl_with_divisor(g, d, V("p4"), 0)
+        f1 = construct_pl_with_divisor(g, d, V("q1"))
+        f2 = construct_pl_with_divisor(g, d, V("p4"))
         shift = f1.value(V("p4"))
         for v in g.vertices:
             assert f2.value(V(v)) == f1.value(V(v)) - shift
@@ -424,7 +424,7 @@ class TestConstruct:
         g = circle(3)
         d = make_divisor(g, [(P("loop", Fraction(1, 2)), 1), (P("loop", Fraction(3, 2)), -1)])
         with pytest.raises(NotPrincipal):
-            construct_pl_with_divisor(g, d, V("v"), 0)
+            construct_pl_with_divisor(g, d, V("v"))
 
     def test_roundtrip_random(self):
         rng = random.Random(77)

@@ -18,7 +18,6 @@ from tropicurve.errors import (
     CertificateFailure,
     EmptyCoordinates,
     NoRoom,
-    NotSeparated,
     Stage0Failure,
     UnknownEdge,
 )
@@ -27,6 +26,7 @@ from tropicurve.synthesis import (
     PILLAR_TRIES,
     Frames,
     _core_ramp,
+    _corrected_witness,
     _repair_step,
     _root_slope_cover,
     _separating_bump,
@@ -34,7 +34,6 @@ from tropicurve.synthesis import (
     designate_core,
     fully_faithful_pipeline,
     select_pillars,
-    slope_one_ramp,
     smoothing_pipeline,
     tate_demo,
     vertex_function,
@@ -282,23 +281,33 @@ def tree_path_length(tree, va, vb):
     return dist[vb]
 
 
+def assert_plain_witness(emb, va, vb):
+    """`_corrected_witness` of (va) - (vb) for two vertices joined by
+    bridges alone: the witness of that divisor, with no correction pair and
+    no claimed offset.  Returns the rise from va to vb."""
+    fin = emb.skeleton.finite
+    frames = Frames(emb.skeleton)
+    base = make_divisor(fin, [(V(va), 1), (V(vb), -1)])
+    f = _corrected_witness(emb, frames, base)
+    assert divisor_of(f) == base
+    assert (frames.points, frames.intervals) == ({}, {})
+    return f.vertex_value(vb) - f.vertex_value(va)
+
+
 @pytest.mark.parametrize("seed", TREE_SEEDS)
 def test_slope_one_ramp_is_the_witness_of_two_vertices(seed):
-    skel = bare_skeleton(random_graph(random.Random(seed))).skeleton
-    fin = skel.finite
+    """The ramp `edge_ramp` builds between two vertices of a tree rises
+    with slope one along the path joining them."""
+    emb = bare_skeleton(random_graph(random.Random(seed)))
+    fin = emb.skeleton.finite
     va, vb = random.Random(seed).sample(list(fin.vertices), 2)
-    f = slope_one_ramp(skel, va, vb)
-    assert divisor_of(f) == make_divisor(skel, [(V(va), 1), (V(vb), -1)])
-    assert (f.vertex_value(va), f.vertex_value(vb)) == (0, tree_path_length(fin, va, vb))
-    elsewhere = next(rid for rid, r in sorted(skel.rays.items()) if r.attach != vb)
-    with pytest.raises(UnknownEdge):
-        slope_one_ramp(skel, va, vb, end_ray=elsewhere)
+    assert assert_plain_witness(emb, va, vb) == tree_path_length(fin, va, vb)
 
 
-def test_slope_one_ramp_needs_bridges():
-    skel = build_extended(theta(), [])
-    with pytest.raises(NotSeparated):
-        slope_one_ramp(skel, "u", "v")
+def test_corrected_witness_of_a_bridge_joined_pair_claims_nothing():
+    # genus 2: the bridge's ends have zero cycle integrals, so k = 0 is taken
+    emb = Embedding(build_extended(dumbbell(), [("r", V("v"))]), [])
+    assert assert_plain_witness(emb, "u", "v") == 1
 
 
 def stripped_core(fin):
@@ -645,6 +654,18 @@ def test_smooth_output_has_the_first_betti_number_of_its_skeleton():
         smoothing_pipeline(emb)
     out, _report = smoothing_pipeline(line_embedding())
     assert len(out.coords) == 1
+
+
+def test_a_singular_vertex_inside_an_edge_is_refused():
+    """Harmonic coordinates map a point inside an edge with one preimage to
+    a smooth vertex, so a certificate that says otherwise is refused."""
+    emb = fig1_star([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    rep = is_fully_faithful(emb)
+    (centre,) = check_smooth(rep.curve).singular_vertices
+    rep.emap.vertex_sources[centre.vertex] = frozenset([P("r0", 1)])
+    emb._certificate = rep
+    with pytest.raises(CertificateFailure, match="lies inside edge 'r0'"):
+        smoothing_pipeline(emb)
 
 
 @pytest.mark.xfail(
