@@ -18,6 +18,8 @@ from .errors import InvalidOffset, WrongDegree
 from .graphs import GraphPoint, MetricGraph
 from .linalg import solve_linear
 
+Q_REDUCED_ROUNDS = 100_000  # rounds per phase of `q_reduced`, against a runaway loop
+
 
 class DiscreteGraph:
     """Small connected multigraph with integer chip counts on vertices."""
@@ -131,8 +133,7 @@ def is_q_reduced(dg: DiscreteGraph, chips: Sequence[int], q: int) -> bool:
     return len(dhar_burnt(dg, chips, q)) == dg.n
 
 
-def q_reduced(dg: DiscreteGraph, chips: Sequence[int], q: int = 0,
-              max_rounds: int = 100_000) -> list[int]:
+def q_reduced(dg: DiscreteGraph, chips: Sequence[int], q: int = 0) -> list[int]:
     """The unique q-reduced divisor equivalent to chips.
 
     Phase 1 clears debt off q by greedy borrowing (terminates because the
@@ -140,7 +141,7 @@ def q_reduced(dg: DiscreteGraph, chips: Sequence[int], q: int = 0,
     sets from Dhar's algorithm until the fire consumes the whole graph.
     """
     chips = list(chips)
-    for _ in range(max_rounds):
+    for _ in range(Q_REDUCED_ROUNDS):
         debtors = [v for v in range(dg.n) if v != q and chips[v] < 0]
         if not debtors:
             break
@@ -150,7 +151,7 @@ def q_reduced(dg: DiscreteGraph, chips: Sequence[int], q: int = 0,
             chips[w] -= mult
     else:  # pragma: no cover - guarded against runaway loops
         raise WrongDegree("debt clearing did not terminate")
-    for _ in range(max_rounds):
+    for _ in range(Q_REDUCED_ROUNDS):
         burnt = dhar_burnt(dg, chips, q)
         if len(burnt) == dg.n:
             return chips

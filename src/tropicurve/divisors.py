@@ -338,7 +338,9 @@ class PLFunction:
     def transport(
         self, new_domain: Domain, new_ray_slopes: Mapping[str, int] | None = None
     ) -> "PLFunction":
-        """Re-express this function on a refinement of its domain.
+        """Re-express this function on a refinement of its domain.  It is
+        how a function gains rays: one built on the finite part of an
+        extended graph is transported to the extended graph.
 
         An edge id still current in the new domain keeps its `EdgeProfile`
         object, and a ray id that is still a ray keeps its `RayProfile`;

@@ -7,12 +7,12 @@ the finite part; a metric graph is the extended graph with no rays, so both
 offer `finite`, `rays`, `is_infinite_vertex`, `canonical_point` and
 `segments_of`, and code on either needs no branch.
 
-Graphs are immutable: subdivision returns a new graph.  Every split, of an
-edge or of a ray, is written to one flat lineage that the finite part owns
-and an extended graph shares.  It maps each retired id to its current
-pieces in its own frame, and each id a split made to its parent id and its
-offset there.  So points expressed in an ancestor's (edge, offset) frame
-stay meaningful after arbitrarily many refinements: `segments_of`,
+Graphs are immutable: subdivision returns a new graph.  One routine,
+`_split`, cuts every edge and ray, writing the split to one flat lineage
+that the finite part owns and an extended graph shares: each retired id
+maps to its current pieces in its own frame, each id a split made to its
+parent and its offset there.  So points in an ancestor's (edge, offset)
+frame stay meaningful after any number of refinements: `segments_of`,
 `canonical_point` and `parent` each read the lineage once.  Loop edges are
 split at their midpoint on ingestion, which keeps every stored edge
 loop-free and makes (edge, offset) coordinates unambiguous.
@@ -126,6 +126,33 @@ def _retire(frames, parents, old: str, pieces: tuple) -> tuple[dict, dict]:
     return frames, parents
 
 
+def _split(fin: "MetricGraph", rays: Mapping[str, Ray], cid: str, off: Fraction):
+    """Cut the current edge or ray `cid` of a domain with finite part `fin`
+    at the interior offset `off`: an edge into `.L` and `.R`, a ray into a
+    `.stub` edge and a `.tail` ray.  Returns the new finite part, its
+    lineage holding the split, the new rays and the new vertex; new ids
+    avoid every current or retired id, vertex and leaf."""
+    taken = fin._edges.keys() | fin._frames.keys() | rays.keys()
+    mid = _fresh(f"{cid}@{off}", fin._vertex_set | {r.leaf for r in rays.values()})
+    edges, rays = dict(fin._edges), dict(rays)
+    ray = rays.pop(cid, None)
+    if ray is None:
+        e = edges.pop(cid)
+        left = _fresh(f"{cid}.L", taken)
+        right = _fresh(f"{cid}.R", taken | {left})
+        edges[left] = Edge(left, e.a, mid, off)
+        edges[right] = Edge(right, mid, e.b, e.length - off)
+        pieces = (("edge", left, Fraction(0), off), ("edge", right, off, e.length))
+    else:
+        stub = _fresh(f"{cid}.stub", taken)
+        tail = _fresh(f"{cid}.tail", taken | {stub})
+        edges[stub] = Edge(stub, ray.attach, mid, off)
+        rays[tail] = Ray(tail, mid, ray.leaf)
+        pieces = (("edge", stub, Fraction(0), off), ("ray", tail, off, INF))
+    lineage = _retire(fin._frames, fin._parents, cid, pieces)
+    return MetricGraph(fin._vertices + (mid,), edges, lineage, _validated=True), rays, mid
+
+
 class _Domain:
     """Point and frame reading shared by both graph classes: a domain has a
     finite part `finite` and rays `rays` (none on a metric graph), and reads
@@ -178,6 +205,16 @@ class _Domain:
         """(retired id, offset in its frame) of an edge or ray id that a
         split made, None for any other id."""
         return self.finite._parents.get(edge_id)
+
+    def subdivide_many(self, pts: Iterable[GraphPoint]):
+        """The refinement with a vertex at every point of `pts`, each read
+        in the frames of the graph refined so far."""
+        g = self
+        for pt in pts:
+            cpt = g.canonical_point(pt)
+            if not cpt.is_vertex:
+                g, _ = g.subdivide_at(cpt)
+        return g
 
 
 class MetricGraph(_Domain):
@@ -281,37 +318,16 @@ class MetricGraph(_Domain):
 
     # -- subdivision ------------------------------------------------------------
 
-    def subdivide_at(self, pt: GraphPoint, _rays=frozenset()) -> tuple["MetricGraph", str]:
-        """Insert a vertex at an interior point.  Metrically invisible.
-
-        Subdividing at an existing vertex is a no-op returning that vertex.
-        The new edge ids avoid every current or retired edge and ray id;
-        `_rays` names the current rays of an extended graph around this one.
-        """
+    def subdivide_at(self, pt: GraphPoint) -> tuple["MetricGraph", str]:
+        """Insert a vertex at an interior point, cut by `_split`; metrically
+        invisible.  At an existing vertex: a no-op, with a warning, returning
+        that vertex."""
         cpt = self.canonical_point(pt)
         if cpt.is_vertex:
             warnings.warn("subdivide_at called on a vertex; no-op", stacklevel=2)
             return self, cpt.vertex
-        e = self._edges[cpt.edge]
-        taken_e = self._edges.keys() | self._frames.keys() | _rays
-        mid = _fresh(f"{e.id}@{cpt.offset}", self._vertex_set)
-        left = _fresh(f"{e.id}.L", taken_e)
-        right = _fresh(f"{e.id}.R", taken_e | {left})
-        edges = dict(self._edges)
-        del edges[e.id]
-        edges[left] = Edge(left, e.a, mid, cpt.offset)
-        edges[right] = Edge(right, mid, e.b, e.length - cpt.offset)
-        pieces = (("edge", left, Fraction(0), cpt.offset), ("edge", right, cpt.offset, e.length))
-        lineage = _retire(self._frames, self._parents, e.id, pieces)
-        return MetricGraph(self._vertices + (mid,), edges, lineage, _validated=True), mid
-
-    def subdivide_many(self, pts: Iterable[GraphPoint]) -> "MetricGraph":
-        g = self
-        for pt in pts:
-            cpt = g.canonical_point(pt)
-            if not cpt.is_vertex:
-                g, _ = g.subdivide_at(cpt)
-        return g
+        fin, _rays, mid = _split(self, {}, cpt.edge, cpt.offset)
+        return fin, mid
 
     # -- spanning trees ---------------------------------------------------------
 
@@ -624,29 +640,13 @@ class ExtendedGraph(_Domain):
     # -- refinement ----------------------------------------------------------------
 
     def subdivide_at(self, pt: GraphPoint) -> tuple["ExtendedGraph", str]:
+        """Insert a vertex at an interior point of an edge or a ray, cut by
+        `_split`.  Subdividing at an existing vertex returns that vertex."""
         cpt = self.canonical_point(pt)
         if cpt.is_vertex:
             return self, cpt.vertex
-        if cpt.edge not in self._rays:
-            new_finite, mid = self.finite.subdivide_at(cpt, _rays=self._rays.keys())
-            return ExtendedGraph(new_finite, self._rays), mid
-        r = self._rays[cpt.edge]
-        finite = self.finite
-        taken_e = finite.edges.keys() | self._rays.keys() | finite._frames.keys()
-        mid = _fresh(f"{r.id}@{cpt.offset}", finite._vertex_set | self._leaves.keys())
-        stub = _fresh(f"{r.id}.stub", taken_e)
-        tail = _fresh(f"{r.id}.tail", taken_e | {stub})
-        pieces = (("edge", stub, Fraction(0), cpt.offset), ("ray", tail, cpt.offset, INF))
-        new_finite = MetricGraph(
-            finite.vertices + (mid,),
-            {**finite.edges, stub: Edge(stub, r.attach, mid, cpt.offset)},
-            _retire(finite._frames, finite._parents, r.id, pieces),
-            _validated=True,
-        )
-        rays = dict(self._rays)
-        del rays[r.id]
-        rays[tail] = Ray(tail, mid, r.leaf)
-        return ExtendedGraph(new_finite, rays), mid
+        finite, rays, mid = _split(self.finite, self._rays, cpt.edge, cpt.offset)
+        return ExtendedGraph(finite, rays), mid
 
     def with_new_rays(
         self, attach_points: Sequence[tuple[str, GraphPoint]]

@@ -45,7 +45,6 @@ from .complexes import TropicalCurve, check_smooth
 from .divisors import (
     Divisor,
     PLFunction,
-    RayProfile,
     construct_pl_with_divisor,
     cor34_certificate,
     divisor_of,
@@ -423,7 +422,7 @@ def edge_ramp(
         zero = V(skel.rays[descend_ray].leaf) if descend_ray else anchor
     base = make_divisor(skel.finite, [(anchor, 1), (V(vb), -1)])
     # a None key in the slope map names no ray and is never read
-    ramp = _with_ray_slopes(skel, _corrected_witness(emb, frames, base), {end_ray: 1, descend_ray: -1})
+    ramp = _corrected_witness(emb, frames, base).transport(skel, {end_ray: 1, descend_ray: -1})
     f = _apply_pillars(emb, ramp.add_constant(-ramp.vertex_value(v)), pillars)
     if pillars.complement and descend_ray is None and end_ray is None:
         _check_cor34_shape(skel, f, base, pillars)
@@ -547,8 +546,9 @@ def vertex_function(
 
 def _core_ramp(emb: Embedding, frames: Frames, root_e: str) -> PLFunction:
     """Corrected witness of (a) - (b) for fresh points a, b near the two
-    ends of root_e; the spanning tree keeps the pieces of root_e, so no
-    correction lands on that frame."""
+    ends of root_e; the spanning tree takes the pieces of root_e first, so
+    none of them is a complement edge.  Corrections may still land on
+    root_e: on a cycle of their own its pieces are sites like any other."""
     fin = emb.skeleton.finite
     length = fin.frame_length(root_e)
     a_off = frames.claim(root_e, Fraction(0), length / 4)
@@ -560,19 +560,17 @@ def _core_ramp(emb: Embedding, frames: Frames, root_e: str) -> PLFunction:
 def _corrected_witness(
     emb: Embedding, frames: Frames, base: Divisor, keep_in_tree: Optional[str] = None
 ) -> PLFunction:
-    """The `is_principal` witness of `base` plus +-1 correction pairs on a
-    spanning-tree complement that cancel its cycle obstruction; the tree
-    preferentially contains the pieces of `keep_in_tree` so no correction
-    lands on that frame.  A base with zero cycle integrals (two points
-    joined by bridges alone) gets no pair and claims no offset.  The one
-    constructor of every ramp, stage-0 core ramps and edge ramps alike.
-    Raises CertificateFailure when the corrected divisor is not
-    principal."""
+    """The `is_principal` witness of `base` plus +-1 correction pairs that
+    cancel its cycle obstruction, each on the longest piece that lies on
+    one fundamental cycle only.  The spanning tree takes the pieces of
+    `keep_in_tree` first, which keeps them out of the complement only: a
+    correction lands on them when one is that longest piece.  A base with
+    zero cycle integrals (two points joined by bridges alone) gets no pair
+    and claims no offset.  The one constructor of every ramp, stage-0 core
+    ramps and edge ramps alike.  Raises CertificateFailure when the
+    corrected divisor is not principal."""
     fin = emb.skeleton.finite
-    refined = emb.skeleton
-    for pt in base.support():
-        if not pt.is_vertex:
-            refined, _ = refined.subdivide_at(pt)
+    refined = emb.skeleton.subdivide_many(base.support())
     model = refined.finite
     dm = make_divisor(model, base.terms)
     priority = []
@@ -806,7 +804,7 @@ def stage0(
 
     # (3) one corrected-ramp witness per core edge for vertex separation
     for idx, root_e in enumerate(sorted(core_edges)):
-        ramp = _with_ray_slopes(emb.skeleton, _core_ramp(emb, frames, root_e), {})
+        ramp = _core_ramp(emb, frames, root_e).transport(emb.skeleton)
         emb = extend_embedding(emb, ramp, f"gs{idx}")
         report.log(construction="core-ramp", target=root_e, coordinate=f"gs{idx}")
 
@@ -942,8 +940,10 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
 
     Singular image vertices are resolved one at a time; the count of
     singular vertices strictly decreases after every pass (violations of
-    that invariant indicate a bug and raise MonotonicityViolation).  A
-    skeleton with no edges and no rays raises EmptyCoordinates.
+    that invariant indicate a bug and raise MonotonicityViolation), so the
+    loop makes at most as many passes as the input's image has singular
+    vertices.  A skeleton with no edges and no rays raises
+    EmptyCoordinates.
 
     The input's certificate is the one `fully_faithful_pipeline` attached
     to the very object it returned, if `emb` is that object; any other
@@ -961,9 +961,8 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     frames = Frames(emb.skeleton)
     sm = check_smooth(rep.curve)
     report.singular_counts.append(len(sm.singular_vertices))
-    guard = len(sm.singular_vertices) + 1
     pass_no = 0
-    while not sm.smooth and pass_no < guard:
+    while not sm.smooth:
         if sm.heavy_edges:
             raise CertificateFailure(f"fully faithful image has heavy edges {sm.heavy_edges}")
         target = sm.singular_vertices[0]
@@ -1013,8 +1012,6 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
                 f"{report.singular_counts[-1]}"
             )
         pass_no += 1
-    if not sm.smooth:
-        raise CertificateFailure("smoothing budget exhausted")
     # rays cancel in |E| - |V| + 1: each adds one edge and one vertex
     genus = emb.skeleton.finite.betti_number()
     image_genus = len(rep.curve.edges) - len(rep.curve.vertices) + 1
@@ -1077,16 +1074,7 @@ def tate_demo(c=1) -> tuple[Embedding, TropicalCurve]:
                "r4": -1, "r5": 0, "r6": 1}
     slopes2 = {"r11": 1, "r12": -1, "r21": 0, "r22": 1, "r31": 0, "r32": -1,
                "r4": 0, "r5": -1, "r6": 1}
-    g1 = _with_ray_slopes(skel, f1, slopes1)
-    g2 = _with_ray_slopes(skel, f2, slopes2)
-    emb = Embedding(skel, [g1, g2])
+    emb = Embedding(skel, [f1.transport(skel, slopes1), f2.transport(skel, slopes2)])
     curve, _emap = tropicalize(emb)
     return emb, curve
 
-
-def _with_ray_slopes(skel: ExtendedGraph, f_fin: PLFunction, slopes) -> PLFunction:
-    rays = {
-        rid: RayProfile(f_fin.vertex_value(r.attach), slopes.get(rid, 0))
-        for rid, r in skel.rays.items()
-    }
-    return PLFunction(skel, f_fin.edge_profiles, rays)

@@ -628,9 +628,7 @@ def is_fully_faithful(emb: Embedding) -> FaithfulReport:
 
 def refine_embedding(emb: Embedding, points: Sequence[GraphPoint]) -> Embedding:
     """Subdivide the skeleton at the given points and transport coordinates."""
-    skel = emb.skeleton
-    for pt in points:
-        skel, _ = skel.subdivide_at(pt)
+    skel = emb.skeleton.subdivide_many(points)
     if skel is emb.skeleton:
         return emb
     coords = [f.transport(skel) for f in emb.coords]

@@ -11,8 +11,10 @@ options, with no float literal, no `float(...)` call and no read of
 has no true division, the one way left for a float to enter it; no
 library module imports a private name from another, so each reaches the
 others only through their public API; and every import sits at module
-level, so a module's dependencies all show at its top; and every name the
-benchmark's tracer binds is defined where the tracer looks for it."""
+level, so a module's dependencies all show at its top; every name the
+benchmark's tracer binds is defined where the tracer looks for it; and
+only `divisors` builds a `RayProfile`, so a function gains its rays
+through `PLFunction.transport`."""
 
 import ast
 import importlib
@@ -276,8 +278,41 @@ def test_unreferenced_module_names_are_caught(sources, caught):
     assert bool(_unreferenced_module_names(sources)) == caught
 
 
-# Public names that only tests call: independent oracles and a test builder.
-TEST_ORACLES = {"matrix_rank", "q_reduced", "is_q_reduced", "subdivide_many"}
+def _ray_profile_calls(source: str) -> list[int]:
+    """Lines that call `RayProfile`, by name or as a module attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "RayProfile" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_divisors_builds_ray_profiles():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "divisors.py"
+        for line in _ray_profile_calls(path.read_text())
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    ("source", "caught"),
+    [
+        ("rays = {rid: RayProfile(f.vertex_value(r.attach), 0) for rid, r in skel.rays.items()}", True),
+        ("from . import divisors\nray = divisors.RayProfile(start, 1)", True),
+        ("g = f.transport(skel, {rid: 1})", False),
+        ("ok = isinstance(prof, RayProfile)", False),
+    ],
+)
+def test_ray_profile_calls_are_caught(source, caught):
+    assert bool(_ray_profile_calls(source)) == caught
+
+
+# Public names that only tests call: independent oracles.
+TEST_ORACLES = {"matrix_rank", "q_reduced", "is_q_reduced"}
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 

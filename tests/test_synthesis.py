@@ -17,7 +17,9 @@ from tropicurve import synthesis, tropicalize as tropicalize_module
 from tropicurve.errors import (
     CertificateFailure,
     EmptyCoordinates,
+    EqualEdges,
     NoRoom,
+    PillarSearchExhausted,
     Stage0Failure,
     UnknownEdge,
 )
@@ -129,6 +131,10 @@ def test_aj_corrections_are_principal_and_spare_the_kept_frame(graph, keep):
     emb = Embedding(build_extended(graph, []), [])
     d = divisor_of(_core_ramp(emb, Frames(emb.skeleton), keep))
     assert is_principal(graph, d).principal
+    # The tree priority keeps the frame out of the complement only.  No
+    # correction lands on it here because of these shapes: on the theta e1
+    # lies on both fundamental cycles, so it is no correction site; on the
+    # dumbbell the pieces of l0.0 are shorter than l0.1, the site taken.
     on_kept = [(pt, c) for pt, c in d.terms if not pt.is_vertex and pt.edge == keep]
     assert sorted(c for _pt, c in on_kept) == [-1, 1]  # only the two base points
     assert len(d.terms) > 2  # the base pair alone is not principal
@@ -175,6 +181,26 @@ def test_a_lone_tent_on_a_ray_side_is_adjoined():
     assert skel.canonical_point(P("r", 1)) == attach
     assert res.function.value(attach) == 0 and attach not in divisor_of(res.function).support()
     assert len(extend_embedding(res.embedding, res.function, "t").coords) == 1
+
+
+def test_vertex_function_refuses_equal_sides_and_a_blocked_side():
+    g = build_graph(["v", "w"], [("e", "v", "w", 4)])
+    emb = Embedding(build_extended(g, [("r", V("v"))]), [])
+    frames = Frames(emb.skeleton)
+    edge, ray = (_side_frame(emb.skeleton, frames, "v", s) for s in ("e", "r"))
+    with pytest.raises(EqualEdges):
+        vertex_function(emb, "v", edge, edge, frames)
+    frames.block_interval("e", 0, 4)
+    with pytest.raises(NoRoom):
+        vertex_function(emb, "v", edge, ray, frames)
+
+
+def test_side_frame_refuses_a_side_away_from_the_vertex():
+    g = build_graph(["u", "v", "w"], [("e", "u", "v", 1), ("f", "v", "w", 1)])
+    skel = build_extended(g, [("r", V("u"))])
+    for v, side in (("v", "r"), ("u", "f")):
+        with pytest.raises(UnknownEdge):
+            _side_frame(skel, Frames(skel), v, side)
 
 
 def test_claim_skips_blocked_points_and_intervals():
@@ -228,6 +254,15 @@ def test_select_pillars_keep_out_of_forbidden_zones():
         assert [pt.offset for pt in pts] == [Fraction(lengths[root], 32) * k for k in (1, 2, 5, 6)]
     free = select_pillars(emb, Frames(emb.skeleton))
     assert all(pts[3].offset > Fraction(lengths[pts[0].edge], 4) for pts in free.tuples)
+
+
+def test_select_pillars_refuses_when_every_complement_edge_is_blocked():
+    emb = Embedding(build_extended(theta(), []), [])
+    frames = Frames(emb.skeleton)
+    frames.block_interval("e2", 0, 2)  # the spanning tree is e1
+    frames.block_interval("e3", 0, 3)
+    with pytest.raises(PillarSearchExhausted):
+        select_pillars(emb, frames)
 
 
 def scanned_root_range(skel, roots, cid):
