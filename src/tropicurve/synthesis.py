@@ -2,14 +2,15 @@
 
 Two pipelines.  The first makes an arbitrary embedding fully faithful: a
 bootstrap stage synthesizes coordinates that map the 2-edge-connected core
-injectively with unit stretching, then every remaining finite edge and
-every bare ray gets one coordinate from `edge_ramp`: a slope-one ramp
-(divergent along a ray) corrected by pillar trapezoids on a spanning-tree
-complement, placed by one `select_pillars` call per target.  The second
-pipeline repairs singular image vertices: a vertex with adjacent edges
-e0..en receives n tent coordinates with slopes +1 into ek and -1 into e0,
-which project a neighborhood of the image vertex onto the coordinate-axes
-fan and make it smooth.
+injectively with unit stretching, but only when the input has no
+coordinates or its certificate shows a core violation; then every
+remaining finite edge and every bare ray gets one coordinate from
+`edge_ramp`: a slope-one ramp (divergent along a ray) corrected by pillar
+trapezoids on a spanning-tree complement, placed by one `select_pillars`
+call per target.  The second pipeline repairs singular image vertices: a
+vertex with adjacent edges e0..en receives n tent coordinates with slopes
++1 into ek and -1 into e0, which project a neighborhood of the image
+vertex onto the coordinate-axes fan and make it smooth.
 
 All offsets allocated here are tracked in "root frames": the edge and ray
 ids present when a pipeline starts, plus rays it attaches later.  The
@@ -669,6 +670,15 @@ def _core_violation(emb: Embedding, viol: Violation, core_pieces: set[str], core
     return hits >= (1 if viol.kind in ("contracted", "stretch") else 2)
 
 
+def _core_violations(
+    emb: Embedding, rep: FaithfulReport, core_edges: frozenset[str], core_vertices
+) -> list[Violation]:
+    """The violations of `rep`, a certificate of `emb`, that involve the
+    current pieces of the core edges (`_core_violation`)."""
+    core_pieces = _core_current(emb.skeleton, core_edges)
+    return [v for v in rep.violations if _core_violation(emb, v, core_pieces, core_vertices)]
+
+
 def _separating_bump(
     emb: Embedding, frames: Frames, cid: str, lo: Fraction, hi: Optional[Fraction],
     around: Optional[Fraction] = None,
@@ -759,12 +769,19 @@ def _core_sides_at(skel: ExtendedGraph, core_edges: frozenset[str], v: str):
 
 def stage0(
     emb: Embedding,
+    rep0: FaithfulReport,
     core_edges: frozenset[str],
     core_vertices: frozenset[str],
     frames: Frames,
     report: "PipelineReport",
 ) -> Embedding:
     """Bootstrap coordinates making the core injective with unit stretch.
+
+    Stage 0 runs only when `rep0`, the certificate of `emb`, shows a core
+    violation, or when `emb` has no coordinates; otherwise `emb` is
+    returned unchanged.  Adding a coordinate cannot make two points meet,
+    contract a piece or raise a slope vector's content above one, so a core
+    that is clean now stays clean under the later edge ramps.
 
     Tent coordinates cover every core vertex neighborhood, the nonzero
     slopes must then cover every core edge (`_check_core_cover`), one
@@ -773,6 +790,8 @@ def stage0(
     budget, else Stage0Failure).
     """
     if not core_edges:
+        return emb
+    if emb.coords and not _core_violations(emb, rep0, core_edges, core_vertices):
         return emb
     tents = 0
 
@@ -810,12 +829,7 @@ def stage0(
 
     # (4) batched patches for residual core violations
     for patch_round in range(STAGE0_PATCHES):
-        core_pieces = _core_current(emb.skeleton, core_edges)
-        core_viols = [
-            v
-            for v in is_fully_faithful(emb).violations
-            if _core_violation(emb, v, core_pieces, core_vertices)
-        ]
+        core_viols = _core_violations(emb, is_fully_faithful(emb), core_edges, core_vertices)
         if not core_viols:
             return emb
         progressed = False
@@ -855,12 +869,13 @@ class PipelineReport:
 def fully_faithful_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
     """Refine until the tropicalization is injective with all weights one.
 
-    Stage 0 covers the core, then one `edge_ramp` per remaining finite edge
-    and bare ray; the result is certified once, and CertificateFailure
-    carries the reasons of any violation left, so no uncertified embedding
-    is returned.  A skeleton with no edges and no rays raises
-    EmptyCoordinates.  The returned embedding is a new object that carries
-    its certificate for `smoothing_pipeline`.
+    Stage 0 covers the core, but only when the input has no coordinates or
+    its certificate shows a core violation; then one `edge_ramp` per
+    remaining finite edge and bare ray.  The result is certified once, and
+    CertificateFailure carries the reasons of any violation left, so no
+    uncertified embedding is returned.  A skeleton with no edges and no
+    rays raises EmptyCoordinates.  The returned embedding is a new object
+    that carries its certificate for `smoothing_pipeline`.
     """
     _check_skeleton(emb)
     out, report, rep = _fully_faithful(emb, is_fully_faithful(emb))
@@ -891,7 +906,7 @@ def _fully_faithful(
     frames = Frames(emb.skeleton)
     fin = emb.skeleton.finite
     core_edges, core_vertices = designate_core(fin)
-    emb = stage0(emb, core_edges, core_vertices, frames, report)
+    emb = stage0(emb, rep0, core_edges, core_vertices, frames, report)
 
     finite_targets = [
         eid for eid in sorted(fin.edges) if eid not in core_edges

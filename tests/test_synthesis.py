@@ -27,6 +27,7 @@ from tropicurve.graphs import GraphPoint, build_extended, build_graph
 from tropicurve.synthesis import (
     PILLAR_TRIES,
     Frames,
+    PipelineReport,
     _core_ramp,
     _corrected_witness,
     _repair_step,
@@ -37,12 +38,14 @@ from tropicurve.synthesis import (
     fully_faithful_pipeline,
     select_pillars,
     smoothing_pipeline,
+    stage0,
     tate_demo,
     vertex_function,
 )
 from tropicurve.tropicalize import (
     Embedding,
     FaithfulReport,
+    Violation,
     extend_embedding,
     is_fully_faithful,
     refine_embedding,
@@ -97,18 +100,26 @@ def sweep_genus(seed):
 TREE_SEEDS = [s for s in range(40) if sweep_genus(s) == 0]
 
 
-def output_digest(emb, report):
-    """First 16 hex digits of the sha256 of a pipeline's whole output: the
-    skeleton ids, every coordinate's profiles and the report."""
+def embedding_fields(emb):
     skel = emb.skeleton
-    text = repr((
+    return (
         skel.finite.vertices,
         sorted((e.id, e.a, e.b, e.length) for e in skel.finite.edges.values()),
         sorted((r.id, r.attach, r.leaf) for r in skel.rays.values()),
         [(sorted(f.edge_profiles.items()), sorted(f.ray_profiles.items())) for f in emb.coords],
-        report.to_dict(),
-    ))
+    )
+
+
+def output_digest(emb, report):
+    """First 16 hex digits of the sha256 of a pipeline's whole output: the
+    skeleton ids, every coordinate's profiles and the report."""
+    text = repr((*embedding_fields(emb), report.to_dict()))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def embedding_digest(emb):
+    """`output_digest` of the skeleton and coordinates alone."""
+    return hashlib.sha256(repr(embedding_fields(emb)).encode()).hexdigest()[:16]
 
 
 # Output digests of the pipelines: a change to anything they build, down
@@ -120,9 +131,17 @@ TREE_DIGESTS = {
     31: "908a0aa66e97805d", 32: "812eec3782cfd041", 33: "2664f5b69a022ab7",
     34: "5687ba3f78ef9df3", 35: "8beeb4be94cfd740",
 }
-TATE_LEAF_DIGESTS = ("ad88f7084e040cd0", "21dbf887fe9e0afb")  # both pipelines
-TATE_ANCHOR_DIGESTS = ("4d3644fd3fe3c543", "bc1dcfaf8a2dc993")  # plus a ray r0 at p4
-TATE_RAY_SIDE_DIGESTS = ("2a2a7a3b7acf2d7c", "512abe6d8e36fc6f")  # plus a ray r0 at p5
+TATE_LEAF_DIGESTS = ("5d497d62c1f989d8", "35b10673ac8097ad")  # both pipelines
+TATE_ANCHOR_DIGESTS = ("7b586167f1cddbcb", "771ab0f08c6f4e7e")  # plus a ray r0 at p4
+TATE_RAY_SIDE_DIGESTS = ("19626212a8296079", "fedeaebd39bea6b4")  # plus a ray r0 at p5
+# Skeleton and coordinates of both outputs after an explicit `stage0` call
+# on the tate leaf: what the pipelines built while stage 0 ran on every
+# input with a core.
+STAGE0_TATE_LEAF_DIGESTS = {
+    "": ("59864e720bf56b89", "59864e720bf56b89"),
+    "r0 at p4": ("8d5ec309d4b080da", "8d5ec309d4b080da"),
+    "r0 at p5": ("3c5494613b5ffd2d", "b8e768fe50439636"),
+}
 STAR_DIGESTS = {"middle": "1120dc2e0fbc8d95", "right": "f6dde57e3f6cb465"}
 
 
@@ -499,15 +518,102 @@ def test_tate_leaf_certifies_through_both_pipelines(tate_leaf_outputs):
     curve, _emap = tropicalize(out)
     assert check_smooth(curve).smooth
     assert report.singular_counts == [0]
-    assert (len(out.coords), len(curve.vertices)) == (19, 233)
+    assert (len(out.coords), len(curve.vertices)) == (7, 65)
     assert output_digest(out, report) == TATE_LEAF_DIGESTS[1]
 
 
 def test_tate_leaf_outputs_tropicalize_as_pinned(tate_leaf_outputs):
     """Image ids, edge map and all, of both outputs (see `test_tropicalize.py`)."""
     (first, _report), (second, _report2), _calls = tate_leaf_outputs
+    assert tropicalization_digest(first) == TROPICALIZATION_DIGESTS["gated tate-leaf first output"]
+    assert tropicalization_digest(second) == TROPICALIZATION_DIGESTS["gated tate-leaf second output"]
+
+
+def core_steps(*reports):
+    return [step for report in reports for step in report.steps if step["construction"].startswith("core-")]
+
+
+def with_stage0(emb):
+    """The report of an explicit `stage0` call on a tate leaf, then the
+    output and report of each pipeline run on its result.  The certificate
+    handed to `stage0` names a contracted piece of the core frame a16, so
+    stage 0 builds as on an input whose core is not clean."""
+    fin = emb.skeleton.finite
+    core_edges, core_vertices = designate_core(fin)
+    a16 = ("a16", Fraction(0), fin.edges["a16"].length)
+    forced = FaithfulReport((Violation("contracted", "a16", (a16,)),))
+    report = PipelineReport()
+    emb = stage0(emb, forced, core_edges, core_vertices, Frames(emb.skeleton), report)
+    first = fully_faithful_pipeline(emb)
+    return report, first, smoothing_pipeline(first[0])
+
+
+@pytest.fixture(scope="module")
+def stage0_tate_leaf_outputs():
+    return with_stage0(tate_leaf(3, "p5", Fraction(1, 2)))
+
+
+def test_stage0_on_the_tate_leaf_builds_as_before(stage0_tate_leaf_outputs):
+    """Stage 0 still builds its tents and ramps, and the pipelines, whose
+    gate then finds the core clean, give the outputs they gave while stage
+    0 ran on every input."""
+    report, (first, first_report), (second, second_report) = stage0_tate_leaf_outputs
+    assert [step["construction"] for step in report.steps] == ["core-tent"] * 6 + ["core-ramp"] * 6
+    assert core_steps(first_report, second_report) == []
+    assert_smooth_output(second, second_report)
+    assert (len(first.coords), len(second.coords)) == (19, 19)
+    assert (embedding_digest(first), embedding_digest(second)) == STAGE0_TATE_LEAF_DIGESTS[""]
     assert tropicalization_digest(first) == TROPICALIZATION_DIGESTS["tate-leaf first output"]
     assert tropicalization_digest(second) == TROPICALIZATION_DIGESTS["tate-leaf second output"]
+
+
+@pytest.mark.parametrize("vertex", ["p4", "p5"])
+def test_stage0_on_the_tate_leaf_with_a_zero_ray_builds_as_before(vertex):
+    _report, (first, _r1), (second, second_report) = with_stage0(
+        tate_leaf(3, "p5", Fraction(1, 2), zero_rays=[("r0", vertex)])
+    )
+    assert_smooth_output(second, second_report)
+    key = f"r0 at {vertex}"
+    assert (embedding_digest(first), embedding_digest(second)) == STAGE0_TATE_LEAF_DIGESTS[key]
+    assert tropicalization_digest(first) == TROPICALIZATION_DIGESTS[f"tate-leaf {key} first output"]
+    assert tropicalization_digest(second) == TROPICALIZATION_DIGESTS[f"tate-leaf {key} second output"]
+
+
+def test_a_coordinate_free_tate_skeleton_enters_stage0():
+    """Without coordinates the certificate is ("empty",), which names no
+    core piece, and stage 0 still runs: it places its tents before the
+    cover check refuses the core (ROADMAP item 1)."""
+    skel = tate_leaf(3, "p5", Fraction(1, 2)).skeleton
+    bare = Embedding(skel, [])
+    rep = is_fully_faithful(bare)
+    assert [viol.kind for viol in rep.violations] == ["empty"]
+    core_edges, core_vertices = designate_core(skel.finite)
+    report = PipelineReport()
+    with pytest.raises(Stage0Failure, match="uncovered"):
+        stage0(bare, rep, core_edges, core_vertices, Frames(skel), report)
+    assert [step["construction"] for step in report.steps] == ["core-tent"] * 6
+
+
+@pytest.mark.parametrize("leaf", [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)], ids=str)
+@pytest.mark.parametrize("attach", ["p4", "p5", "p6"])
+def test_tate_leaf_grid_needs_no_core_work(attach, leaf, monkeypatch):
+    """The two coordinates of a tate leaf of scale 3 already map its core
+    injectively with unit stretch: stage 0 returns its input, and both
+    pipelines certify with 7 coordinates and no core step."""
+    real = synthesis.stage0
+
+    def builds_nothing(emb, *args):
+        out = real(emb, *args)
+        if out is not emb:
+            pytest.fail("stage 0 built coordinates on a clean core")
+        return out
+
+    monkeypatch.setattr(synthesis, "stage0", builds_nothing)
+    first, report = fully_faithful_pipeline(tate_leaf(3, attach, leaf))
+    second, second_report = smoothing_pipeline(first)
+    assert_smooth_output(second, second_report)
+    assert len(first.coords) == len(second.coords) == 7
+    assert core_steps(report, second_report) == []
 
 
 def test_tate_leaf_with_a_bare_ray_at_a_core_vertex():
@@ -518,20 +624,24 @@ def test_tate_leaf_with_a_bare_ray_at_a_core_vertex():
     assert any(step["target"] == "r0" and step["zero_at"].startswith("GraphPoint(edge=")
                for step in report.steps)
     assert output_digest(out, report) == TATE_ANCHOR_DIGESTS[0]
+    assert tropicalization_digest(out) == TROPICALIZATION_DIGESTS["gated tate-leaf r0 at p4 first output"]
     out, report = smoothing_pipeline(out)
     assert_smooth_output(out, report)
-    assert len(out.coords) == 20
+    assert len(out.coords) == 8
     assert output_digest(out, report) == TATE_ANCHOR_DIGESTS[1]
+    assert tropicalization_digest(out) == TROPICALIZATION_DIGESTS["gated tate-leaf r0 at p4 second output"]
 
 
 def test_tate_leaf_with_a_smoothing_tent_on_a_ray_side():
     """A smoothing tent at p5 runs into the side of a ray there."""
     out, report = fully_faithful_pipeline(tate_leaf(3, "p5", Fraction(1, 2), zero_rays=[("r0", "p5")]))
     assert output_digest(out, report) == TATE_RAY_SIDE_DIGESTS[0]
+    assert tropicalization_digest(out) == TROPICALIZATION_DIGESTS["gated tate-leaf r0 at p5 first output"]
     out, report = smoothing_pipeline(out)
     assert_smooth_output(out, report)
     assert any(set(step["sides"]) & {"r0", "r5"} for step in report.steps)
     assert output_digest(out, report) == TATE_RAY_SIDE_DIGESTS[1]
+    assert tropicalization_digest(out) == TROPICALIZATION_DIGESTS["gated tate-leaf r0 at p5 second output"]
 
 
 def test_tate_leaf_without_its_ray_certifies():
@@ -540,7 +650,7 @@ def test_tate_leaf_without_its_ray_certifies():
     out, report = smoothing_pipeline(tate_leaf(3, "q1", Fraction(1, 2), leaf_ray=False))
     assert_smooth_output(out, report)
     assert report.singular_counts == [0]
-    assert len(out.coords) == 18
+    assert len(out.coords) == 6
 
 
 def counted_calls(monkeypatch, name):
@@ -557,10 +667,10 @@ def counted_calls(monkeypatch, name):
     return calls
 
 
-def test_tropicalize_intersects_only_lines_with_meeting_hulls(tate_leaf_outputs, monkeypatch):
+def test_tropicalize_intersects_only_lines_with_meeting_hulls(stage0_tate_leaf_outputs, monkeypatch):
     crossings = counted_calls(monkeypatch, "_line_intersection")
     hull_tests = counted_calls(monkeypatch, "_hulls_meet")
-    curve, _emap = tropicalize(tate_leaf_outputs[1][0])
+    curve, _emap = tropicalize(stage0_tate_leaf_outputs[2][0])
     assert len(curve.vertices) == 233
     assert 0 < len(crossings) <= len(hull_tests)
     assert len(crossings) < 1000  # 25,651 pairs of image lines
@@ -585,7 +695,7 @@ def test_one_op_certifies_each_embedding_once(tate_leaf_outputs, monkeypatch):
     """`smoothing_pipeline` reads the certificate the first pipeline handed
     on with its output; a direct certificate call still tropicalizes."""
     (out, _report), _second, op_calls = tate_leaf_outputs
-    assert op_calls == 3
+    assert op_calls == 2
     calls = counted_tropicalizations(monkeypatch)
     assert is_fully_faithful(out)
     assert calls == [out]
@@ -669,12 +779,12 @@ def assert_slopes_change_only_at_vertices(emb, out):
     assert ends and [(r, x) for r, x in ends if not skel.canonical_point(P(r, x)).is_vertex] == []
 
 
-def test_slopes_change_only_at_vertices(tate_leaf_outputs):
+def test_slopes_change_only_at_vertices(tate_leaf_outputs, stage0_tate_leaf_outputs):
     """Why stage 0 checks coverage instead of filling gaps: coordinates are
     harmonic, so every gap end inside a root frame is a vertex, which a
     bump inside one edge cannot straddle."""
     emb = tate_leaf(3, "p5", Fraction(1, 2))
-    for out, _report in tate_leaf_outputs[:2]:
+    for out, _report in [*tate_leaf_outputs[:2], *stage0_tate_leaf_outputs[1:]]:
         assert_slopes_change_only_at_vertices(emb, out)
 
 

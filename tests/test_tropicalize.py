@@ -556,7 +556,9 @@ def tropicalization_digest(emb):
 
 # Digests of whole tropicalizations, image ids included.  The tate-leaf
 # pipeline outputs are built, and checked against their entries, in
-# `test_synthesis.py`; the second pipeline adds no coordinate to the first's
+# `test_synthesis.py`: "gated" outputs as the pipelines build them, the
+# others after an explicit `stage0` call.  Unless a smoothing tent goes in
+# (a zero ray at p5), the second pipeline adds no coordinate to the first's
 # output, so both have one image.
 TROPICALIZATION_DIGESTS = {
     "line": "5520d5ca93cb46e7",
@@ -565,6 +567,16 @@ TROPICALIZATION_DIGESTS = {
     "tate-leaf": "4baf395e4a7642cc",
     "tate-leaf first output": "a7ba9c3f2c7ab4b0",
     "tate-leaf second output": "a7ba9c3f2c7ab4b0",
+    "tate-leaf r0 at p4 first output": "bc9052016dd3d03d",
+    "tate-leaf r0 at p4 second output": "bc9052016dd3d03d",
+    "tate-leaf r0 at p5 first output": "164514d49a931c2d",
+    "tate-leaf r0 at p5 second output": "4c219c7ab3cc7018",
+    "gated tate-leaf first output": "d6891d51637d0b42",
+    "gated tate-leaf second output": "d6891d51637d0b42",
+    "gated tate-leaf r0 at p4 first output": "762b14fef78a4299",
+    "gated tate-leaf r0 at p4 second output": "762b14fef78a4299",
+    "gated tate-leaf r0 at p5 first output": "54b6083d5b2b7d03",
+    "gated tate-leaf r0 at p5 second output": "f2bef1db18c2d2e0",
 }
 TROPICALIZED_FIXTURES = {
     "line": line_embedding,
