@@ -4,20 +4,25 @@ Every degree-g divisor class on a metric graph contains exactly one break
 divisor, an effective divisor placing one point on each closed edge of some
 spanning-tree complement (An-Baker-Kuperberg-Shokrieh, arXiv 1304.4259).
 The decomposition is computed exactly on the period lattice of the graph
-itself (`graphs.CycleSpace`), one cycle space per complement set: the point
-on complement edge i sits at offset t_i from its a end, and d minus those
-points is principal exactly when t = w - period * k for an integer vector
-k, where w are the cycle integrals (`CycleSpace.integrals`) of d minus the
-a ends.  The points lie on their closed edges for the k with
-w - length <= period * k <= w, which `CycleSpace.lattice_points` finds.
-A break divisor does not depend on the model of the graph, so no edge is
-subdivided.  The chip-firing layer independently verifies the result on the
-discretization lattice.
+itself (`graphs.CycleSpace`): the point on complement edge i sits at offset
+t_i from its a end, and d minus those points is principal exactly when
+t = w - period * k for an integer vector k, where period and w are the
+period matrix and the cycle integrals of d minus the a ends in the basis of
+the cycles the complement closes.  The points lie on their closed edges for
+the k with w - length <= period * k <= w, which `CycleSpace.box_points`
+finds.  One reference cycle space serves every complement: `rebase` reads
+period and w from it through a unimodular minor, in integers, so a
+complement without a point builds no `Fraction`.  A break divisor does not
+depend on the model of the graph, so no edge is subdivided.  The
+chip-firing layer independently verifies the result on the discretization
+lattice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -90,15 +95,29 @@ def break_divisor_decompose(
         raise WrongDegree(f"divisor degree {d.degree()} != genus {g}")
     if g == 0:
         return Divisor.zero(), construct_pl_with_divisor(graph, d)
+    cs = CycleSpace(graph, graph.canonical_spanning_tree())
+    root = GraphPoint.at_vertex(cs.order[0])
+    # tree chains and integrals of root - v per a end v and of d - g root;
+    # d minus the a ends of a complement is their sum
+    a_ends = {e.a for e in graph.edges.values()}
+    refs = {v: cs.integrals([(root, 1), (GraphPoint.at_vertex(v), -1)]) for v in a_ends}
+    refs[None] = cs.integrals([*d.terms, (root, -g)])
+    # every integral as an int over den = scale * D
+    den = math.lcm(cs.denominator, *(x.denominator for x in refs[None][1]))
+    scale = den // cs.denominator
+    over = {key: [x.numerator * (den // x.denominator) for x in w] for key, (_chain, w) in refs.items()}
     found: set[Divisor] = set()
     for comp in graph.all_complements():
-        cs = CycleSpace(graph, [eid for eid in graph.edges if eid not in comp])
-        edges = [graph.edges[eid] for eid in cs.complement]
-        a_ends = [(GraphPoint.at_vertex(e.a), -1) for e in edges]
-        _chain, w = cs.integrals([*d.terms, *a_ends])
-        lower = [wi - e.length for wi, e in zip(w, edges)]
-        for _k, shift in cs.lattice_points(lower, w):
-            terms = [(GraphPoint.on_edge(e.id, wi - si), 1) for e, wi, si in zip(edges, w, shift)]
+        edges = [graph.edges[eid] for eid in comp]
+        keys = [None, *(e.a for e in edges)]
+        chain = [sum(refs[key][0].get(eid, 0) for key in keys) for eid in comp]
+        w = [sum(col) for col in zip(*(over[key] for key in keys))]
+        gram, inverse, w = cs.rebase(comp, chain, w, scale)
+        # points at w - period * k on their closed edges, over D
+        hi = [x // scale for x in w]
+        lo = [-(-x // scale) - cs.scaled[e.id] for x, e in zip(w, edges)]
+        for _k, image in CycleSpace.box_points(gram, inverse, lo, hi):
+            terms = [(GraphPoint.on_edge(e.id, Fraction(x - y * scale, den)), 1) for e, x, y in zip(edges, w, image)]
             found.add(make_divisor(graph, terms))
     if len(found) != 1:
         raise CertificateFailure(f"expected one break divisor in the class, found {found}")

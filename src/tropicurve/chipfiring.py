@@ -88,23 +88,27 @@ def chips_of(dg: DiscreteGraph, locate, divisor) -> list[int]:
 
 
 def laplacian_equivalent(dg: DiscreteGraph, chips1: Sequence[int], chips2: Sequence[int]) -> bool:
-    """chips1 ~ chips2 iff their difference is an integer Laplacian image."""
+    """chips1 ~ chips2 iff their difference is an integer Laplacian image.
+
+    The reduced Laplacian (vertex 0 dropped) of a connected graph is
+    nonsingular, so the difference is such an image exactly when the one
+    solution is integral, in any order of rows and unknowns.  Its rows are
+    ints, taken by increasing degree: on a lattice model the points inside
+    edges come first, and eliminating a path's points first keeps the
+    rewritten rows few."""
     if sum(chips1) != sum(chips2):
         return False
-    delta = [a - b for a, b in zip(chips1, chips2)]
-    # reduced Laplacian: drop vertex 0
-    n = dg.n
+    order = sorted(range(1, dg.n), key=dg.deg.__getitem__)
+    index = {v: i for i, v in enumerate(order)}
     rows = []
-    rhs = []
-    for v in range(1, n):
-        row = [Fraction(0)] * (n - 1)
-        row[v - 1] = Fraction(dg.deg[v])
+    for v in order:
+        row = [0] * len(order)
+        row[index[v]] = dg.deg[v]
         for w, mult in dg.adj[v].items():
-            if w != 0:
-                row[w - 1] -= mult
+            if w:
+                row[index[w]] -= mult
         rows.append(row)
-        rhs.append(Fraction(delta[v]))
-    sol = solve_linear(rows, rhs)
+    sol = solve_linear(rows, [chips1[v] - chips2[v] for v in order])
     if sol is None:
         return False
     return all(x.denominator == 1 for x in sol)

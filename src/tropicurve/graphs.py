@@ -24,7 +24,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, count, product
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
     UnknownVertex,
     WrongCardinality,
 )
-from .linalg import invert_matrix
+from .linalg import integer_inverse
 from .rationals import rat
 
 INF = None  # marker for infinite offsets / lengths in segment tables
@@ -391,9 +393,13 @@ class CycleSpace:
     length is `scaled[e]` / D), and each entry becomes a `Fraction` once.
 
     Principality, the lifting corrections and break divisors all read the
-    period lattice through two methods: `integrals` gives the cycle
-    integrals of a degree-zero divisor, and `lattice_points` finds the
-    lattice vectors period * k in a box.
+    period lattice here: `integrals` gives the cycle integrals of a
+    degree-zero divisor, and `lattice_points` finds the lattice vectors
+    period * k in a box.  `rebase` reads the lattice and the integrals in
+    the basis of another spanning tree's fundamental cycles from this one,
+    so the break-divisor search over every spanning tree builds one cycle
+    space.  Every box search bounds k by the integer inverse of `_gram`,
+    computed once per cycle space.
     """
 
     def __init__(self, graph: MetricGraph, tree: Sequence[str]):
@@ -495,30 +501,72 @@ class CycleSpace:
                 w[i] -= z * tail
         return chain, w
 
+    @cached_property
+    def _inverse(self) -> tuple[list[list[int]], int]:
+        return integer_inverse(self._gram)
+
     def lattice_points(
         self, lower: Sequence[Fraction], upper: Sequence[Fraction]
     ) -> Iterator[tuple[tuple[int, ...], list[Fraction]]]:
         """Every integer vector k with lower <= period * k <= upper, in
-        lexicographic order, each with period * k.
-
-        The box is scaled by D to integer bounds on gram * k, gram = D *
-        period.  The inverse of gram maps that box to one integer range per
-        k_i, and the candidates are filtered on gram * k in integers, so a
-        `Fraction` is built only for a point that is yielded.  The number of
-        candidates grows exponentially in the genus."""
+        lexicographic order, each with period * k: the box is scaled by D to
+        integer bounds on gram * k, gram = D * period, for `box_points`."""
         den = self.denominator
         lo = [math.ceil(x * den) for x in lower]
         hi = [math.floor(x * den) for x in upper]
-        gram = self._gram
+        for k, image in self.box_points(self._gram, self._inverse, lo, hi):
+            yield k, [Fraction(y, den) for y in image]
+
+    @staticmethod
+    def box_points(
+        gram: Sequence[Sequence[int]], inverse: tuple[Sequence[Sequence[int]], int], lo: Sequence[int], hi: Sequence[int]
+    ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """Every integer vector k with lo <= gram * k <= hi, in lexicographic
+        order, each with gram * k, all in integers.  `inverse` is gram^-1 as
+        (m, q) from `linalg.integer_inverse`; m / q maps the box to one
+        integer range per k_i, and the candidates are filtered on gram * k.
+        The number of candidates grows exponentially in the genus."""
+        m, q = inverse
         ranges = []
-        for row in invert_matrix(gram):
+        for row in m:
             least = sum(v * (a if v >= 0 else b) for v, a, b in zip(row, lo, hi))
             most = sum(v * (b if v >= 0 else a) for v, a, b in zip(row, lo, hi))
-            ranges.append(range(math.ceil(least), math.floor(most) + 1))
+            ranges.append(range(-(-least // q), most // q + 1))
         for k in product(*ranges):
-            image = [sum(a * b for a, b in zip(row, k)) for row in gram]
+            image = [sum(map(mul, row, k)) for row in gram]
             if all(a <= y <= b for a, y, b in zip(lo, image, hi)):
-                yield k, [Fraction(y, den) for y in image]
+                yield k, image
+
+    def rebase(
+        self, comp: Sequence[str], chain: Sequence[int], w: Sequence[int], scale: int
+    ) -> tuple[list[list[int]], tuple[list[list[int]], int], list[int]]:
+        """The gram matrix, its inverse and a divisor's cycle integrals in the
+        basis of the fundamental cycles of the spanning tree T that the g
+        edges `comp` (in id order) complete, read from this cycle space: what
+        `_gram`, `_inverse` and `integrals` of `CycleSpace(graph, T)` give.
+        `chain` and `w` are the divisor's tree chain on `comp` and its cycle
+        integrals from `integrals` here, w as numerators over scale * D; the
+        integrals returned are over scale * D too.
+
+        Row j of Z holds cycle j's coefficients on `comp`.  T's cycles are
+        Z^-1 times these, and Z is unimodular exactly when `comp` completes
+        a tree (else `SingularMatrix`), so T's gram is Z^-1 gram Z^-T and its
+        inverse Z^T gram^-1 Z.  T's tree chain is this tree chain less the
+        cycles of T it runs through, `chain` times each, so T's integrals
+        are Z^-1 w less T's period times `chain`."""
+        z = [[cyc.get(eid, 0) for eid in comp] for cyc in self.cycles]
+        zinv = integer_inverse(z)[0]
+        gram = _times_transpose(_times_transpose(zinv, self._gram), zinv)
+        m, q = self._inverse
+        zt = [list(col) for col in zip(*z)]
+        inverse = _times_transpose(_times_transpose(zt, m), zt)
+        w = [sum(map(mul, zr, w)) - scale * sum(map(mul, gr, chain)) for zr, gr in zip(zinv, gram)]
+        return gram, (inverse, q), w
+
+
+def _times_transpose(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """a * b^T for integer matrices given by rows."""
+    return [[sum(map(mul, ra, rb)) for rb in b] for ra in a]
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:

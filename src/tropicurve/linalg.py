@@ -5,7 +5,8 @@ matrices, both with arbitrary precision.  Every dense solve, inverse and
 rank goes through one fraction-free Gauss-Jordan elimination
 (`_eliminate`): each row is scaled by the common denominator of its
 entries, the elimination runs on Python ints, and a `Fraction` is built
-once per returned entry.  Matrices are lists of lists; nothing here is
+once per returned entry; the inverse of an integer matrix stays in ints,
+over one denominator.  Matrices are lists of lists; nothing here is
 sized for more than a few dozen rows.
 """
 
@@ -101,17 +102,21 @@ def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
     return len(_eliminate(a, len(a[0]) if a else 0))
 
 
-def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a square nonsingular matrix over the rationals; raises
-    `SingularMatrix` otherwise.  [A | I] is reduced by `_eliminate`; the
-    scaling of each row by its common denominator reaches the identity
-    block too, and cancels in the reduced form."""
+def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Inverse of a square nonsingular integer matrix A as (m, q): q = |det A|
+    and m = q * A^-1, an integer matrix, so m / q is the inverse and (m, q)
+    are the adjugate and determinant when det A > 0, as for a Gram matrix.
+    Raises `SingularMatrix` otherwise.  [A | I] is reduced by `_eliminate`:
+    row i then is its pivot p_i times row i of [I | A^-1], and the last
+    pivot is a minor of all of A, so +-det A, which makes q * row / p_i an
+    exact division."""
     n = len(rows)
-    a = _integer_rows([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows))
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     cols = _eliminate(a, n)
     if len(cols) < n:
         raise SingularMatrix(f"singular {n}x{n} matrix (rank {len(cols)})")
-    return [[Fraction(v, row[c]) for v in row[n:]] for row, c in zip(a, cols)]
+    q = abs(a[-1][n - 1]) if n else 1
+    return [[v * q // row[c] for v in row[n:]] for row, c in zip(a, cols)], q
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the test suite.
+"""Seeded random generators shared by the test suite, and the rational
+inverse of a period matrix that the lattice-search references bound by.
 
 Random PL functions are built to be valid by construction: profiles on a
 spanning tree are free, and each complement edge gets a two-slope profile
@@ -9,11 +10,13 @@ which gives an endless supply of round-trip instances.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from tropicurve.divisors import EdgeProfile, PLFunction
 from tropicurve.graphs import MetricGraph, build_graph
+from tropicurve.linalg import integer_inverse
 
 
 def random_length(rng: random.Random, max_den: int = 4) -> Fraction:
@@ -113,3 +116,11 @@ def random_pl_function(rng: random.Random, graph: MetricGraph) -> PLFunction:
             continue
         profiles[eid] = _completion_profile(e.length, vals[e.a], vals[e.b] - vals[e.a])
     return PLFunction(graph, profiles, {})
+
+
+def period_inverse(period: list[list[Fraction]]) -> list[list[Fraction]]:
+    """period^-1 in `Fraction`s, from the integer inverse of D * period, D
+    the common denominator of its entries."""
+    den = math.lcm(*(p.denominator for row in period for p in row))
+    m, q = integer_inverse([[int(p * den) for p in row] for row in period])
+    return [[Fraction(v * den, q) for v in row] for row in m]

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -21,9 +22,8 @@ from tropicurve.chipfiring import (
 from tropicurve.divisors import Divisor, divisor_of, is_principal, make_divisor
 from tropicurve.errors import CertificateFailure, WrongDegree
 from tropicurve.graphs import CycleSpace, GraphPoint, build_graph
-from tropicurve.linalg import invert_matrix
 
-from randgen import random_graph
+from randgen import period_inverse, random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -101,6 +101,35 @@ class TestDiscrete:
             red = q_reduced(dg, chips, q)
             assert is_q_reduced(dg, red, q)
             assert laplacian_equivalent(dg, chips, red)
+
+    def test_laplacian_equivalence_agrees_with_q_reduced_forms(self):
+        """Random small multigraphs: two configurations are equivalent
+        exactly when their 0-reduced forms agree.  Half the pairs differ by
+        a random integer firing, the others are drawn apart, mostly of one
+        degree; both verdicts occur."""
+        rng = random.Random(23)
+        verdicts = Counter()
+        for _ in range(40):
+            n = rng.randrange(2, 7)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(5))]
+            dg = DiscreteGraph(n, edges)
+            for _ in range(10):
+                c1 = [rng.randrange(-2, 4) for _ in range(n)]
+                if rng.random() < 0.5:
+                    fire = [rng.randrange(-2, 3) for _ in range(n)]
+                    c2 = [
+                        c - dg.deg[v] * fire[v] + sum(m * fire[w] for w, m in dg.adj[v].items())
+                        for v, c in enumerate(c1)
+                    ]
+                else:
+                    c2 = [rng.randrange(-2, 4) for _ in range(n)]
+                    if rng.random() < 0.8:
+                        c2[rng.randrange(n)] += sum(c1) - sum(c2)
+                expected = q_reduced(dg, c1) == q_reduced(dg, c2)
+                assert laplacian_equivalent(dg, c1, c2) == expected
+                verdicts[expected] += 1
+        assert min(verdicts[True], verdicts[False]) > 100
 
     def test_lattice_model_of_circle(self):
         g = circle(3)
@@ -241,7 +270,7 @@ def box_points(period, lower, upper):
     """Every integer k with lower <= period * k <= upper: each k_i ranges
     over the interval the rational inverse maps the box to, and candidates
     are filtered in `Fraction`s."""
-    inv = invert_matrix(period)
+    inv = period_inverse(period)
     ranges = []
     for row in inv:
         lo = sum(c * (lower[j] if c >= 0 else upper[j]) for j, c in enumerate(row))
@@ -312,6 +341,61 @@ def test_decomposition_matches_the_model_reference(monkeypatch):
         interior += any(not pt.is_vertex for pt in b.support())
         seen += 1
     assert interior > 100
+
+
+def ladder(rng, rungs):
+    """Two rails of `rungs` vertices and a rung at every position: genus
+    rungs - 1, lengths 1 to 3."""
+    edges = []
+    for i in range(rungs):
+        edges.append((f"r{i}", f"u{i}", f"w{i}", rng.randrange(1, 4)))
+        if i + 1 < rungs:
+            edges.append((f"a{i}", f"u{i}", f"u{i + 1}", rng.randrange(1, 4)))
+            edges.append((f"b{i}", f"w{i}", f"w{i + 1}", rng.randrange(1, 4)))
+    return build_graph([f"{side}{i}" for side in "uw" for i in range(rungs)], edges)
+
+
+@pytest.mark.parametrize("rungs", [4, 5])
+def test_decomposition_matches_the_model_reference_on_ladders(monkeypatch, rungs):
+    """Ladders of genus 3 and 4, with chips inside edges at denominators 3
+    and 8, so the cycle integrals of every complement are fractional: the
+    decomposition equals the only break divisor of the model reference."""
+    monkeypatch.setattr(breakdiv, "VERIFY_LATTICE_CAP", 100)
+    rng = random.Random(rungs)
+    g = ladder(rng, rungs)
+    genus = g.betti_number()
+    interior = 0
+    for _ in range(6):
+        terms = []
+        for den in (3, 8, rng.choice([3, 8])):
+            eid = rng.choice(sorted(g.edges))
+            terms.append((P(eid, g.edges[eid].length * Fraction(rng.randrange(1, den), den)), rng.choice([1, 2, -1])))
+        terms.append((V(rng.choice(g.vertices)), genus - sum(c for _pt, c in terms)))
+        d = make_divisor(g, terms)
+        b, f = break_divisor_decompose(g, d)
+        assert model_break_divisors(g, d) == {b}
+        assert divisor_of(f) == d - b
+        interior += any(not pt.is_vertex for pt in b.support())
+    assert interior
+
+
+def test_one_decomposition_builds_two_cycle_spaces(monkeypatch):
+    """A genus-4 decomposition reads all 200-odd complements from one
+    reference cycle space; `is_principal` builds the other."""
+    built = []
+    init = CycleSpace.__init__
+
+    def counted(self, graph, tree):
+        built.append(graph)
+        init(self, graph, tree)
+
+    monkeypatch.setattr(CycleSpace, "__init__", counted)
+    g = ladder(random.Random(1), 5)
+    d = make_divisor(g, [(P("a0", Fraction(1, 2)), 2), (V("w3"), 2)])
+    assert len(list(g.all_complements())) > 200
+    b, _f = break_divisor_decompose(g, d)
+    assert is_break_divisor(g, b).ok
+    assert built == [g, g]
 
 
 def test_break_check_leaves_no_reference_cycle():

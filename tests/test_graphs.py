@@ -13,6 +13,7 @@ from tropicurve.errors import (
     InvalidOffset,
     NonpositiveLength,
     PointNotInterior,
+    SingularMatrix,
     WrongCardinality,
 )
 from tropicurve.graphs import (
@@ -22,9 +23,8 @@ from tropicurve.graphs import (
     build_graph,
     validate_pillar_points,
 )
-from tropicurve.linalg import invert_matrix
 
-from randgen import random_graph
+from randgen import period_inverse, random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -268,7 +268,7 @@ def brute_lattice_points(period, center, lower, upper):
     box; filtered in `Fraction`s."""
     c = [sum(p * kj for p, kj in zip(row, center)) for row in period]
     reach = max((abs(y - cj) for cj, lo, hi in zip(c, lower, upper) for y in (lo, hi)), default=0)
-    bounds = [math.ceil(sum(abs(v) for v in row) * reach) for row in invert_matrix(period)]
+    bounds = [math.ceil(sum(abs(v) for v in row) * reach) for row in period_inverse(period)]
     for k in product(*(range(kc - b, kc + b + 1) for kc, b in zip(center, bounds))):
         image = [sum(p * kj for p, kj in zip(row, k)) for row in period]
         if all(lo <= y <= hi for lo, y, hi in zip(lower, image, upper)):
@@ -335,6 +335,42 @@ class TestCycleSpaceKernel:
             assert w == [ref_w[pieces[eid][0]] for eid in cs.complement]
             assert all(type(x) is Fraction for x in w)
             assert chain == {eid: ref_chain[pieces[eid][0]] for eid in tree}
+
+
+    def test_rebase_matches_the_cycle_space_of_each_complement(self):
+        """For every spanning-tree complement C of these graphs, `rebase` on
+        the reference cycle space gives entry for entry the gram matrix, its
+        integer inverse and the cycle integrals that a cycle space built on
+        the tree C completes gives, for a divisor with chips inside edges
+        at denominators 3, 7 and 8."""
+        rng, graphs = thirds_sevenths_eighths(10, 30)
+        graphs += [fig2_skeleton(), fig2_skeleton(Fraction(2, 3))]
+        complements = Counter()
+        for g in graphs:
+            cs = CycleSpace(g, g.canonical_spanning_tree(first=[rng.choice(sorted(g.edges))]))
+            terms = []
+            for _ in range(rng.randrange(1, 5)):
+                eid = rng.choice(sorted(g.edges))
+                den = rng.choice([3, 7, 8])
+                terms.append((P(eid, g.edges[eid].length * Fraction(rng.randrange(1, den), den)), rng.choice([-1, 1, 2])))
+            terms.append((V(rng.choice(g.vertices)), -sum(c for _pt, c in terms)))
+            chain, w = cs.integrals(terms)
+            big = math.lcm(cs.denominator, *(x.denominator for x in w))
+            over = [x.numerator * (big // x.denominator) for x in w]
+            for comp in g.all_complements():
+                gram, inverse, wc = cs.rebase(comp, [chain.get(eid, 0) for eid in comp], over, big // cs.denominator)
+                ref = CycleSpace(g, [eid for eid in g.edges if eid not in comp])
+                assert ref.complement == list(comp)
+                assert gram == ref._gram
+                assert inverse == ref._inverse
+                assert [Fraction(x, big) for x in wc] == ref.integrals(terms)[1]
+                complements[len(comp)] += 1
+        assert set(complements) == {0, 1, 2, 3}
+        # two edges of one of two digons: the other digon keeps its cycle
+        digons = build_graph(list("abc"), [("p", "a", "b", 1), ("q", "a", "b", 2), ("r", "b", "c", 1), ("s", "b", "c", 3)])
+        assert not digons.spanning_tree_complement(["p", "q"])
+        with pytest.raises(SingularMatrix):
+            CycleSpace(digons, digons.canonical_spanning_tree()).rebase(["p", "q"], [0, 0], [0, 0], 1)
 
 
 class TestPillars:

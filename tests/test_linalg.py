@@ -1,13 +1,14 @@
 """The fraction-free kernel of `linalg` against a plain `Fraction`
 Gauss-Jordan elimination, kept here as the reference."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from tropicurve.errors import SingularMatrix, TropicurveError, ZeroVector
-from tropicurve.linalg import invert_matrix, matrix_rank, primitive, solve_linear
+from tropicurve.linalg import integer_inverse, matrix_rank, primitive, solve_linear
 
 DENOMINATORS = (1, 1, 3, 7, 8)
 
@@ -119,27 +120,53 @@ def test_matrix_rank_matches_the_fraction_reference():
     assert matrix_rank([]) == 0
 
 
-def test_invert_matrix_matches_the_fraction_reference():
+def reference_det(rows):
+    """Determinant by `Fraction` elimination, with a sign per row swap."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((i for i in range(c, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def test_integer_inverse_matches_the_fraction_reference():
+    """Random matrices, each scaled to ints by the lcm of its denominators:
+    m / q is the reference inverse and q = |det|, so m is the adjugate up
+    to the sign of the determinant."""
     rng = random.Random(4)
-    singular = 0
+    singular = negative = 0
     for _ in range(400):
         n = rng.randint(0, 7)
         rows = random_matrix(rng, n, n, rank=rng.randint(0, n) if rng.random() < 0.4 else None)
+        den = math.lcm(*(v.denominator for row in rows for v in row))
+        rows = [[int(v * den) for v in row] for row in rows]
         expected = reference_inverse(rows)
         if expected is None:
             singular += 1
             with pytest.raises(SingularMatrix):
-                invert_matrix(rows)
+                integer_inverse(rows)
             continue
-        inv = invert_matrix(rows)
-        assert inv == expected
-        assert all(type(v) is Fraction for row in inv for v in row)
-    assert singular > 50
+        m, q = integer_inverse(rows)
+        assert [[Fraction(v, q) for v in row] for row in m] == expected
+        det = reference_det(rows)
+        assert q == abs(det) and type(q) is int
+        assert all(type(v) is int for row in m for v in row)
+        negative += det < 0
+    assert singular > 50 and negative > 50
 
 
 def test_linalg_errors_are_typed_and_still_value_errors():
     with pytest.raises(SingularMatrix) as exc:
-        invert_matrix([[Fraction(1, 3), Fraction(2, 7)], [Fraction(2, 3), Fraction(4, 7)]])
+        integer_inverse([[7, 6], [14, 12]])
     assert isinstance(exc.value, TropicurveError) and isinstance(exc.value, ValueError)
     with pytest.raises(ZeroVector) as exc:
         primitive((0, 0, 0))
