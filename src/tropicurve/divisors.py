@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -296,14 +297,7 @@ class PLFunction:
     def _zip(self, other: "PLFunction", op):
         if self.domain is not other.domain:
             raise DiscontinuousFunction("functions live on different graphs")
-        fin = self.domain.finite
-        profiles = {}
-        for eid in fin.edges:
-            pa, pb = self.edge_profiles[eid], other.edge_profiles[eid]
-            breaks = tuple(sorted(set(pa.breaks) | set(pb.breaks)))
-            samples = (Fraction(0),) + breaks
-            slopes = tuple(op(pa.slope_at(x, +1), pb.slope_at(x, +1)) for x in samples)
-            profiles[eid] = EdgeProfile(op(pa.start, pb.start), breaks, slopes)
+        profiles = {eid: _merged(self.edge_profiles[eid], other.edge_profiles[eid], op) for eid in self.domain.finite.edges}
         rays = {
             rid: RayProfile(
                 op(self.ray_profiles[rid].start, other.ray_profiles[rid].start),
@@ -314,7 +308,17 @@ class PLFunction:
         return PLFunction(self.domain, profiles, rays, _validated=True)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
-        return self._zip(other, lambda x, y: x + y)
+        return self._zip(other, add)
+
+    def add_trapezoids(self, bumps: Iterable[tuple[str, Sequence]]) -> "PLFunction":
+        """This function plus the slope-one `trapezoid` of every (frame,
+        offsets) in `bumps`, added on its frame's current edges with breaks
+        merged as `+` merges them: one checked function, none per bump."""
+        profiles = dict(self.edge_profiles)
+        for frame, offsets in bumps:
+            for cid, prof in _trapezoid_pieces(self.domain, frame, offsets, 1):
+                profiles[cid] = _merged(profiles[cid], prof, add)
+        return PLFunction(self.domain, profiles, self.ray_profiles)
 
     def __neg__(self) -> "PLFunction":
         profiles = {
@@ -322,15 +326,6 @@ class PLFunction:
             for eid, p in self.edge_profiles.items()
         }
         rays = {rid: RayProfile(-p.start, -p.slope) for rid, p in self.ray_profiles.items()}
-        return PLFunction(self.domain, profiles, rays, _validated=True)
-
-    def add_constant(self, c) -> "PLFunction":
-        c = rat(c)
-        profiles = {
-            eid: EdgeProfile(p.start + c, p.breaks, p.slopes)
-            for eid, p in self.edge_profiles.items()
-        }
-        rays = {rid: RayProfile(p.start + c, p.slope) for rid, p in self.ray_profiles.items()}
         return PLFunction(self.domain, profiles, rays, _validated=True)
 
     # -- transport across refinements -----------------------------------------------------
@@ -349,6 +344,10 @@ class PLFunction:
         old one get the slope given in `new_ray_slopes` (default 0, a
         constant extension).  The result is checked for continuity on every
         edge, shared profiles included.
+
+        Precondition: every edge of the new domain descends from an edge or
+        ray of this function's domain, so no ray attached after that domain
+        was cut since; DiscontinuousFunction names an edge that does not.
         """
         new_ray_slopes = dict(new_ray_slopes or {})
         new_fin = new_domain.finite
@@ -363,6 +362,8 @@ class PLFunction:
             else:
                 for kind, cid, lo, hi in new_domain.segments_of(old):
                     (rays if kind == "ray" else profiles)[cid] = prof.sub_profile(lo, hi)
+        if uncovered := new_fin.edges.keys() - profiles.keys():
+            raise DiscontinuousFunction(f"edge {min(uncovered)!r} descends from no edge or ray of the domain")
         for rid, r in new_rays.items():
             if rid not in rays:
                 # anchor from the first edge, in id order, at the attach vertex
@@ -374,6 +375,14 @@ class PLFunction:
                     start = next(iter(rays.values())).start if rays else Fraction(0)
                 rays[rid] = RayProfile(start, new_ray_slopes.get(rid, 0))
         return PLFunction(new_domain, profiles, rays)
+
+
+def _merged(pa: EdgeProfile, pb: EdgeProfile, op) -> EdgeProfile:
+    """`op` of two profiles of one edge, on the union of their breaks."""
+    breaks = tuple(sorted(set(pa.breaks) | set(pb.breaks)))
+    samples = (Fraction(0),) + breaks
+    slopes = tuple(op(pa.slope_at(x, +1), pb.slope_at(x, +1)) for x in samples)
+    return EdgeProfile(op(pa.start, pb.start), breaks, slopes)
 
 
 def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> PLFunction:
@@ -392,6 +401,21 @@ def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> 
     Raises InvalidPillars when the offsets do not increase, leave the
     frame, rise and fall unequally, or reach the unbounded tail of a ray.
     """
+    fin = domain.finite
+    profiles = {eid: EdgeProfile(Fraction(0), (), (0,)) for eid in fin.edges}
+    vals: dict[str, Fraction] = {}
+    for cid, prof in _trapezoid_pieces(domain, frame, offsets, slope):
+        profiles[cid] = prof
+        e = fin.edges[cid]
+        vals[e.a], vals[e.b] = prof.start, prof.end_value(e.length)
+    rays = {rid: RayProfile(vals.get(r.attach, Fraction(0)), 0) for rid, r in domain.rays.items()}
+    return PLFunction(domain, profiles, rays)
+
+
+def _trapezoid_pieces(domain: Domain, frame: str, offsets: Sequence, slope: int):
+    """(current edge id, profile) of a `trapezoid` bump on every current
+    edge of its frame that meets its support, after the checks `trapezoid`
+    documents; the bump is zero on the others."""
     xs = tuple(rat(x) for x in offsets)
     x1, x2, x3, x4 = xs
     segs = domain.segments_of(frame)
@@ -403,28 +427,15 @@ def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> 
     if x2 - x1 != x4 - x3:
         raise InvalidPillars("trapezoid needs equal rise and fall lengths")
     shape = (0, slope, 0, -slope, 0)  # slope right of x: shape[#offsets <= x]
-
-    def value(x: Fraction) -> Fraction:
-        return slope * (min(max(x, x1), x2) - x1 - min(max(x, x3), x4) + x3)
-
-    fin = domain.finite
-    profiles = {eid: EdgeProfile(Fraction(0), (), (0,)) for eid in fin.edges}
-    vals: dict[str, Fraction] = {}
     for _kind, cid, lo, hi in segs:
         if hi is None:
             if x4 > lo:
                 raise InvalidPillars(f"offsets {offsets} reach the unbounded tail of {frame!r}")
-            continue
-        inner = [x for x in xs if lo < x < hi]
-        profiles[cid] = EdgeProfile(
-            value(lo),
-            tuple(x - lo for x in inner),
-            tuple(shape[bisect_right(xs, x)] for x in [lo] + inner),
-        )
-        e = fin.edges[cid]
-        vals[e.a], vals[e.b] = value(lo), value(hi)
-    rays = {rid: RayProfile(vals.get(r.attach, Fraction(0)), 0) for rid, r in domain.rays.items()}
-    return PLFunction(domain, profiles, rays)
+        elif lo < x4 and x1 < hi:
+            inner = [x for x in xs if lo < x < hi]
+            start = slope * (min(max(lo, x1), x2) - x1 - min(max(lo, x3), x4) + x3)
+            slopes = tuple(shape[bisect_right(xs, x)] for x in [lo] + inner)
+            yield cid, EdgeProfile(start, tuple(x - lo for x in inner), slopes)
 
 
 def divisor_of(f: PLFunction) -> Divisor:
@@ -500,15 +511,23 @@ def _integrate(
 ) -> PLFunction:
     """The function with the given first-piece slopes and interior chips,
     0 at the basepoint (default: the tree's root, the least vertex).  Vertex
-    values are read down the cycle space's tree, each from its parent's."""
+    values are read down the cycle space's tree, each from its parent's,
+    and shifted to the basepoint before any profile is built."""
     graph = cs.graph
+
+    def rise(eid: str, off: Fraction) -> Fraction:
+        # the gain from the a end of edge eid to offset off along it
+        return sum((c * (off - x) for x, c in interior.get(eid, ()) if x < off), slopes[eid] * off)
+
     vals: dict[str, Fraction] = {cs.order[0]: Fraction(0)}
     for v in cs.order[1:]:
         e = graph.edges[cs.up[v]]
-        delta = slopes[e.id] * e.length
-        for x, c in interior.get(e.id, ()):
-            delta += c * (e.length - x)
+        delta = rise(e.id, e.length)
         vals[v] = vals[e.a] + delta if e.b == v else vals[e.b] - delta
+    if basepoint is not None:
+        at = graph.canonical_point(basepoint)
+        zero = vals[at.vertex] if at.is_vertex else vals[graph.edges[at.edge].a] + rise(at.edge, at.offset)
+        vals = {v: x - zero for v, x in vals.items()}
     profiles: dict[str, EdgeProfile] = {}
     for eid, e in graph.edges.items():
         pts = interior.get(eid, ())
@@ -517,9 +536,7 @@ def _integrate(
         for _x, c in pts:
             slope_list.append(slope_list[-1] + c)
         profiles[eid] = EdgeProfile(vals[e.a], breaks, tuple(slope_list))
-    f = PLFunction(graph, profiles, {}, _validated=True)
-    shift = -f.value(basepoint) if basepoint is not None else 0
-    return f.add_constant(shift) if shift else f
+    return PLFunction(graph, profiles, {}, _validated=True)
 
 
 def construct_pl_with_divisor(

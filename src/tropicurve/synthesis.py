@@ -7,10 +7,13 @@ coordinates or its certificate shows a core violation; then every
 remaining finite edge and every bare ray gets one coordinate from
 `edge_ramp`: a slope-one ramp (divergent along a ray) corrected by pillar
 trapezoids on a spanning-tree complement, placed by one `select_pillars`
-call per target.  The second pipeline repairs singular image vertices: a
-vertex with adjacent edges e0..en receives n tent coordinates with slopes
-+1 into ek and -1 into e0, which project a neighborhood of the image
-vertex onto the coordinate-axes fan and make it smooth.
+call per target.  The ramps are built on the skeleton alone, which they
+refine and `adjoin` extends with rays; `assemble` then transports every
+coordinate once, to the final skeleton, and builds one embedding.  The
+second pipeline repairs singular image vertices: a vertex with adjacent
+edges e0..en receives n tent coordinates with slopes +1 into ek and -1
+into e0, which project a neighborhood of the image vertex onto the
+coordinate-axes fan and make it smooth.
 
 All offsets allocated here are tracked in "root frames": the edge and ray
 ids present when a pipeline starts, plus rays it attaches later.  The
@@ -78,6 +81,8 @@ from .tropicalize import (
     Embedding,
     FaithfulReport,
     Violation,
+    adjoin,
+    assemble,
     extend_embedding,
     frame_pieces,
     images_meet,
@@ -293,14 +298,13 @@ def _fits_one_edge(skel: ExtendedGraph, root: str, offs) -> bool:
     return not any(c.is_vertex for c in cp) and len({c.edge for c in cp}) == 1
 
 
-def _apply_pillars(emb: Embedding, base: PLFunction, pset: PillarSet) -> PLFunction:
-    f = base
-    for pts in pset.tuples:
-        root, offs = pts[0].edge, [p.offset for p in pts]
-        if not _fits_one_edge(emb.skeleton, root, offs):
+def _apply_pillars(skel: ExtendedGraph, base: PLFunction, pset: PillarSet) -> PLFunction:
+    """`base` plus the trapezoid of every pillar tuple, each still inside one current edge."""
+    bumps = [(pts[0].edge, [p.offset for p in pts]) for pts in pset.tuples]
+    for (root, offs), pts in zip(bumps, pset.tuples):
+        if not _fits_one_edge(skel, root, offs):
             raise PillarFailure(f"pillar tuple {pts} no longer fits one edge")
-        f = f + trapezoid(emb.skeleton, root, offs)
-    return f
+    return base.add_trapezoids(bumps) if bumps else base
 
 
 # -- anchors -----------------------------------------------------------------------------
@@ -310,42 +314,34 @@ def _current_pieces(skel: ExtendedGraph, frame: str) -> set[str]:
     return {cid for kind, cid, _lo, _hi in skel.segments_of(frame) if kind == "edge"}
 
 
-def _fresh_vertex_on(
-    emb: Embedding, frames: Frames, cid: str, near_vertex: str
-) -> tuple[Embedding, str]:
+def _fresh_vertex_on(skel: ExtendedGraph, frames: Frames, cid: str, near_vertex: str) -> tuple[ExtendedGraph, str]:
     """Subdivide a fresh interior point close to `near_vertex` on a finite
     edge and return it as a vertex (safe for ray attachment: subdividing a
     finite edge does not create a ray endpoint)."""
-    pt = P(*frames.fresh_near(emb.skeleton, cid, near_vertex))
-    emb2 = refine_embedding(emb, [pt])
-    return emb2, emb2.skeleton.canonical_point(pt).vertex
+    pt = P(*frames.fresh_near(skel, cid, near_vertex))
+    skel = skel.subdivide_many([pt])
+    return skel, skel.canonical_point(pt).vertex
 
 
 def _anchor_near(
-    emb: Embedding,
-    v: str,
-    avoid_pieces: set[str],
-    core_edges_current: set[str],
-    frames: Frames,
-) -> tuple[Embedding, str, Optional[str]]:
+    skel: ExtendedGraph, v: str, avoid_pieces: set[str], core_edges_current: set[str], frames: Frames
+) -> tuple[ExtendedGraph, str, Optional[str]]:
     """Zero-charge location serving v.
 
-    Returns (embedding, anchor vertex, descend_ray): when v carries no ray
+    Returns (skeleton, anchor vertex, descend_ray): when v carries no ray
     yet the charge sits at v itself; otherwise it moves to a fresh interior
     vertex of a bridge edge at v, or rides down an existing ray at v (the
     zero shadow then sits at that ray's leaf)."""
-    skel = emb.skeleton
     if v not in skel.attach_vertices():
-        return emb, v, None
-    fin = skel.finite
-    for eid, _w in sorted(fin.adjacency[v]):
+        return skel, v, None
+    for eid, _w in sorted(skel.finite.adjacency[v]):
         if eid in avoid_pieces or eid in core_edges_current:
             continue
-        emb2, va = _fresh_vertex_on(emb, frames, eid, v)
-        return emb2, va, None
+        skel, va = _fresh_vertex_on(skel, frames, eid, v)
+        return skel, va, None
     for rid in sorted(skel.rays):
         if skel.rays[rid].attach == v:
-            return emb, v, rid
+            return skel, v, rid
     raise NoRoom(f"no anchor location available near {v!r}")
 
 
@@ -360,16 +356,17 @@ def _core_current(skel: ExtendedGraph, core_edges: frozenset[str]) -> set[str]:
 
 
 def edge_ramp(
-    emb: Embedding,
+    skel: ExtendedGraph,
     frame: str,
     pillars: PillarSet,
     core_edges: frozenset[str],
     core_vertices: frozenset[str],
     frames: Frames,
-) -> tuple[Embedding, PLFunction, GraphPoint, GraphPoint]:
+) -> tuple[ExtendedGraph, PLFunction, GraphPoint, GraphPoint]:
     """Slope-one ramp along a non-core edge or a ray frame, plus pillar
-    trapezoids: (embedding, function, zero, pole), value zero at the
-    core-side end v.
+    trapezoids: (skeleton, function on it, zero, pole), value zero at the
+    core-side end v.  Only the skeleton is read and refined: the ramp needs
+    no coordinate.
 
     The zero charge sits at v, or at a fresh point near it when v already
     carries a ray, or rides down a ray at v to its leaf.  When the only ray
@@ -378,12 +375,11 @@ def edge_ramp(
     a ray at w to its leaf; a ray frame's far end is its own tail.
 
     The ramp is `_corrected_witness` of the base divisor (zero anchor) -
-    (pole anchor), with slope +1 on the pole's ray and -1 on the zero's.
-    When the two anchors are joined by bridges alone their cycle integrals
-    vanish, so no correction pair is placed and the ramp is the plain
-    witness of the base.
+    (pole anchor), with slope +1 on the pole's ray and -1 on the zero's,
+    and value 0 at v.  When the two anchors are joined by bridges alone
+    their cycle integrals vanish, so no correction pair is placed and the
+    ramp is the plain witness of the base.
     """
-    skel = emb.skeleton
     pieces = _current_pieces(skel, frame)
     core_cur = _core_current(skel, core_edges)
     if pieces & core_cur:
@@ -399,15 +395,13 @@ def edge_ramp(
         if comp[v] != comp[sorted(core_vertices)[0]]:
             v, w = w, v
 
-    emb, va, descend_ray = _anchor_near(emb, v, pieces, core_cur, frames)
-    skel = emb.skeleton
+    skel, va, descend_ray = _anchor_near(skel, v, pieces, core_cur, frames)
     end_ray, vb = None, w
     if w is None:
         end_ray = next(cid for kind, cid, _lo, _hi in skel.segments_of(frame) if kind == "ray")
         vb = skel.rays[end_ray].attach
     elif beyond := [eid for eid, _x in sorted(skel.finite.adjacency[w]) if eid not in pieces]:
-        emb, vb = _fresh_vertex_on(emb, frames, beyond[0], w)
-        skel = emb.skeleton
+        skel, vb = _fresh_vertex_on(skel, frames, beyond[0], w)
     else:
         # a leaf: the pole rides its first ray, or sits on the bare leaf
         end_ray = min((rid for rid, r in skel.rays.items() if r.attach == w), default=None)
@@ -423,12 +417,12 @@ def edge_ramp(
         zero = V(skel.rays[descend_ray].leaf) if descend_ray else anchor
     base = make_divisor(skel.finite, [(anchor, 1), (V(vb), -1)])
     # a None key in the slope map names no ray and is never read
-    ramp = _corrected_witness(emb, frames, base).transport(skel, {end_ray: 1, descend_ray: -1})
-    f = _apply_pillars(emb, ramp.add_constant(-ramp.vertex_value(v)), pillars)
+    ramp = _corrected_witness(skel, frames, base, basepoint=V(v))
+    f = _apply_pillars(skel, ramp.transport(skel, {end_ray: 1, descend_ray: -1}), pillars)
     if pillars.complement and descend_ray is None and end_ray is None:
         _check_cor34_shape(skel, f, base, pillars)
     pole = V(skel.rays[end_ray].leaf) if end_ray else V(vb)
-    return emb, f, zero, pole
+    return skel, f, zero, pole
 
 
 def _check_cor34_shape(skel, f, base: Divisor, pillars: PillarSet):
@@ -555,11 +549,12 @@ def _core_ramp(emb: Embedding, frames: Frames, root_e: str) -> PLFunction:
     a_off = frames.claim(root_e, Fraction(0), length / 4)
     b_off = frames.claim(root_e, length - length / 4, length)
     base = make_divisor(fin, [(P(root_e, a_off), 1), (P(root_e, b_off), -1)])
-    return _corrected_witness(emb, frames, base, keep_in_tree=root_e)
+    return _corrected_witness(emb.skeleton, frames, base, keep_in_tree=root_e)
 
 
 def _corrected_witness(
-    emb: Embedding, frames: Frames, base: Divisor, keep_in_tree: Optional[str] = None
+    skel: ExtendedGraph, frames: Frames, base: Divisor,
+    keep_in_tree: Optional[str] = None, basepoint: Optional[GraphPoint] = None,
 ) -> PLFunction:
     """The `is_principal` witness of `base` plus +-1 correction pairs that
     cancel its cycle obstruction, each on the longest piece that lies on
@@ -568,10 +563,11 @@ def _corrected_witness(
     correction lands on them when one is that longest piece.  A base with
     zero cycle integrals (two points joined by bridges alone) gets no pair
     and claims no offset.  The one constructor of every ramp, stage-0 core
-    ramps and edge ramps alike.  Raises CertificateFailure when the
-    corrected divisor is not principal."""
-    fin = emb.skeleton.finite
-    refined = emb.skeleton.subdivide_many(base.support())
+    ramps and edge ramps alike; the witness is a function on the finite
+    part, 0 at `basepoint` (default: the least vertex).  Raises
+    CertificateFailure when the corrected divisor is not principal."""
+    fin = skel.finite
+    refined = skel.subdivide_many(base.support())
     model = refined.finite
     dm = make_divisor(model, base.terms)
     priority = []
@@ -645,7 +641,7 @@ def _corrected_witness(
         else:
             raise NoRoom(f"correction total {dj} exceeds cycle capacity")
     d = make_divisor(fin, terms)
-    res = is_principal(fin, d)
+    res = is_principal(fin, d, basepoint)
     if not res.principal:
         raise CertificateFailure(f"corrected divisor is not principal: {d}")
     return res.witness
@@ -917,12 +913,15 @@ def _fully_faithful(
         if all(f.ray_profiles[rid].slope == 0 for f in emb.coords)
     )
     # All pillars are placed on the embedding the ramps start from: a ramp
-    # only adds a coordinate, so images disjoint now stay disjoint.
+    # only adds a coordinate, so images disjoint now stay disjoint.  The
+    # ramps refine the skeleton alone; `assemble` transports each coordinate once.
     targets = finite_targets + ray_targets
     psets = [select_pillars(emb, frames, avoid_image_of=t) for t in targets]
+    skel, adjoined = emb.skeleton, []
     for target, pset in zip(targets, psets):
-        emb, f, zero, pole = edge_ramp(emb, target, pset, core_edges, core_vertices, frames)
-        emb = extend_embedding(emb, f, f"f.{target}")
+        skel, f, zero, pole = edge_ramp(skel, target, pset, core_edges, core_vertices, frames)
+        skel, f, rays = adjoin(skel, f, f"f.{target}")
+        adjoined.append((f, rays))
         finite = target in finite_targets
         report.log(
             construction="finite-edge-ramp" if finite else "infinite-edge-ramp",
@@ -933,11 +932,12 @@ def _fully_faithful(
             unit_stretch_new_edges=True,
         )
 
+    emb = assemble(skel, emb.coords, adjoined)
     rep = is_fully_faithful(emb)
     if not rep:
         raise CertificateFailure(f"final certificate failed: {rep.reasons}")
     report.final = {"fully_faithful": True, "coordinates": len(emb.coords)}
-    return Embedding(emb.skeleton, emb.coords), report, rep
+    return emb, report, rep
 
 
 def _outgoing_direction(emb: Embedding, v: str, side_id: str):
@@ -1006,7 +1006,7 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
             name = f"v{pass_no}.{k}"
             res = vertex_function(emb, v, side_specs[e0], side_specs[ek], frames)
             pset = select_pillars(res.embedding, frames, forbidden=res.zones)
-            f = _apply_pillars(res.embedding, res.function, pset)
+            f = _apply_pillars(res.embedding.skeleton, res.function, pset)
             emb = extend_embedding(res.embedding, f, name)
             report.log(
                 construction="vertex-tent",

@@ -635,15 +635,16 @@ def refine_embedding(emb: Embedding, points: Sequence[GraphPoint]) -> Embedding:
     return Embedding(skel, coords)
 
 
-def extend_embedding(emb: Embedding, f: PLFunction, name: str) -> Embedding:
-    """Adjoin a coordinate, attaching a fresh ray at every finite divisor
-    point of f (the eventual slope opposes the coefficient's sign, so the
-    extended function is harmonic there and diverges along the new ray).
+def adjoin(skel: ExtendedGraph, f: PLFunction, name: str) -> tuple[ExtendedGraph, PLFunction, list[str]]:
+    """The skeleton step of adjoining a coordinate: attach a fresh ray at
+    every finite divisor point of f (the eventual slope opposes the
+    coefficient's sign, so the extended function is harmonic there and
+    diverges along the new ray).  Returns the new skeleton, f transported
+    there and the new ray ids.
 
     Divisor points must be simple (+-1) and distinct from existing ray
     attach points; support already at infinite vertices is kept as is.
     """
-    skel = emb.skeleton
     if f.domain is not skel:
         raise InvalidCoordinate("function lives on a different skeleton")
     d = divisor_of(f)
@@ -659,23 +660,34 @@ def extend_embedding(emb: Embedding, f: PLFunction, name: str) -> Embedding:
     attach_vs = skel.attach_vertices()
     for pt, _c in finite_support:
         if pt.is_vertex and pt.vertex in attach_vs:
-            raise DivisorCollision(
-                f"divisor point {pt!r} is already a ray attachment"
-            )
-    new_rays = [
-        (f"{name}.{k}", pt) for k, (pt, _c) in enumerate(sorted(finite_support))
-    ]
-    new_skel = skel.with_new_rays(new_rays)
-    ray_slopes = {
-        rid: -c for (rid, _pt), (_pt2, c) in zip(new_rays, sorted(finite_support))
-    }
-    new_coords = [g.transport(new_skel) for g in emb.coords]
+            raise DivisorCollision(f"divisor point {pt!r} is already a ray attachment")
+    ray_ids = [f"{name}.{k}" for k in range(len(finite_support))]
+    # the divisor's terms, and so the new rays, are in point order
+    new_skel = skel.with_new_rays([(rid, pt) for rid, (pt, _c) in zip(ray_ids, finite_support)])
+    ray_slopes = {rid: -c for rid, (_pt, c) in zip(ray_ids, finite_support)}
     new_f = f.transport(new_skel, new_ray_slopes=ray_slopes)
-    # structural stretching-factor check on the new rays: the added
-    # coordinate is the only one with nonzero slope there, and it is +-1
-    for rid in ray_slopes:
-        if abs(new_f.ray_profiles[rid].slope) != 1 or any(
-            g.ray_profiles[rid].slope for g in new_coords
-        ):
+    for rid in ray_ids:
+        if abs(new_f.ray_profiles[rid].slope) != 1:
             raise CertificateFailure(f"new ray {rid!r} does not have stretching factor one")
-    return Embedding(new_skel, new_coords + [new_f])
+    return new_skel, new_f, ray_ids
+
+
+def assemble(skel: ExtendedGraph, coords: Sequence[PLFunction], adjoined: Sequence[tuple]) -> Embedding:
+    """The embedding on `skel` of `coords`, then of each (f, new ray ids)
+    that `adjoin` gave, each coordinate transported there once, straight
+    from its own domain.  No coordinate before an adjoined one may have
+    slope on its new rays, so each of them has stretching factor one."""
+    out: list[PLFunction] = []
+    for f, rays in chain(((g, ()) for g in coords), adjoined):
+        for rid in rays:
+            if any(g.ray_profiles[rid].slope for g in out):
+                raise CertificateFailure(f"new ray {rid!r} does not have stretching factor one")
+        out.append(f if f.domain is skel else f.transport(skel))
+    return Embedding(skel, out)
+
+
+def extend_embedding(emb: Embedding, f: PLFunction, name: str) -> Embedding:
+    """`adjoin` f to the embedding's skeleton and `assemble` the embedding
+    there: the coordinates it had, then f."""
+    skel, new_f, rays = adjoin(emb.skeleton, f, name)
+    return assemble(skel, emb.coords, [(new_f, rays)])

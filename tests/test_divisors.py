@@ -143,7 +143,9 @@ class TestDivisorOf:
             f1 = random_pl_function(rng, g)
             f2 = random_pl_function(rng, g)
             assert divisor_of(f1 + f2) == divisor_of(f1) + divisor_of(f2)
-            assert divisor_of(f1.add_constant(Fraction(3, 7))) == divisor_of(f1)
+            shifted = {eid: EdgeProfile(p.start + Fraction(3, 7), p.breaks, p.slopes)
+                       for eid, p in f1.edge_profiles.items()}
+            assert divisor_of(PLFunction(g, shifted)) == divisor_of(f1)
             assert divisor_of(-f1) == -divisor_of(f1)
 
 
@@ -223,6 +225,46 @@ class TestTransport:
         assert ray.sub_profile(Fraction(3, 2), None) == RayProfile(Fraction(-2), -2)
         assert ray.sub_profile(Fraction(0), None) == ray
         assert ray.sub_profile(Fraction(1, 2), Fraction(3, 2)) == EdgeProfile(Fraction(0), (), (-2,))
+
+    def test_a_transport_in_one_step_equals_the_chained_transports(self):
+        """Across a subdivision, a new ray at an interior point and a second
+        subdivision (of any current edge, or of the ray `r` of the
+        function's domain), one transport gives every profile the chain of
+        three gives."""
+        rng = random.Random(23)
+        for _ in range(40):
+            g = random_graph(rng)
+            f = random_pl_function(rng, g)
+            a = g.vertices[0]
+            ext = build_extended(g, [("r", V(a))])
+            fx = PLFunction(ext, f.edge_profiles, {"r": RayProfile(f.vertex_value(a), rng.randrange(-2, 3))})
+            chain = [ext]
+            for step in ("cut", "ray", "cut"):
+                skel = chain[-1]
+                ids = sorted(skel.finite.edges) + ["r"] * (step == "cut")
+                eid = rng.choice(ids)
+                length = skel.finite.edges[eid].length if eid in skel.finite.edges else Fraction(2)
+                pt = P(eid, length * Fraction(rng.randrange(1, 8), 8))
+                chain.append(skel.subdivide_at(pt)[0] if step == "cut" else skel.with_new_rays([("n", pt)]))
+            slopes = {"n": rng.choice([-1, 1])}
+            chained = fx
+            for skel in chain[1:]:
+                chained = chained.transport(skel, slopes)
+            once = fx.transport(chain[-1], slopes)
+            assert once.edge_profiles == chained.edge_profiles
+            assert once.ray_profiles == chained.ray_profiles
+
+    def test_a_cut_ray_born_after_the_domain_is_an_uncovered_edge(self):
+        """Refinements that cut a ray attached after the function's domain
+        break `transport`'s precondition: the ray's stub descends from no
+        profile, and the error names it."""
+        ext = build_extended(circle(), [])
+        f = trapezoid(ext, "loop", (Fraction(1, 4), Fraction(1, 2), 1, Fraction(5, 4)))
+        new = ext.with_new_rays([("n", P("loop", 2))])
+        assert f.transport(new, {"n": 1}).ray_profiles == {"n": RayProfile(Fraction(0), 1)}
+        cut, _ = new.subdivide_at(P("n", 1))
+        with pytest.raises(DiscontinuousFunction, match="'n.stub'"):
+            f.transport(cut, {"n": 1})
 
     @pytest.mark.parametrize("cut", [None, "e1", "e2"])
     def test_transport_checks_continuity_on_shared_profiles(self, cut):
@@ -419,6 +461,22 @@ class TestConstruct:
         shift = f1.value(V("p4"))
         for v in g.vertices:
             assert f2.value(V(v)) == f1.value(V(v)) - shift
+
+    @pytest.mark.parametrize(
+        "basepoint", [V("m"), P("e1", Fraction(1, 8)), P("e1", Fraction(1, 2)), P("e1", Fraction(7, 8)), P("e2", 1)],
+        ids=["vertex", "before", "between", "past", "end"],
+    )
+    def test_witness_is_zero_at_its_basepoint(self, basepoint):
+        """The witness with a basepoint is the default witness shifted to be
+        0 there, at a vertex or inside an edge, before, between or past its
+        chips."""
+        g = path_amb()
+        d = make_divisor(g, [(P("e1", Fraction(1, 4)), 1), (P("e1", Fraction(3, 4)), -1)])
+        ref = construct_pl_with_divisor(g, d)
+        f = construct_pl_with_divisor(g, d, basepoint)
+        assert f.value(basepoint) == 0 and divisor_of(f) == d
+        pts = [V(v) for v in g.vertices] + [P("e1", Fraction(k, 8)) for k in range(1, 8)]
+        assert {f.value(pt) - ref.value(pt) for pt in pts} == {-ref.value(basepoint)}
 
     def test_not_principal_raises(self):
         g = circle(3)

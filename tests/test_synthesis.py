@@ -342,7 +342,7 @@ def assert_plain_witness(emb, va, vb):
     fin = emb.skeleton.finite
     frames = Frames(emb.skeleton)
     base = make_divisor(fin, [(V(va), 1), (V(vb), -1)])
-    f = _corrected_witness(emb, frames, base)
+    f = _corrected_witness(emb.skeleton, frames, base)
     assert divisor_of(f) == base
     assert (frames.points, frames.intervals) == ({}, {})
     return f.vertex_value(vb) - f.vertex_value(va)
@@ -713,14 +713,33 @@ def test_a_copy_of_the_first_output_is_certified_again(tate_leaf_outputs, monkey
     assert output_digest(*result) == TATE_LEAF_DIGESTS[1]
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: tate_leaf(3, "p5", Fraction(1, 2))]
+    + [lambda seed=seed: bare_skeleton(random_graph(random.Random(seed))) for seed in TREE_SEEDS],
+    ids=["tate-leaf"] + [f"tree{seed}" for seed in TREE_SEEDS],
+)
+def test_the_first_pipeline_transports_each_coordinate_once(make, monkeypatch):
+    """A ramp's witness is transported to the skeleton, adjoined, and moved
+    once to the final skeleton; each input coordinate is moved once, so the
+    transports grow with the coordinates, not with their square."""
+    emb = make()
+    calls = []
+    transport = PLFunction.transport
+    monkeypatch.setattr(PLFunction, "transport", lambda f, *args, **kw: calls.append(f) or transport(f, *args, **kw))
+    out, report = fully_faithful_pipeline(emb)
+    ramps = [step for step in report.steps if step["construction"].endswith("edge-ramp")]
+    assert len(out.coords) == len(emb.coords) + len(ramps) > len(emb.coords)
+    assert len(calls) <= 3 * len(ramps) + len(emb.coords)
+
+
 def test_first_pipeline_refuses_a_violation_its_construction_leaves(monkeypatch):
     """The first pipeline certifies what it built once and refuses it with
-    the reasons of the violations left: with the coordinate of `e2`'s ramp
-    never added, a piece of `e2` stays contracted."""
-    extend = synthesis.extend_embedding
+    the reasons of the violations left: with the ramp of `e2` adjoined as a
+    constant, a piece of `e2` stays contracted."""
+    adjoin = synthesis.adjoin
     monkeypatch.setattr(
-        synthesis, "extend_embedding",
-        lambda emb, f, name: emb if name == "f.e2" else extend(emb, f, name),
+        synthesis, "adjoin",
+        lambda skel, f, name: adjoin(skel, f + -f if name == "f.e2" else f, name),
     )
     certify = synthesis.is_fully_faithful
     reports = []
