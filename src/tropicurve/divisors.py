@@ -16,6 +16,13 @@ is integral; the witness's vertex values are then read down the same
 spanning tree.  The period matrix is summed in integers over the common
 denominator of the lengths, and `linalg.solve_linear` solves the system by
 fraction-free elimination, so no step normalises a `Fraction`.
+
+The slopes, the obstruction and the witness are unique, so they do not
+depend on the tree, and principality reads a breadth-first tree's short
+cycles: on a ladder the period matrix is tridiagonal, where the Kruskal tree
+by edge id makes it dense.  The lattice search of `_corrected_witness`, the
+complement of `select_pillars` and `breakdiv`'s reference cycle space depend
+on their tree, so they keep `canonical_spanning_tree()` and their outputs.
 """
 
 from __future__ import annotations
@@ -211,7 +218,7 @@ class PLFunction:
         domain: Domain,
         edge_profiles: Mapping[str, EdgeProfile],
         ray_profiles: Mapping[str, RayProfile] | None = None,
-        _validated: bool = False,
+        _vertex_values: dict[str, Fraction] | None = None,
     ):
         self.domain = domain
         fin = domain.finite
@@ -223,34 +230,35 @@ class PLFunction:
         if set(domain.rays) != set(self.ray_profiles):
             missing_r = set(domain.rays) ^ set(self.ray_profiles)
             raise DiscontinuousFunction(f"ray/profile mismatch: {sorted(missing_r)}")
-        self._vertex_values: dict[str, Fraction] = {}
-        self._compute_vertex_values(check=not _validated)
+        self._vertex_values = self._read_vertex_values(_vertex_values)
 
-    def _compute_vertex_values(self, check: bool):
+    def _read_vertex_values(self, trusted: dict[str, Fraction] | None) -> dict[str, Fraction]:
+        """The value at every finite vertex: `trusted`, from a builder that
+        derived them, else read from the profiles' ends and checked for
+        continuity.  Breakpoints are checked to lie inside their edge."""
         fin = self.domain.finite
-        vals = self._vertex_values
+        vals = {} if trusted is None else trusted
         for eid, e in fin.edges.items():
             prof = self.edge_profiles[eid]
             if prof.breaks and not (0 < prof.breaks[0] and prof.breaks[-1] < e.length):
                 raise InvalidOffset(f"breakpoints of edge {eid!r} leave (0, {e.length})")
-            for v, val in ((e.a, prof.start), (e.b, prof.end_value(e.length))):
-                if v in vals:
-                    if check and vals[v] != val:
+            if trusted is None:
+                for v, val in ((e.a, prof.start), (e.b, prof.end_value(e.length))):
+                    if vals.setdefault(v, val) != val:
                         raise DiscontinuousFunction(
                             f"value mismatch at vertex {v!r}: {vals[v]} vs {val}"
                         )
-                else:
-                    vals[v] = val
-        if not fin.edges:
-            # single-vertex finite part: anchor from ray starts
-            for rid, r in self.domain.rays.items():
-                vals.setdefault(r.attach, self.ray_profiles[rid].start)
-        if check:
+        if trusted is None:
+            if not fin.edges:
+                # single-vertex finite part: anchor from ray starts
+                for rid, r in self.domain.rays.items():
+                    vals.setdefault(r.attach, self.ray_profiles[rid].start)
             for rid, r in self.domain.rays.items():
                 if self.ray_profiles[rid].start != vals[r.attach]:
                     raise DiscontinuousFunction(
                         f"ray {rid!r} start disagrees with vertex {r.attach!r}"
                     )
+        return vals
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -305,7 +313,8 @@ class PLFunction:
             )
             for rid in self.ray_profiles
         }
-        return PLFunction(self.domain, profiles, rays, _validated=True)
+        vals = {v: op(x, other._vertex_values[v]) for v, x in self._vertex_values.items()}
+        return PLFunction(self.domain, profiles, rays, _vertex_values=vals)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
         return self._zip(other, add)
@@ -326,7 +335,8 @@ class PLFunction:
             for eid, p in self.edge_profiles.items()
         }
         rays = {rid: RayProfile(-p.start, -p.slope) for rid, p in self.ray_profiles.items()}
-        return PLFunction(self.domain, profiles, rays, _validated=True)
+        vals = {v: -x for v, x in self._vertex_values.items()}
+        return PLFunction(self.domain, profiles, rays, _vertex_values=vals)
 
     # -- transport across refinements -----------------------------------------------------
 
@@ -468,13 +478,13 @@ def _interior_chips(d: Divisor) -> dict[str, list[tuple[Fraction, int]]]:
 
 def _solve_slopes(graph: MetricGraph, d: Divisor):
     """First-piece slope of every edge: the unique solution of the divisor
-    equations at the vertices with zero integral around every cycle.  Also
-    returns the interior chips and the cycle space, whose tree the witness
-    is integrated down."""
+    equations at the vertices with zero integral around every cycle, solved
+    on the breadth-first tree's short cycles.  Also returns the interior
+    chips and the cycle space, whose tree the witness is integrated down."""
     interior = _interior_chips(d)
     # minus the boundary of the slopes is d, so the peeled slopes are the
     # tree chain of -d, with each edge's interior chips counted at its b end
-    cs = CycleSpace(graph, graph.canonical_spanning_tree())
+    cs = CycleSpace(graph)
     tree_chain, w = cs.integrals((pt, -c) for pt, c in d.terms)
     slopes = dict.fromkeys(graph.edges, 0) | tree_chain
     if not cs.cycles:
@@ -512,7 +522,7 @@ def _integrate(
     """The function with the given first-piece slopes and interior chips,
     0 at the basepoint (default: the tree's root, the least vertex).  Vertex
     values are read down the cycle space's tree, each from its parent's,
-    and shifted to the basepoint before any profile is built."""
+    shifted to the basepoint, and handed to the function as they are."""
     graph = cs.graph
 
     def rise(eid: str, off: Fraction) -> Fraction:
@@ -536,7 +546,7 @@ def _integrate(
         for _x, c in pts:
             slope_list.append(slope_list[-1] + c)
         profiles[eid] = EdgeProfile(vals[e.a], breaks, tuple(slope_list))
-    return PLFunction(graph, profiles, {}, _validated=True)
+    return PLFunction(graph, profiles, {}, _vertex_values=vals)
 
 
 def construct_pl_with_divisor(

@@ -36,6 +36,7 @@ from .errors import (
     InvalidOffset,
     NonpositiveLength,
     NonzeroDegree,
+    NotComplement,
     PointNotInterior,
     UnknownEdge,
     UnknownVertex,
@@ -335,8 +336,11 @@ class MetricGraph(_Domain):
 
     def canonical_spanning_tree(self, first: Sequence[str] = ()) -> list[str]:
         """Kruskal over the edges in `first`, then the rest by edge id;
-        deterministic."""
-        order = list(first) + [eid for eid in sorted(self._edges) if eid not in set(first)]
+        deterministic.  An unknown id in `first` raises UnknownEdge."""
+        head = set(first)
+        if unknown := head - self._edges.keys():
+            raise UnknownEdge(f"unknown edge {min(unknown)!r}")
+        order = list(first) + [eid for eid in self._edges if eid not in head]
         parent = {v: v for v in self._vertices}
 
         def find(x):
@@ -385,8 +389,12 @@ class CycleSpace:
     and its period lattice.
 
     The tree is rooted at the least vertex and walked once, breadth first.
-    Each complement edge (in id order) closes one fundamental cycle; these
-    cycles are a basis of the integer cycles.  `period` is their Gram matrix
+    With no `tree` given, the walk takes every edge that reaches a new
+    vertex, which makes the cycles short; a given `tree` must be V - 1
+    current edges that reach every vertex (else NotComplement).  Each
+    complement edge (in id order) closes one fundamental cycle through the
+    lowest common ancestor of its ends; these cycles are a basis of the
+    integer cycles.  `period` is their Gram matrix
     under the length pairing, sum_e L_e z_i(e) z_j(e): symmetric and
     positive definite.  `period` and `pairing` are summed in integers, as
     numerators over the common denominator D of the edge lengths (each
@@ -402,18 +410,24 @@ class CycleSpace:
     computed once per cycle space.
     """
 
-    def __init__(self, graph: MetricGraph, tree: Sequence[str]):
+    def __init__(self, graph: MetricGraph, tree: Optional[Sequence[str]] = None):
         self.graph = graph
-        tset = set(tree)
-        self.complement = [eid for eid in graph.edges if eid not in tset]
+        tset = None if tree is None else set(tree)
         root = graph.vertices[0]
         self.up: dict[str, Optional[str]] = {root: None}  # tree edge toward the root
+        self.depth = {root: 0}
         self.order = [root]
         for v in self.order:
             for eid, w in graph.adjacency[v]:
-                if eid in tset and w not in self.up:
+                if (tset is None or eid in tset) and w not in self.up:
                     self.up[w] = eid
+                    self.depth[w] = self.depth[v] + 1
                     self.order.append(w)
+        if tset is None:
+            tset = set(self.up.values())
+        elif len(tree) != len(self.order) - 1 or len(self.order) != len(graph.vertices):
+            raise NotComplement(f"edges {sorted(tset)} are not a spanning tree")
+        self.complement = [eid for eid in graph.edges if eid not in tset]
         self.cycles = [self.cycle(eid) for eid in self.complement]
         through: dict[str, list[tuple[int, int]]] = {}
         for i, cyc in enumerate(self.cycles):
@@ -440,15 +454,19 @@ class CycleSpace:
 
     def cycle(self, comp_edge: str) -> dict[str, int]:
         """The cycle along comp_edge from a to b, then back through the
-        tree.  Coefficient +1 means the cycle traverses the edge a->b."""
-        e = self.graph.edges[comp_edge]
-        coeffs = {comp_edge: 1}
-        for v, sign in ((e.b, 1), (e.a, -1)):
-            while self.up[v] is not None:
-                t = self.graph.edges[self.up[v]]
-                coeffs[t.id] = coeffs.get(t.id, 0) + (sign if t.a == v else -sign)
-                v = t.other(v)
-        return {k: c for k, c in coeffs.items() if c}
+        tree: up from b to the lowest common ancestor of its ends, then down
+        to a.  Coefficient +1 means the cycle traverses the edge a->b."""
+        edges, up, depth = self.graph.edges, self.up, self.depth
+        e = edges[comp_edge]
+        ends = {1: e.b, -1: e.a}  # the b end walks with sign +1, the a end with -1
+        walks: dict[int, list[tuple[str, int]]] = {1: [], -1: []}
+        while ends[1] != ends[-1]:
+            sign = 1 if depth[ends[1]] >= depth[ends[-1]] else -1
+            v = ends[sign]
+            t = edges[up[v]]
+            walks[sign].append((t.id, sign if t.a == v else -sign))
+            ends[sign] = t.other(v)
+        return dict([(comp_edge, 1), *walks[1], *walks[-1]])
 
     def chain(self, charges: Mapping[str, int]) -> dict[str, int]:
         """The 1-chain on the tree edges whose boundary, b minus a per edge,

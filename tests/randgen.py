@@ -83,6 +83,18 @@ def _completion_profile(length: Fraction, start: Fraction, gap: Fraction) -> Edg
     return EdgeProfile(start, (x,), (s2 + 1, s2))
 
 
+def ladder(rng: random.Random, rungs: int) -> MetricGraph:
+    """Two rails of `rungs` vertices and a rung at every position: genus
+    rungs - 1, lengths 1 to 3."""
+    edges = []
+    for i in range(rungs):
+        edges.append((f"r{i}", f"u{i}", f"w{i}", rng.randrange(1, 4)))
+        if i + 1 < rungs:
+            edges.append((f"a{i}", f"u{i}", f"u{i + 1}", rng.randrange(1, 4)))
+            edges.append((f"b{i}", f"w{i}", f"w{i + 1}", rng.randrange(1, 4)))
+    return build_graph([f"{side}{i}" for side in "uw" for i in range(rungs)], edges)
+
+
 def random_pl_function(rng: random.Random, graph: MetricGraph) -> PLFunction:
     tree = graph.canonical_spanning_tree()
     tset = set(tree)

@@ -23,7 +23,7 @@ from tropicurve.divisors import Divisor, divisor_of, is_principal, make_divisor
 from tropicurve.errors import CertificateFailure, WrongDegree
 from tropicurve.graphs import CycleSpace, GraphPoint, build_graph
 
-from randgen import period_inverse, random_graph
+from randgen import ladder, period_inverse, random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -343,18 +343,6 @@ def test_decomposition_matches_the_model_reference(monkeypatch):
     assert interior > 100
 
 
-def ladder(rng, rungs):
-    """Two rails of `rungs` vertices and a rung at every position: genus
-    rungs - 1, lengths 1 to 3."""
-    edges = []
-    for i in range(rungs):
-        edges.append((f"r{i}", f"u{i}", f"w{i}", rng.randrange(1, 4)))
-        if i + 1 < rungs:
-            edges.append((f"a{i}", f"u{i}", f"u{i + 1}", rng.randrange(1, 4)))
-            edges.append((f"b{i}", f"w{i}", f"w{i + 1}", rng.randrange(1, 4)))
-    return build_graph([f"{side}{i}" for side in "uw" for i in range(rungs)], edges)
-
-
 @pytest.mark.parametrize("rungs", [4, 5])
 def test_decomposition_matches_the_model_reference_on_ladders(monkeypatch, rungs):
     """Ladders of genus 3 and 4, with chips inside edges at denominators 3
@@ -385,7 +373,7 @@ def test_one_decomposition_builds_two_cycle_spaces(monkeypatch):
     built = []
     init = CycleSpace.__init__
 
-    def counted(self, graph, tree):
+    def counted(self, graph, tree=None):
         built.append(graph)
         init(self, graph, tree)
 

@@ -24,9 +24,9 @@ from tropicurve.errors import (
     NonzeroDegree,
     NotPrincipal,
 )
-from tropicurve.graphs import GraphPoint, build_extended, build_graph
+from tropicurve.graphs import CycleSpace, GraphPoint, build_extended, build_graph
 
-from randgen import random_graph, random_pl_function
+from randgen import ladder, random_graph, random_pl_function
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -150,15 +150,35 @@ class TestDivisorOf:
 
 
 class TestPLFunction:
-    @pytest.mark.parametrize("validated", [False, True])
+    @pytest.mark.parametrize("trusted", [False, True])
     @pytest.mark.parametrize("brk", [0, 3])
-    def test_breakpoints_lie_inside_their_edge(self, brk, validated):
+    def test_breakpoints_lie_inside_their_edge(self, brk, trusted):
         """A break at 0 of the unit edge would give the divisor a chip at
-        `e@0` beside the one at a, a break at 3 a chip off the edge."""
+        `e@0` beside the one at a, a break at 3 a chip off the edge; also
+        when a trusted builder passes the vertex values in."""
         g = build_graph(["a", "b"], [("e", "a", "b", 1)])
         prof = EdgeProfile(Fraction(0), (Fraction(brk),), (1, 2))
+        vals = {"a": Fraction(0), "b": prof.end_value(Fraction(1))} if trusted else None
         with pytest.raises(InvalidOffset):
-            PLFunction(g, {"e": prof}, _validated=validated)
+            PLFunction(g, {"e": prof}, _vertex_values=vals)
+
+
+    def test_trusted_vertex_values_equal_the_checked_reading(self):
+        """`+`, `-` and `is_principal` pass their vertex values in; a
+        function built from the same profiles reads and checks the same
+        values, also with rays and a basepoint inside an edge."""
+        rng = random.Random(13)
+        for _ in range(30):
+            g = random_graph(rng)
+            f1, f2 = random_pl_function(rng, g), random_pl_function(rng, g)
+            ext = build_extended(g, [("r", V(g.vertices[-1]))])
+            rays = {"r": RayProfile(f1.vertex_value(g.vertices[-1]), rng.randrange(-2, 3))}
+            fx = PLFunction(ext, f1.edge_profiles, rays)
+            eid = rng.choice(sorted(g.edges))
+            witness = construct_pl_with_divisor(g, divisor_of(f2), P(eid, g.edges[eid].length / 3))
+            for h in (f1 + f2, -f1, fx + fx, -fx, witness):
+                checked = PLFunction(h.domain, h.edge_profiles, h.ray_profiles)
+                assert [h.vertex_value(v) for v in g.vertices] == [checked.vertex_value(v) for v in g.vertices]
 
 
 def refined_function(rng):
@@ -268,14 +288,14 @@ class TestTransport:
 
     @pytest.mark.parametrize("cut", [None, "e1", "e2"])
     def test_transport_checks_continuity_on_shared_profiles(self, cut):
-        """A jump at m, let through by `_validated=True`, is caught on every
-        refinement, also when both edges at m keep their profiles."""
+        """A jump at m, let through by trusted vertex values, is caught on
+        every refinement, also when both edges at m keep their profiles."""
         ext = build_extended(path_amb(), [("r", V("a"))])
         f = PLFunction(
             ext,
             {"e1": EdgeProfile(Fraction(0), (), (1,)), "e2": EdgeProfile(Fraction(5), (), (0,))},
             {"r": RayProfile(Fraction(0), 1)},
-            _validated=True,
+            _vertex_values={"a": Fraction(0), "m": Fraction(1), "b": Fraction(5)},
         )
         new = ext.with_new_rays([("n", V("b"))])
         if cut is not None:
@@ -410,6 +430,33 @@ class TestIsPrincipal:
                 verdicts.append(got)
         assert verdicts[::2] == [True] * 20
         assert 0 < verdicts[1::2].count(False) < 20
+
+    def test_the_witness_does_not_depend_on_the_tree(self, monkeypatch):
+        """`is_principal` solves on the cycles of a breadth-first tree; the
+        same solve on the cycle space of the canonical tree gives the same
+        verdict, obstruction, profiles and vertex values.  Random graphs and
+        ladders, each with a principal divisor and one with a chip moved
+        into an edge, with and without a basepoint."""
+        rng = random.Random(31)
+        graphs = [random_graph(rng) for _ in range(60)] + [ladder(rng, n) for n in (3, 6, 12, 20)]
+        cases = []
+        for g in graphs:
+            d = divisor_of(random_pl_function(rng, g))
+            eid = rng.choice(sorted(g.edges))
+            moved = d + make_divisor(g, [(V(rng.choice(g.vertices)), 1), (P(eid, g.edges[eid].length / 3), -1)])
+            for div in (d, moved):
+                cases += [(g, div, None), (g, div, P(eid, g.edges[eid].length / 2))]
+        bfs = [is_principal(*case) for case in cases]
+        monkeypatch.setattr(divisors, "CycleSpace", lambda g: CycleSpace(g, g.canonical_spanning_tree()))
+        canonical = [is_principal(*case) for case in cases]
+        for (g, _d, _bp), got, ref in zip(cases, bfs, canonical):
+            assert (got.principal, got.obstruction) == (ref.principal, ref.obstruction)
+            if got.principal:
+                assert got.witness.edge_profiles == ref.witness.edge_profiles
+                assert [got.witness.vertex_value(v) for v in g.vertices] == [ref.witness.vertex_value(v) for v in g.vertices]
+        assert 0 < sum(r.principal for r in bfs) < len(bfs)
+        other_tree = [CycleSpace(g).complement != CycleSpace(g, g.canonical_spanning_tree()).complement for g in graphs]
+        assert all(other_tree[-4:]) and sum(other_tree) > 4
 
     def test_trees_need_no_period_solve(self, monkeypatch):
         # a tree has no cycles, so its slopes are the peeled chain alone

@@ -12,8 +12,10 @@ from tropicurve.errors import (
     DuplicateId,
     InvalidOffset,
     NonpositiveLength,
+    NotComplement,
     PointNotInterior,
     SingularMatrix,
+    UnknownEdge,
     WrongCardinality,
 )
 from tropicurve.graphs import (
@@ -24,7 +26,7 @@ from tropicurve.graphs import (
     validate_pillar_points,
 )
 
-from randgen import period_inverse, random_graph
+from randgen import ladder, period_inverse, random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -192,6 +194,68 @@ class TestSpanningTrees:
                 seen[acyclic, connected] += 1  # V - 1 edges: no third case
                 assert g.spanning_tree_complement(comp) == (acyclic and connected)
         assert all(seen.values())
+
+    def test_canonical_tree_rejects_an_unknown_first_edge(self):
+        g = theta_graph()
+        with pytest.raises(UnknownEdge, match="'zz'"):
+            g.canonical_spanning_tree(first=["e2", "zz"])
+        assert g.canonical_spanning_tree(first=["e2"]) == ["e2"]
+        assert g.canonical_spanning_tree() == ["e1"]
+
+    @pytest.mark.parametrize(
+        "tree", [["e", "f"], [], ["e", "g", "f"], ["e", "zz"], ["f", "f"]],
+        ids=["cycle", "empty", "too-many", "unknown", "repeated"],
+    )
+    def test_cycle_space_rejects_edges_that_are_not_a_spanning_tree(self, tree):
+        """A digon a-b (`e`, `f`) with a pendant edge b-c (`g`): a given tree
+        must be V - 1 current edges that reach every vertex.  On the digon
+        alone, `e` and `f` gave 0 cycles for genus 1 and no edges a bare
+        KeyError in `cycle`."""
+        digon = build_graph(["a", "b"], [("e", "a", "b", 1), ("f", "a", "b", 2)])
+        pendant = build_graph(["a", "b", "c"], [("e", "a", "b", 1), ("f", "a", "b", 2), ("g", "b", "c", 1)])
+        for g in (digon, pendant):
+            with pytest.raises(NotComplement):
+                CycleSpace(g, tree)
+        assert CycleSpace(digon, ["f"]).cycles == [{"e": 1, "f": -1}]
+        assert CycleSpace(pendant, ["g", "f"]).cycles == [{"e": 1, "f": -1}]
+
+    @pytest.mark.parametrize("rungs", [2, 3, 11, 20])
+    def test_breadth_first_cycles_of_a_ladder_are_its_squares(self, rungs):
+        """The breadth-first tree of a ladder takes every rail edge `a` and
+        every rung; each `b` closes one square, and only squares that share
+        a rung meet, so the gram matrix is tridiagonal."""
+        cs = CycleSpace(ladder(random.Random(rungs), rungs))
+        assert cs.complement == sorted(f"b{i}" for i in range(rungs - 1))
+        assert len(cs.cycles) == rungs - 1
+        assert all(len(cyc) == 4 for cyc in cs.cycles)
+        assert sum(x != 0 for row in cs._gram for x in row) <= 3 * (rungs - 1)
+
+    def test_cycles_equal_the_walk_to_the_root(self):
+        """`cycle` stops at the lowest common ancestor of the complement
+        edge's ends; walking both ends to the root and cancelling the shared
+        part gives the same coefficients in the same key order, on the
+        breadth-first tree and on random `first` trees."""
+
+        def walk_to_root(cs, comp_edge):
+            e = cs.graph.edges[comp_edge]
+            coeffs = {comp_edge: 1}
+            for v, sign in ((e.b, 1), (e.a, -1)):
+                while cs.up[v] is not None:
+                    t = cs.graph.edges[cs.up[v]]
+                    coeffs[t.id] = coeffs.get(t.id, 0) + (sign if t.a == v else -sign)
+                    v = t.other(v)
+            return {k: c for k, c in coeffs.items() if c}
+
+        rng = random.Random(12)
+        graphs = [random_graph(rng) for _ in range(40)] + [ladder(rng, n) for n in (3, 5, 8, 12)]
+        walked = 0
+        for g in graphs:
+            for tree in (None, g.canonical_spanning_tree(first=rng.sample(sorted(g.edges), rng.randrange(len(g.edges) + 1)))):
+                cs = CycleSpace(g, tree)
+                for comp_edge, cyc in zip(cs.complement, cs.cycles):
+                    assert list(cyc.items()) == list(walk_to_root(cs, comp_edge).items())
+                    walked += 1
+        assert walked > 100
 
     def test_fundamental_cycle_closes(self):
         rng = random.Random(5)
