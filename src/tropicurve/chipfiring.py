@@ -94,8 +94,9 @@ def laplacian_equivalent(dg: DiscreteGraph, chips1: Sequence[int], chips2: Seque
     nonsingular, so the difference is such an image exactly when the one
     solution is integral, in any order of rows and unknowns.  Its rows are
     ints, taken by increasing degree: on a lattice model the points inside
-    edges come first, and eliminating a path's points first keeps the
-    rewritten rows few."""
+    edges come first, path by path, so a step of the forward elimination
+    in `solve_linear` rewrites only the next point of its path and the
+    vertex where the path starts, and the rows stay a few entries wide."""
     if sum(chips1) != sum(chips2):
         return False
     order = sorted(range(1, dg.n), key=dg.deg.__getitem__)

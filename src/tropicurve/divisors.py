@@ -13,16 +13,19 @@ integrals of the peeled slopes.  Adding sum_j k_j z_j over the fundamental
 cycles z_j, with k solving the g x g period system period * k = -w, gives
 the unique rational solution, and the divisor is principal exactly when it
 is integral; the witness's vertex values are then read down the same
-spanning tree.  The period matrix is summed in integers over the common
-denominator of the lengths, and `linalg.solve_linear` solves the system by
-fraction-free elimination, so no step normalises a `Fraction`.
+spanning tree.  The system is solved as `CycleSpace._gram` * k = -D * w,
+the period matrix summed in integers over the common denominator D of the
+lengths, and `linalg.solve_linear` solves it by fraction-free forward
+elimination and integer back substitution, so no step normalises a
+`Fraction` until the g unknowns are built.
 
 The slopes, the obstruction and the witness are unique, so they do not
 depend on the tree, and principality reads a breadth-first tree's short
 cycles: on a ladder the period matrix is tridiagonal, where the Kruskal tree
-by edge id makes it dense.  The lattice search of `_corrected_witness`, the
-complement of `select_pillars` and `breakdiv`'s reference cycle space depend
-on their tree, so they keep `canonical_spanning_tree()` and their outputs.
+by edge id makes it dense, and the forward elimination keeps the band.  The
+lattice search of `_corrected_witness`, the complement of `select_pillars`
+and `breakdiv`'s reference cycle space depend on their tree, so they keep
+`canonical_spanning_tree()` and their outputs.
 """
 
 from __future__ import annotations
@@ -489,7 +492,8 @@ def _solve_slopes(graph: MetricGraph, d: Divisor):
     slopes = dict.fromkeys(graph.edges, 0) | tree_chain
     if not cs.cycles:
         return slopes, interior, cs
-    k = solve_linear(cs.period, [-x for x in w])
+    # period * k = -w, in integers: period = _gram / D
+    k = solve_linear(cs._gram, [-cs.denominator * x for x in w])
     if k is None:
         raise CertificateFailure("period matrix of the cycle space is singular")
     for kj, cyc in zip(k, cs.cycles):

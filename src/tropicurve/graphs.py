@@ -375,12 +375,15 @@ class MetricGraph(_Domain):
         return not any(self.components(seen).values())
 
     def all_complements(self) -> Iterator[tuple[str, ...]]:
+        """Every g current edges, in sorted id order, whose removal leaves a
+        spanning tree.  The subsets are built here from current ids, so
+        they skip the id checks of `spanning_tree_complement`."""
         g = self.betti_number()
         if g == 0:
             yield ()
             return
         for combo in combinations(sorted(self._edges), g):
-            if self.spanning_tree_complement(combo):
+            if not any(self.components(set(combo)).values()):
                 yield combo
 
 
@@ -394,11 +397,13 @@ class CycleSpace:
     current edges that reach every vertex (else NotComplement).  Each
     complement edge (in id order) closes one fundamental cycle through the
     lowest common ancestor of its ends; these cycles are a basis of the
-    integer cycles.  `period` is their Gram matrix
-    under the length pairing, sum_e L_e z_i(e) z_j(e): symmetric and
-    positive definite.  `period` and `pairing` are summed in integers, as
-    numerators over the common denominator D of the edge lengths (each
-    length is `scaled[e]` / D), and each entry becomes a `Fraction` once.
+    integer cycles.  The period matrix is their Gram matrix under the
+    length pairing, sum_e L_e z_i(e) z_j(e): symmetric and positive
+    definite.  It and `pairing` are summed in integers, as numerators over
+    the common denominator D of the edge lengths (each length is
+    `scaled[e]` / D); `_gram` keeps D * period as ints, which the period
+    solve of `divisors` and every box search read, so no period entry is
+    ever a `Fraction`.  `pairing` builds one `Fraction` per cycle.
 
     Principality, the lifting corrections and break divisors all read the
     period lattice here: `integrals` gives the cycle integrals of a
@@ -450,7 +455,6 @@ class CycleSpace:
                     row[j] += length * ci * cj
         self._through = through
         self._gram = gram  # D * period
-        self.period = [[Fraction(v, self.denominator) for v in row] for row in gram]
 
     def cycle(self, comp_edge: str) -> dict[str, int]:
         """The cycle along comp_edge from a to b, then back through the

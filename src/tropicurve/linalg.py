@@ -1,13 +1,14 @@
 """Exact linear algebra helpers.
 
-Small dense systems over the rationals and the Smith normal form of integer
-matrices, both with arbitrary precision.  Every dense solve, inverse and
-rank goes through one fraction-free Gauss-Jordan elimination
-(`_eliminate`): each row is scaled by the common denominator of its
-entries, the elimination runs on Python ints, and a `Fraction` is built
-once per returned entry; the inverse of an integer matrix stays in ints,
-over one denominator.  Matrices are lists of lists; nothing here is
-sized for more than a few dozen rows.
+Linear systems over the rationals and the Smith normal form of integer
+matrices, both with arbitrary precision.  Every solve, inverse and rank
+goes through one fraction-free forward elimination (`_eliminate`) on rows
+scaled to Python ints, which keeps a band a band; `_back_substitute`
+solves the echelon rows in ints, and a `Fraction` is built once per
+returned entry.  Matrices are dense lists of lists.  A banded system,
+such as the period matrix of a ladder on its short cycles or the reduced
+Laplacian of a subdivided graph with its path points first, costs about
+n^2 products times the band width; a dense one about n^3.
 """
 
 from __future__ import annotations
@@ -22,32 +23,38 @@ from .errors import SingularMatrix, ZeroVector
 
 def _integer_rows(rows: Iterable[Sequence[Rational]]) -> list[list[int]]:
     """Each row times the lcm of its entries' denominators, as ints; a
-    system keeps its solutions.  The lcm is folded one entry at a time: a
-    `math.lcm(*row)` per row made a ladder-kernels run's resident memory
-    grow by about 1 MB over a few hundred operations."""
+    system keeps its solutions.  The lcm is folded over the entries that
+    are not ints, one at a time: a `math.lcm(*row)` per row made a
+    ladder-kernels run's resident memory grow by about 1 MB over a few
+    hundred operations."""
     out = []
     for row in rows:
         den = 1
         for v in row:
-            den = math.lcm(den, v.denominator)
-        out.append([v.numerator * (den // v.denominator) for v in row])
+            if type(v) is not int:
+                den = math.lcm(den, v.denominator)
+        out.append(list(map(int, row)) if den == 1 else [v.numerator * (den // v.denominator) for v in row])
     return out
 
 
 def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of the integer matrix `a`, in
+    """Fraction-free forward elimination of the integer matrix `a`, in
     place, pivoting on its first `ncols` columns (Bareiss 1968).
 
-    A step on pivot pv rewrites each other row i with a nonzero entry f in
-    the pivot column as (pv * row - f * pivot row) // last[i], where
-    last[i] is the pivot of the step that last rewrote row i (1 if none
-    did).  By Sylvester's identity the Bareiss rows, which every step
-    rewrites, are minors of `a`; row i stands for its Bareiss row times
-    last[i] / prev, prev the latest pivot, so each division is exact.  The
-    pivot row is brought up to date before a step uses it.  Returns the
-    pivot columns; row i of the result is its pivot entry a[i][cols[i]]
-    times row i of the reduced row echelon form, and the rows past the
-    pivots are zero exactly where they are zero in that form.
+    A step on pivot pv rewrites each row below the pivot row that has a
+    nonzero entry f in the pivot column as (pv * row - f * pivot row) //
+    last[i], where last[i] is the pivot of the step that last rewrote row
+    i (1 if none did); the rows above, and the rows below with a zero
+    there, are left as they are, so a band stays a band.  By Sylvester's
+    identity the rows of Bareiss's method, which rewrites every row below
+    the pivot at every step, are minors of `a`; row i stands for its
+    Bareiss row times last[i] / prev, prev the latest pivot, so each
+    division is exact.  The pivot row is brought up to date before a step
+    uses it.  Returns the pivot columns: row r of the result, for r <
+    len(cols), is zero left of its pivot a[r][cols[r]], a minor of `a` on
+    r + 1 rows and the first r + 1 pivot columns, and the rows past the
+    pivots are zero in the first `ncols` columns and, in the others, a
+    nonzero multiple of the same rows of the reduced row echelon form.
     """
     m = len(a)
     cols: list[int] = []
@@ -57,8 +64,10 @@ def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
         r = len(cols)
         if r == m:
             break
-        p = next((i for i in range(r, m) if a[i][c]), None)
-        if p is None:
+        for p in range(r, m):
+            if a[p][c]:
+                break
+        else:
             continue
         a[r], a[p] = a[p], a[r]
         last[r], last[p] = last[p], last[r]
@@ -66,38 +75,64 @@ def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
             a[r] = [x * prev // last[r] for x in a[r]]
         top = a[r]
         pv = top[c]
-        for i, row in enumerate(a):
+        for i in range(r + 1, m):
+            row = a[i]
             f = row[c]
-            if f and i != r:
+            if f:
                 a[i] = [(pv * x - f * y) // last[i] for x, y in zip(row, top)]
                 last[i] = pv
-        last[r] = pv
         cols.append(c)
         prev = pv
     return cols
+
+
+def _back_substitute(a: list[list[int]], cols: list[int], n: int) -> tuple[int, list[list[int] | None]]:
+    """Integer back substitution over the echelon rows that `_eliminate`
+    left in `a`, with the columns from `n` on as right-hand sides.
+
+    Returns (q, x): q is |det| of the square system of the pivot rows on
+    the pivot columns, the absolute value of its last pivot, and x[c] is q
+    times the solution on pivot column c, one int per right-hand side
+    (None on the other columns, whose unknowns are 0).  q * x is an integer
+    vector by Cramer's rule, so each (q * b_r - sum_j u_rj * x_j) // u_rc
+    up the rows is exact."""
+    q = abs(a[len(cols) - 1][cols[-1]]) if cols else 1
+    x: list[list[int] | None] = [None] * n
+    for r in reversed(range(len(cols))):
+        row, c = a[r], cols[r]
+        acc = [q * v for v in row[n:]]
+        for j in range(c + 1, n):
+            u = row[j]
+            if u and x[j] is not None:
+                acc = [s - u * v for s, v in zip(acc, x[j])]
+        p = row[c]
+        x[c] = [s // p for s in acc]
+    return q, x
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve rows * x = rhs exactly.
 
     Each augmented row [row | rhs] is scaled to integers by its common
-    denominator and the system is reduced by `_eliminate`.  Returns one
-    solution (free variables pinned to 0) or None when the system is
-    inconsistent.
+    denominator (int entries are taken as they are), the system is reduced
+    by `_eliminate` and solved by `_back_substitute`, and each unknown is
+    built once as `Fraction(q * x, q)`.  Returns one solution (free
+    variables pinned to 0) or None when the system is inconsistent.
     """
     n = len(rows[0]) if rows else 0
     a = _integer_rows([*row, b] for row, b in zip(rows, rhs))
     cols = _eliminate(a, n)
     if any(row[n] for row in a[len(cols):]):
         return None
+    q, scaled = _back_substitute(a, cols, n)
     x = [Fraction(0)] * n
-    for row, col in zip(a, cols):
-        x[col] = Fraction(row[n], row[col])
+    for c in cols:
+        x[c] = Fraction(scaled[c][0], q)
     return x
 
 
 def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Rank over the rationals."""
+    """Rank over the rationals: the number of pivots of `_eliminate`."""
     a = _integer_rows(rows)
     return len(_eliminate(a, len(a[0]) if a else 0))
 
@@ -106,17 +141,16 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
     """Inverse of a square nonsingular integer matrix A as (m, q): q = |det A|
     and m = q * A^-1, an integer matrix, so m / q is the inverse and (m, q)
     are the adjugate and determinant when det A > 0, as for a Gram matrix.
-    Raises `SingularMatrix` otherwise.  [A | I] is reduced by `_eliminate`:
-    row i then is its pivot p_i times row i of [I | A^-1], and the last
-    pivot is a minor of all of A, so +-det A, which makes q * row / p_i an
-    exact division."""
+    Raises `SingularMatrix` otherwise.  [A | I] is reduced by `_eliminate`,
+    whose last pivot is +-det A, and `_back_substitute` solves it for
+    every column of I at once, in ints."""
     n = len(rows)
-    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    a = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
     cols = _eliminate(a, n)
     if len(cols) < n:
         raise SingularMatrix(f"singular {n}x{n} matrix (rank {len(cols)})")
-    q = abs(a[-1][n - 1]) if n else 1
-    return [[v * q // row[c] for v in row[n:]] for row, c in zip(a, cols)], q
+    q, m = _back_substitute(a, cols, n)
+    return m, q
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from tropicurve import breakdiv
+from tropicurve import breakdiv, chipfiring
 from tropicurve.breakdiv import BreakCheck, break_divisor_decompose, is_break_divisor
 from tropicurve.chipfiring import (
     chips_of,
@@ -244,6 +244,27 @@ class TestDecompose:
         with pytest.raises(CertificateFailure):
             break_divisor_decompose(g, make_divisor(g, [(V("v"), 1)]))
 
+    def test_cross_check_on_a_lattice_of_525_segments(self, monkeypatch):
+        """Chips at 1/5 on e1 and 1/7 on e2 of a theta of lengths 2, 5/2 and
+        3 cut it into 525 segments of length 1/70.  The decomposition keeps
+        the chips, which already form a break divisor, and the chip-firing
+        cross-check runs on all 524 lattice points, a reduced Laplacian
+        with its path points first."""
+        models = []
+        check = chipfiring.laplacian_equivalent
+
+        def counted(dg, chips1, chips2):
+            models.append((dg.n, len(dg.edges)))
+            return check(dg, chips1, chips2)
+
+        monkeypatch.setattr(chipfiring, "laplacian_equivalent", counted)
+        g = theta(2, Fraction(5, 2), 3)
+        d = make_divisor(g, [(P("e1", Fraction(1, 5)), 1), (P("e2", Fraction(1, 7)), 1)])
+        b, f = break_divisor_decompose(g, d)
+        assert repr(b) == "Divisor(+1(e1@1/5) +1(e2@1/7))"
+        assert divisor_of(f).is_zero()
+        assert models == [(524, 525)]
+
     def test_uniqueness_randomized(self):
         rng = random.Random(13)
         g = theta(Fraction(1, 2), Fraction(3, 4), 1)
@@ -300,8 +321,9 @@ def model_break_divisors(g, d):
         base = Divisor([(V(model.edges[eid].a), 1) for eid in comp])
         w = cs.pairing(cs.chain({pt.vertex: c for pt, c in (dm - base).terms}))
         lower = [w[i] - model.edges[eid].length for i, eid in enumerate(comp)]
-        for k in box_points(cs.period, lower, w):
-            t = [w[i] - sum(cs.period[i][j] * k[j] for j in range(genus)) for i in range(genus)]
+        period = [[Fraction(v, cs.denominator) for v in row] for row in cs._gram]
+        for k in box_points(period, lower, w):
+            t = [w[i] - sum(period[i][j] * k[j] for j in range(genus)) for i in range(genus)]
             terms = []
             for i, eid in enumerate(comp):
                 orig, lo = back[eid]

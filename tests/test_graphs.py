@@ -182,17 +182,22 @@ class TestSpanningTrees:
                 assert g.spanning_tree_complement(list(comp))
 
     def test_complements_agree_with_a_union_find_oracle(self):
-        """Every g-subset of 30 random graphs: the complement check accepts
-        exactly the subsets whose remaining edges are acyclic and connected."""
+        """Every g-subset of 30 random graphs and three ladders: the
+        complement check accepts exactly the subsets whose remaining edges
+        are acyclic and connected, and `all_complements` yields those
+        subsets, in order."""
         rng = random.Random(8)
         seen = {(True, True): 0, (False, False): 0}  # accepted; rest holds a cycle
-        for _ in range(30):
-            g = random_graph(rng)
+        for g in [random_graph(rng) for _ in range(30)] + [ladder(rng, n) for n in (3, 4, 5)]:
+            accepted = []
             for comp in combinations(sorted(g.edges), g.betti_number()):
                 rest = [e for eid, e in g.edges.items() if eid not in comp]
                 acyclic, connected = union_find(g.vertices, rest)
                 seen[acyclic, connected] += 1  # V - 1 edges: no third case
                 assert g.spanning_tree_complement(comp) == (acyclic and connected)
+                if acyclic and connected:
+                    accepted.append(comp)
+            assert list(g.all_complements()) == accepted
         assert all(seen.values())
 
     def test_canonical_tree_rejects_an_unknown_first_edge(self):
@@ -281,9 +286,9 @@ class TestSpanningTrees:
             assert boundary(g, chain) == charges
 
     def test_cycle_space_period_is_the_length_gram_matrix(self):
-        """`period` and `pairing`, summed in integers over the common
-        denominator of the lengths, equal the plain `Fraction` sums, also
-        when the lengths mix denominators 3, 7 and 8."""
+        """The period matrix `_gram` / D and `pairing`, summed in integers
+        over the common denominator D of the lengths, equal the plain
+        `Fraction` sums, also when the lengths mix denominators 3, 7 and 8."""
         rng = random.Random(7)
         mixed = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 8), Fraction(1), Fraction(4, 21)]
         graphs = [theta_graph(2, 3, 5), fig2_skeleton(), fig2_skeleton(Fraction(2, 3))]
@@ -300,11 +305,12 @@ class TestSpanningTrees:
             denominators.add(cs.denominator)
             cycles = [cs.cycle(c) for c in cs.complement]
             assert cs.cycles == cycles and len(cycles) == g.betti_number()
+            assert all(type(v) is int for row in cs._gram for v in row)
+            period = [[Fraction(v, cs.denominator) for v in row] for row in cs._gram]
             for i, zi in enumerate(cycles):
                 for j, zj in enumerate(cycles):
                     gram = sum(g.edges[e].length * zi.get(e, 0) * zj.get(e, 0) for e in g.edges)
-                    assert cs.period[i][j] == cs.period[j][i] == gram
-                    assert type(cs.period[i][j]) is Fraction
+                    assert period[i][j] == period[j][i] == gram
             chain = {eid: rng.randrange(-3, 4) for eid in g.edges}
             expected = [sum(g.edges[e].length * c * chain[e] for e, c in z.items()) for z in cycles]
             paired = cs.pairing(chain)
@@ -345,7 +351,7 @@ class TestCycleSpaceKernel:
         sizes = Counter()
         for g in graphs:
             cs = CycleSpace(g, g.canonical_spanning_tree())
-            period = cs.period
+            period = [[Fraction(v, cs.denominator) for v in row] for row in cs._gram]
             genus = len(period)
             for _ in range(6):
                 center = [rng.randrange(-2, 3) for _ in range(genus)]
