@@ -7,13 +7,14 @@ coordinates or its certificate shows a core violation; then every
 remaining finite edge and every bare ray gets one coordinate from
 `edge_ramp`: a slope-one ramp (divergent along a ray) corrected by pillar
 trapezoids on a spanning-tree complement, placed by one `select_pillars`
-call per target.  The ramps are built on the skeleton alone, which they
-refine and `adjoin` extends with rays; `assemble` then transports every
-coordinate once, to the final skeleton, and builds one embedding.  The
-second pipeline repairs singular image vertices: a vertex with adjacent
-edges e0..en receives n tent coordinates with slopes +1 into ek and -1
-into e0, which project a neighborhood of the image vertex onto the
-coordinate-axes fan and make it smooth.
+call per target.  The second pipeline repairs singular image vertices: a
+vertex with adjacent edges e0..en receives n tent coordinates with slopes
++1 into ek and -1 into e0, which project a neighborhood of the image
+vertex onto the coordinate-axes fan and make it smooth.  Every step (a
+tent, a ramp, a patch) builds its function on the skeleton alone, which it
+may refine, and `adjoin` extends it with rays; `assemble` then transports
+each coordinate once and builds one embedding for stage 0's tents, its
+ramps, each patch round, the edge ramps and each smoothing pass.
 
 All offsets allocated here are tracked in "root frames": the edge and ray
 ids present when a pipeline starts, plus rays it attaches later.  The
@@ -83,11 +84,9 @@ from .tropicalize import (
     Violation,
     adjoin,
     assemble,
-    extend_embedding,
     frame_pieces,
     images_meet,
     is_fully_faithful,
-    refine_embedding,
     tropicalize,
 )
 
@@ -95,10 +94,13 @@ V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
 
 # Search budgets: dyadic halvings per claimed offset, window halvings per
-# bump, and batched stage-0 patch rounds.
+# bump, batched stage-0 patch rounds, shrinks of a tent's offsets, and
+# correction pairs per cycle.
 CLAIM_DEPTH = 8
 PILLAR_TRIES = 24
 STAGE0_PATCHES = 48
+TENT_SHRINKS = 40
+CYCLE_PAIRS = 96
 
 
 # -- core designation -------------------------------------------------------------
@@ -261,26 +263,28 @@ def _images_disjoint(emb: Embedding, a, b) -> bool:
 
 
 def select_pillars(
-    emb: Embedding,
+    skel: ExtendedGraph,
     frames: Frames,
-    avoid_image_of: Optional[str] = None,
+    avoid_image_of: Optional[tuple[Embedding, str]] = None,
     forbidden: tuple[tuple[str, Fraction, Fraction], ...] = (),
 ) -> PillarSet:
     """Deterministic pillar placement for one target: a valid four-point
-    tuple on every spanning-tree complement edge, its support clear of
-    earlier supports and of the root-frame `forbidden` zones and, when
-    `avoid_image_of` names a frame, with image disjoint from that frame's
-    image: one `Frames.bump` per complement edge."""
-    fin = emb.skeleton.finite
+    tuple on every spanning-tree complement edge of `skel`, its support
+    clear of earlier supports and of the root-frame `forbidden` zones and,
+    when `avoid_image_of` is an (embedding on `skel`, frame) pair, with
+    image disjoint from that frame's image: one `Frames.bump` per
+    complement edge.  Without it no coordinate is read."""
+    fin = skel.finite
     tree = set(fin.canonical_spanning_tree())
     complement = tuple(eid for eid in sorted(fin.edges) if eid not in tree)
+    emb, frame = avoid_image_of or (None, None)
     tuples = []
     for cid in complement:
-        root, slo, shi = frames.root_range(emb.skeleton, cid)
+        root, slo, shi = frames.root_range(skel, cid)
 
         def accept(offs):
-            return avoid_image_of is None or not emb.coords or _images_disjoint(
-                emb, (root, offs[0], offs[3]), (avoid_image_of, Fraction(0), None)
+            return emb is None or not emb.coords or _images_disjoint(
+                emb, (root, offs[0], offs[3]), (frame, Fraction(0), None)
             )
 
         offs = frames.bump(root, slo, shi, accept, forbidden)
@@ -447,7 +451,7 @@ def _check_cor34_shape(skel, f, base: Divisor, pillars: PillarSet):
 
 @dataclass
 class VertexFunctionResult:
-    embedding: Embedding
+    skeleton: ExtendedGraph
     function: PLFunction
     zones: tuple[tuple[str, Fraction, Fraction], ...]  # (root, min, max) per root frame
 
@@ -471,27 +475,27 @@ def _side_frame(skel: ExtendedGraph, frames: Frames, v: str, side_id: str):
 
 
 def vertex_function(
-    emb: Embedding, v: str, spec_neg: tuple, spec_pos: tuple, frames: Frames
+    skel: ExtendedGraph, v: str, spec_neg: tuple, spec_pos: tuple, frames: Frames
 ) -> VertexFunctionResult:
     """Tent coordinate at v: slope +1 into the side of spec_pos, -1 into
     the side of spec_neg (both `_side_frame` specs), zero on all other
     sides, support inside the two sides, simple divisor of six points
-    (three per side), value zero at v.
+    (three per side), value zero at v.  No coordinate is read.
 
     A ray side is cut once, at distance 3r + p from v past the outermost
     point: the support stays finite, and the tail left attaches where the
-    tent is zero, not at one of its divisor points.  The cut is blocked
-    like the six offsets.  The support auto-shrinks around blocked offsets
-    and raises NoRoom when no placement fits.  `zones` are the (root, min,
-    max) spans of the six offsets per root frame, for pillars to keep out
-    of.
+    tent is zero, not at one of its divisor points.  The result carries
+    that cut skeleton, and the cut is blocked like the six offsets.  The support shrinks around
+    blocked offsets, TENT_SHRINKS times at most, and raises NoRoom when no
+    placement fits.  `zones` are the (root, min, max) spans of the six
+    offsets per root frame, for pillars to keep out of.
     """
     if spec_neg[:3] == spec_pos[:3]:
         raise EqualEdges(f"tent needs two distinct sides at {v!r}")
     room = min(spec_neg[3], spec_pos[3])
     r = room / 4
     p = room / 4
-    for _try in range(40):
+    for _try in range(TENT_SHRINKS):
         pts = []
         ok = True
         for root, v_off, direction, _room in (spec_neg, spec_pos):
@@ -510,13 +514,11 @@ def vertex_function(
         frames.block_point(root, x)
     cuts = []
     for root, v_off, direction, _room in (spec_neg, spec_pos):
-        outer = emb.skeleton.canonical_point(P(root, v_off + direction * (2 * r + p)))
-        if not outer.is_vertex and outer.edge in emb.skeleton.rays:
+        outer = skel.canonical_point(P(root, v_off + direction * (2 * r + p)))
+        if not outer.is_vertex and outer.edge in skel.rays:
             cuts.append((root, v_off + direction * (3 * r + p)))
             frames.block_point(*cuts[-1])
-    if cuts:
-        emb = refine_embedding(emb, [P(root, x) for root, x in cuts])
-    skel = emb.skeleton
+    skel = skel.subdivide_many([P(root, x) for root, x in cuts])
 
     def one_sided(spec, sign: int) -> PLFunction:
         # slope `sign` out to distance r from v, plateau p, back to zero
@@ -532,24 +534,24 @@ def vertex_function(
     for root, x in pts:
         zones.setdefault(root, []).append(x)
     return VertexFunctionResult(
-        emb, tent, tuple((root, min(xs), max(xs)) for root, xs in sorted(zones.items()))
+        skel, tent, tuple((root, min(xs), max(xs)) for root, xs in sorted(zones.items()))
     )
 
 
 # -- stage 0: bootstrap coordinates for the core ------------------------------------------
 
 
-def _core_ramp(emb: Embedding, frames: Frames, root_e: str) -> PLFunction:
+def _core_ramp(skel: ExtendedGraph, frames: Frames, root_e: str) -> PLFunction:
     """Corrected witness of (a) - (b) for fresh points a, b near the two
     ends of root_e; the spanning tree takes the pieces of root_e first, so
     none of them is a complement edge.  Corrections may still land on
     root_e: on a cycle of their own its pieces are sites like any other."""
-    fin = emb.skeleton.finite
+    fin = skel.finite
     length = fin.frame_length(root_e)
     a_off = frames.claim(root_e, Fraction(0), length / 4)
     b_off = frames.claim(root_e, length - length / 4, length)
     base = make_divisor(fin, [(P(root_e, a_off), 1), (P(root_e, b_off), -1)])
-    return _corrected_witness(emb.skeleton, frames, base, keep_in_tree=root_e)
+    return _corrected_witness(skel, frames, base, keep_in_tree=root_e)
 
 
 def _corrected_witness(
@@ -617,7 +619,7 @@ def _corrected_witness(
     terms = list(base.terms)
     for own, dj in zip(sites, best[1]):
         rem = dj
-        for _guard in range(96):
+        for _guard in range(CYCLE_PAIRS):
             if rem == 0:
                 break
             site = max(own, key=lambda s: s[2] - s[1])
@@ -676,13 +678,12 @@ def _core_violations(
 
 
 def _separating_bump(
-    emb: Embedding, frames: Frames, cid: str, lo: Fraction, hi: Optional[Fraction],
+    skel: ExtendedGraph, frames: Frames, cid: str, lo: Fraction, hi: Optional[Fraction],
     around: Optional[Fraction] = None,
 ) -> Optional[PLFunction]:
     """A trapezoid on one current edge inside the piece [lo, hi] of the
     current edge cid: a `Frames.bump`, or with `around` one whose rise is
     centred on that offset of the free window holding it."""
-    skel = emb.skeleton
     if cid in skel.rays:
         return None
     root, shift = frames.locate(skel, cid)
@@ -703,21 +704,19 @@ def _separating_bump(
     return trapezoid(skel, root, offs)
 
 
-def _repair_step(
-    emb: Embedding, frames: Frames, viol: Violation, name: str
-) -> Optional[Embedding]:
+def _repair_step(skel: ExtendedGraph, frames: Frames, viol: Violation) -> Optional[PLFunction]:
     """Stage 0's fix for one core violation: a bump on one of its pieces or
     around one of its interior points; None when neither fits."""
-    fin = emb.skeleton.finite
+    fin = skel.finite
     sites = [(src, lo, hi, None) for src, lo, hi in viol.pieces] + [
         (pt.edge, Fraction(0), fin.edges[pt.edge].length, pt.offset)
         for pt in viol.points
         if not pt.is_vertex and pt.edge in fin.edges
     ]
     for cid, lo, hi, around in sites:
-        bump = _separating_bump(emb, frames, cid, lo, hi, around)
+        bump = _separating_bump(skel, frames, cid, lo, hi, around)
         if bump is not None:
-            return extend_embedding(emb, bump, name)
+            return bump
     return None
 
 
@@ -783,60 +782,65 @@ def stage0(
     slopes must then cover every core edge (`_check_core_cover`), one
     corrected-ramp witness per core edge separates the vertex values, and a
     batched patch loop resolves whatever exact violations remain (within
-    budget, else Stage0Failure).
+    budget, else Stage0Failure).  Each step adjoins its coordinate on the
+    skeleton; the tents, the ramps and each patch round are assembled into
+    one embedding each.
     """
     if not core_edges:
         return emb
     if emb.coords and not _core_violations(emb, rep0, core_edges, core_vertices):
         return emb
-    tents = 0
 
     # (1) tents at core vertices
     fin0 = emb.skeleton.finite
     tent_vertices = sorted(
         {fin0.edges[e].a for e in core_edges} | {fin0.edges[e].b for e in core_edges}
     )
+    skel, adjoined = emb.skeleton, []
     for v in tent_vertices:
-        sides = _core_sides_at(emb.skeleton, core_edges, v)
+        sides = _core_sides_at(skel, core_edges, v)
         if len(sides) < 2:
             continue
         e0 = sides[0]
         for ek in sides[1:]:
-            skel = emb.skeleton
             res = vertex_function(
-                emb, v, _side_frame(skel, frames, v, e0), _side_frame(skel, frames, v, ek), frames
+                skel, v, _side_frame(skel, frames, v, e0), _side_frame(skel, frames, v, ek), frames
             )
-            tents += 1
-            name = f"gt{tents}"
-            emb = extend_embedding(res.embedding, res.function, name)
+            name = f"gt{len(adjoined) + 1}"
+            skel, f, rays = adjoin(res.skeleton, res.function, name)
+            adjoined.append((f, rays))
             report.log(construction="core-tent", target=v, coordinate=name)
-            sides = _core_sides_at(emb.skeleton, core_edges, v)
-            e0 = sides[0]
+            e0 = _core_sides_at(skel, core_edges, v)[0]
+    emb = assemble(skel, emb.coords, adjoined)
 
     # (2) no piece of a core edge may be left constant under every coordinate
     for root in sorted(core_edges):
         _check_core_cover(emb, root)
 
     # (3) one corrected-ramp witness per core edge for vertex separation
+    skel, adjoined = emb.skeleton, []
     for idx, root_e in enumerate(sorted(core_edges)):
-        ramp = _core_ramp(emb, frames, root_e).transport(emb.skeleton)
-        emb = extend_embedding(emb, ramp, f"gs{idx}")
+        skel, f, rays = adjoin(skel, _core_ramp(skel, frames, root_e).transport(skel), f"gs{idx}")
+        adjoined.append((f, rays))
         report.log(construction="core-ramp", target=root_e, coordinate=f"gs{idx}")
+    emb = assemble(skel, emb.coords, adjoined)
 
     # (4) batched patches for residual core violations
     for patch_round in range(STAGE0_PATCHES):
         core_viols = _core_violations(emb, is_fully_faithful(emb), core_edges, core_vertices)
         if not core_viols:
             return emb
-        progressed = False
+        skel, adjoined = emb.skeleton, []
         for viol in core_viols:
-            emb2 = _repair_step(emb, frames, viol, f"gp{patch_round}.{len(emb.coords)}")
-            if emb2 is not None:
+            bump = _repair_step(skel, frames, viol)
+            if bump is not None:
+                name = f"gp{patch_round}.{len(emb.coords) + len(adjoined)}"
+                skel, f, rays = adjoin(skel, bump, name)
+                adjoined.append((f, rays))
                 report.log(construction="core-patch", target=viol.label)
-                emb = emb2
-                progressed = True
-        if not progressed:
+        if not adjoined:
             raise Stage0Failure(f"no remedy for core violations {core_viols[:2]}")
+        emb = assemble(skel, emb.coords, adjoined)
     raise Stage0Failure("core patch budget exhausted")
 
 
@@ -916,7 +920,7 @@ def _fully_faithful(
     # only adds a coordinate, so images disjoint now stay disjoint.  The
     # ramps refine the skeleton alone; `assemble` transports each coordinate once.
     targets = finite_targets + ray_targets
-    psets = [select_pillars(emb, frames, avoid_image_of=t) for t in targets]
+    psets = [select_pillars(emb.skeleton, frames, (emb, t)) for t in targets]
     skel, adjoined = emb.skeleton, []
     for target, pset in zip(targets, psets):
         skel, f, zero, pole = edge_ramp(skel, target, pset, core_edges, core_vertices, frames)
@@ -999,21 +1003,21 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         e0 = min(sides, key=lambda s: (directions[s], s))
         others = [s for s in sides if s != e0]
         others.sort(key=lambda s: (directions[s], s))
-        side_specs = {
-            s: _side_frame(emb.skeleton, frames, v, s) for s in [e0] + others
-        }
+        side_specs = {s: _side_frame(skel, frames, v, s) for s in [e0] + others}
+        adjoined = []
         for k, ek in enumerate(others, start=1):
             name = f"v{pass_no}.{k}"
-            res = vertex_function(emb, v, side_specs[e0], side_specs[ek], frames)
-            pset = select_pillars(res.embedding, frames, forbidden=res.zones)
-            f = _apply_pillars(res.embedding.skeleton, res.function, pset)
-            emb = extend_embedding(res.embedding, f, name)
+            res = vertex_function(skel, v, side_specs[e0], side_specs[ek], frames)
+            pset = select_pillars(res.skeleton, frames, forbidden=res.zones)
+            skel, f, rays = adjoin(res.skeleton, _apply_pillars(res.skeleton, res.function, pset), name)
+            adjoined.append((f, rays))
             report.log(
                 construction="vertex-tent",
                 target=v,
                 sides=[e0, ek],
                 coordinate=name,
             )
+        emb = assemble(skel, emb.coords, adjoined)
         rep = is_fully_faithful(emb)
         if not rep:
             raise CertificateFailure(

@@ -626,15 +626,6 @@ def is_fully_faithful(emb: Embedding) -> FaithfulReport:
 # -- extension ----------------------------------------------------------------------
 
 
-def refine_embedding(emb: Embedding, points: Sequence[GraphPoint]) -> Embedding:
-    """Subdivide the skeleton at the given points and transport coordinates."""
-    skel = emb.skeleton.subdivide_many(points)
-    if skel is emb.skeleton:
-        return emb
-    coords = [f.transport(skel) for f in emb.coords]
-    return Embedding(skel, coords)
-
-
 def adjoin(skel: ExtendedGraph, f: PLFunction, name: str) -> tuple[ExtendedGraph, PLFunction, list[str]]:
     """The skeleton step of adjoining a coordinate: attach a fresh ray at
     every finite divisor point of f (the eventual slope opposes the
@@ -688,6 +679,8 @@ def assemble(skel: ExtendedGraph, coords: Sequence[PLFunction], adjoined: Sequen
 
 def extend_embedding(emb: Embedding, f: PLFunction, name: str) -> Embedding:
     """`adjoin` f to the embedding's skeleton and `assemble` the embedding
-    there: the coordinates it had, then f."""
+    there: the coordinates it had, then f.  The one-coordinate form, for
+    callers outside the library; the pipelines adjoin every coordinate of
+    a step on the skeleton and assemble once."""
     skel, new_f, rays = adjoin(emb.skeleton, f, name)
     return assemble(skel, emb.coords, [(new_f, rays)])

@@ -278,13 +278,13 @@ def test_unreferenced_module_names_are_caught(sources, caught):
     assert bool(_unreferenced_module_names(sources)) == caught
 
 
-def _ray_profile_calls(source: str) -> list[int]:
-    """Lines that call `RayProfile`, by name or as a module attribute."""
+def _calls(source: str, name: str) -> list[int]:
+    """Lines that call `name`, by name or as a module attribute."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and "RayProfile" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
 
 
@@ -293,7 +293,7 @@ def test_only_divisors_builds_ray_profiles():
         f"{path.name}:{line}"
         for path in SOURCES
         if path.name != "divisors.py"
-        for line in _ray_profile_calls(path.read_text())
+        for line in _calls(path.read_text(), "RayProfile")
     ]
     assert found == []
 
@@ -308,7 +308,25 @@ def test_only_divisors_builds_ray_profiles():
     ],
 )
 def test_ray_profile_calls_are_caught(source, caught):
-    assert bool(_ray_profile_calls(source)) == caught
+    assert bool(_calls(source, "RayProfile")) == caught
+
+
+def test_the_library_adds_coordinates_only_by_adjoin_and_assemble():
+    """Every step adjoins its coordinate on the skeleton and the pipelines
+    assemble once per step, so no library module calls `extend_embedding`,
+    the one-coordinate form kept for callers outside the library (the
+    benchmark's tracer binds it), and `refine_embedding` is gone."""
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for name in ("extend_embedding", "refine_embedding")
+        for line in _calls(path.read_text(), name)
+    ]
+    assert found == []
+    defined = {
+        node.name for path in SOURCES for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)
+    }
+    assert "extend_embedding" in defined and "refine_embedding" not in defined
 
 
 # Public names that only tests call: independent oracles.

@@ -48,7 +48,6 @@ from tropicurve.tropicalize import (
     Violation,
     extend_embedding,
     is_fully_faithful,
-    refine_embedding,
     tropicalize,
 )
 
@@ -148,7 +147,7 @@ STAR_DIGESTS = {"middle": "1120dc2e0fbc8d95", "right": "f6dde57e3f6cb465"}
 @pytest.mark.parametrize("graph, keep", [(theta(), "e1"), (dumbbell(), "l0.0")])
 def test_aj_corrections_are_principal_and_spare_the_kept_frame(graph, keep):
     emb = Embedding(build_extended(graph, []), [])
-    d = divisor_of(_core_ramp(emb, Frames(emb.skeleton), keep))
+    d = divisor_of(_core_ramp(emb.skeleton, Frames(emb.skeleton), keep))
     assert is_principal(graph, d).principal
     # The tree priority keeps the frame out of the complement only.  No
     # correction lands on it here because of these shapes: on the theta e1
@@ -163,10 +162,9 @@ def tent_on_a_subdivided_edge_and_a_ray():
     g = build_graph(["v", "w"], [("e", "v", "w", 4)])
     emb = Embedding(build_extended(g, [("r", V("v"))]), [])
     frames = Frames(emb.skeleton)
-    emb = refine_embedding(emb, [P("e", 2)])  # the root frame "e" is now two edges
-    skel = emb.skeleton
+    skel = emb.skeleton.subdivide_many([P("e", 2)])  # the root frame "e" is now two edges
     sides = [_side_frame(skel, frames, "v", s) for s in ("e.L", "r")]
-    return vertex_function(emb, "v", *sides, frames), frames
+    return vertex_function(skel, "v", *sides, frames), frames
 
 
 def test_tent_on_a_subdivided_edge_and_a_ray():
@@ -193,13 +191,13 @@ def test_a_lone_tent_on_a_ray_side_is_adjoined():
     emb = Embedding(build_extended(g, [("r", V("v"))]), [])
     frames = Frames(emb.skeleton)
     sides = [_side_frame(emb.skeleton, frames, "v", s) for s in ("e", "r")]
-    res = vertex_function(emb, "v", *sides, frames)
-    skel = res.embedding.skeleton
+    res = vertex_function(emb.skeleton, "v", *sides, frames)
+    skel = res.skeleton
     assert sorted(skel.rays) == ["r.tail"]
     attach = V(skel.rays["r.tail"].attach)
     assert skel.canonical_point(P("r", 1)) == attach
     assert res.function.value(attach) == 0 and attach not in divisor_of(res.function).support()
-    assert len(extend_embedding(res.embedding, res.function, "t").coords) == 1
+    assert len(extend_embedding(Embedding(skel, []), res.function, "t").coords) == 1
 
 
 def test_vertex_function_refuses_equal_sides_and_a_blocked_side():
@@ -208,10 +206,10 @@ def test_vertex_function_refuses_equal_sides_and_a_blocked_side():
     frames = Frames(emb.skeleton)
     edge, ray = (_side_frame(emb.skeleton, frames, "v", s) for s in ("e", "r"))
     with pytest.raises(EqualEdges):
-        vertex_function(emb, "v", edge, edge, frames)
+        vertex_function(emb.skeleton, "v", edge, edge, frames)
     frames.block_interval("e", 0, 4)
     with pytest.raises(NoRoom):
-        vertex_function(emb, "v", edge, ray, frames)
+        vertex_function(emb.skeleton, "v", edge, ray, frames)
 
 
 def test_side_frame_refuses_a_side_away_from_the_vertex():
@@ -266,12 +264,12 @@ def test_select_pillars_keep_out_of_forbidden_zones():
     emb = Embedding(build_extended(theta(), []), [])
     lengths = {"e1": 1, "e2": 2, "e3": 3}
     forbidden = tuple((eid, Fraction(length, 4), Fraction(length)) for eid, length in lengths.items())
-    pset = select_pillars(emb, Frames(emb.skeleton), forbidden=forbidden)
+    pset = select_pillars(emb.skeleton, Frames(emb.skeleton), forbidden=forbidden)
     assert len(pset.complement) == 2
     for pts in pset.tuples:
         root = pts[0].edge
         assert [pt.offset for pt in pts] == [Fraction(lengths[root], 32) * k for k in (1, 2, 5, 6)]
-    free = select_pillars(emb, Frames(emb.skeleton))
+    free = select_pillars(emb.skeleton, Frames(emb.skeleton))
     assert all(pts[3].offset > Fraction(lengths[pts[0].edge], 4) for pts in free.tuples)
 
 
@@ -281,7 +279,7 @@ def test_select_pillars_refuses_when_every_complement_edge_is_blocked():
     frames.block_interval("e2", 0, 2)  # the spanning tree is e1
     frames.block_interval("e3", 0, 3)
     with pytest.raises(PillarSearchExhausted):
-        select_pillars(emb, frames)
+        select_pillars(emb.skeleton, frames)
 
 
 def scanned_root_range(skel, roots, cid):
@@ -304,12 +302,10 @@ def test_root_frames_survive_subdivision():
     assert all(emb.skeleton.parent(rid) is None for rid in added)
     # twice each: a start edge, a loop half, a start ray's stub and tail,
     # and a ray attached after the frames were made
-    emb = refine_embedding(
-        emb,
+    skel = emb.skeleton.subdivide_many(
         [P("bar", Fraction(1, 4)), P("bar", Fraction(3, 4)), P("l0.0", Fraction(1, 2)),
          P("l0.0", Fraction(1, 4)), P("r", 2), P("r", 1), P("r", 3), P("t.0", 1), P("t.0", 2)],
     )
-    skel = emb.skeleton
     roots = start_ids + added
     current = sorted(skel.finite.edges) + sorted(skel.rays)
     assert {"bar.R.L", "l0.0.L.R", "r.stub.L", "r.tail.stub", "t.0.tail.stub"} <= set(current)
@@ -427,7 +423,7 @@ def test_repair_step_bumps_a_contracted_piece():
     emb = contracted_embedding()
     viol = is_fully_faithful(emb).violations[0]
     assert viol.kind == "contracted"
-    fixed = _repair_step(emb, Frames(emb.skeleton), viol, "r0")
+    fixed = extend_embedding(emb, _repair_step(emb.skeleton, Frames(emb.skeleton), viol), "r0")
     assert len(fixed.coords) == 2
     assert is_fully_faithful(fixed).reasons == REPAIRED_REASONS
 
@@ -436,22 +432,22 @@ def test_separating_bump_centres_its_rise_on_the_colliding_point():
     emb = line_embedding()  # one edge "e" of length 2
     frames = Frames(emb.skeleton)
     frames.block_point("e", Fraction(3, 4))
-    f = _separating_bump(emb, frames, "e", Fraction(0), Fraction(2), around=Fraction(1, 2))
+    f = _separating_bump(emb.skeleton, frames, "e", Fraction(0), Fraction(2), around=Fraction(1, 2))
     q = Fraction(1, 32)  # an eighth of the way from 1/2 to the free window's end at 3/4
     offs = [Fraction(1, 2) + k * q for k in (-1, 1, 2, 4)]
     assert divisor_of(f) == divisor_of(trapezoid(emb.skeleton, "e", offs))
     assert frames.intervals == {"e": [(offs[0], offs[3])]}
-    assert _separating_bump(emb, frames, "e", Fraction(0), Fraction(2), around=Fraction(3, 4)) is None
+    assert _separating_bump(emb.skeleton, frames, "e", Fraction(0), Fraction(2), around=Fraction(3, 4)) is None
 
 
 def test_repair_step_has_no_remedy_for_colliding_ray_leaves():
     emb = contracted_embedding()
     frames = Frames(emb.skeleton)
-    fixed = _repair_step(emb, frames, is_fully_faithful(emb).violations[0], "r0")
+    fixed = extend_embedding(emb, _repair_step(emb.skeleton, frames, is_fully_faithful(emb).violations[0]), "r0")
     viol = next(v for v in is_fully_faithful(fixed).violations if v.at == "t2")
     assert viol.kind == "preimages" and len(viol.points) == 2
     assert all(fixed.skeleton.is_infinite_vertex(pt.vertex) for pt in viol.points)
-    assert _repair_step(fixed, frames, viol, "r1") is None
+    assert _repair_step(fixed.skeleton, frames, viol) is None
 
 
 def test_sweep_has_fourteen_trees():
@@ -533,18 +529,22 @@ def core_steps(*reports):
     return [step for report in reports for step in report.steps if step["construction"].startswith("core-")]
 
 
-def with_stage0(emb):
-    """The report of an explicit `stage0` call on a tate leaf, then the
-    output and report of each pipeline run on its result.  The certificate
-    handed to `stage0` names a contracted piece of the core frame a16, so
-    stage 0 builds as on an input whose core is not clean."""
+def forced_stage0(emb, report):
+    """An explicit `stage0` call on a tate leaf.  The certificate handed to
+    it names a contracted piece of the core frame a16, so stage 0 builds
+    as on an input whose core is not clean."""
     fin = emb.skeleton.finite
     core_edges, core_vertices = designate_core(fin)
     a16 = ("a16", Fraction(0), fin.edges["a16"].length)
     forced = FaithfulReport((Violation("contracted", "a16", (a16,)),))
+    return stage0(emb, forced, core_edges, core_vertices, Frames(emb.skeleton), report)
+
+
+def with_stage0(emb):
+    """The report of `forced_stage0` on a tate leaf, then the output and
+    report of each pipeline run on its result."""
     report = PipelineReport()
-    emb = stage0(emb, forced, core_edges, core_vertices, Frames(emb.skeleton), report)
-    first = fully_faithful_pipeline(emb)
+    first = fully_faithful_pipeline(forced_stage0(emb, report))
     return report, first, smoothing_pipeline(first[0])
 
 
@@ -730,6 +730,37 @@ def test_the_first_pipeline_transports_each_coordinate_once(make, monkeypatch):
     ramps = [step for step in report.steps if step["construction"].endswith("edge-ramp")]
     assert len(out.coords) == len(emb.coords) + len(ramps) > len(emb.coords)
     assert len(calls) <= 3 * len(ramps) + len(emb.coords)
+
+
+def test_stage0_and_smoothing_assemble_once_per_step(monkeypatch):
+    """Stage 0 and each smoothing pass adjoin their coordinates on the
+    skeleton and assemble one embedding per step.  A pass moves each
+    coordinate it started with once and each tent at most twice (`adjoin`,
+    then `assemble`); stage 0 builds one embedding for its tents, one for
+    its ramps and one per patch round, and smoothing one per pass plus the
+    one it returns."""
+    emb = tate_leaf(3, "p5", Fraction(1, 2), zero_rays=[("r0", "p5")])
+    events = []
+    transport, init, certify = PLFunction.transport, Embedding.__init__, synthesis.is_fully_faithful
+    monkeypatch.setattr(PLFunction, "transport", lambda f, *a, **kw: events.append("transport") or transport(f, *a, **kw))
+    monkeypatch.setattr(Embedding, "__init__", lambda e, *a, **kw: events.append("embedding") or init(e, *a, **kw))
+    monkeypatch.setattr(synthesis, "is_fully_faithful", lambda e: events.append("certificate") or certify(e))
+    report = PipelineReport()
+    emb = forced_stage0(emb, report)
+    assert [step["construction"] for step in report.steps] == ["core-tent"] * 6 + ["core-ramp"] * 6
+    patch_rounds = events.count("certificate") - 1  # the last round finds the core clean
+    assert events.count("embedding") <= 2 + patch_rounds
+    first, _report = fully_faithful_pipeline(emb)
+    events.clear()
+    out, report = smoothing_pipeline(first)
+    passes = " ".join(events).split("certificate")[:-1]  # each pass ends with its certificate
+    coords = len(first.coords)
+    for pass_no, pass_events in enumerate(passes):
+        tents = sum(step["coordinate"].startswith(f"v{pass_no}.") for step in report.steps)
+        assert pass_events.split().count("transport") <= coords + 2 * tents
+        coords += tents
+    assert coords == len(out.coords) > len(first.coords)
+    assert events.count("embedding") <= len(passes) + 1
 
 
 def test_first_pipeline_refuses_a_violation_its_construction_leaves(monkeypatch):
