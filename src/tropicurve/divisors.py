@@ -346,9 +346,9 @@ class PLFunction:
     def transport(
         self, new_domain: Domain, new_ray_slopes: Mapping[str, int] | None = None
     ) -> "PLFunction":
-        """Re-express this function on a refinement of its domain.  It is
-        how a function gains rays: one built on the finite part of an
-        extended graph is transported to the extended graph.
+        """Re-express this function on a refinement of its domain: how a
+        function gains rays.  Called by `tropicalize.assemble`, once per
+        pipeline coordinate, and by the input builder `synthesis.tate_demo`.
 
         An edge id still current in the new domain keeps its `EdgeProfile`
         object, and a ray id that is still a ray keeps its `RayProfile`;

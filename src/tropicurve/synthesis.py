@@ -11,10 +11,11 @@ call per target.  The second pipeline repairs singular image vertices: a
 vertex with adjacent edges e0..en receives n tent coordinates with slopes
 +1 into ek and -1 into e0, which project a neighborhood of the image
 vertex onto the coordinate-axes fan and make it smooth.  Every step (a
-tent, a ramp, a patch) builds its function on the skeleton alone, which it
-may refine, and `adjoin` extends it with rays; `assemble` then transports
-each coordinate once and builds one embedding for stage 0's tents, its
-ramps, each patch round, the edge ramps and each smoothing pass.
+tent, a ramp, a patch) builds its function on the skeleton alone (a ramp
+on its finite part), which it may refine; `adjoin` attaches its rays
+without moving it, and `assemble` transports each coordinate once, from
+where it was built, into one embedding for stage 0's tents, its ramps,
+each patch round, the edge ramps and each smoothing pass.
 
 All offsets allocated here are tracked in "root frames": the edge and ray
 ids present when a pipeline starts, plus rays it attaches later.  The
@@ -366,11 +367,11 @@ def edge_ramp(
     core_edges: frozenset[str],
     core_vertices: frozenset[str],
     frames: Frames,
-) -> tuple[ExtendedGraph, PLFunction, GraphPoint, GraphPoint]:
+) -> tuple[ExtendedGraph, PLFunction, dict[str, int], GraphPoint, GraphPoint]:
     """Slope-one ramp along a non-core edge or a ray frame, plus pillar
-    trapezoids: (skeleton, function on it, zero, pole), value zero at the
-    core-side end v.  Only the skeleton is read and refined: the ramp needs
-    no coordinate.
+    trapezoids: (skeleton, function on its finite part, its ray slopes,
+    zero, pole), value zero at the core-side end v.  Only the skeleton is
+    read and refined: the ramp needs no coordinate.
 
     The zero charge sits at v, or at a fresh point near it when v already
     carries a ray, or rides down a ray at v to its leaf.  When the only ray
@@ -379,8 +380,8 @@ def edge_ramp(
     a ray at w to its leaf; a ray frame's far end is its own tail.
 
     The ramp is `_corrected_witness` of the base divisor (zero anchor) -
-    (pole anchor), with slope +1 on the pole's ray and -1 on the zero's,
-    and value 0 at v.  When the two anchors are joined by bridges alone
+    (pole anchor), with value 0 at v; its slopes are +1 on the pole's ray
+    and -1 on the zero's.  When the two anchors are joined by bridges alone
     their cycle integrals vanish, so no correction pair is placed and the
     ramp is the plain witness of the base.
     """
@@ -420,13 +421,12 @@ def edge_ramp(
         anchor = V(va)
         zero = V(skel.rays[descend_ray].leaf) if descend_ray else anchor
     base = make_divisor(skel.finite, [(anchor, 1), (V(vb), -1)])
-    # a None key in the slope map names no ray and is never read
-    ramp = _corrected_witness(skel, frames, base, basepoint=V(v))
-    f = _apply_pillars(skel, ramp.transport(skel, {end_ray: 1, descend_ray: -1}), pillars)
-    if pillars.complement and descend_ray is None and end_ray is None:
+    f = _apply_pillars(skel, _corrected_witness(skel, frames, base, basepoint=V(v)), pillars)
+    slopes = {rid: s for rid, s in ((end_ray, 1), (descend_ray, -1)) if rid is not None}
+    if pillars.complement and not slopes:
         _check_cor34_shape(skel, f, base, pillars)
     pole = V(skel.rays[end_ray].leaf) if end_ray else V(vb)
-    return skel, f, zero, pole
+    return skel, f, slopes, zero, pole
 
 
 def _check_cor34_shape(skel, f, base: Divisor, pillars: PillarSet):
@@ -434,15 +434,13 @@ def _check_cor34_shape(skel, f, base: Divisor, pillars: PillarSet):
     run on the current edges the pillar tuples lie on."""
     fin = skel.finite
     tuples = [[skel.canonical_point(p) for p in pts] for pts in pillars.tuples]
-    terms = []
-    for p1, p2, p3, p4 in tuples:
-        terms += [(p1, 1), (p2, -1), (p3, -1), (p4, 1)]
-    expected = base + make_divisor(skel, terms)
+    terms = [(p, c) for pts in tuples for p, c in zip(pts, (1, -1, -1, 1))]
+    expected = base + make_divisor(fin, terms)
     got = divisor_of(f)
     if got != expected:
         raise CertificateFailure(f"edge function divisor mismatch: {got} != {expected}")
     ref = cor34_certificate(fin, base, [pts[0].edge for pts in tuples], tuples)
-    if divisor_of(ref) != make_divisor(fin, expected.terms):
+    if divisor_of(ref) != expected:
         raise CertificateFailure(f"certified witness divisor mismatch: {divisor_of(ref)}")
 
 
@@ -807,8 +805,8 @@ def stage0(
                 skel, v, _side_frame(skel, frames, v, e0), _side_frame(skel, frames, v, ek), frames
             )
             name = f"gt{len(adjoined) + 1}"
-            skel, f, rays = adjoin(res.skeleton, res.function, name)
-            adjoined.append((f, rays))
+            skel, record = adjoin(res.skeleton, res.function, name)
+            adjoined.append(record)
             report.log(construction="core-tent", target=v, coordinate=name)
             e0 = _core_sides_at(skel, core_edges, v)[0]
     emb = assemble(skel, emb.coords, adjoined)
@@ -820,8 +818,8 @@ def stage0(
     # (3) one corrected-ramp witness per core edge for vertex separation
     skel, adjoined = emb.skeleton, []
     for idx, root_e in enumerate(sorted(core_edges)):
-        skel, f, rays = adjoin(skel, _core_ramp(skel, frames, root_e).transport(skel), f"gs{idx}")
-        adjoined.append((f, rays))
+        skel, record = adjoin(skel, _core_ramp(skel, frames, root_e), f"gs{idx}")
+        adjoined.append(record)
         report.log(construction="core-ramp", target=root_e, coordinate=f"gs{idx}")
     emb = assemble(skel, emb.coords, adjoined)
 
@@ -835,8 +833,8 @@ def stage0(
             bump = _repair_step(skel, frames, viol)
             if bump is not None:
                 name = f"gp{patch_round}.{len(emb.coords) + len(adjoined)}"
-                skel, f, rays = adjoin(skel, bump, name)
-                adjoined.append((f, rays))
+                skel, record = adjoin(skel, bump, name)
+                adjoined.append(record)
                 report.log(construction="core-patch", target=viol.label)
         if not adjoined:
             raise Stage0Failure(f"no remedy for core violations {core_viols[:2]}")
@@ -923,9 +921,9 @@ def _fully_faithful(
     psets = [select_pillars(emb.skeleton, frames, (emb, t)) for t in targets]
     skel, adjoined = emb.skeleton, []
     for target, pset in zip(targets, psets):
-        skel, f, zero, pole = edge_ramp(skel, target, pset, core_edges, core_vertices, frames)
-        skel, f, rays = adjoin(skel, f, f"f.{target}")
-        adjoined.append((f, rays))
+        skel, f, slopes, zero, pole = edge_ramp(skel, target, pset, core_edges, core_vertices, frames)
+        skel, record = adjoin(skel, f, f"f.{target}", slopes)
+        adjoined.append(record)
         finite = target in finite_targets
         report.log(
             construction="finite-edge-ramp" if finite else "infinite-edge-ramp",
@@ -966,7 +964,8 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
 
     The input's certificate is the one `fully_faithful_pipeline` attached
     to the very object it returned, if `emb` is that object; any other
-    input, a copy of that output included, is certified afresh.
+    input, a copy of that output included, is certified afresh.  A fully
+    faithful input whose image is already smooth is returned as is.
     """
     _check_skeleton(emb)
     rep = emb._certificate
@@ -1009,8 +1008,8 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
             name = f"v{pass_no}.{k}"
             res = vertex_function(skel, v, side_specs[e0], side_specs[ek], frames)
             pset = select_pillars(res.skeleton, frames, forbidden=res.zones)
-            skel, f, rays = adjoin(res.skeleton, _apply_pillars(res.skeleton, res.function, pset), name)
-            adjoined.append((f, rays))
+            skel, record = adjoin(res.skeleton, _apply_pillars(res.skeleton, res.function, pset), name)
+            adjoined.append(record)
             report.log(
                 construction="vertex-tent",
                 target=v,
@@ -1043,7 +1042,7 @@ def smoothing_pipeline(emb: Embedding) -> tuple[Embedding, PipelineReport]:
         "fully_faithful": True,
         "coordinates": len(emb.coords),
     }
-    return Embedding(emb.skeleton, emb.coords), report
+    return emb, report
 
 
 # -- the worked elliptic-curve example ------------------------------------------------------

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import TropEdge, TropPoint, TropicalCurve, check_balancing
 from .divisors import Divisor, PLFunction, divisor_of
@@ -626,19 +626,31 @@ def is_fully_faithful(emb: Embedding) -> FaithfulReport:
 # -- extension ----------------------------------------------------------------------
 
 
-def adjoin(skel: ExtendedGraph, f: PLFunction, name: str) -> tuple[ExtendedGraph, PLFunction, list[str]]:
+def adjoin(
+    skel: ExtendedGraph, f: PLFunction, name: str, ray_slopes: Optional[Mapping[str, int]] = None
+) -> tuple[ExtendedGraph, tuple[PLFunction, dict[str, int], list[str]]]:
     """The skeleton step of adjoining a coordinate: attach a fresh ray at
     every finite divisor point of f (the eventual slope opposes the
     coefficient's sign, so the extended function is harmonic there and
-    diverges along the new ray).  Returns the new skeleton, f transported
-    there and the new ray ids.
+    diverges along the new ray).  Returns the new skeleton and the record
+    (f unmoved, its ray slopes, the new ray ids) for `assemble`.
 
-    Divisor points must be simple (+-1) and distinct from existing ray
-    attach points; support already at infinite vertices is kept as is.
+    f lives on `skel` (InvalidCoordinate if `ray_slopes` is given too), or
+    on its finite part, where `ray_slopes` gives its slope s on existing
+    rays (UnknownEdge for no ray) and each adds s*(attach) - s*(leaf) to the
+    divisor.  Divisor points must be simple (+-1) and distinct from existing
+    ray attach points; support already at infinite vertices is kept as is.
     """
-    if f.domain is not skel:
+    slopes = dict(ray_slopes or {})
+    if f.domain is not skel and f.domain is not skel.finite:
         raise InvalidCoordinate("function lives on a different skeleton")
-    d = divisor_of(f)
+    if f.domain is skel and slopes:
+        raise InvalidCoordinate("ray slopes given for a function that has its rays")
+    terms = list(divisor_of(f).terms)
+    for rid, s in slopes.items():
+        ray = skel.ray(rid)
+        terms += [(GraphPoint.at_vertex(ray.attach), s), (GraphPoint.at_vertex(ray.leaf), -s)]
+    d = Divisor(terms)
     finite_support: list[tuple[GraphPoint, int]] = []
     for pt, c in d.terms:
         if pt.is_vertex and skel.is_infinite_vertex(pt.vertex):
@@ -655,32 +667,29 @@ def adjoin(skel: ExtendedGraph, f: PLFunction, name: str) -> tuple[ExtendedGraph
     ray_ids = [f"{name}.{k}" for k in range(len(finite_support))]
     # the divisor's terms, and so the new rays, are in point order
     new_skel = skel.with_new_rays([(rid, pt) for rid, (pt, _c) in zip(ray_ids, finite_support)])
-    ray_slopes = {rid: -c for rid, (_pt, c) in zip(ray_ids, finite_support)}
-    new_f = f.transport(new_skel, new_ray_slopes=ray_slopes)
-    for rid in ray_ids:
-        if abs(new_f.ray_profiles[rid].slope) != 1:
-            raise CertificateFailure(f"new ray {rid!r} does not have stretching factor one")
-    return new_skel, new_f, ray_ids
+    slopes.update((rid, -c) for rid, (_pt, c) in zip(ray_ids, finite_support))
+    return new_skel, (f, slopes, ray_ids)
 
 
 def assemble(skel: ExtendedGraph, coords: Sequence[PLFunction], adjoined: Sequence[tuple]) -> Embedding:
-    """The embedding on `skel` of `coords`, then of each (f, new ray ids)
-    that `adjoin` gave, each coordinate transported there once, straight
-    from its own domain.  No coordinate before an adjoined one may have
-    slope on its new rays, so each of them has stretching factor one."""
+    """The embedding on `skel` of `coords`, then of each (f, ray slopes,
+    new ray ids) record of `adjoin`: the one place a pipeline coordinate
+    is transported, once, from the domain it was built on.  Each new ray
+    must have stretching factor one: slope +-1 in its f, 0 in earlier ones."""
     out: list[PLFunction] = []
-    for f, rays in chain(((g, ()) for g in coords), adjoined):
+    for f, slopes, rays in chain(((g, {}, ()) for g in coords), adjoined):
+        moved = f if f.domain is skel else f.transport(skel, slopes)
         for rid in rays:
-            if any(g.ray_profiles[rid].slope for g in out):
+            if any(g.ray_profiles[rid].slope for g in out) or abs(moved.ray_profiles[rid].slope) != 1:
                 raise CertificateFailure(f"new ray {rid!r} does not have stretching factor one")
-        out.append(f if f.domain is skel else f.transport(skel))
+        out.append(moved)
     return Embedding(skel, out)
 
 
 def extend_embedding(emb: Embedding, f: PLFunction, name: str) -> Embedding:
     """`adjoin` f to the embedding's skeleton and `assemble` the embedding
-    there: the coordinates it had, then f.  The one-coordinate form, for
-    callers outside the library; the pipelines adjoin every coordinate of
-    a step on the skeleton and assemble once."""
-    skel, new_f, rays = adjoin(emb.skeleton, f, name)
-    return assemble(skel, emb.coords, [(new_f, rays)])
+    there: the coordinates it had, then f, each transported once.  The
+    one-coordinate form, for callers outside the library; the pipelines
+    adjoin every coordinate of a step on the skeleton and assemble once."""
+    skel, record = adjoin(emb.skeleton, f, name)
+    return assemble(skel, emb.coords, [record])

@@ -250,14 +250,17 @@ class TestTransport:
         """Across a subdivision, a new ray at an interior point and a second
         subdivision (of any current edge, or of the ray `r` of the
         function's domain), one transport gives every profile the chain of
-        three gives."""
+        three gives.  So does one transport of the function on the finite
+        part with its slope on `r` in the slope map, while `r` is uncut."""
         rng = random.Random(23)
+        lifted = 0
         for _ in range(40):
             g = random_graph(rng)
             f = random_pl_function(rng, g)
             a = g.vertices[0]
             ext = build_extended(g, [("r", V(a))])
-            fx = PLFunction(ext, f.edge_profiles, {"r": RayProfile(f.vertex_value(a), rng.randrange(-2, 3))})
+            r_slope = rng.randrange(-2, 3)
+            fx = PLFunction(ext, f.edge_profiles, {"r": RayProfile(f.vertex_value(a), r_slope)})
             chain = [ext]
             for step in ("cut", "ray", "cut"):
                 skel = chain[-1]
@@ -273,6 +276,12 @@ class TestTransport:
             once = fx.transport(chain[-1], slopes)
             assert once.edge_profiles == chained.edge_profiles
             assert once.ray_profiles == chained.ray_profiles
+            if "r" in chain[-1].rays:
+                lifted += 1
+                from_finite = f.transport(chain[-1], dict(slopes, r=r_slope))
+                assert from_finite.edge_profiles == chained.edge_profiles
+                assert from_finite.ray_profiles == chained.ray_profiles
+        assert lifted > 20
 
     def test_a_cut_ray_born_after_the_domain_is_an_uncovered_edge(self):
         """Refinements that cut a ray attached after the function's domain

@@ -14,7 +14,8 @@ others only through their public API; and every import sits at module
 level, so a module's dependencies all show at its top; every name the
 benchmark's tracer binds is defined where the tracer looks for it; and
 only `divisors` builds a `RayProfile`, so a function gains its rays
-through `PLFunction.transport`."""
+through `PLFunction.transport`, which only `tropicalize.assemble` and the
+input builder `synthesis.tate_demo` call."""
 
 import ast
 import importlib
@@ -327,6 +328,20 @@ def test_the_library_adds_coordinates_only_by_adjoin_and_assemble():
         node.name for path in SOURCES for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)
     }
     assert "extend_embedding" in defined and "refine_embedding" not in defined
+
+
+def test_only_assemble_and_tate_demo_transport_a_function():
+    """`adjoin` reads a coordinate's divisor where the coordinate was built
+    and leaves it there, so `assemble` is the one place a pipeline
+    coordinate moves; `tate_demo` lifts its two input coordinates."""
+    callers = set()
+    for path in SOURCES:
+        source = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+        for line in _calls(source, "transport"):
+            inner = max((f for f in functions if f.lineno <= line <= f.end_lineno), key=lambda f: f.lineno)
+            callers.add(f"{path.stem}.{inner.name}")
+    assert callers == {"tropicalize.assemble", "synthesis.tate_demo"}
 
 
 # Public names that only tests call: independent oracles.

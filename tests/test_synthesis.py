@@ -719,9 +719,9 @@ def test_a_copy_of_the_first_output_is_certified_again(tate_leaf_outputs, monkey
     ids=["tate-leaf"] + [f"tree{seed}" for seed in TREE_SEEDS],
 )
 def test_the_first_pipeline_transports_each_coordinate_once(make, monkeypatch):
-    """A ramp's witness is transported to the skeleton, adjoined, and moved
-    once to the final skeleton; each input coordinate is moved once, so the
-    transports grow with the coordinates, not with their square."""
+    """A ramp is built on the finite part and adjoined without moving;
+    `assemble` moves it, and each input coordinate, once to the final
+    skeleton."""
     emb = make()
     calls = []
     transport = PLFunction.transport
@@ -729,27 +729,31 @@ def test_the_first_pipeline_transports_each_coordinate_once(make, monkeypatch):
     out, report = fully_faithful_pipeline(emb)
     ramps = [step for step in report.steps if step["construction"].endswith("edge-ramp")]
     assert len(out.coords) == len(emb.coords) + len(ramps) > len(emb.coords)
-    assert len(calls) <= 3 * len(ramps) + len(emb.coords)
+    assert len(calls) <= len(out.coords)
 
 
 def test_stage0_and_smoothing_assemble_once_per_step(monkeypatch):
     """Stage 0 and each smoothing pass adjoin their coordinates on the
-    skeleton and assemble one embedding per step.  A pass moves each
-    coordinate it started with once and each tent at most twice (`adjoin`,
-    then `assemble`); stage 0 builds one embedding for its tents, one for
-    its ramps and one per patch round, and smoothing one per pass plus the
-    one it returns."""
+    skeleton and assemble one embedding per step, which moves each
+    coordinate once: a pass moves the coordinates it started with and its
+    tents, and stage 0 no more coordinates than its embeddings hold.  Stage
+    0 builds one embedding for its tents, one for its ramps and one per
+    patch round, and smoothing one per pass."""
     emb = tate_leaf(3, "p5", Fraction(1, 2), zero_rays=[("r0", "p5")])
-    events = []
+    events, assembled = [], []
     transport, init, certify = PLFunction.transport, Embedding.__init__, synthesis.is_fully_faithful
     monkeypatch.setattr(PLFunction, "transport", lambda f, *a, **kw: events.append("transport") or transport(f, *a, **kw))
-    monkeypatch.setattr(Embedding, "__init__", lambda e, *a, **kw: events.append("embedding") or init(e, *a, **kw))
+    monkeypatch.setattr(
+        Embedding, "__init__",
+        lambda e, skel, coords: events.append("embedding") or assembled.append(len(coords)) or init(e, skel, coords),
+    )
     monkeypatch.setattr(synthesis, "is_fully_faithful", lambda e: events.append("certificate") or certify(e))
     report = PipelineReport()
     emb = forced_stage0(emb, report)
     assert [step["construction"] for step in report.steps] == ["core-tent"] * 6 + ["core-ramp"] * 6
     patch_rounds = events.count("certificate") - 1  # the last round finds the core clean
     assert events.count("embedding") <= 2 + patch_rounds
+    assert events.count("transport") <= sum(assembled)
     first, _report = fully_faithful_pipeline(emb)
     events.clear()
     out, report = smoothing_pipeline(first)
@@ -757,10 +761,22 @@ def test_stage0_and_smoothing_assemble_once_per_step(monkeypatch):
     coords = len(first.coords)
     for pass_no, pass_events in enumerate(passes):
         tents = sum(step["coordinate"].startswith(f"v{pass_no}.") for step in report.steps)
-        assert pass_events.split().count("transport") <= coords + 2 * tents
+        assert pass_events.split().count("transport") <= coords + tents
         coords += tents
     assert coords == len(out.coords) > len(first.coords)
-    assert events.count("embedding") <= len(passes) + 1
+    assert events.count("embedding") <= len(passes)
+
+
+def test_smoothing_returns_a_certified_smooth_input_as_is(tate_leaf_outputs, monkeypatch):
+    """The second output is certified afresh, its image is smooth, and it
+    comes back itself: no coordinate is validated again in a copy."""
+    _first, (second, _report), _calls = tate_leaf_outputs
+    built = []
+    init = Embedding.__init__
+    monkeypatch.setattr(Embedding, "__init__", lambda e, *a: built.append(e) or init(e, *a))
+    out, report = smoothing_pipeline(second)
+    assert out is second and built == []
+    assert report.singular_counts == [0]
 
 
 def test_first_pipeline_refuses_a_violation_its_construction_leaves(monkeypatch):
@@ -770,7 +786,7 @@ def test_first_pipeline_refuses_a_violation_its_construction_leaves(monkeypatch)
     adjoin = synthesis.adjoin
     monkeypatch.setattr(
         synthesis, "adjoin",
-        lambda skel, f, name: adjoin(skel, f + -f if name == "f.e2" else f, name),
+        lambda skel, f, name, slopes=None: adjoin(skel, f + -f if name == "f.e2" else f, name, slopes),
     )
     certify = synthesis.is_fully_faithful
     reports = []

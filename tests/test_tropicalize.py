@@ -19,6 +19,7 @@ from tropicurve.errors import (
     EmptyCoordinates,
     InvalidCoordinate,
     NonSimplePoint,
+    UnknownEdge,
 )
 from tropicurve.graphs import GraphPoint, build_extended, build_graph
 from tropicurve.rationals import MINUS_INF, PLUS_INF
@@ -30,6 +31,8 @@ from tropicurve.tropicalize import (
     _hulls_meet,
     _line_intersection,
     _meeting_pairs,
+    adjoin,
+    assemble,
     extend_embedding,
     images_meet,
     is_fully_faithful,
@@ -280,6 +283,32 @@ class TestExtend:
         f = PLFunction(ext, {"e": EdgeProfile(Fraction(0), (), (2,))}, {})
         with pytest.raises(NonSimplePoint):
             extend_embedding(emb, f, "c0")
+
+    def test_a_function_on_the_finite_part_reads_its_ray_slopes(self):
+        """The arc length of `e`, built on the finite part with slope -1 on
+        `ra`: the ray cancels the chip at a, which would otherwise collide
+        with the ray's attachment, and only b gets a new ray.  `adjoin`
+        does not move the function; `assemble` does."""
+        g = build_graph(["a", "b"], [("e", "a", "b", 2)])
+        ext = build_extended(g, [("ra", V("a"))])
+        f = PLFunction(g, {"e": EdgeProfile(Fraction(0), (), (1,))})
+        with pytest.raises(DivisorCollision):
+            adjoin(ext, f, "c0")
+        skel, record = adjoin(ext, f, "c0", {"ra": -1})
+        assert record == (f, {"ra": -1, "c0.0": 1}, ["c0.0"])
+        assert skel.rays["c0.0"].attach == "b"
+        (coord,) = assemble(skel, [], [record]).coords
+        assert {rid: prof.slope for rid, prof in coord.ray_profiles.items()} == {"ra": -1, "c0.0": 1}
+
+    def test_ray_slopes_must_name_a_ray_of_a_function_on_the_finite_part(self):
+        g = build_graph(["a", "b"], [("e", "a", "b", 2)])
+        ext = build_extended(g, [("ra", V("a"))])
+        f = PLFunction(g, {"e": EdgeProfile(Fraction(0), (), (1,))})
+        with pytest.raises(UnknownEdge, match="'rb'"):
+            adjoin(ext, f, "c0", {"ra": -1, "rb": 1})
+        on_skeleton = PLFunction(ext, f.edge_profiles, {"ra": RayProfile(Fraction(0), -1)})
+        with pytest.raises(InvalidCoordinate, match="has its rays"):
+            adjoin(ext, on_skeleton, "c0", {"ra": -1})
 
     def test_projection_recovers_previous_curve(self):
         g = build_graph(["a", "b"], [("e", "a", "b", 10)])
