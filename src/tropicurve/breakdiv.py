@@ -10,10 +10,13 @@ t = w - period * k for an integer vector k, where period and w are the
 period matrix and the cycle integrals of d minus the a ends in the basis of
 the cycles the complement closes.  The points lie on their closed edges for
 the k with w - length <= period * k <= w, which `CycleSpace.box_points`
-finds.  One reference cycle space serves every complement: `rebase` reads
-period and w from it through a unimodular minor, in integers, so a
-complement without a point builds no `Fraction`.  A break divisor does not
-depend on the model of the graph, so no edge is subdivided.  The
+finds.  One reference cycle space serves every complement.  Each complement
+is first bounded in the reference frame (`CycleSpace.may_hold`), which
+turns most complements away before they are rebased; for the rest,
+`rebase` reads period and w from the reference through a unimodular
+minor, in integers, and the box search decides every point, so a
+complement without a point builds no `Fraction`.  A break divisor does
+not depend on the model of the graph, so no edge is subdivided.  The
 chip-firing layer independently verifies the result on the discretization
 lattice.
 """
@@ -110,8 +113,10 @@ def break_divisor_decompose(
     for comp in graph.all_complements():
         edges = [graph.edges[eid] for eid in comp]
         keys = [None, *(e.a for e in edges)]
-        chain = [sum(refs[key][0].get(eid, 0) for key in keys) for eid in comp]
         w = [sum(col) for col in zip(*(over[key] for key in keys))]
+        if not cs.may_hold(comp, w, scale):
+            continue
+        chain = [sum(refs[key][0].get(eid, 0) for key in keys) for eid in comp]
         gram, inverse, w = cs.rebase(comp, chain, w, scale)
         # points at w - period * k on their closed edges, over D
         hi = [x // scale for x in w]

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count, product
+from itertools import count, product
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -376,15 +376,56 @@ class MetricGraph(_Domain):
 
     def all_complements(self) -> Iterator[tuple[str, ...]]:
         """Every g current edges, in sorted id order, whose removal leaves a
-        spanning tree.  The subsets are built here from current ids, so
-        they skip the id checks of `spanning_tree_complement`."""
+        spanning tree, in lexicographic order.
+
+        One depth-first walk over the sorted edge ids: each edge goes to the
+        complement first, while fewer than g are chosen, and else to the
+        tree if it joins two components of the tree edges so far.  A union
+        by size with undo (no path compression) keeps those components.  No
+        branch runs short of complement edges: that would take more than
+        V - 1 tree edges, and the last of them closes a cycle."""
         g = self.betti_number()
-        if g == 0:
-            yield ()
-            return
-        for combo in combinations(sorted(self._edges), g):
-            if not any(self.components(set(combo)).values()):
-                yield combo
+        ids = sorted(self._edges)
+        n = len(ids)
+        edges = [self._edges[eid] for eid in ids]
+        parent = {v: v for v in self._vertices}
+        size = dict.fromkeys(self._vertices, 1)
+        comp: list[str] = []
+        hung: list[Optional[str]] = []  # per edge decided: the root its tree join hung, None in the complement
+        to_tree = False  # the next edge was taken back from the complement
+        while True:
+            i = len(hung)
+            if i < n and len(comp) < g and not to_tree:
+                comp.append(ids[i])
+                hung.append(None)
+                continue
+            to_tree = False
+            if i == n:
+                yield tuple(comp)
+            else:
+                a, b = edges[i].a, edges[i].b
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    if size[a] > size[b]:
+                        a, b = b, a
+                    parent[a] = b
+                    size[b] += size[a]
+                    hung.append(a)
+                    continue
+            # back up to the last complement edge and try it in the tree
+            while not to_tree:
+                if not hung:
+                    return
+                a = hung.pop()
+                if a is None:
+                    comp.pop()
+                    to_tree = True
+                else:
+                    size[parent[a]] -= size[a]
+                    parent[a] = a
 
 
 class CycleSpace:
@@ -411,8 +452,9 @@ class CycleSpace:
     period * k in a box.  `rebase` reads the lattice and the integrals in
     the basis of another spanning tree's fundamental cycles from this one,
     so the break-divisor search over every spanning tree builds one cycle
-    space.  Every box search bounds k by the integer inverse of `_gram`,
-    computed once per cycle space.
+    space, and `may_hold` bounds that tree's box in this frame first, so
+    most trees are never rebased.  Every box search bounds k by the integer
+    inverse of `_gram`, computed once per cycle space.
     """
 
     def __init__(self, graph: MetricGraph, tree: Optional[Sequence[str]] = None):
@@ -549,15 +591,49 @@ class CycleSpace:
         integer range per k_i, and the candidates are filtered on gram * k.
         The number of candidates grows exponentially in the genus."""
         m, q = inverse
+        mid = [a + b for a, b in zip(lo, hi)]  # twice the centre
+        width = [b - a for a, b in zip(lo, hi)]
         ranges = []
         for row in m:
-            least = sum(v * (a if v >= 0 else b) for v, a, b in zip(row, lo, hi))
-            most = sum(v * (b if v >= 0 else a) for v, a, b in zip(row, lo, hi))
-            ranges.append(range(-(-least // q), most // q + 1))
+            # row * x over the box spans [c - r, c + r] / 2, and c - r is even
+            c, r = sum(map(mul, row, mid)), sum(map(mul, map(abs, row), width))
+            k_range = range(-(-(c - r) // (2 * q)), (c + r) // (2 * q) + 1)
+            if not k_range:
+                return
+            ranges.append(k_range)
         for k in product(*ranges):
             image = [sum(map(mul, row, k)) for row in gram]
             if all(a <= y <= b for a, y, b in zip(lo, image, hi)):
                 yield k, image
+
+    def may_hold(self, comp: Sequence[str], w: Sequence[int], scale: int) -> bool:
+        """A necessary test, made in this frame without rebasing, for the
+        box search on what `rebase(comp, chain, w, scale)` gives to find a
+        point: False means that it finds none.
+
+        With Z as in `rebase`, a point t of that search, 0 <= t <= scale *
+        L on `comp`, satisfies Z t = w - scale * gram * k for an integer k
+        (k runs over all integer vectors, as Z is unimodular).  So gram * k
+        lies in the bounding box of (w - Z [0, scale * L]) / scale, which
+        is exact in integers: in cycle j, less the positive z_j(e) * L_e
+        below and the negative ones above."""
+        spans = [self._spans[eid] for eid in comp]
+        lo = [-(-x // scale) - sum(col) for x, col in zip(w, zip(*(rise for rise, _fall in spans)))]
+        hi = [x // scale - sum(col) for x, col in zip(w, zip(*(fall for _rise, fall in spans)))]
+        return any(self.box_points(self._gram, self._inverse, lo, hi))
+
+    @cached_property
+    def _spans(self) -> dict[str, tuple[list[int], list[int]]]:
+        """Per edge on a cycle, z_j(e) * scaled[e] over the cycles j, as its
+        positive and its negative part."""
+        g = len(self.cycles)
+        out = {}
+        for eid, hits in self._through.items():
+            rise, fall = [0] * g, [0] * g
+            for j, c in hits:
+                (rise if c > 0 else fall)[j] = c * self.scaled[eid]
+            out[eid] = rise, fall
+        return out
 
     def rebase(
         self, comp: Sequence[str], chain: Sequence[int], w: Sequence[int], scale: int

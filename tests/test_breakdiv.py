@@ -391,31 +391,43 @@ def test_decomposition_matches_the_model_reference_on_ladders(monkeypatch, rungs
 
 def test_one_decomposition_builds_two_cycle_spaces(monkeypatch):
     """A genus-4 decomposition reads all 200-odd complements from one
-    reference cycle space; `is_principal` builds the other."""
-    built = []
-    init = CycleSpace.__init__
+    reference cycle space; `is_principal` builds the other.  The
+    reference-frame bound passes fewer than a quarter of them to `rebase`."""
+    built, rebased = [], []
+    init, rebase = CycleSpace.__init__, CycleSpace.rebase
 
     def counted(self, graph, tree=None):
         built.append(graph)
         init(self, graph, tree)
 
+    def counted_rebase(self, comp, *args):
+        rebased.append(comp)
+        return rebase(self, comp, *args)
+
     monkeypatch.setattr(CycleSpace, "__init__", counted)
+    monkeypatch.setattr(CycleSpace, "rebase", counted_rebase)
     g = ladder(random.Random(1), 5)
     d = make_divisor(g, [(P("a0", Fraction(1, 2)), 2), (V("w3"), 2)])
-    assert len(list(g.all_complements())) > 200
+    complements = list(g.all_complements())
+    assert len(complements) > 200
     b, _f = break_divisor_decompose(g, d)
     assert is_break_divisor(g, b).ok
     assert built == [g, g]
+    assert 0 < len(rebased) < len(complements) / 4
 
 
 def test_break_check_leaves_no_reference_cycle():
-    """A call frees everything it made by reference counting alone."""
+    """A call frees everything it made by reference counting alone: the
+    break check, the walk over every complement and a genus-4
+    decomposition."""
     g = theta()
     cases = [
         make_divisor(g, [(V("u"), 2)]),
         make_divisor(g, [(P("e1", Fraction(1, 3)), 1), (P("e2", Fraction(2, 3)), 1)]),
         make_divisor(g, [(P("e1", Fraction(1, 3)), 1), (P("e1", Fraction(2, 3)), 1)]),
     ]
+    lad = ladder(random.Random(1), 5)
+    d = make_divisor(lad, [(P("a0", Fraction(1, 2)), 2), (V("w3"), 2)])
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -423,6 +435,10 @@ def test_break_check_leaves_no_reference_cycle():
         for b in cases:
             is_break_divisor(g, b)
             assert gc.collect() == 0
+        list(lad.all_complements())
+        assert gc.collect() == 0
+        break_divisor_decompose(lad, d)
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()

@@ -200,6 +200,17 @@ class TestSpanningTrees:
             assert list(g.all_complements()) == accepted
         assert all(seen.values())
 
+    def test_complements_skip_bridges_and_closed_cycles(self):
+        """A tree yields the empty complement once; a bridge never joins a
+        complement; on two digons joined at b, taking both edges of one
+        digon leaves the other's cycle, so ("p", "q") is never yielded."""
+        tree = build_graph(list("abcd"), [("x", "a", "b", 1), ("y", "b", "c", 2), ("z", "b", "d", 1)])
+        assert list(tree.all_complements()) == [()]
+        bridged = build_graph(list("abcd"), [("e", "a", "b", 1), ("f", "a", "b", 2), ("m", "b", "c", 1), ("g", "c", "d", 1), ("h", "c", "d", 3)])
+        assert list(bridged.all_complements()) == [("e", "g"), ("e", "h"), ("f", "g"), ("f", "h")]
+        digons = build_graph(list("abc"), [("p", "a", "b", 1), ("q", "a", "b", 2), ("r", "b", "c", 1), ("s", "b", "c", 3)])
+        assert list(digons.all_complements()) == [("p", "r"), ("p", "s"), ("q", "r"), ("q", "s")]
+
     def test_canonical_tree_rejects_an_unknown_first_edge(self):
         g = theta_graph()
         with pytest.raises(UnknownEdge, match="'zz'"):
@@ -412,10 +423,12 @@ class TestCycleSpaceKernel:
         the reference cycle space gives entry for entry the gram matrix, its
         integer inverse and the cycle integrals that a cycle space built on
         the tree C completes gives, for a divisor with chips inside edges
-        at denominators 3, 7 and 8."""
+        at denominators 3, 7 and 8.  `may_hold` passes every complement
+        whose rebased box holds a point."""
         rng, graphs = thirds_sevenths_eighths(10, 30)
         graphs += [fig2_skeleton(), fig2_skeleton(Fraction(2, 3))]
         complements = Counter()
+        bounded = Counter()  # (box holds a point, passes `may_hold`)
         for g in graphs:
             cs = CycleSpace(g, g.canonical_spanning_tree(first=[rng.choice(sorted(g.edges))]))
             terms = []
@@ -435,7 +448,13 @@ class TestCycleSpaceKernel:
                 assert inverse == ref._inverse
                 assert [Fraction(x, big) for x in wc] == ref.integrals(terms)[1]
                 complements[len(comp)] += 1
+                scale = big // cs.denominator
+                hi = [x // scale for x in wc]
+                lo = [-(-x // scale) - cs.scaled[eid] for x, eid in zip(wc, comp)]
+                held = any(CycleSpace.box_points(gram, inverse, lo, hi))
+                bounded[held, cs.may_hold(comp, over, scale)] += 1
         assert set(complements) == {0, 1, 2, 3}
+        assert set(bounded) == {(True, True), (False, True), (False, False)}
         # two edges of one of two digons: the other digon keeps its cycle
         digons = build_graph(list("abc"), [("p", "a", "b", 1), ("q", "a", "b", 2), ("r", "b", "c", 1), ("s", "b", "c", 3)])
         assert not digons.spanning_tree_complement(["p", "q"])
