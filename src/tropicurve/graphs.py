@@ -449,12 +449,15 @@ class CycleSpace:
     Principality, the lifting corrections and break divisors all read the
     period lattice here: `integrals` gives the cycle integrals of a
     degree-zero divisor, and `lattice_points` finds the lattice vectors
-    period * k in a box.  `rebase` reads the lattice and the integrals in
-    the basis of another spanning tree's fundamental cycles from this one,
-    so the break-divisor search over every spanning tree builds one cycle
-    space, and `may_hold` bounds that tree's box in this frame first, so
-    most trees are never rebased.  Every box search bounds k by the integer
-    inverse of `_gram`, computed once per cycle space.
+    period * k in a box.  `_through` maps each edge on a cycle to the
+    (cycle, coefficient) pairs there, in cycle order; the lifting
+    corrections take their sites from it.  `rebase` reads the lattice and
+    the integrals in the basis of another spanning tree's fundamental
+    cycles from this one, so the break-divisor search over every spanning
+    tree builds one cycle space, and `may_hold` bounds that tree's box in
+    this frame first, so most trees are never rebased.  Every box search
+    bounds k by the integer inverse of `_gram`, computed once per cycle
+    space.
     """
 
     def __init__(self, graph: MetricGraph, tree: Optional[Sequence[str]] = None):
@@ -797,18 +800,20 @@ class ExtendedGraph(_Domain):
     def with_new_rays(
         self, attach_points: Sequence[tuple[str, GraphPoint]]
     ) -> "ExtendedGraph":
-        """Attach new infinite edges at the given points, subdividing as
-        needed.  Ray ids must be fresh: no current or retired edge or ray
+        """Attach new infinite edges at the given points, all read in this
+        graph's frames: one refinement puts a vertex at every point, and one
+        extended graph is built (none for no points).  Ray ids must be
+        distinct and fresh: no edge, ray or retired id of the refined graph
         may carry them.  Leaves are derived as `<id>.inf`."""
-        g = self
+        if not attach_points:
+            return self
+        g = self.subdivide_many(pt for _rid, pt in attach_points)
+        rays = dict(g._rays)
         for ray_id, pt in attach_points:
-            if ray_id in g._rays or ray_id in g.finite.edges or ray_id in g.finite._frames:
+            if ray_id in rays or ray_id in g.finite.edges or ray_id in g.finite._frames:
                 raise DuplicateId(f"ray id {ray_id!r} already in use")
-            g, v = g.subdivide_at(pt)
-            rays = dict(g._rays)
-            rays[ray_id] = Ray(ray_id, v, f"{ray_id}.inf")
-            g = ExtendedGraph(g.finite, rays)
-        return g
+            rays[ray_id] = Ray(ray_id, g.canonical_point(pt).vertex, f"{ray_id}.inf")
+        return ExtendedGraph(g.finite, rays)
 
 
 def build_extended(

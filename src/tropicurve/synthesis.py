@@ -28,7 +28,7 @@ separating bumps).  Every bump coordinate (each side of a tent, a pillar, a
 separating trapezoid) is one `divisors.trapezoid` in a root frame, and
 every ramp (a stage-0 core ramp, an edge or ray ramp) is built by
 `_corrected_witness`: the `is_principal` witness of a base divisor plus
-the correction pairs on a spanning-tree complement that make it principal.
+the correction pairs that make it principal, one site per cycle.
 A base whose two points are joined by bridges alone needs no pair.
 
 One exact certificate, `is_fully_faithful`, drives both pipelines: each
@@ -557,13 +557,14 @@ def _corrected_witness(
     keep_in_tree: Optional[str] = None, basepoint: Optional[GraphPoint] = None,
 ) -> PLFunction:
     """The `is_principal` witness of `base` plus +-1 correction pairs that
-    cancel its cycle obstruction, each on the longest piece that lies on
-    one fundamental cycle only.  The spanning tree takes the pieces of
-    `keep_in_tree` first, which keeps them out of the complement only: a
-    correction lands on them when one is that longest piece.  A base with
-    zero cycle integrals (two points joined by bridges alone) gets no pair
-    and claims no offset.  The one constructor of every ramp, stage-0 core
-    ramps and edge ramps alike; the witness is a function on the finite
+    cancel its cycle obstruction.  Cycle j takes all its pairs on one site,
+    read from the cycle space's incidence: its longest edge that lies on no
+    other fundamental cycle, first in id order on ties (its complement edge
+    always qualifies).  The spanning tree takes the pieces of `keep_in_tree`
+    first, which keeps them out of the complement only: a correction lands
+    on them when one is a site.  A base with zero cycle integrals (two
+    points joined by bridges alone) gets no pair and claims no offset.  The
+    one constructor of every ramp; the witness is a function on the finite
     part, 0 at `basepoint` (default: the least vertex).  Raises
     CertificateFailure when the corrected divisor is not principal."""
     fin = skel.finite
@@ -574,39 +575,27 @@ def _corrected_witness(
     if keep_in_tree is not None:
         priority = sorted(cid for _kind, cid, _lo, _hi in model.segments_of(keep_in_tree))
     cs = CycleSpace(model, model.canonical_spanning_tree(first=priority))
-    cycles = cs.cycles
-    g = len(cycles)
+    g = len(cs.cycles)
     _chain, w = cs.integrals(dm.terms)
-    # Allocation sites for cycle j: every current edge lying on cycle j and
-    # on no other cycle (always includes the complement edge itself), with
-    # the cycle's coefficient there.  Pairs on such edges contribute to the
-    # j-th coordinate only, keeping the solve decoupled.  A pair needs only
-    # its two endpoints fresh (its span may straddle other charges), so a
-    # site of span S absorbs nearly S per pair, any number of pairs deep.
-    sites: list[list[tuple[str, Fraction, Fraction, int]]] = []
-    spans = []
-    for j in range(g):
-        own = []
-        for eid in sorted(model.edges):
-            cj = cycles[j].get(eid, 0)
-            if cj == 0:
-                continue
-            if any(cycles[i].get(eid, 0) for i in range(g) if i != j):
-                continue
-            root, slo, shi = frames.root_range(refined, eid)
-            own.append((root, slo, shi, cj))
-        sites.append(own)
-        spans.append(max(shi - slo for _r, slo, shi, _c in own))
+    # A pair on a site moves its cycle's coordinate only, keeping the solve
+    # decoupled.  A pair needs only its two endpoints fresh (its span may
+    # straddle other charges), so a site of span S absorbs nearly S per
+    # pair, any number of pairs deep.
+    longest: dict[int, tuple[str, int]] = {}
+    for eid, hits in sorted(cs._through.items()):
+        if len(hits) == 1:
+            j, cj = hits[0]
+            if j not in longest or model.edges[eid].length > model.edges[longest[j][0]].length:
+                longest[j] = (eid, cj)
+    sites = [(*frames.root_range(refined, longest[j][0]), longest[j][1]) for j in range(g)]
+    spans = [shi - slo for _root, slo, shi, _cj in sites]
     best = None
     for widen in (1, 2, 4):
         lower = [w[j] - widen * max(spans[j], Fraction(1)) * 4 for j in range(g)]
         upper = [w[j] + widen * max(spans[j], Fraction(1)) * 4 for j in range(g)]
         for k, shift in cs.lattice_points(lower, upper):
             d = [sj - wj for sj, wj in zip(shift, w)]
-            cost = sum(
-                -((-abs(dj)) // max(spans[j] / 2, Fraction(1, 10**6)))
-                for j, dj in enumerate(d)
-            )
+            cost = sum(-((-abs(dj)) // (spans[j] / 2)) for j, dj in enumerate(d))
             key = (cost, k)
             if best is None or key < best[0]:
                 best = (key, d)
@@ -615,20 +604,18 @@ def _corrected_witness(
     if best is None:
         raise Stage0Failure(f"no correction lattice point for base {base!r}")
     terms = list(base.terms)
-    for own, dj in zip(sites, best[1]):
+    for (root, slo, shi, cj), span, dj in zip(sites, spans, best[1]):
         rem = dj
         for _guard in range(CYCLE_PAIRS):
             if rem == 0:
                 break
-            site = max(own, key=lambda s: s[2] - s[1])
-            root, slo, shi, cj = site
-            chunk_mag = min(abs(rem), (shi - slo) * Fraction(3, 4))
+            chunk_mag = min(abs(rem), span * Fraction(3, 4))
             while True:
                 try:
                     alpha = frames.claim(root, slo, shi, chunk_mag)
                     break
                 except NoRoom:
-                    if chunk_mag < (shi - slo) / 2**CLAIM_DEPTH:
+                    if chunk_mag < span / 2**CLAIM_DEPTH:
                         raise
                     chunk_mag /= 2
             beta = alpha + chunk_mag

@@ -146,10 +146,6 @@ class EdgeMap:
     vertex_sources: dict[str, frozenset[GraphPoint]]
     edge_sources: dict[str, tuple[tuple[str, Fraction, Optional[Fraction]], ...]]
 
-    @property
-    def contracted(self) -> list[PieceRecord]:
-        return [p for p in self.pieces if p.stretch == 0]
-
 
 def frame_pieces(emb: Embedding, frame: str):
     """Walk an edge or ray id, possibly subdivided since, cut at every
@@ -579,10 +575,6 @@ class FaithfulReport:
     violations: tuple[Violation, ...] = ()
     curve: Optional[TropicalCurve] = None
     emap: Optional[EdgeMap] = None
-
-    @property
-    def fully_faithful(self) -> bool:
-        return not self.violations
 
     @property
     def reasons(self) -> tuple[str, ...]:

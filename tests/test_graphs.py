@@ -20,6 +20,7 @@ from tropicurve.errors import (
 )
 from tropicurve.graphs import (
     CycleSpace,
+    ExtendedGraph,
     GraphPoint,
     build_extended,
     build_graph,
@@ -357,6 +358,27 @@ def brute_lattice_points(period, center, lower, upper):
 
 
 class TestCycleSpaceKernel:
+    def test_through_is_the_incidence_of_the_cycles(self):
+        """`_through`, which the lifting corrections read their sites from,
+        maps each edge on some fundamental cycle to the (cycle, coefficient)
+        pairs of the cycles through it, in cycle order, on the breadth-first
+        tree and on a Kruskal tree that takes some edges first; the
+        complement edge of cycle j lies on j alone."""
+        rng = random.Random(30)
+        graphs = [random_graph(rng) for _ in range(30)] + [ladder(rng, n) for n in (4, 5)]
+        assert {g.betti_number() for g in graphs} == {0, 1, 2, 3, 4}
+        for g in graphs:
+            first = rng.sample(sorted(g.edges), rng.randrange(len(g.edges) + 1))
+            for tree in (None, g.canonical_spanning_tree(first=first)):
+                cs = CycleSpace(g, tree)
+                incidence = {}
+                for eid in g.edges:
+                    hits = [(j, cyc[eid]) for j, cyc in enumerate(cs.cycles) if cyc.get(eid, 0)]
+                    if hits:
+                        incidence[eid] = hits
+                assert cs._through == incidence
+                assert [cs._through[eid] for eid in cs.complement] == [[(j, 1)] for j in range(len(cs.cycles))]
+
     def test_lattice_points_match_a_brute_force_enumeration(self):
         rng, graphs = thirds_sevenths_eighths(8, 40)
         sizes = Counter()
@@ -530,6 +552,39 @@ class TestExtended:
             with pytest.raises(DuplicateId):
                 ext.with_new_rays([(used, V("a"))])
         assert [piece[:2] for piece in ext.segments_of("e")] == [("edge", "e.L"), ("edge", "e.R")]
+
+    def test_ray_ids_must_be_fresh_in_the_refined_graph(self):
+        """Every point is cut before any ray is named, so a ray id may
+        repeat neither in the call nor a piece its own cuts make."""
+        ext = build_extended(path_graph(), [("r", V("b"))])
+        for attach in (
+            [("n", V("a")), ("n", P("e", Fraction(1, 2)))],
+            [("e.L", P("e", Fraction(1, 2)))],
+            [("n", P("r", 1)), ("r.stub", V("a"))],
+        ):
+            with pytest.raises(DuplicateId):
+                ext.with_new_rays(attach)
+
+    def test_new_rays_make_one_graph_beyond_the_cuts(self, monkeypatch):
+        """One refinement, then one extended graph for all the new rays;
+        `subdivide_many` still builds one graph per cut."""
+        ext = build_extended(theta_graph(), [("r", V("u"))])
+        init = ExtendedGraph.__init__
+        builds = []
+
+        def counted(self, *args):
+            builds.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ExtendedGraph, "__init__", counted)
+        new = ext.with_new_rays([("n0", V("u")), ("n1", V("v")), ("n2", V("u"))])
+        assert len(builds) == 1 and sorted(new.rays) == ["n0", "n1", "n2", "r"]
+        builds.clear()
+        points = [P("e1", Fraction(1, 2)), P("e2", Fraction(1, 3)), P("r", 2), P("e1", Fraction(1, 4))]
+        new = ext.with_new_rays([(f"n{k}", pt) for k, pt in enumerate(points)])
+        assert len(builds) == len(points) + 1
+        assert [new.canonical_point(pt) for pt in points] == [V(new.ray(f"n{k}").attach) for k in range(4)]
+        assert ext.with_new_rays([]) is ext
 
     def test_finite_splits_avoid_ray_ids(self):
         """A finite split may not name a piece like a current or a retired

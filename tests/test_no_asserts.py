@@ -349,10 +349,12 @@ TEST_ORACLES = {"matrix_rank", "q_reduced", "is_q_reduced"}
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
-def _references(tree) -> tuple[Counter, Counter]:
+def _references(tree, strings: bool = False) -> tuple[Counter, Counter]:
     """How often a tree names each identifier: (as a bare name or a `from`
-    import, as an attribute).  A string that is a dotted name, such as the
-    benchmark's "PLFunction.transport", counts as attributes."""
+    import, as an attribute).  With `strings`, which the benchmark's sources
+    get, a string that is a dotted name, such as its tracer's
+    "PLFunction.transport", counts as attributes; a library string, such as
+    a violation kind or a report key, names nothing."""
     names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -361,7 +363,7 @@ def _references(tree) -> tuple[Counter, Counter]:
             attrs[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
             attrs.update(node.value.split("."))
     return names, attrs
 
@@ -373,8 +375,9 @@ def _unused_public_names(library: dict[str, str], users: dict[str, str]) -> list
     builtin `reversed` does not keep a method `reversed` alive."""
     trees = {key: ast.parse(source) for key, source in library.items()}
     names, attrs = Counter(), Counter()
-    for tree in [*trees.values(), *(ast.parse(source) for source in users.values())]:
-        n, a = _references(tree)
+    read = [(tree, False) for tree in trees.values()] + [(ast.parse(source), True) for source in users.values()]
+    for tree, strings in read:
+        n, a = _references(tree, strings)
         names += n
         attrs += a
     unused = []
@@ -415,6 +418,8 @@ def test_library_public_names_are_used():
         ({"a": "class C:\n    def m(self):\n        return 1\nC().m()"}, {}, False),
         ({"a": "class C:\n    def m(self):\n        return 1\nC"}, {"bench": "T = ('a', 'C.m')"}, False),
         ({"a": "def _f():\n    return 1\nclass C:\n    def __eq__(self, o):\n        return 1\nC"}, {}, False),
+        ({"a": "class C:\n    def m(self):\n        return 1\nKIND = 'm'\nprint(C, KIND)"}, {}, True),
+        ({"a": "class C:\n    def m(self):\n        return 1\nT = ('a', 'C.m')\nprint(T)"}, {}, True),
     ],
 )
 def test_unused_public_names_are_caught(library, users, caught):
