@@ -7,15 +7,15 @@ the finite part; a metric graph is the extended graph with no rays, so both
 offer `finite`, `rays`, `is_infinite_vertex`, `canonical_point` and
 `segments_of`, and code on either needs no branch.
 
-Graphs are immutable: subdivision returns a new graph.  One routine,
-`_split`, cuts every edge and ray, writing the split to one flat lineage
-that the finite part owns and an extended graph shares: each retired id
-maps to its current pieces in its own frame, each id a split made to its
-parent and its offset there.  So points in an ancestor's (edge, offset)
-frame stay meaningful after any number of refinements: `segments_of`,
-`canonical_point` and `parent` each read the lineage once.  Loop edges are
-split at their midpoint on ingestion, which keeps every stored edge
-loop-free and makes (edge, offset) coordinates unambiguous.
+Graphs are immutable: subdivision returns a new graph.  `subdivide_many`
+cuts every edge and ray, all of a call's points on one copy, and writes
+each split to one flat lineage that the finite part owns and an extended
+graph shares: each retired id maps to its current pieces in its own frame,
+each id a split made to its parent and its offset there.  So points in an
+ancestor's (edge, offset) frame stay meaningful after any number of
+refinements: `segments_of`, `canonical_point` and `parent` each read the
+lineage once.  Loop edges are split at their midpoint on ingestion, which
+keeps every stored edge loop-free and makes (edge, offset) unambiguous.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, product
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -102,22 +103,19 @@ class GraphPoint:
         return f"GraphPoint(edge={self.edge!r}, offset={self.offset})"
 
 
-def _fresh(base: str, taken) -> str:
-    """`base`, or `base.2`, `base.3`, ... : the first id not in `taken`."""
-    if base not in taken:
-        return base
+def _fresh(base: str, *taken) -> str:
+    """`base`, or `base.2`, `base.3`, ... : the first id in none of `taken`."""
+    cand = base
     for i in count(2):
-        cand = f"{base}.{i}"
-        if cand not in taken:
+        if not any(cand in ids for ids in taken):
             return cand
+        cand = f"{base}.{i}"
 
 
-def _retire(frames, parents, old: str, pieces: tuple) -> tuple[dict, dict]:
-    """The lineage (frames, parents) after the current id `old` is cut into
-    `pieces`, (kind, id, lo, hi) in its frame.  Every ancestor of `old`,
-    walked up through `parents`, swaps its piece `old` for the new pieces
-    shifted into its own frame; the maps given are not changed."""
-    frames, parents = dict(frames), dict(parents)
+def _retire(frames: dict, parents: dict, old: str, pieces: tuple):
+    """Write the cut of the current id `old` into `pieces`, (kind, id, lo,
+    hi) in its frame, to the lineage (frames, parents) in place: every
+    ancestor of `old` swaps its piece `old` for them, shifted to its frame."""
     frames[old] = pieces
     for _kind, cid, lo, _hi in pieces:
         parents[cid] = (old, lo)
@@ -126,40 +124,21 @@ def _retire(frames, parents, old: str, pieces: tuple) -> tuple[dict, dict]:
         anc, base = up
         pieces = tuple((kind, cid, base + lo, INF if hi is INF else base + hi) for kind, cid, lo, hi in pieces)
         frames[anc] = tuple(new for piece in frames[anc] for new in (pieces if piece[1] == old else (piece,)))
-    return frames, parents
-
-
-def _split(fin: "MetricGraph", rays: Mapping[str, Ray], cid: str, off: Fraction):
-    """Cut the current edge or ray `cid` of a domain with finite part `fin`
-    at the interior offset `off`: an edge into `.L` and `.R`, a ray into a
-    `.stub` edge and a `.tail` ray.  Returns the new finite part, its
-    lineage holding the split, the new rays and the new vertex; new ids
-    avoid every current or retired id, vertex and leaf."""
-    taken = fin._edges.keys() | fin._frames.keys() | rays.keys()
-    mid = _fresh(f"{cid}@{off}", fin._vertex_set | {r.leaf for r in rays.values()})
-    edges, rays = dict(fin._edges), dict(rays)
-    ray = rays.pop(cid, None)
-    if ray is None:
-        e = edges.pop(cid)
-        left = _fresh(f"{cid}.L", taken)
-        right = _fresh(f"{cid}.R", taken | {left})
-        edges[left] = Edge(left, e.a, mid, off)
-        edges[right] = Edge(right, mid, e.b, e.length - off)
-        pieces = (("edge", left, Fraction(0), off), ("edge", right, off, e.length))
-    else:
-        stub = _fresh(f"{cid}.stub", taken)
-        tail = _fresh(f"{cid}.tail", taken | {stub})
-        edges[stub] = Edge(stub, ray.attach, mid, off)
-        rays[tail] = Ray(tail, mid, ray.leaf)
-        pieces = (("edge", stub, Fraction(0), off), ("ray", tail, off, INF))
-    lineage = _retire(fin._frames, fin._parents, cid, pieces)
-    return MetricGraph(fin._vertices + (mid,), edges, lineage, _validated=True), rays, mid
 
 
 class _Domain:
     """Point and frame reading shared by both graph classes: a domain has a
     finite part `finite` and rays `rays` (none on a metric graph), and reads
     every split it has made from the finite part's lineage."""
+
+    _rays = _leaves = MappingProxyType({})  # an extended graph has its own
+
+    @property
+    def rays(self) -> Mapping[str, Ray]:
+        return self._rays
+
+    def is_infinite_vertex(self, v: str) -> bool:
+        return v in self._leaves
 
     def canonical_point(self, pt: GraphPoint) -> GraphPoint:
         fin = self.finite
@@ -211,13 +190,49 @@ class _Domain:
 
     def subdivide_many(self, pts: Iterable[GraphPoint]):
         """The refinement with a vertex at every point of `pts`, each read
-        in the frames of the graph refined so far."""
-        g = self
+        in the frames of the graph refined so far; the receiver itself when
+        every point is already a vertex.  The first cut copies the graph,
+        lineage included, and every cut splits that copy in place at a new
+        vertex `cid@off`: an edge into `.L` and `.R`, a ray into a `.stub`
+        edge and a `.tail` ray, each id fresh against every current or
+        retired id, vertex and leaf."""
+        new = self
         for pt in pts:
-            cpt = g.canonical_point(pt)
-            if not cpt.is_vertex:
-                g, _ = g.subdivide_at(cpt)
-        return g
+            cpt = new.canonical_point(pt)
+            if cpt.is_vertex:
+                continue
+            if new is self:
+                fin = self.finite
+                new = MetricGraph(fin._vertices, fin._edges, (dict(fin._frames), dict(fin._parents)), _validated=True)
+                new._vertex_set = set(fin._vertices)
+                new = new if self is fin else ExtendedGraph(new, self._rays)
+            fin, rays, cid, off = new.finite, new._rays, cpt.edge, cpt.offset
+            taken = (fin._edges, fin._frames, rays)
+            mid = _fresh(f"{cid}@{off}", fin._vertex_set, new._leaves)
+            fin._vertex_set.add(mid)
+            ray = rays.pop(cid) if cid in rays else None
+            if ray is None:
+                e = fin._edges.pop(cid)
+                left = _fresh(f"{cid}.L", *taken)
+                fin._edges[left] = Edge(left, e.a, mid, off)
+                right = _fresh(f"{cid}.R", *taken)
+                fin._edges[right] = Edge(right, mid, e.b, e.length - off)
+                pieces = (("edge", left, Fraction(0), off), ("edge", right, off, e.length))
+            else:
+                stub = _fresh(f"{cid}.stub", *taken)
+                fin._edges[stub] = Edge(stub, ray.attach, mid, off)
+                tail = _fresh(f"{cid}.tail", *taken)
+                rays[tail] = new._leaves[ray.leaf] = Ray(tail, mid, ray.leaf)
+                pieces = (("edge", stub, Fraction(0), off), ("ray", tail, off, INF))
+            _retire(fin._frames, fin._parents, cid, pieces)
+        if new is not self:  # sealed: sorted as the constructors leave a graph
+            fin = new.finite
+            fin._vertices = tuple(sorted(fin._vertex_set))
+            fin._vertex_set = frozenset(fin._vertices)
+            fin._edges = dict(sorted(fin._edges.items()))
+            if new is not fin:
+                new._rays = dict(sorted(new._rays.items()))
+        return new
 
 
 class MetricGraph(_Domain):
@@ -253,13 +268,6 @@ class MetricGraph(_Domain):
     @property
     def finite(self) -> "MetricGraph":
         return self
-
-    @property
-    def rays(self) -> Mapping[str, Ray]:
-        return {}
-
-    def is_infinite_vertex(self, v: str) -> bool:
-        return False
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -322,15 +330,12 @@ class MetricGraph(_Domain):
     # -- subdivision ------------------------------------------------------------
 
     def subdivide_at(self, pt: GraphPoint) -> tuple["MetricGraph", str]:
-        """Insert a vertex at an interior point, cut by `_split`; metrically
-        invisible.  At an existing vertex: a no-op, with a warning, returning
-        that vertex."""
-        cpt = self.canonical_point(pt)
-        if cpt.is_vertex:
+        """`subdivide_many([pt])` and the vertex at `pt`; metrically
+        invisible.  At an existing vertex: a no-op, with a warning."""
+        new = self.subdivide_many([pt])
+        if new is self:
             warnings.warn("subdivide_at called on a vertex; no-op", stacklevel=2)
-            return self, cpt.vertex
-        fin, _rays, mid = _split(self, {}, cpt.edge, cpt.offset)
-        return fin, mid
+        return new, new.canonical_point(pt).vertex
 
     # -- spanning trees ---------------------------------------------------------
 
@@ -686,7 +691,7 @@ def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
     if not vset:
         raise DanglingEndpoint("empty vertex list")
     out: dict[str, Edge] = {}
-    lineage = ({}, {})
+    frames, parents = {}, {}
     taken = set()
     for rec in edges:
         eid, a, b, length = rec
@@ -712,10 +717,10 @@ def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:
                 taken.add(part)
             out[left] = Edge(left, a, mid, half)
             out[right] = Edge(right, mid, b, half)
-            lineage = _retire(*lineage, eid, (("edge", left, Fraction(0), half), ("edge", right, half, length)))
+            _retire(frames, parents, eid, (("edge", left, Fraction(0), half), ("edge", right, half, length)))
         else:
             out[eid] = Edge(eid, a, b, length)
-    return MetricGraph(vset, out, lineage)
+    return MetricGraph(vset, out, (frames, parents))
 
 
 def validate_pillar_points(
@@ -745,28 +750,26 @@ class ExtendedGraph(_Domain):
     """A metric graph together with infinite leaf edges.
 
     The finite part is pre-subdivided so every ray attaches at a vertex.
-    Contracting all rays recovers the finite part.  The finite part's
-    lineage also records the splits of rays, so a ray split makes a new
-    finite part (one more stub edge and one more vertex) and the extended
-    graph keeps no table of its own.
+    Contracting all rays recovers the finite part.  Its lineage records
+    the splits of rays too (a ray split adds a stub edge and a vertex to
+    it), so the extended graph keeps no lineage of its own.
     """
 
-    def __init__(self, finite: MetricGraph, rays: dict[str, Ray]):
+    def __init__(self, finite: MetricGraph, rays: Mapping[str, Ray]):
         self.finite = finite
-        self._rays = dict(sorted(rays.items()))
-        self._leaves: dict[str, Ray] = {}
-        for r in self._rays.values():
-            if r.attach not in finite._vertex_set:
+        self._rays, self._leaves = {}, {}
+        self._attach(rays)
+
+    def _attach(self, rays: Mapping[str, Ray]):
+        """Add `rays`, checked in id order against the vertices and leaves."""
+        for rid, r in sorted(rays.items()):
+            if r.attach not in self.finite._vertex_set:
                 raise DanglingEndpoint(f"ray {r.id!r} attaches at unknown vertex")
-            if r.leaf in self._leaves or r.leaf in finite._vertex_set:
+            if r.leaf in self._leaves or r.leaf in self.finite._vertex_set:
                 raise DuplicateId(f"infinite vertex {r.leaf!r} reused")
-            self._leaves[r.leaf] = r
+            self._rays[rid] = self._leaves[r.leaf] = r
 
     # -- access -----------------------------------------------------------------
-
-    @property
-    def rays(self) -> Mapping[str, Ray]:
-        return self._rays
 
     def ray(self, ray_id: str) -> Ray:
         try:
@@ -780,40 +783,37 @@ class ExtendedGraph(_Domain):
         except KeyError:
             raise UnknownVertex(f"no ray ends at {leaf!r}") from None
 
-    def is_infinite_vertex(self, v: str) -> bool:
-        return v in self._leaves
-
     def attach_vertices(self) -> set[str]:
         return {r.attach for r in self._rays.values()}
 
     # -- refinement ----------------------------------------------------------------
 
     def subdivide_at(self, pt: GraphPoint) -> tuple["ExtendedGraph", str]:
-        """Insert a vertex at an interior point of an edge or a ray, cut by
-        `_split`.  Subdividing at an existing vertex returns that vertex."""
-        cpt = self.canonical_point(pt)
-        if cpt.is_vertex:
-            return self, cpt.vertex
-        finite, rays, mid = _split(self.finite, self._rays, cpt.edge, cpt.offset)
-        return ExtendedGraph(finite, rays), mid
+        """`subdivide_many([pt])` and the vertex at `pt`, a point of an edge
+        or a ray.  At an existing vertex: a no-op, returning that vertex."""
+        new = self.subdivide_many([pt])
+        return new, new.canonical_point(pt).vertex
 
     def with_new_rays(
         self, attach_points: Sequence[tuple[str, GraphPoint]]
     ) -> "ExtendedGraph":
         """Attach new infinite edges at the given points, all read in this
-        graph's frames: one refinement puts a vertex at every point, and one
-        extended graph is built (none for no points).  Ray ids must be
-        distinct and fresh: no edge, ray or retired id of the refined graph
-        may carry them.  Leaves are derived as `<id>.inf`."""
+        graph's frames, to one new graph (none for no points): the copy
+        `subdivide_many` cuts at them, else one on this finite part.  Ray
+        ids must be distinct and fresh: no edge, ray or retired id of the
+        refined graph may carry them.  Leaves are derived as `<id>.inf`."""
         if not attach_points:
             return self
         g = self.subdivide_many(pt for _rid, pt in attach_points)
-        rays = dict(g._rays)
+        g = ExtendedGraph(self.finite, self._rays) if g is self else g
+        new = {}
         for ray_id, pt in attach_points:
-            if ray_id in rays or ray_id in g.finite.edges or ray_id in g.finite._frames:
+            if ray_id in new or ray_id in g._rays or ray_id in g.finite.edges or ray_id in g.finite._frames:
                 raise DuplicateId(f"ray id {ray_id!r} already in use")
-            rays[ray_id] = Ray(ray_id, g.canonical_point(pt).vertex, f"{ray_id}.inf")
-        return ExtendedGraph(g.finite, rays)
+            new[ray_id] = Ray(ray_id, g.canonical_point(pt).vertex, f"{ray_id}.inf")
+        g._attach(new)
+        g._rays = dict(sorted(g._rays.items()))
+        return g
 
 
 def build_extended(

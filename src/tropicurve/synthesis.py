@@ -167,14 +167,6 @@ class Frames:
         edge = skel.finite.edges.get(cid)
         return root, lo, None if edge is None else lo + edge.length
 
-    def fresh_near(self, skel: ExtendedGraph, cid: str, v: str) -> tuple[str, Fraction]:
-        """A fresh root-frame point in the quarter of the current edge cid
-        next to its endpoint v; blocks it."""
-        root, slo, shi = self.root_range(skel, cid)
-        quarter = (shi - slo) / 4
-        lo = slo if skel.finite.edges[cid].a == v else shi - quarter
-        return root, self.claim(root, lo, lo + quarter)
-
     def block_point(self, root: str, off: Fraction):
         self.points.setdefault(root, set()).add(off)
 
@@ -320,10 +312,14 @@ def _current_pieces(skel: ExtendedGraph, frame: str) -> set[str]:
 
 
 def _fresh_vertex_on(skel: ExtendedGraph, frames: Frames, cid: str, near_vertex: str) -> tuple[ExtendedGraph, str]:
-    """Subdivide a fresh interior point close to `near_vertex` on a finite
-    edge and return it as a vertex (safe for ray attachment: subdividing a
+    """Subdivide the current finite edge cid at a fresh root-frame point,
+    claimed and blocked, in its quarter next to its endpoint `near_vertex`,
+    and return it as a vertex (safe for ray attachment: subdividing a
     finite edge does not create a ray endpoint)."""
-    pt = P(*frames.fresh_near(skel, cid, near_vertex))
+    root, slo, shi = frames.root_range(skel, cid)
+    quarter = (shi - slo) / 4
+    lo = slo if skel.finite.edges[cid].a == near_vertex else shi - quarter
+    pt = P(root, frames.claim(root, lo, lo + quarter))
     skel = skel.subdivide_many([pt])
     return skel, skel.canonical_point(pt).vertex
 

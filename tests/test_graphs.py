@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,6 +23,7 @@ from tropicurve.graphs import (
     CycleSpace,
     ExtendedGraph,
     GraphPoint,
+    MetricGraph,
     build_extended,
     build_graph,
     validate_pillar_points,
@@ -129,6 +131,86 @@ class TestSubdivide:
         with pytest.warns(UserWarning):
             g2, vid = g.subdivide_at(P("e", 0))
         assert g2 is g and vid == "a"
+
+    def test_one_refinement_equals_the_chained_cuts(self):
+        """`subdivide_many` over k points gives what k `subdivide_at` calls
+        give, ids and lineage included.  Each point is drawn in the graph
+        the chain has refined so far: a vertex (new ones too), a point of a
+        current or a retired edge frame, ends included, of a current or a
+        retired ray frame, or a repeat."""
+        rng = random.Random(31)
+        for trial in range(30):
+            g = random_graph(rng)
+            if trial % 3:
+                eid = rng.choice(sorted(g.edges))
+                g = build_extended(g, [("r0", V(g.vertices[-1])), ("r1", P(eid, g.edges[eid].length / 3))])
+            frames = set(g.finite.edges) | set(g.rays)
+            for eid in list(frames):  # a loop's halves lead to the id they came from
+                while (up := g.parent(eid)) is not None:
+                    eid = up[0]
+                    frames.add(eid)
+            chained, pts = g, []
+            for _ in range(rng.randrange(1, 9)):
+                current = sorted(set(chained.finite.edges) | set(chained.rays))
+                kind = rng.choice(["vertex", "current", "retired", "ray", "repeat"])
+                if kind == "repeat" and pts:
+                    pt = rng.choice(pts)
+                elif kind == "vertex":
+                    pt = V(rng.choice(chained.finite.vertices))
+                else:
+                    options = {
+                        "retired": sorted(frames - set(current)),
+                        "ray": sorted(f for f in frames if chained.segments_of(f)[-1][3] is None),
+                    }.get(kind, current)
+                    if not options:
+                        continue
+                    frame = rng.choice(options)
+                    length = chained.segments_of(frame)[-1][3]
+                    off = Fraction(rng.randrange(1, 24), 4) if length is None else length * Fraction(rng.randrange(17), 16)
+                    pt = P(frame, off)
+                pts.append(pt)
+                with warnings.catch_warnings():  # a metric graph warns at a vertex
+                    warnings.simplefilter("ignore", UserWarning)
+                    chained, _v = chained.subdivide_at(pt)
+                frames |= set(chained.finite.edges) | set(chained.rays)
+            one = g.subdivide_many(pts)
+            assert one.finite.vertices == chained.finite.vertices
+            assert list(one.finite.edges.items()) == list(chained.finite.edges.items())
+            assert list(one.rays.items()) == list(chained.rays.items())
+            for ray in one.rays.values():
+                assert one.ray_at_leaf(ray.leaf) == ray == chained.ray_at_leaf(ray.leaf)
+            for frame in sorted(frames):
+                pieces = one.segments_of(frame)
+                assert pieces == chained.segments_of(frame) and one.parent(frame) == chained.parent(frame)
+                for _kind, _cid, lo, hi in pieces:
+                    for off in (lo, lo + 1 if hi is None else (lo + hi) / 2, hi if hi is not None else lo + 3):
+                        assert one.canonical_point(P(frame, off)) == chained.canonical_point(P(frame, off))
+            for pt in pts:
+                assert one.canonical_point(pt) == chained.canonical_point(pt)
+
+    def test_a_refinement_copies_and_leaves_its_receiver_alone(self):
+        """Cuts go to a private copy: the receiver's tables read as before
+        the call, and the result shares none of them.  A call that cuts
+        nothing returns its receiver."""
+        ext = build_extended(build_graph(["u", "v"], [("e1", "u", "v", 1), ("c", "v", "v", 2)]), [("r", V("u"))])
+
+        def tables(g):
+            fin = g.finite
+            return [fin._edges, fin._vertex_set, fin._frames, fin._parents] + ([] if g is fin else [g._rays, g._leaves])
+
+        cuts = [P("e1", Fraction(1, 2)), P("r", 2), P("e1", Fraction(1, 4)), P("c", Fraction(1, 2)), P("e1.L", Fraction(1, 8))]
+        fin = ext.finite
+        for g, call in (
+            (ext, lambda: ext.subdivide_many(cuts)),
+            (ext, lambda: ext.with_new_rays([(f"n{k}", pt) for k, pt in enumerate(cuts)])),
+            (fin, lambda: fin.subdivide_many(pt for pt in cuts if pt.edge != "r")),
+        ):
+            before = [type(t)(t) for t in tables(g)]
+            new = call()
+            assert tables(g) == before
+            assert not any(a is b for a, b in zip(tables(new), tables(g)))
+        assert ext.subdivide_many([V("u"), P("e1", 0), P("r", 0), P("c", 2)]) is ext
+        assert fin.subdivide_many([V("v"), P("e1", 1), P("c.0", 1)]) is fin
 
 
 def boundary(g, chain):
@@ -566,23 +648,24 @@ class TestExtended:
                 ext.with_new_rays(attach)
 
     def test_new_rays_make_one_graph_beyond_the_cuts(self, monkeypatch):
-        """One refinement, then one extended graph for all the new rays;
-        `subdivide_many` still builds one graph per cut."""
+        """One extended graph for all the new rays, and it is the one copy
+        that `subdivide_many` cuts at every point: one finite part, however
+        many cuts, and none when every point is a vertex."""
         ext = build_extended(theta_graph(), [("r", V("u"))])
-        init = ExtendedGraph.__init__
         builds = []
+        for cls in (MetricGraph, ExtendedGraph):
 
-        def counted(self, *args):
-            builds.append(self)
-            init(self, *args)
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                builds.append(type(self).__name__)
+                _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ExtendedGraph, "__init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         new = ext.with_new_rays([("n0", V("u")), ("n1", V("v")), ("n2", V("u"))])
-        assert len(builds) == 1 and sorted(new.rays) == ["n0", "n1", "n2", "r"]
+        assert builds == ["ExtendedGraph"] and sorted(new.rays) == ["n0", "n1", "n2", "r"]
         builds.clear()
         points = [P("e1", Fraction(1, 2)), P("e2", Fraction(1, 3)), P("r", 2), P("e1", Fraction(1, 4))]
         new = ext.with_new_rays([(f"n{k}", pt) for k, pt in enumerate(points)])
-        assert len(builds) == len(points) + 1
+        assert Counter(builds) == {"MetricGraph": 1, "ExtendedGraph": 1}
         assert [new.canonical_point(pt) for pt in points] == [V(new.ray(f"n{k}").attach) for k in range(4)]
         assert ext.with_new_rays([]) is ext
 

@@ -15,7 +15,9 @@ level, so a module's dependencies all show at its top; every name the
 benchmark's tracer binds is defined where the tracer looks for it; and
 only `divisors` builds a `RayProfile`, so a function gains its rays
 through `PLFunction.transport`, which only `tropicalize.assemble` and the
-input builder `synthesis.tate_demo` call."""
+input builder `synthesis.tate_demo` call; and only `graphs` builds a graph
+or calls a one-point `subdivide_at`, so every cut goes through
+`subdivide_many`."""
 
 import ast
 import importlib
@@ -310,6 +312,40 @@ def test_only_divisors_builds_ray_profiles():
 )
 def test_ray_profile_calls_are_caught(source, caught):
     assert bool(_calls(source, "RayProfile")) == caught
+
+
+GRAPH_BUILDS = ("subdivide_at", "MetricGraph", "ExtendedGraph")
+
+
+def test_only_graphs_builds_and_cuts_graphs():
+    """`subdivide_many` is the one place a graph is cut, one copy per call,
+    so no other library module calls the one-point `subdivide_at` forms,
+    kept for callers outside the library (the benchmark's tracer binds
+    them), or builds a graph but through `build_graph` and the cuts."""
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        if path.name != "graphs.py"
+        for name in GRAPH_BUILDS
+        for line in _calls(path.read_text(), name)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    ("source", "caught"),
+    [
+        ("skel, v = skel.subdivide_at(pt)", True),
+        ("g = MetricGraph(vertices, edges, _validated=True)", True),
+        ("from . import graphs\nskel = graphs.ExtendedGraph(skel.finite, {})", True),
+        ("return ExtendedGraph(fin, rays).subdivide_many(pts)", True),
+        ("skel = skel.subdivide_many([pt])", False),
+        ("ok = isinstance(g, MetricGraph)", False),
+        ("def f(g: ExtendedGraph) -> MetricGraph:\n    return g.finite", False),
+    ],
+)
+def test_graph_builds_and_one_point_cuts_are_caught(source, caught):
+    assert any(_calls(source, name) for name in GRAPH_BUILDS) == caught
 
 
 def test_the_library_adds_coordinates_only_by_adjoin_and_assemble():
