@@ -10,20 +10,22 @@ t = w - period * k for an integer vector k, where period and w are the
 period matrix and the cycle integrals of d minus the a ends in the basis of
 the cycles the complement closes.  The points lie on their closed edges for
 the k with w - length <= period * k <= w, which `CycleSpace.box_points`
-finds.  One reference cycle space serves every complement.  Each complement
-is first bounded in the reference frame (`CycleSpace.may_hold`), which
-turns most complements away before they are rebased; for the rest,
-`rebase` reads period and w from the reference through a unimodular
-minor, in integers, and the box search decides every point, so a
-complement without a point builds no `Fraction`.  A break divisor does
-not depend on the model of the graph, so no edge is subdivided.  The
-chip-firing layer independently verifies the result on the discretization
-lattice.
+finds.  One reference cycle space serves every complement.  Its integrals
+of d and of each a end come as ints over common denominators, which sum
+to the w of a complement over one denominator.  Each complement is first
+bounded in the reference frame (`CycleSpace.may_hold`), which turns most
+complements away before they are rebased; for the rest, `rebase` reads
+period and w from the reference through a unimodular minor, in integers,
+and the box search decides every point, so a complement without a point
+builds no `Fraction`.  A break divisor does not depend on the model of the
+graph, so no edge is subdivided.  The chip-firing layer independently
+verifies the result on the discretization lattice, where the sparse
+elimination of `linalg` keeps the reduced Laplacian's rows a few entries
+wide.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -100,20 +102,20 @@ def break_divisor_decompose(
         return Divisor.zero(), construct_pl_with_divisor(graph, d)
     cs = CycleSpace(graph, graph.canonical_spanning_tree())
     root = GraphPoint.at_vertex(cs.order[0])
-    # tree chains and integrals of root - v per a end v and of d - g root;
-    # d minus the a ends of a complement is their sum
-    a_ends = {e.a for e in graph.edges.values()}
-    refs = {v: cs.integrals([(root, 1), (GraphPoint.at_vertex(v), -1)]) for v in a_ends}
-    refs[None] = cs.integrals([*d.terms, (root, -g)])
-    # every integral as an int over den = scale * D
-    den = math.lcm(cs.denominator, *(x.denominator for x in refs[None][1]))
+    # tree chains and integrals of d - g root, over den = scale * D, and of
+    # root - v per a end v, which are over D and taken times scale; d minus
+    # the a ends of a complement is their sum
+    chain, w, den = cs.integrals([*d.terms, (root, -g)])
     scale = den // cs.denominator
-    over = {key: [x.numerator * (den // x.denominator) for x in w] for key, (_chain, w) in refs.items()}
+    refs = {None: (chain, w)}
+    for v in {e.a for e in graph.edges.values()}:
+        chain, w, _den = cs.integrals([(root, 1), (GraphPoint.at_vertex(v), -1)])
+        refs[v] = chain, [scale * x for x in w]
     found: set[Divisor] = set()
     for comp in graph.all_complements():
         edges = [graph.edges[eid] for eid in comp]
         keys = [None, *(e.a for e in edges)]
-        w = [sum(col) for col in zip(*(over[key] for key in keys))]
+        w = [sum(col) for col in zip(*(refs[key][1] for key in keys))]
         if not cs.may_hold(comp, w, scale):
             continue
         chain = [sum(refs[key][0].get(eid, 0) for key in keys) for eid in comp]

@@ -95,8 +95,10 @@ def laplacian_equivalent(dg: DiscreteGraph, chips1: Sequence[int], chips2: Seque
     solution is integral, in any order of rows and unknowns.  Its rows are
     ints, taken by increasing degree: on a lattice model the points inside
     edges come first, path by path, so a step of the forward elimination
-    in `solve_linear` rewrites only the next point of its path and the
-    vertex where the path starts, and the rows stay a few entries wide."""
+    in `solve_linear`, which keeps each row's nonzero entries only, reads
+    and rewrites just the next point of its path and the vertex where the
+    path starts.  The rows stay about 2 entries wide, where a dense row
+    holds one per lattice point."""
     if sum(chips1) != sum(chips2):
         return False
     order = sorted(range(1, dg.n), key=dg.deg.__getitem__)

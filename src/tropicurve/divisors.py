@@ -13,11 +13,20 @@ integrals of the peeled slopes.  Adding sum_j k_j z_j over the fundamental
 cycles z_j, with k solving the g x g period system period * k = -w, gives
 the unique rational solution, and the divisor is principal exactly when it
 is integral; the witness's vertex values are then read down the same
-spanning tree.  The system is solved as `CycleSpace._gram` * k = -D * w,
-the period matrix summed in integers over the common denominator D of the
-lengths, and `linalg.solve_linear` solves it by fraction-free forward
-elimination and integer back substitution, so no step normalises a
-`Fraction` until the g unknowns are built.
+spanning tree.
+
+All of it runs in integers over common denominators.  A divisor whose
+points are already canonical on the graph is read as it is; any other is
+re-anchored first.  `CycleSpace.integrals` gives w as numerators over den,
+the lcm of the common denominator D of the lengths and of the chips'
+offsets.  The period system times den is then `CycleSpace._gram` * y =
+-w for y = k * den / D, as `_gram` is D * period: ints on both sides,
+which `linalg.solve_linear` solves by fraction-free forward elimination
+and integer back substitution.  The slopes are summed as numerators over
+one common denominator q of the k_j, and the divisor is principal exactly
+when q divides every one.  The vertex values are summed over the lcm of
+den and the denominator of the basepoint's offset.  A `Fraction` is built
+only for a reported obstruction and for each vertex value of the witness.
 
 The slopes, the obstruction and the witness are unique, so they do not
 depend on the tree, and principality reads a breadth-first tree's short
@@ -30,6 +39,7 @@ and `breakdiv`'s reference cycle space depend on their tree, so they keep
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -468,38 +478,53 @@ class PrincipalityResult:
         return self.principal
 
 
+def _is_canonical(graph: MetricGraph, d: Divisor) -> bool:
+    """Whether every point of d is as `make_divisor` leaves it on graph: a
+    vertex of graph, or a point strictly inside one of its current edges."""
+    edges, adjacency = graph.edges, graph.adjacency
+    return all(
+        pt.vertex in adjacency if pt.is_vertex else pt.edge in edges and 0 < pt.offset < edges[pt.edge].length
+        for pt, _c in d.terms
+    )
+
+
 def _interior_chips(d: Divisor) -> dict[str, list[tuple[Fraction, int]]]:
-    """The chips of a canonical divisor inside each edge, by offset."""
+    """The chips of a canonical divisor inside each edge, by offset: the
+    terms of a divisor are sorted, so one edge's chips come by offset."""
     interior: dict[str, list[tuple[Fraction, int]]] = {}
     for pt, c in d.terms:
         if not pt.is_vertex:
             interior.setdefault(pt.edge, []).append((pt.offset, c))
-    for lst in interior.values():
-        lst.sort()
     return interior
 
 
 def _solve_slopes(graph: MetricGraph, d: Divisor):
-    """First-piece slope of every edge: the unique solution of the divisor
-    equations at the vertices with zero integral around every cycle, solved
-    on the breadth-first tree's short cycles.  Also returns the interior
-    chips and the cycle space, whose tree the witness is integrated down."""
-    interior = _interior_chips(d)
+    """First-piece slope of every edge, as numerators over one common
+    denominator q: the unique solution of the divisor equations at the
+    vertices with zero integral around every cycle, solved on the
+    breadth-first tree's short cycles.  Returns the slopes, q, the common
+    denominator `den` of the cycle integrals and the cycle space, whose tree
+    the witness is integrated down."""
+    cs = CycleSpace(graph)
     # minus the boundary of the slopes is d, so the peeled slopes are the
     # tree chain of -d, with each edge's interior chips counted at its b end
-    cs = CycleSpace(graph)
-    tree_chain, w = cs.integrals((pt, -c) for pt, c in d.terms)
+    tree_chain, w, den = cs.integrals((pt, -c) for pt, c in d.terms)
     slopes = dict.fromkeys(graph.edges, 0) | tree_chain
     if not cs.cycles:
-        return slopes, interior, cs
-    # period * k = -w, in integers: period = _gram / D
-    k = solve_linear(cs._gram, [-cs.denominator * x for x in w])
-    if k is None:
+        return slopes, 1, den, cs
+    # period * k = -w / den with period = _gram / D, so _gram * y = -w for
+    # y = k * den / D: k_j is y_j over den / D
+    y = solve_linear(cs._gram, [-x for x in w])
+    if y is None:
         raise CertificateFailure("period matrix of the cycle space is singular")
-    for kj, cyc in zip(k, cs.cycles):
+    common = math.lcm(*(yj.denominator for yj in y))
+    q = common * (den // cs.denominator)
+    slopes = {eid: q * s for eid, s in slopes.items()}
+    for yj, cyc in zip(y, cs.cycles):
+        kj = yj.numerator * (common // yj.denominator)
         for eid, c in cyc.items():
             slopes[eid] += kj * c
-    return slopes, interior, cs
+    return slopes, q, den, cs
 
 
 def is_principal(
@@ -509,48 +534,68 @@ def is_principal(
     value 0 at the basepoint (default: the lexicographically least vertex)."""
     if d.degree() != 0:
         raise NonzeroDegree(f"divisor has degree {d.degree()}")
-    d = make_divisor(graph, d.terms)  # re-anchor points after any refinement
-    slopes, interior, cs = _solve_slopes(graph, d)
+    if not _is_canonical(graph, d):
+        d = make_divisor(graph, d.terms)  # re-anchor points after any refinement
+    slopes, q, den, cs = _solve_slopes(graph, d)
     for eid, s in slopes.items():
-        if s.denominator != 1:
-            return PrincipalityResult(False, obstruction=(eid, s))
-    return PrincipalityResult(True, witness=_integrate(cs, slopes, interior, basepoint))
+        if s % q:
+            return PrincipalityResult(False, obstruction=(eid, Fraction(s, q)))
+    slopes = {eid: s // q for eid, s in slopes.items()}
+    return PrincipalityResult(True, witness=_integrate(cs, slopes, d, den, basepoint))
 
 
 def _integrate(
     cs: CycleSpace,
-    slopes: Mapping[str, Fraction],
-    interior: Mapping[str, list[tuple[Fraction, int]]],
+    slopes: Mapping[str, int],
+    d: Divisor,
+    den: int,
     basepoint: GraphPoint | None,
 ) -> PLFunction:
-    """The function with the given first-piece slopes and interior chips,
-    0 at the basepoint (default: the tree's root, the least vertex).  Vertex
-    values are read down the cycle space's tree, each from its parent's,
-    shifted to the basepoint, and handed to the function as they are."""
+    """The function with the given first-piece slopes and the chips of the
+    canonical divisor d inside edges, 0 at the basepoint (default: the
+    tree's root, the least vertex).  Vertex values are read down the cycle
+    space's tree, each from its parent's, as numerators over den, the
+    common denominator of the lengths and the chips' offsets, first taken
+    to its lcm with the denominator of the basepoint's offset; they are
+    shifted to the basepoint, and each is built as a `Fraction` once and
+    handed to the function as it is."""
     graph = cs.graph
+    interior = _interior_chips(d)
+    at = None if basepoint is None else graph.canonical_point(basepoint)
+    if at is not None and not at.is_vertex:
+        den = math.lcm(den, at.offset.denominator)
+    unit = den // cs.denominator  # a scaled length times unit is over den
 
-    def rise(eid: str, off: Fraction) -> Fraction:
-        # the gain from the a end of edge eid to offset off along it
-        return sum((c * (off - x) for x, c in interior.get(eid, ()) if x < off), slopes[eid] * off)
+    def rise(eid: str, off: int) -> int:
+        # the gain from the a end of edge eid to offset off / den along it, over den
+        gain = slopes[eid] * off
+        for x, c in interior.get(eid, ()):
+            x = x.numerator * (den // x.denominator)
+            if x < off:
+                gain += c * (off - x)
+        return gain
 
-    vals: dict[str, Fraction] = {cs.order[0]: Fraction(0)}
+    vals: dict[str, int] = {cs.order[0]: 0}
     for v in cs.order[1:]:
         e = graph.edges[cs.up[v]]
-        delta = rise(e.id, e.length)
+        delta = rise(e.id, cs.scaled[e.id] * unit)
         vals[v] = vals[e.a] + delta if e.b == v else vals[e.b] - delta
-    if basepoint is not None:
-        at = graph.canonical_point(basepoint)
-        zero = vals[at.vertex] if at.is_vertex else vals[graph.edges[at.edge].a] + rise(at.edge, at.offset)
-        vals = {v: x - zero for v, x in vals.items()}
+    zero = 0
+    if at is not None and at.is_vertex:
+        zero = vals[at.vertex]
+    elif at is not None:
+        off = at.offset
+        zero = vals[graph.edges[at.edge].a] + rise(at.edge, off.numerator * (den // off.denominator))
+    values = {v: Fraction(x - zero, den) for v, x in vals.items()}
     profiles: dict[str, EdgeProfile] = {}
     for eid, e in graph.edges.items():
         pts = interior.get(eid, ())
         breaks = tuple(x for x, _c in pts)
-        slope_list = [int(slopes[eid])]
+        slope_list = [slopes[eid]]
         for _x, c in pts:
             slope_list.append(slope_list[-1] + c)
-        profiles[eid] = EdgeProfile(vals[e.a], breaks, tuple(slope_list))
-    return PLFunction(graph, profiles, {}, _vertex_values=vals)
+        profiles[eid] = EdgeProfile(values[e.a], breaks, tuple(slope_list))
+    return PLFunction(graph, profiles, {}, _vertex_values=values)
 
 
 def construct_pl_with_divisor(

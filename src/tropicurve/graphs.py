@@ -445,15 +445,15 @@ class CycleSpace:
     lowest common ancestor of its ends; these cycles are a basis of the
     integer cycles.  The period matrix is their Gram matrix under the
     length pairing, sum_e L_e z_i(e) z_j(e): symmetric and positive
-    definite.  It and `pairing` are summed in integers, as numerators over
-    the common denominator D of the edge lengths (each length is
-    `scaled[e]` / D); `_gram` keeps D * period as ints, which the period
-    solve of `divisors` and every box search read, so no period entry is
-    ever a `Fraction`.  `pairing` builds one `Fraction` per cycle.
+    definite.  It is summed in integers, as numerators over the common
+    denominator D of the edge lengths (each length is `scaled[e]` / D);
+    `_gram` keeps D * period as ints, which the period solve of `divisors`
+    and every box search read, so no period entry is ever a `Fraction`.
 
     Principality, the lifting corrections and break divisors all read the
     period lattice here: `integrals` gives the cycle integrals of a
-    degree-zero divisor, and `lattice_points` finds the lattice vectors
+    degree-zero divisor, as ints over a common denominator of the lengths
+    and the chips' offsets, and `lattice_points` finds the lattice vectors
     period * k in a box.  `_through` maps each edge on a cycle to the
     (cycle, coefficient) pairs there, in cycle order; the lifting
     corrections take their sites from it.  `rebase` reads the lattice and
@@ -538,40 +538,38 @@ class CycleSpace:
             raise NonzeroDegree(f"charges have degree {rest[self.order[0]]}")
         return out
 
-    def pairing(self, chain: Mapping[str, int]) -> list[Fraction]:
-        """Length pairing sum_e L_e chain(e) z_i(e) with each cycle."""
-        scaled = self.scaled
-        return [
-            Fraction(sum(scaled[eid] * c * chain.get(eid, 0) for eid, c in cyc.items()), self.denominator)
-            for cyc in self.cycles
-        ]
-
-    def integrals(self, terms: Iterable[tuple[GraphPoint, int]]) -> tuple[dict[str, int], list[Fraction]]:
+    def integrals(self, terms: Iterable[tuple[GraphPoint, int]]) -> tuple[dict[str, int], list[int], int]:
         """The peeled tree chain of a degree-zero divisor, given by its
         terms on this graph, and the integrals of that divisor's chain
-        along the fundamental cycles.
+        along the fundamental cycles, as (chain, w, den): w holds the
+        integrals as numerators over den, the lcm of D and the
+        denominators of the chips' offsets (D itself when every chip is at
+        a vertex).
 
         A chip c inside an edge counts at the edge's b end, which keeps the
         chain integral; the segment from the chip to b then carries c too
         much, so every cycle through the edge loses c times the chip's
-        distance to b.  These tails are summed per edge and paired only with
-        the cycles through that edge."""
+        distance to b, which is paired only with the cycles through that
+        edge."""
         edges = self.graph.edges
         charges: dict[str, int] = {}
-        tails: dict[str, Fraction] = {}
+        inner = []
         for pt, c in terms:
-            if pt.is_vertex:
-                charges[pt.vertex] = charges.get(pt.vertex, 0) + c
-            else:
-                e = edges[pt.edge]
-                charges[e.b] = charges.get(e.b, 0) + c
-                tails[e.id] = tails.get(e.id, 0) + c * (e.length - pt.offset)
+            v = pt.vertex if pt.is_vertex else edges[pt.edge].b
+            charges[v] = charges.get(v, 0) + c
+            if not pt.is_vertex:
+                inner.append((pt, c))
         chain = self.chain(charges)
-        w = self.pairing(chain)
-        for eid, tail in tails.items():
-            for i, z in self._through.get(eid, ()):
+        den = math.lcm(self.denominator, *(pt.offset.denominator for pt, _c in inner))
+        unit = den // self.denominator
+        scaled = self.scaled
+        w = [unit * sum(scaled[eid] * c * chain.get(eid, 0) for eid, c in cyc.items()) for cyc in self.cycles]
+        for pt, c in inner:
+            off = pt.offset
+            tail = c * (scaled[pt.edge] * unit - off.numerator * (den // off.denominator))
+            for i, z in self._through.get(pt.edge, ()):
                 w[i] -= z * tail
-        return chain, w
+        return chain, w, den
 
     @cached_property
     def _inverse(self) -> tuple[list[list[int]], int]:

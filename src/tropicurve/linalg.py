@@ -2,93 +2,112 @@
 
 Linear systems over the rationals and the Smith normal form of integer
 matrices, both with arbitrary precision.  Every solve, inverse and rank
-goes through one fraction-free forward elimination (`_eliminate`) on rows
-scaled to Python ints, which keeps a band a band; `_back_substitute`
-solves the echelon rows in ints, and a `Fraction` is built once per
-returned entry.  Matrices are dense lists of lists.  A banded system,
-such as the period matrix of a ladder on its short cycles or the reduced
-Laplacian of a subdivided graph with its path points first, costs about
-n^2 products times the band width; a dense one about n^3.
+goes through one fraction-free forward elimination (`_eliminate`) on
+sparse rows {column: int}, and `_back_substitute` solves the echelon rows
+in ints, so a `Fraction` is built once per returned entry.  Callers pass
+dense lists of lists; `_sparse` keeps the nonzero entries of each row,
+scaled to Python ints.  A step reads only the rows with an entry in its
+pivot column and writes each on the union of its columns and the pivot
+row's, so a banded system, such as the period matrix of a ladder on its
+short cycles or the reduced Laplacian of a subdivided graph with its path
+points first, is eliminated in about n times the band width squared
+products, and a dense one in about n^3.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix, ZeroVector
 
 
-def _integer_rows(rows: Iterable[Sequence[Rational]]) -> list[list[int]]:
-    """Each row times the lcm of its entries' denominators, as ints; a
-    system keeps its solutions.  The lcm is folded over the entries that
-    are not ints, one at a time: a `math.lcm(*row)` per row made a
-    ladder-kernels run's resident memory grow by about 1 MB over a few
-    hundred operations."""
-    out = []
-    for row in rows:
-        den = 1
-        for v in row:
-            if type(v) is not int:
-                den = math.lcm(den, v.denominator)
-        out.append(list(map(int, row)) if den == 1 else [v.numerator * (den // v.denominator) for v in row])
-    return out
+def _sparse(row: Sequence[Rational]) -> dict[int, int]:
+    """The nonzero entries of a row as {column: int}, all times the lcm of
+    their denominators; a system keeps its solutions.  The lcm is folded
+    over the entries that are not ints, one at a time: a `math.lcm(*row)`
+    per row made a ladder-kernels run's resident memory grow by about 1 MB
+    over a few hundred operations."""
+    out = {j: row[j] for j in compress(range(len(row)), row)}
+    fractional = [v for v in out.values() if type(v) is not int]
+    if not fractional:
+        return out
+    den = 1
+    for v in fractional:
+        den = math.lcm(den, v.denominator)
+    return {j: v.numerator * (den // v.denominator) for j, v in out.items()}
 
 
-def _eliminate(a: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free forward elimination of the integer matrix `a`, in
-    place, pivoting on its first `ncols` columns (Bareiss 1968).
+def _eliminate(a: list[dict[int, int]], ncols: int) -> list[int]:
+    """Fraction-free forward elimination of the integer matrix `a`, given
+    by sparse rows {column: nonzero entry}, in place, pivoting on its first
+    `ncols` columns (Bareiss 1968).
 
-    A step on pivot pv rewrites each row below the pivot row that has a
-    nonzero entry f in the pivot column as (pv * row - f * pivot row) //
-    last[i], where last[i] is the pivot of the step that last rewrote row
-    i (1 if none did); the rows above, and the rows below with a zero
-    there, are left as they are, so a band stays a band.  By Sylvester's
-    identity the rows of Bareiss's method, which rewrites every row below
-    the pivot at every step, are minors of `a`; row i stands for its
-    Bareiss row times last[i] / prev, prev the latest pivot, so each
-    division is exact.  The pivot row is brought up to date before a step
-    uses it.  Returns the pivot columns: row r of the result, for r <
-    len(cols), is zero left of its pivot a[r][cols[r]], a minor of `a` on
-    r + 1 rows and the first r + 1 pivot columns, and the rows past the
-    pivots are zero in the first `ncols` columns and, in the others, a
-    nonzero multiple of the same rows of the reduced row echelon form.
+    The rows are kept by their first column, so a step on column c reads
+    just the rows with an entry there, and takes the first of them, in
+    the order of `a`, as its pivot row.  A step on pivot pv rewrites each
+    of the others as (pv * row - f * pivot row) // last[i], f its entry in
+    column c and last[i] the pivot of the step that last rewrote row i (1
+    if none did); the other rows are left as they are, so a band stays a
+    band, and a rewritten row holds only the columns of the two rows it
+    combines, less those that cancel.  By Sylvester's identity the rows of
+    Bareiss's method, which rewrites every row below the pivot at every
+    step, are minors of `a`; row i stands for its Bareiss row times
+    last[i] / prev, prev the latest pivot, so each division is exact.  The
+    pivot row is brought up to date before a step uses it.  The pivot rows
+    are then moved to the top, in step order, and the pivot columns
+    returned: row r of the result, for r < len(cols), has no entry left of
+    its pivot a[r][cols[r]], a minor of `a` on r + 1 rows and the first r +
+    1 pivot columns, and the rows past the pivots have no entry in the
+    first `ncols` columns and, in the others, are a nonzero multiple of the
+    same rows of the reduced row echelon form.
     """
-    m = len(a)
-    cols: list[int] = []
-    last = [1] * m  # per row: the pivot of the step that last rewrote it
+    lead: dict[int, list[int]] = {}  # per column: the rows, not pivot rows, that start there
+    for i, row in enumerate(a):
+        if row:
+            lead.setdefault(min(row), []).append(i)
+    last = [1] * len(a)  # per row: the pivot of the step that last rewrote it
     prev = 1
+    cols: list[int] = []
+    pivots: list[int] = []
     for c in range(ncols):
-        r = len(cols)
-        if r == m:
-            break
-        for p in range(r, m):
-            if a[p][c]:
-                break
-        else:
+        rows = lead.pop(c, None)
+        if rows is None:
             continue
-        a[r], a[p] = a[p], a[r]
-        last[r], last[p] = last[p], last[r]
-        if last[r] != prev:
-            a[r] = [x * prev // last[r] for x in a[r]]
-        top = a[r]
+        p = min(rows)
+        if last[p] != prev:
+            a[p] = {j: x * prev // last[p] for j, x in a[p].items()}
+        top = a[p]
         pv = top[c]
-        for i in range(r + 1, m):
+        for i in rows:
+            if i == p:
+                continue
             row = a[i]
             f = row[c]
-            if f:
-                a[i] = [(pv * x - f * y) // last[i] for x, y in zip(row, top)]
-                last[i] = pv
+            new = {j: pv * x for j, x in row.items()}
+            for j, y in top.items():
+                new[j] = new.get(j, 0) - f * y
+            li = last[i]
+            a[i] = row = {j: v // li for j, v in new.items() if v}
+            last[i] = pv
+            if row:
+                lead.setdefault(min(row), []).append(i)
         cols.append(c)
+        pivots.append(p)
         prev = pv
+    taken = set(pivots)
+    a[:] = [a[i] for i in pivots] + [row for i, row in enumerate(a) if i not in taken]
     return cols
 
 
-def _back_substitute(a: list[list[int]], cols: list[int], n: int) -> tuple[int, list[list[int] | None]]:
+def _back_substitute(
+    a: list[dict[int, int]], cols: list[int], n: int, width: int
+) -> tuple[int, list[list[int] | None]]:
     """Integer back substitution over the echelon rows that `_eliminate`
-    left in `a`, with the columns from `n` on as right-hand sides.
+    left in `a`, with the `width` columns from `n` on as right-hand sides.
 
     Returns (q, x): q is |det| of the square system of the pivot rows on
     the pivot columns, the absolute value of its last pivot, and x[c] is q
@@ -100,10 +119,9 @@ def _back_substitute(a: list[list[int]], cols: list[int], n: int) -> tuple[int, 
     x: list[list[int] | None] = [None] * n
     for r in reversed(range(len(cols))):
         row, c = a[r], cols[r]
-        acc = [q * v for v in row[n:]]
-        for j in range(c + 1, n):
-            u = row[j]
-            if u and x[j] is not None:
+        acc = [q * row.get(j, 0) for j in range(n, n + width)]
+        for j, u in row.items():
+            if j < n and x[j] is not None:
                 acc = [s - u * v for s, v in zip(acc, x[j])]
         p = row[c]
         x[c] = [s // p for s in acc]
@@ -113,18 +131,19 @@ def _back_substitute(a: list[list[int]], cols: list[int], n: int) -> tuple[int, 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve rows * x = rhs exactly.
 
-    Each augmented row [row | rhs] is scaled to integers by its common
-    denominator (int entries are taken as they are), the system is reduced
-    by `_eliminate` and solved by `_back_substitute`, and each unknown is
-    built once as `Fraction(q * x, q)`.  Returns one solution (free
-    variables pinned to 0) or None when the system is inconsistent.
+    Each augmented row [row | rhs] is taken as a sparse row scaled to
+    integers by its common denominator (int entries are taken as they
+    are), the system is reduced by `_eliminate` and solved by
+    `_back_substitute`, and each unknown is built once as `Fraction(q * x,
+    q)`.  Returns one solution (free variables pinned to 0) or None when
+    the system is inconsistent.
     """
     n = len(rows[0]) if rows else 0
-    a = _integer_rows([*row, b] for row, b in zip(rows, rhs))
+    a = [_sparse([*row, b]) for row, b in zip(rows, rhs)]
     cols = _eliminate(a, n)
-    if any(row[n] for row in a[len(cols):]):
+    if any(n in row for row in a[len(cols):]):
         return None
-    q, scaled = _back_substitute(a, cols, n)
+    q, scaled = _back_substitute(a, cols, n, 1)
     x = [Fraction(0)] * n
     for c in cols:
         x[c] = Fraction(scaled[c][0], q)
@@ -133,8 +152,7 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 def matrix_rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Rank over the rationals: the number of pivots of `_eliminate`."""
-    a = _integer_rows(rows)
-    return len(_eliminate(a, len(a[0]) if a else 0))
+    return len(_eliminate(list(map(_sparse, rows)), len(rows[0]) if rows else 0))
 
 
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -145,11 +163,11 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int
     whose last pivot is +-det A, and `_back_substitute` solves it for
     every column of I at once, in ints."""
     n = len(rows)
-    a = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
+    a = [_sparse(row) | {n + i: 1} for i, row in enumerate(rows)]
     cols = _eliminate(a, n)
     if len(cols) < n:
         raise SingularMatrix(f"singular {n}x{n} matrix (rank {len(cols)})")
-    q, m = _back_substitute(a, cols, n)
+    q, m = _back_substitute(a, cols, n, n)
     return m, q
 
 

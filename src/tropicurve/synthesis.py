@@ -572,7 +572,8 @@ def _corrected_witness(
         priority = sorted(cid for _kind, cid, _lo, _hi in model.segments_of(keep_in_tree))
     cs = CycleSpace(model, model.canonical_spanning_tree(first=priority))
     g = len(cs.cycles)
-    _chain, w = cs.integrals(dm.terms)
+    _chain, w, den = cs.integrals(dm.terms)
+    w = [Fraction(x, den) for x in w]
     # A pair on a site moves its cycle's coordinate only, keeping the solve
     # decoupled.  A pair needs only its two endpoints fresh (its span may
     # straddle other charges), so a site of span S absorbs nearly S per

@@ -177,7 +177,7 @@ def frame_pieces(emb: Embedding, frame: str):
 
 def _denominator(pieces) -> int:
     """D: the lcm of the denominators of the pieces' offsets and start
-    values, folded one entry at a time (see `linalg._integer_rows`)."""
+    values, folded one entry at a time (see `linalg._sparse`)."""
     den = 1
     for _source, lo, hi, vals, _slopes in pieces:
         den = math.lcm(den, lo.denominator)

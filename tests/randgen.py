@@ -1,5 +1,6 @@
-"""Seeded random generators shared by the test suite, and the rational
-inverse of a period matrix that the lattice-search references bound by.
+"""Seeded random generators shared by the test suite, the rational inverse
+of a period matrix that the lattice-search references bound by, and the
+length pairing in `Fraction`s that the cycle-integral references use.
 
 Random PL functions are built to be valid by construction: profiles on a
 spanning tree are free, and each complement edge gets a two-slope profile
@@ -136,3 +137,10 @@ def period_inverse(period: list[list[Fraction]]) -> list[list[Fraction]]:
     den = math.lcm(*(p.denominator for row in period for p in row))
     m, q = integer_inverse([[int(p * den) for p in row] for row in period])
     return [[Fraction(v * den, q) for v in row] for row in m]
+
+
+def length_pairing(cs, chain) -> list[Fraction]:
+    """sum_e L_e chain(e) z_i(e) with each cycle z_i of the cycle space cs,
+    summed in `Fraction`s."""
+    lengths = {eid: e.length for eid, e in cs.graph.edges.items()}
+    return [sum((lengths[eid] * c * chain.get(eid, 0) for eid, c in cyc.items()), Fraction(0)) for cyc in cs.cycles]

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from tropicurve import breakdiv, chipfiring
+from tropicurve import breakdiv, chipfiring, linalg
 from tropicurve.breakdiv import BreakCheck, break_divisor_decompose, is_break_divisor
 from tropicurve.chipfiring import (
     chips_of,
@@ -23,7 +23,7 @@ from tropicurve.divisors import Divisor, divisor_of, is_principal, make_divisor
 from tropicurve.errors import CertificateFailure, WrongDegree
 from tropicurve.graphs import CycleSpace, GraphPoint, build_graph
 
-from randgen import ladder, period_inverse, random_graph
+from randgen import ladder, length_pairing, period_inverse, random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -249,21 +249,31 @@ class TestDecompose:
         3 cut it into 525 segments of length 1/70.  The decomposition keeps
         the chips, which already form a break divisor, and the chip-firing
         cross-check runs on all 524 lattice points, a reduced Laplacian
-        with its path points first."""
-        models = []
-        check = chipfiring.laplacian_equivalent
+        with its path points first.  The forward elimination leaves no row
+        of that Laplacian more than 2 entries wide, where a dense row holds
+        523."""
+        models, eliminated = [], []
+        check, eliminate = chipfiring.laplacian_equivalent, linalg._eliminate
 
         def counted(dg, chips1, chips2):
             models.append((dg.n, len(dg.edges)))
             return check(dg, chips1, chips2)
 
+        def kept(a, ncols):
+            cols = eliminate(a, ncols)
+            eliminated.append((ncols, a))
+            return cols
+
         monkeypatch.setattr(chipfiring, "laplacian_equivalent", counted)
+        monkeypatch.setattr(linalg, "_eliminate", kept)
         g = theta(2, Fraction(5, 2), 3)
         d = make_divisor(g, [(P("e1", Fraction(1, 5)), 1), (P("e2", Fraction(1, 7)), 1)])
         b, f = break_divisor_decompose(g, d)
         assert repr(b) == "Divisor(+1(e1@1/5) +1(e2@1/7))"
         assert divisor_of(f).is_zero()
         assert models == [(524, 525)]
+        (rows,) = [a for ncols, a in eliminated if ncols == 523]
+        assert len(rows) == 523 and max(map(len, rows)) == 2
 
     def test_uniqueness_randomized(self):
         rng = random.Random(13)
@@ -319,7 +329,7 @@ def model_break_divisors(g, d):
     for comp in model.all_complements():
         cs = CycleSpace(model, [eid for eid in model.edges if eid not in comp])
         base = Divisor([(V(model.edges[eid].a), 1) for eid in comp])
-        w = cs.pairing(cs.chain({pt.vertex: c for pt, c in (dm - base).terms}))
+        w = length_pairing(cs, cs.chain({pt.vertex: c for pt, c in (dm - base).terms}))
         lower = [w[i] - model.edges[eid].length for i, eid in enumerate(comp)]
         period = [[Fraction(v, cs.denominator) for v in row] for row in cs._gram]
         for k in box_points(period, lower, w):

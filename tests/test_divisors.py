@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from tropicurve import chipfiring, divisors
+from tropicurve import breakdiv, chipfiring, divisors
 from tropicurve.divisors import (
     Divisor,
     EdgeProfile,
@@ -24,7 +25,7 @@ from tropicurve.errors import (
     NonzeroDegree,
     NotPrincipal,
 )
-from tropicurve.graphs import CycleSpace, GraphPoint, build_extended, build_graph
+from tropicurve.graphs import CycleSpace, GraphPoint, MetricGraph, build_extended, build_graph
 
 from randgen import ladder, random_graph, random_pl_function
 
@@ -419,8 +420,7 @@ class TestIsPrincipal:
 
     def test_random_verdicts_agree_with_chip_firing(self):
         # principal divisors with interior support, and the same divisors with
-        # one chip moved one lattice step; the lattice is kept small so the
-        # dense Laplacian solve stays cheap
+        # one chip moved one lattice step, on lattices of up to 400 points
         rng = random.Random(29)
         verdicts = []
         while len(verdicts) < 40:
@@ -428,7 +428,7 @@ class TestIsPrincipal:
             d = divisor_of(random_pl_function(rng, g))
             spacing = chipfiring.lattice_spacing(g, [d])
             moved = next((pt for pt in d.support() if not pt.is_vertex), None)
-            if moved is None or sum(e.length for e in g.edges.values()) / spacing > 24:
+            if moved is None or sum(e.length for e in g.edges.values()) / spacing > 400:
                 continue
             step = make_divisor(g, [(P(moved.edge, moved.offset + spacing), 1), (moved, -1)])
             dg, locate = chipfiring.lattice_model(g, spacing)
@@ -439,6 +439,52 @@ class TestIsPrincipal:
                 verdicts.append(got)
         assert verdicts[::2] == [True] * 20
         assert 0 < verdicts[1::2].count(False) < 20
+
+    def test_a_canonical_divisor_is_not_re_anchored(self, monkeypatch):
+        """A divisor whose points are all canonical on its graph is read as
+        it is, with no `canonical_point` call.  Given in the retired frames
+        of a subdivision, or with its vertex chips at an end of an edge, it
+        is re-anchored and gets the verdict, obstruction and witness of its
+        canonical form."""
+        rng = random.Random(37)
+        canonical_point = MetricGraph.canonical_point
+        calls = []
+        monkeypatch.setattr(MetricGraph, "canonical_point", lambda g, pt: calls.append(pt) or canonical_point(g, pt))
+
+        def outcome(graph, d):
+            res = is_principal(graph, d)
+            if not res.principal:
+                return False, res.obstruction
+            return True, res.witness.edge_profiles, [res.witness.vertex_value(v) for v in graph.vertices]
+
+        def at_an_end(g, v):
+            eid, _w = g.adjacency[v][0]
+            return P(eid, 0 if g.edges[eid].a == v else g.edges[eid].length)
+
+        graphs = [random_graph(rng) for _ in range(20)] + [ladder(rng, 6)]
+        verdicts = set()
+        cut = 0
+        for g in graphs:
+            d = divisor_of(random_pl_function(rng, g))
+            eid = rng.choice(sorted(g.edges))
+            moved = d + make_divisor(g, [(V(g.edges[eid].a), 1), (P(eid, g.edges[eid].length / 3), -1)])
+            cuts = [P(eid, g.edges[eid].length / 2)] + [pt for pt in d.support() if not pt.is_vertex][:1]
+            g2 = g.subdivide_many(cuts)
+            for div in (d, moved):
+                calls.clear()
+                got = outcome(g, div)
+                assert calls == []
+                verdicts.add(got[0])
+                at_ends = Divisor((at_an_end(g, pt.vertex), c) if pt.is_vertex else (pt, c) for pt, c in div.terms)
+                assert outcome(g, at_ends) == got and len(calls) == len(div.terms)
+                canonical = make_divisor(g2, div.terms)
+                retired = canonical != div
+                calls.clear()
+                got = outcome(g2, canonical)
+                assert calls == []
+                assert outcome(g2, div) == got and len(calls) == retired * len(div.terms)
+                cut += retired
+        assert verdicts == {True, False} and cut > 20
 
     def test_the_witness_does_not_depend_on_the_tree(self, monkeypatch):
         """`is_principal` solves on the cycles of a breadth-first tree; the
@@ -587,3 +633,92 @@ class TestCor34:
         pts = [P(eid, Fraction(x, 2)) for x in (1, 2, 8, 7)]
         with pytest.raises(InvalidPillars):
             cor34_certificate(g, Divisor.zero(), [eid], [pts])
+
+
+# -- principality pinned by digest ------------------------------------------------------
+
+
+def _witness_record(graph, f):
+    """A witness's vertex values and edge profiles, in the graph's vertex
+    and edge order, after the verdict True."""
+    profiles = [(eid, p.start, p.breaks, p.slopes) for eid, p in sorted(f.edge_profiles.items())]
+    return (True, [(v, f.vertex_value(v)) for v in graph.vertices], profiles)
+
+
+def _principality_record(graph, res):
+    return _witness_record(graph, res.witness) if res.principal else (False, res.obstruction)
+
+
+def _digest(records):
+    return hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+
+def _chip(rng, g, den):
+    """A point of g at a multiple of 1/den of a random edge's length, at a
+    vertex when den is 1."""
+    eid = rng.choice(sorted(g.edges))
+    return P(eid, g.edges[eid].length * Fraction(rng.randrange(1, den), den)) if den > 1 else V(rng.choice(g.vertices))
+
+
+def _principality_cases(seed, count):
+    """(graph, refined graph, divisor, basepoint) on `count` random graphs:
+    the divisor of a random PL function, the same with one chip moved, and
+    a degree-zero divisor with chips at denominators 1 to 8, each with no
+    basepoint, a vertex and a point inside an edge.  The refined graph is
+    the graph subdivided at two of the chips and one point of its own, so
+    there some points are given in retired frames."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        g = random_graph(rng)
+        d = divisor_of(random_pl_function(rng, g))
+        moved = d + make_divisor(g, [(V(rng.choice(g.vertices)), 1), (_chip(rng, g, rng.randrange(2, 9)), -1)])
+        terms = [(_chip(rng, g, den), rng.choice([-2, -1, 1, 2])) for den in rng.sample(range(1, 9), 4)]
+        terms.append((V(rng.choice(g.vertices)), -sum(c for _pt, c in terms)))
+        cuts = [pt for pt in d.support() + moved.support() if not pt.is_vertex][:2] + [_chip(rng, g, 6)]
+        g2 = g.subdivide_many(cuts)
+        for div in (d, moved, make_divisor(g, terms)):
+            for bp in (None, V(rng.choice(g.vertices)), _chip(rng, g, rng.randrange(2, 9))):
+                cases.append((g, g2, div, bp))
+    return cases
+
+
+PRINCIPALITY_DIGESTS = {
+    "random": "63ac8cb7afcc853e",
+    "retired frames": "4bbef0512444a0f2",
+    "ladder": "60efec24ba41a472",
+    "break": "4c9503fe597e5134",
+}
+
+
+def test_principality_outputs_are_pinned_by_digest():
+    """Verdicts, obstructions and witnesses of `is_principal` on random
+    graphs with chips at denominators 1 to 8, and on the same divisors and
+    basepoints given in the retired frames of a subdivision; on a 40-rung
+    ladder; and the break divisors and witnesses of
+    `break_divisor_decompose` on random graphs and ladders of genus 1 to 4."""
+    cases = _principality_cases(43, 60)
+    got = {
+        "random": _digest([_principality_record(g, is_principal(g, d, bp)) for g, _g2, d, bp in cases]),
+        "retired frames": _digest([_principality_record(g2, is_principal(g2, d, bp)) for _g, g2, d, bp in cases]),
+    }
+    rng = random.Random(44)
+    lad = ladder(rng, 40)
+    d = divisor_of(random_pl_function(rng, lad))
+    moves = ([(V("u3"), 1), (V("w17"), -1)], [(V("u3"), 1), (P("a7", Fraction(1, 3)), -1)])
+    ladder_cases = [d] + [d + make_divisor(lad, move) for move in moves]
+    basepoints = (None, V("w20"), P("b30", Fraction(1, 7)))
+    got["ladder"] = _digest(
+        [_principality_record(lad, is_principal(lad, div, bp)) for div in ladder_cases for bp in basepoints]
+    )
+    breaks = []
+    graphs = [g for g in (random_graph(rng) for _ in range(60)) if g.betti_number()][:30]
+    graphs += [ladder(rng, n) for n in (3, 3, 4, 5)]
+    for g in graphs:
+        genus = g.betti_number()
+        chips = [(_chip(rng, g, rng.randrange(1, 5)), 1) for _ in range(genus + 1)]
+        chips.append((V(rng.choice(g.vertices)), -1))
+        b, f = breakdiv.break_divisor_decompose(g, make_divisor(g, chips))
+        breaks.append((b.terms, _witness_record(g, f)))
+    got["break"] = _digest(breaks)
+    assert got == PRINCIPALITY_DIGESTS

@@ -29,7 +29,7 @@ from tropicurve.graphs import (
     validate_pillar_points,
 )
 
-from randgen import ladder, period_inverse, random_graph
+from randgen import ladder, length_pairing, period_inverse, random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -380,9 +380,10 @@ class TestSpanningTrees:
             assert boundary(g, chain) == charges
 
     def test_cycle_space_period_is_the_length_gram_matrix(self):
-        """The period matrix `_gram` / D and `pairing`, summed in integers
-        over the common denominator D of the lengths, equal the plain
-        `Fraction` sums, also when the lengths mix denominators 3, 7 and 8."""
+        """The period matrix `_gram` / D and the cycle integrals of a
+        divisor on the vertices, summed in integers over the common
+        denominator D of the lengths, equal the plain `Fraction` sums, also
+        when the lengths mix denominators 3, 7 and 8."""
         rng = random.Random(7)
         mixed = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 8), Fraction(1), Fraction(4, 21)]
         graphs = [theta_graph(2, 3, 5), fig2_skeleton(), fig2_skeleton(Fraction(2, 3))]
@@ -405,10 +406,12 @@ class TestSpanningTrees:
                 for j, zj in enumerate(cycles):
                     gram = sum(g.edges[e].length * zi.get(e, 0) * zj.get(e, 0) for e in g.edges)
                     assert period[i][j] == period[j][i] == gram
-            chain = {eid: rng.randrange(-3, 4) for eid in g.edges}
-            expected = [sum(g.edges[e].length * c * chain[e] for e, c in z.items()) for z in cycles]
-            paired = cs.pairing(chain)
-            assert paired == expected and all(type(x) is Fraction for x in paired)
+            charges = [(V(v), rng.randrange(-3, 4)) for v in g.vertices]
+            charges.append((V(g.vertices[0]), -sum(c for _pt, c in charges)))
+            chain, w, den = cs.integrals(charges)
+            expected = [sum(g.edges[e].length * c * chain.get(e, 0) for e, c in z.items()) for z in cycles]
+            assert den == cs.denominator and all(type(x) is int for x in w)
+            assert [Fraction(x, den) for x in w] == expected
         assert any(d & (d - 1) for d in denominators)  # some D is not a power of 2
 
 
@@ -506,7 +509,9 @@ class TestCycleSpaceKernel:
                 den = rng.choice([3, 7, 8])
                 terms.append((P(eid, g.edges[eid].length * Fraction(rng.randrange(1, den), den)), rng.choice([-2, -1, 1, 2])))
             terms.append((V(rng.choice(g.vertices)), -sum(c for _pt, c in terms)))
-            chain, w = cs.integrals(terms)
+            chain, w, den = cs.integrals(terms)
+            assert den == math.lcm(cs.denominator, *(pt.offset.denominator for pt, _c in terms if not pt.is_vertex))
+            assert all(type(x) is int for x in w)
 
             model = g.subdivide_many(pt for pt, _c in terms)
             pieces = {eid: [sub for _kind, sub, _lo, _hi in model.segments_of(eid)] for eid in g.edges}
@@ -516,9 +521,8 @@ class TestCycleSpaceKernel:
             for pt, c in terms:
                 charges[model.canonical_point(pt).vertex] += c
             ref_chain = ref.chain(charges)
-            ref_w = dict(zip(ref.complement, ref.pairing(ref_chain)))
-            assert w == [ref_w[pieces[eid][0]] for eid in cs.complement]
-            assert all(type(x) is Fraction for x in w)
+            ref_w = dict(zip(ref.complement, length_pairing(ref, ref_chain)))
+            assert [Fraction(x, den) for x in w] == [ref_w[pieces[eid][0]] for eid in cs.complement]
             assert chain == {eid: ref_chain[pieces[eid][0]] for eid in tree}
 
 
@@ -541,16 +545,15 @@ class TestCycleSpaceKernel:
                 den = rng.choice([3, 7, 8])
                 terms.append((P(eid, g.edges[eid].length * Fraction(rng.randrange(1, den), den)), rng.choice([-1, 1, 2])))
             terms.append((V(rng.choice(g.vertices)), -sum(c for _pt, c in terms)))
-            chain, w = cs.integrals(terms)
-            big = math.lcm(cs.denominator, *(x.denominator for x in w))
-            over = [x.numerator * (big // x.denominator) for x in w]
+            chain, over, big = cs.integrals(terms)
             for comp in g.all_complements():
                 gram, inverse, wc = cs.rebase(comp, [chain.get(eid, 0) for eid in comp], over, big // cs.denominator)
                 ref = CycleSpace(g, [eid for eid in g.edges if eid not in comp])
                 assert ref.complement == list(comp)
                 assert gram == ref._gram
                 assert inverse == ref._inverse
-                assert [Fraction(x, big) for x in wc] == ref.integrals(terms)[1]
+                _chain, ref_w, ref_den = ref.integrals(terms)
+                assert [Fraction(x, big) for x in wc] == [Fraction(x, ref_den) for x in ref_w]
                 complements[len(comp)] += 1
                 scale = big // cs.denominator
                 hi = [x // scale for x in wc]

@@ -260,23 +260,23 @@ def test_int_entries_fold_no_lcm(monkeypatch):
 def test_forward_elimination_keeps_the_band_of_a_ladder():
     """The breadth-first cycles of a 40-rung ladder (E = 118) are its 39
     squares, and their gram matrix is tridiagonal along the ladder.  The
-    elimination leaves each pivot row nonzero only in its pivot column, the
-    next one and the right-hand side; a Gauss-Jordan step would also
-    rewrite the rows above the pivot and fill them in.  In the id order
-    `b0, b1, b10, ...` of the period solve the band is cut at every tenth
-    square, and no echelon row gets more than three nonzero coefficients."""
+    elimination leaves each pivot row with entries only in its pivot
+    column, the next one and the right-hand side; a Gauss-Jordan step would
+    also rewrite the rows above the pivot and fill them in.  In the id
+    order `b0, b1, b10, ...` of the period solve the band is cut at every
+    tenth square, and no echelon row gets more than three coefficients."""
     cs = CycleSpace(ladder(random.Random(0), 40))
     n = len(cs._gram)
     assert len(cs.graph.edges) == 118 and n == 39
     along = sorted(range(n), key=lambda i: int(cs.complement[i].removeprefix("b")))
-    a = [[cs._gram[i][j] for j in along] + [1] for i in along]
-    assert all(a[i][j] == 0 for i in range(n) for j in range(n) if abs(i - j) > 1)
+    a = [{j: v for j, v in enumerate([cs._gram[i][k] for k in along] + [1]) if v} for i in along]
+    assert all(abs(i - j) <= 1 for i, row in enumerate(a) for j in row if j < n)
     assert _eliminate(a, n) == list(range(n))
     for c, row in enumerate(a):
-        assert {j for j, v in enumerate(row) if v} <= {c, c + 1, n}
-    a = [[*row, 1] for row in cs._gram]
+        assert set(row) <= {c, c + 1, n}
+    a = [{j: v for j, v in enumerate([*row, 1]) if v} for row in cs._gram]
     assert len(_eliminate(a, n)) == n
-    assert max(sum(map(bool, row[:n])) for row in a) == 3
+    assert max(sum(j < n for j in row) for row in a) == 3
 
 
 def test_linalg_errors_are_typed_and_still_value_errors():
