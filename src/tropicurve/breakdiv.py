@@ -6,22 +6,19 @@ spanning-tree complement (An-Baker-Kuperberg-Shokrieh, arXiv 1304.4259).
 The decomposition is computed exactly on the period lattice of the graph
 itself (`graphs.CycleSpace`): the point on complement edge i sits at offset
 t_i from its a end, and d minus those points is principal exactly when
-t = w - period * k for an integer vector k, where period and w are the
-period matrix and the cycle integrals of d minus the a ends in the basis of
-the cycles the complement closes.  The points lie on their closed edges for
-the k with w - length <= period * k <= w, which `CycleSpace.box_points`
-finds.  One reference cycle space serves every complement.  Its integrals
-of d and of each a end come as ints over common denominators, which sum
-to the w of a complement over one denominator.  Each complement is first
-bounded in the reference frame (`CycleSpace.may_hold`), which turns most
-complements away before they are rebased; for the rest, `rebase` reads
-period and w from the reference through a unimodular minor, in integers,
-and the box search decides every point, so a complement without a point
-builds no `Fraction`.  A break divisor does not depend on the model of the
-graph, so no edge is subdivided.  The chip-firing layer independently
-verifies the result on the discretization lattice, where the sparse
-elimination of `linalg` keeps the reduced Laplacian's rows a few entries
-wide.
+Z t = w - period * k for an integer vector k, where w holds the cycle
+integrals of d minus the a ends and Z the cycles' coefficients on the
+complement, both in the basis of one reference spanning tree's cycles.
+`CycleSpace.cell_points` finds the t on their closed edges: each is
+Z^-1 (w - period * k) for a k of one box search in the reference frame,
+so every complement is searched once, with no rebasing and no gram matrix
+read through a unimodular minor.  The integrals of d and of each a end
+come as ints over common denominators, which sum to the w of a complement
+over one denominator, and a complement without a point builds no
+`Fraction`.  A break divisor does not depend on the model of the graph,
+so no edge is subdivided.  The chip-firing layer independently verifies
+the result on the discretization lattice, where the sparse elimination of
+`linalg` keeps the reduced Laplacian's rows a few entries wide.
 """
 
 from __future__ import annotations
@@ -102,29 +99,20 @@ def break_divisor_decompose(
         return Divisor.zero(), construct_pl_with_divisor(graph, d)
     cs = CycleSpace(graph, graph.canonical_spanning_tree())
     root = GraphPoint.at_vertex(cs.order[0])
-    # tree chains and integrals of d - g root, over den = scale * D, and of
-    # root - v per a end v, which are over D and taken times scale; d minus
-    # the a ends of a complement is their sum
-    chain, w, den = cs.integrals([*d.terms, (root, -g)])
+    # integrals of d - g root, over den = scale * D, and of root - v per a
+    # end v, which are over D and taken times scale; d minus the a ends of a
+    # complement is their sum
+    _chain, w, den = cs.integrals([*d.terms, (root, -g)])
     scale = den // cs.denominator
-    refs = {None: (chain, w)}
+    refs = {None: w}
     for v in {e.a for e in graph.edges.values()}:
-        chain, w, _den = cs.integrals([(root, 1), (GraphPoint.at_vertex(v), -1)])
-        refs[v] = chain, [scale * x for x in w]
+        _chain, w, _den = cs.integrals([(root, 1), (GraphPoint.at_vertex(v), -1)])
+        refs[v] = [scale * x for x in w]
     found: set[Divisor] = set()
     for comp in graph.all_complements():
-        edges = [graph.edges[eid] for eid in comp]
-        keys = [None, *(e.a for e in edges)]
-        w = [sum(col) for col in zip(*(refs[key][1] for key in keys))]
-        if not cs.may_hold(comp, w, scale):
-            continue
-        chain = [sum(refs[key][0].get(eid, 0) for key in keys) for eid in comp]
-        gram, inverse, w = cs.rebase(comp, chain, w, scale)
-        # points at w - period * k on their closed edges, over D
-        hi = [x // scale for x in w]
-        lo = [-(-x // scale) - cs.scaled[e.id] for x, e in zip(w, edges)]
-        for _k, image in CycleSpace.box_points(gram, inverse, lo, hi):
-            terms = [(GraphPoint.on_edge(e.id, Fraction(x - y * scale, den)), 1) for e, x, y in zip(edges, w, image)]
+        w = [sum(col) for col in zip(refs[None], *(refs[graph.edges[eid].a] for eid in comp))]
+        for t in cs.cell_points(comp, w, scale):
+            terms = [(GraphPoint.on_edge(eid, Fraction(x, den)), 1) for eid, x in zip(comp, t)]
             found.add(make_divisor(graph, terms))
     if len(found) != 1:
         raise CertificateFailure(f"expected one break divisor in the class, found {found}")

@@ -32,9 +32,11 @@ The slopes, the obstruction and the witness are unique, so they do not
 depend on the tree, and principality reads a breadth-first tree's short
 cycles: on a ladder the period matrix is tridiagonal, where the Kruskal tree
 by edge id makes it dense, and the forward elimination keeps the band.  The
-lattice search of `_corrected_witness`, the complement of `select_pillars`
-and `breakdiv`'s reference cycle space depend on their tree, so they keep
-`canonical_spanning_tree()` and their outputs.
+lattice search of `_corrected_witness` and the complement of
+`select_pillars` depend on their tree, so they keep
+`canonical_spanning_tree()` and their outputs.  The tree of `breakdiv`'s
+reference cycle space changes only how many candidates its box searches
+try, not the break divisor it finds.
 """
 
 from __future__ import annotations
@@ -421,8 +423,9 @@ def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> 
     root frame, an edge or ray of the input skeleton: subdivision vertices
     inside it are not vertices of the curve's skeleton.
 
-    Raises InvalidPillars when the offsets do not increase, leave the
-    frame, rise and fall unequally, or reach the unbounded tail of a ray.
+    Raises InvalidPillars when there are not four offsets, or they do not
+    increase, leave the frame, rise and fall unequally, or reach the
+    unbounded tail of a ray.
     """
     fin = domain.finite
     profiles = {eid: EdgeProfile(Fraction(0), (), (0,)) for eid in fin.edges}
@@ -440,6 +443,8 @@ def _trapezoid_pieces(domain: Domain, frame: str, offsets: Sequence, slope: int)
     edge of its frame that meets its support, after the checks `trapezoid`
     documents; the bump is zero on the others."""
     xs = tuple(rat(x) for x in offsets)
+    if len(xs) != 4:
+        raise InvalidPillars(f"trapezoid needs four offsets on {frame!r}, got {len(xs)}")
     x1, x2, x3, x4 = xs
     segs = domain.segments_of(frame)
     end = segs[-1][3]

@@ -456,13 +456,11 @@ class CycleSpace:
     and the chips' offsets, and `lattice_points` finds the lattice vectors
     period * k in a box.  `_through` maps each edge on a cycle to the
     (cycle, coefficient) pairs there, in cycle order; the lifting
-    corrections take their sites from it.  `rebase` reads the lattice and
-    the integrals in the basis of another spanning tree's fundamental
-    cycles from this one, so the break-divisor search over every spanning
-    tree builds one cycle space, and `may_hold` bounds that tree's box in
-    this frame first, so most trees are never rebased.  Every box search
-    bounds k by the integer inverse of `_gram`, computed once per cycle
-    space.
+    corrections take their sites from it.  `cell_points` finds, in this
+    frame, the points of a spanning-tree complement's cell of the
+    break-divisor search, so that search over every spanning tree builds
+    one cycle space.  Every box search bounds k by the integer inverse of
+    `_gram`, computed once per cycle space.
     """
 
     def __init__(self, graph: MetricGraph, tree: Optional[Sequence[str]] = None):
@@ -584,19 +582,16 @@ class CycleSpace:
         den = self.denominator
         lo = [math.ceil(x * den) for x in lower]
         hi = [math.floor(x * den) for x in upper]
-        for k, image in self.box_points(self._gram, self._inverse, lo, hi):
+        for k, image in self.box_points(lo, hi):
             yield k, [Fraction(y, den) for y in image]
 
-    @staticmethod
-    def box_points(
-        gram: Sequence[Sequence[int]], inverse: tuple[Sequence[Sequence[int]], int], lo: Sequence[int], hi: Sequence[int]
-    ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    def box_points(self, lo: Sequence[int], hi: Sequence[int]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         """Every integer vector k with lo <= gram * k <= hi, in lexicographic
-        order, each with gram * k, all in integers.  `inverse` is gram^-1 as
+        order, each with gram * k, all in integers.  `_inverse` is gram^-1 as
         (m, q) from `linalg.integer_inverse`; m / q maps the box to one
         integer range per k_i, and the candidates are filtered on gram * k.
         The number of candidates grows exponentially in the genus."""
-        m, q = inverse
+        m, q = self._inverse
         mid = [a + b for a, b in zip(lo, hi)]  # twice the centre
         width = [b - a for a, b in zip(lo, hi)]
         ranges = []
@@ -608,25 +603,35 @@ class CycleSpace:
                 return
             ranges.append(k_range)
         for k in product(*ranges):
-            image = [sum(map(mul, row, k)) for row in gram]
+            image = [sum(map(mul, row, k)) for row in self._gram]
             if all(a <= y <= b for a, y, b in zip(lo, image, hi)):
                 yield k, image
 
-    def may_hold(self, comp: Sequence[str], w: Sequence[int], scale: int) -> bool:
-        """A necessary test, made in this frame without rebasing, for the
-        box search on what `rebase(comp, chain, w, scale)` gives to find a
-        point: False means that it finds none.
+    def cell_points(self, comp: Sequence[str], w: Sequence[int], scale: int) -> Iterator[list[int]]:
+        """Every t, as ints over scale * D, with 0 <= t <= scale * L on the
+        edges `comp` and Z t = w - scale * gram * k for an integer k, where
+        row j of Z holds cycle j's coefficients on `comp` and w holds cycle
+        integrals over scale * D, as `integrals` gives them.
 
-        With Z as in `rebase`, a point t of that search, 0 <= t <= scale *
-        L on `comp`, satisfies Z t = w - scale * gram * k for an integer k
-        (k runs over all integer vectors, as Z is unimodular).  So gram * k
-        lies in the bounding box of (w - Z [0, scale * L]) / scale, which
-        is exact in integers: in cycle j, less the positive z_j(e) * L_e
-        below and the negative ones above."""
+        Z is unimodular exactly when `comp` completes a spanning tree (else
+        `SingularMatrix`, once a candidate exists), and then Z^-1 maps the
+        cycles here to that tree's fundamental cycles; k runs over all
+        integer vectors in either basis, so the t are the points of the
+        tree's own cell, found in this frame.  gram * k lies in the bounding
+        box of (w - Z [0, scale * L]) / scale, which is exact in integers:
+        in cycle j, less the positive z_j(e) * L_e below and the negative
+        ones above.  Z is inverted at the first candidate in that box."""
         spans = [self._spans[eid] for eid in comp]
         lo = [-(-x // scale) - sum(col) for x, col in zip(w, zip(*(rise for rise, _fall in spans)))]
         hi = [x // scale - sum(col) for x, col in zip(w, zip(*(fall for _rise, fall in spans)))]
-        return any(self.box_points(self._gram, self._inverse, lo, hi))
+        zinv = None
+        for _k, image in self.box_points(lo, hi):
+            if zinv is None:
+                zinv = integer_inverse([[cyc.get(eid, 0) for eid in comp] for cyc in self.cycles])[0]
+            rest = [x - scale * y for x, y in zip(w, image)]
+            t = [sum(map(mul, row, rest)) for row in zinv]
+            if all(0 <= x <= scale * self.scaled[eid] for x, eid in zip(t, comp)):
+                yield t
 
     @cached_property
     def _spans(self) -> dict[str, tuple[list[int], list[int]]]:
@@ -640,37 +645,6 @@ class CycleSpace:
                 (rise if c > 0 else fall)[j] = c * self.scaled[eid]
             out[eid] = rise, fall
         return out
-
-    def rebase(
-        self, comp: Sequence[str], chain: Sequence[int], w: Sequence[int], scale: int
-    ) -> tuple[list[list[int]], tuple[list[list[int]], int], list[int]]:
-        """The gram matrix, its inverse and a divisor's cycle integrals in the
-        basis of the fundamental cycles of the spanning tree T that the g
-        edges `comp` (in id order) complete, read from this cycle space: what
-        `_gram`, `_inverse` and `integrals` of `CycleSpace(graph, T)` give.
-        `chain` and `w` are the divisor's tree chain on `comp` and its cycle
-        integrals from `integrals` here, w as numerators over scale * D; the
-        integrals returned are over scale * D too.
-
-        Row j of Z holds cycle j's coefficients on `comp`.  T's cycles are
-        Z^-1 times these, and Z is unimodular exactly when `comp` completes
-        a tree (else `SingularMatrix`), so T's gram is Z^-1 gram Z^-T and its
-        inverse Z^T gram^-1 Z.  T's tree chain is this tree chain less the
-        cycles of T it runs through, `chain` times each, so T's integrals
-        are Z^-1 w less T's period times `chain`."""
-        z = [[cyc.get(eid, 0) for eid in comp] for cyc in self.cycles]
-        zinv = integer_inverse(z)[0]
-        gram = _times_transpose(_times_transpose(zinv, self._gram), zinv)
-        m, q = self._inverse
-        zt = [list(col) for col in zip(*z)]
-        inverse = _times_transpose(_times_transpose(zt, m), zt)
-        w = [sum(map(mul, zr, w)) - scale * sum(map(mul, gr, chain)) for zr, gr in zip(zinv, gram)]
-        return gram, (inverse, q), w
-
-
-def _times_transpose(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """a * b^T for integer matrices given by rows."""
-    return [[sum(map(mul, ra, rb)) for rb in b] for ra in a]
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[tuple]) -> MetricGraph:

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from tropicurve import breakdiv, chipfiring, linalg
+from tropicurve import breakdiv, chipfiring, graphs, linalg
 from tropicurve.breakdiv import BreakCheck, break_divisor_decompose, is_break_divisor
 from tropicurve.chipfiring import (
     chips_of,
@@ -401,21 +401,22 @@ def test_decomposition_matches_the_model_reference_on_ladders(monkeypatch, rungs
 
 def test_one_decomposition_builds_two_cycle_spaces(monkeypatch):
     """A genus-4 decomposition reads all 200-odd complements from one
-    reference cycle space; `is_principal` builds the other.  The
-    reference-frame bound passes fewer than a quarter of them to `rebase`."""
-    built, rebased = [], []
-    init, rebase = CycleSpace.__init__, CycleSpace.rebase
+    reference cycle space; `is_principal` builds the other.  The box search
+    in the reference frame finds a candidate, and so inverts Z, for fewer
+    than a quarter of them."""
+    built, inverted = [], []
+    init, inverse = CycleSpace.__init__, graphs.integer_inverse
 
     def counted(self, graph, tree=None):
         built.append(graph)
         init(self, graph, tree)
 
-    def counted_rebase(self, comp, *args):
-        rebased.append(comp)
-        return rebase(self, comp, *args)
+    def counted_inverse(rows):
+        inverted.append(rows)
+        return inverse(rows)
 
     monkeypatch.setattr(CycleSpace, "__init__", counted)
-    monkeypatch.setattr(CycleSpace, "rebase", counted_rebase)
+    monkeypatch.setattr(graphs, "integer_inverse", counted_inverse)
     g = ladder(random.Random(1), 5)
     d = make_divisor(g, [(P("a0", Fraction(1, 2)), 2), (V("w3"), 2)])
     complements = list(g.all_complements())
@@ -423,7 +424,8 @@ def test_one_decomposition_builds_two_cycle_spaces(monkeypatch):
     b, _f = break_divisor_decompose(g, d)
     assert is_break_divisor(g, b).ok
     assert built == [g, g]
-    assert 0 < len(rebased) < len(complements) / 4
+    # one inversion is the reference gram's `_inverse`
+    assert 0 < len(inverted) - 1 < len(complements) / 4
 
 
 def test_break_check_leaves_no_reference_cycle():

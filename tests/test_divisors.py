@@ -122,6 +122,8 @@ class TestDivisorOf:
             ("e", (7, 8, 9, 11)),  # leaves the frame
             ("e", (1, 2, 3, 5)),  # rise and fall differ
             ("r", (1, 2, 3, 4)),  # reaches the unbounded tail past 2
+            ("e", (1, 2, 3)),  # too few offsets
+            ("e", (1, 2, 3, 4, 5)),  # too many offsets
         ],
     )
     def test_trapezoid_rejects_bad_offsets(self, frame, offsets):
@@ -129,6 +131,8 @@ class TestDivisorOf:
         ext, _ = build_extended(g, [("r", V("a"))]).subdivide_at(P("r", 2))
         with pytest.raises(InvalidPillars):
             trapezoid(ext, frame, offsets)
+        with pytest.raises(InvalidPillars):
+            trapezoid(ext, "e", (1, 2, 3, 4)).add_trapezoids([(frame, offsets)])
 
     def test_degree_zero_on_finite_graphs(self):
         rng = random.Random(5)

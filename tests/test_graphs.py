@@ -526,17 +526,17 @@ class TestCycleSpaceKernel:
             assert chain == {eid: ref_chain[pieces[eid][0]] for eid in tree}
 
 
-    def test_rebase_matches_the_cycle_space_of_each_complement(self):
-        """For every spanning-tree complement C of these graphs, `rebase` on
-        the reference cycle space gives entry for entry the gram matrix, its
-        integer inverse and the cycle integrals that a cycle space built on
-        the tree C completes gives, for a divisor with chips inside edges
-        at denominators 3, 7 and 8.  `may_hold` passes every complement
-        whose rebased box holds a point."""
+    def test_cell_points_match_the_cycle_space_of_each_complement(self):
+        """For every spanning-tree complement C of these graphs, `cell_points`
+        on the reference cycle space gives the points t = w_C - scale *
+        gram_C * k of the box search that a cycle space built on the tree C
+        completes makes with its own gram matrix, inverse and cycle
+        integrals, for a divisor with chips inside edges at denominators 3,
+        7 and 8."""
         rng, graphs = thirds_sevenths_eighths(10, 30)
         graphs += [fig2_skeleton(), fig2_skeleton(Fraction(2, 3))]
         complements = Counter()
-        bounded = Counter()  # (box holds a point, passes `may_hold`)
+        held = Counter()
         for g in graphs:
             cs = CycleSpace(g, g.canonical_spanning_tree(first=[rng.choice(sorted(g.edges))]))
             terms = []
@@ -545,28 +545,27 @@ class TestCycleSpaceKernel:
                 den = rng.choice([3, 7, 8])
                 terms.append((P(eid, g.edges[eid].length * Fraction(rng.randrange(1, den), den)), rng.choice([-1, 1, 2])))
             terms.append((V(rng.choice(g.vertices)), -sum(c for _pt, c in terms)))
-            chain, over, big = cs.integrals(terms)
+            _chain, over, big = cs.integrals(terms)
+            scale = big // cs.denominator
             for comp in g.all_complements():
-                gram, inverse, wc = cs.rebase(comp, [chain.get(eid, 0) for eid in comp], over, big // cs.denominator)
+                got = sorted(cs.cell_points(comp, over, scale))
                 ref = CycleSpace(g, [eid for eid in g.edges if eid not in comp])
                 assert ref.complement == list(comp)
-                assert gram == ref._gram
-                assert inverse == ref._inverse
-                _chain, ref_w, ref_den = ref.integrals(terms)
-                assert [Fraction(x, big) for x in wc] == [Fraction(x, ref_den) for x in ref_w]
-                complements[len(comp)] += 1
-                scale = big // cs.denominator
+                _chain, wc, ref_den = ref.integrals(terms)
+                assert ref_den == big
                 hi = [x // scale for x in wc]
-                lo = [-(-x // scale) - cs.scaled[eid] for x, eid in zip(wc, comp)]
-                held = any(CycleSpace.box_points(gram, inverse, lo, hi))
-                bounded[held, cs.may_hold(comp, over, scale)] += 1
+                lo = [-(-x // scale) - ref.scaled[eid] for x, eid in zip(wc, comp)]
+                want = [[x - scale * y for x, y in zip(wc, image)] for _k, image in ref.box_points(lo, hi)]
+                assert got == sorted(want)
+                complements[len(comp)] += 1
+                held[bool(got)] += 1
         assert set(complements) == {0, 1, 2, 3}
-        assert set(bounded) == {(True, True), (False, True), (False, False)}
+        assert set(held) == {True, False}
         # two edges of one of two digons: the other digon keeps its cycle
         digons = build_graph(list("abc"), [("p", "a", "b", 1), ("q", "a", "b", 2), ("r", "b", "c", 1), ("s", "b", "c", 3)])
         assert not digons.spanning_tree_complement(["p", "q"])
         with pytest.raises(SingularMatrix):
-            CycleSpace(digons, digons.canonical_spanning_tree()).rebase(["p", "q"], [0, 0], [0, 0], 1)
+            list(CycleSpace(digons, digons.canonical_spanning_tree()).cell_points(["p", "q"], [0, 0], 1))
 
 
 class TestPillars:

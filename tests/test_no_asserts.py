@@ -17,7 +17,8 @@ only `divisors` builds a `RayProfile`, so a function gains its rays
 through `PLFunction.transport`, which only `tropicalize.assemble` and the
 input builder `synthesis.tate_demo` call; and only `graphs` builds a graph
 or calls a one-point `subdivide_at`, so every cut goes through
-`subdivide_many`."""
+`subdivide_many`; and only `graphs` calls `integer_inverse`, so every
+reading of the period lattice stays behind `CycleSpace`."""
 
 import ast
 import importlib
@@ -346,6 +347,18 @@ def test_only_graphs_builds_and_cuts_graphs():
 )
 def test_graph_builds_and_one_point_cuts_are_caught(source, caught):
     assert any(_calls(source, name) for name in GRAPH_BUILDS) == caught
+
+
+def test_only_graphs_inverts_integer_matrices():
+    """`CycleSpace` inverts its gram matrix once and a complement's Z in
+    `cell_points`; no other library module reads the period lattice."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "graphs.py"
+        for line in _calls(path.read_text(), "integer_inverse")
+    ]
+    assert found == []
 
 
 def test_the_library_adds_coordinates_only_by_adjoin_and_assemble():
