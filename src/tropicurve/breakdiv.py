@@ -4,12 +4,12 @@ Every degree-g divisor class on a metric graph contains exactly one break
 divisor, an effective divisor placing one point on each closed edge of some
 spanning-tree complement (An-Baker-Kuperberg-Shokrieh, arXiv 1304.4259).
 The decomposition is computed exactly on the period lattice of the graph
-itself (`graphs.CycleSpace`): the point on complement edge i sits at offset
-t_i from its a end, and d minus those points is principal exactly when
-Z t = w - period * k for an integer vector k, where w holds the cycle
+itself, `MetricGraph.cycle_space`: the point on complement edge i sits at
+offset t_i from its a end, and d minus those points is principal exactly
+when Z t = w - period * k for an integer vector k, where w holds the cycle
 integrals of d minus the a ends and Z the cycles' coefficients on the
-complement, both in the basis of one reference spanning tree's cycles.
-`CycleSpace.cell_points` finds the t on their closed edges: each is
+complement, both in the basis of the breadth-first tree's cycles, which
+the final principality check reads too.  `CycleSpace.cell_points` finds the t on their closed edges: each is
 Z^-1 (w - period * k) for a k of one box search in the reference frame,
 so every complement is searched once, with no rebasing and no gram matrix
 read through a unimodular minor.  The integrals of d and of each a end
@@ -37,7 +37,7 @@ from .divisors import (
     make_divisor,
 )
 from .errors import CertificateFailure, WrongDegree
-from .graphs import CycleSpace, GraphPoint, MetricGraph
+from .graphs import GraphPoint, MetricGraph
 
 VERIFY_LATTICE_CAP = 2000  # max discrete vertices for the chip-firing cross-check
 
@@ -97,7 +97,7 @@ def break_divisor_decompose(
         raise WrongDegree(f"divisor degree {d.degree()} != genus {g}")
     if g == 0:
         return Divisor.zero(), construct_pl_with_divisor(graph, d)
-    cs = CycleSpace(graph, graph.canonical_spanning_tree())
+    cs = graph.cycle_space
     root = GraphPoint.at_vertex(cs.order[0])
     # integrals of d - g root, over den = scale * D, and of root - v per a
     # end v, which are over D and taken times scale; d minus the a ends of a

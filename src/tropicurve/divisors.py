@@ -29,14 +29,14 @@ den and the denominator of the basepoint's offset.  A `Fraction` is built
 only for a reported obstruction and for each vertex value of the witness.
 
 The slopes, the obstruction and the witness are unique, so they do not
-depend on the tree, and principality reads a breadth-first tree's short
-cycles: on a ladder the period matrix is tridiagonal, where the Kruskal tree
-by edge id makes it dense, and the forward elimination keeps the band.  The
-lattice search of `_corrected_witness` and the complement of
-`select_pillars` depend on their tree, so they keep
-`canonical_spanning_tree()` and their outputs.  The tree of `breakdiv`'s
-reference cycle space changes only how many candidates its box searches
-try, not the break divisor it finds.
+depend on the tree, and principality reads `MetricGraph.cycle_space`, built
+once per graph on a breadth-first tree's short cycles: on a ladder the
+period matrix is tridiagonal, where the Kruskal tree by edge id makes it
+dense, and the forward elimination keeps the band.  The lattice search of
+`_corrected_witness` and the break search of `breakdiv` read the same
+cached cycle space, so a ramp or a decomposition and its principality check
+share one.  Only the complement of `select_pillars` keeps
+`canonical_spanning_tree()`, since its pillars depend on the tree.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import (
     NotComplement,
     NotPrincipal,
 )
-from .graphs import CycleSpace, ExtendedGraph, GraphPoint, MetricGraph, validate_pillar_points
+from .graphs import ExtendedGraph, GraphPoint, MetricGraph, validate_pillar_points
 from .linalg import solve_linear
 from .rationals import MINUS_INF, PLUS_INF, ExtRational, rat
 
@@ -344,15 +344,6 @@ class PLFunction:
                 profiles[cid] = _merged(profiles[cid], prof, add)
         return PLFunction(self.domain, profiles, self.ray_profiles)
 
-    def __neg__(self) -> "PLFunction":
-        profiles = {
-            eid: EdgeProfile(-p.start, p.breaks, tuple(-s for s in p.slopes))
-            for eid, p in self.edge_profiles.items()
-        }
-        rays = {rid: RayProfile(-p.start, -p.slope) for rid, p in self.ray_profiles.items()}
-        vals = {v: -x for v, x in self._vertex_values.items()}
-        return PLFunction(self.domain, profiles, rays, _vertex_values=vals)
-
     # -- transport across refinements -----------------------------------------------------
 
     def transport(
@@ -506,17 +497,16 @@ def _interior_chips(d: Divisor) -> dict[str, list[tuple[Fraction, int]]]:
 def _solve_slopes(graph: MetricGraph, d: Divisor):
     """First-piece slope of every edge, as numerators over one common
     denominator q: the unique solution of the divisor equations at the
-    vertices with zero integral around every cycle, solved on the
-    breadth-first tree's short cycles.  Returns the slopes, q, the common
-    denominator `den` of the cycle integrals and the cycle space, whose tree
-    the witness is integrated down."""
-    cs = CycleSpace(graph)
+    vertices with zero integral around every cycle, solved on the graph's
+    cycle space.  Returns the slopes, q and the common denominator `den` of
+    the cycle integrals."""
+    cs = graph.cycle_space
     # minus the boundary of the slopes is d, so the peeled slopes are the
     # tree chain of -d, with each edge's interior chips counted at its b end
     tree_chain, w, den = cs.integrals((pt, -c) for pt, c in d.terms)
     slopes = dict.fromkeys(graph.edges, 0) | tree_chain
     if not cs.cycles:
-        return slopes, 1, den, cs
+        return slopes, 1, den
     # period * k = -w / den with period = _gram / D, so _gram * y = -w for
     # y = k * den / D: k_j is y_j over den / D
     y = solve_linear(cs._gram, [-x for x in w])
@@ -529,7 +519,7 @@ def _solve_slopes(graph: MetricGraph, d: Divisor):
         kj = yj.numerator * (common // yj.denominator)
         for eid, c in cyc.items():
             slopes[eid] += kj * c
-    return slopes, q, den, cs
+    return slopes, q, den
 
 
 def is_principal(
@@ -541,16 +531,16 @@ def is_principal(
         raise NonzeroDegree(f"divisor has degree {d.degree()}")
     if not _is_canonical(graph, d):
         d = make_divisor(graph, d.terms)  # re-anchor points after any refinement
-    slopes, q, den, cs = _solve_slopes(graph, d)
+    slopes, q, den = _solve_slopes(graph, d)
     for eid, s in slopes.items():
         if s % q:
             return PrincipalityResult(False, obstruction=(eid, Fraction(s, q)))
     slopes = {eid: s // q for eid, s in slopes.items()}
-    return PrincipalityResult(True, witness=_integrate(cs, slopes, d, den, basepoint))
+    return PrincipalityResult(True, witness=_integrate(graph, slopes, d, den, basepoint))
 
 
 def _integrate(
-    cs: CycleSpace,
+    graph: MetricGraph,
     slopes: Mapping[str, int],
     d: Divisor,
     den: int,
@@ -558,13 +548,13 @@ def _integrate(
 ) -> PLFunction:
     """The function with the given first-piece slopes and the chips of the
     canonical divisor d inside edges, 0 at the basepoint (default: the
-    tree's root, the least vertex).  Vertex values are read down the cycle
-    space's tree, each from its parent's, as numerators over den, the
-    common denominator of the lengths and the chips' offsets, first taken
-    to its lcm with the denominator of the basepoint's offset; they are
-    shifted to the basepoint, and each is built as a `Fraction` once and
-    handed to the function as it is."""
-    graph = cs.graph
+    tree's root, the least vertex).  Vertex values are read down the tree
+    of the graph's cycle space, each from its parent's, as numerators over
+    den, the common denominator of the lengths and the chips' offsets,
+    first taken to its lcm with the denominator of the basepoint's offset;
+    they are shifted to the basepoint, and each is built as a `Fraction`
+    once and handed to the function as it is."""
+    cs = graph.cycle_space
     interior = _interior_chips(d)
     at = None if basepoint is None else graph.canonical_point(basepoint)
     if at is not None and not at.is_vertex:

@@ -47,8 +47,12 @@ class InvalidOffset(TropicurveError):
     pass
 
 
-# -- linear algebra -----------------------------------------------------------
+# -- scalars and linear algebra -----------------------------------------------
 # Also ValueErrors, so that `except ValueError` handlers catch them.
+
+class InvalidExtRational(TropicurveError, ValueError):
+    """A finite `ExtRational` without a value, or a sign not -1, 0 or +1."""
+
 
 class SingularMatrix(TropicurveError, ValueError):
     pass

@@ -339,13 +339,14 @@ class MetricGraph(_Domain):
 
     # -- spanning trees ---------------------------------------------------------
 
-    def canonical_spanning_tree(self, first: Sequence[str] = ()) -> list[str]:
-        """Kruskal over the edges in `first`, then the rest by edge id;
-        deterministic.  An unknown id in `first` raises UnknownEdge."""
-        head = set(first)
-        if unknown := head - self._edges.keys():
-            raise UnknownEdge(f"unknown edge {min(unknown)!r}")
-        order = list(first) + [eid for eid in self._edges if eid not in head]
+    @cached_property
+    def cycle_space(self) -> "CycleSpace":
+        """`CycleSpace` on the breadth-first tree, the one the library reads,
+        built once: a graph is immutable once `subdivide_many` sealed it."""
+        return CycleSpace(self)
+
+    def canonical_spanning_tree(self) -> list[str]:
+        """Kruskal over the edges by id; deterministic."""
         parent = {v: v for v in self._vertices}
 
         def find(x):
@@ -355,8 +356,7 @@ class MetricGraph(_Domain):
             return x
 
         tree = []
-        for eid in order:
-            e = self._edges[eid]
+        for eid, e in self._edges.items():
             ra, rb = find(e.a), find(e.b)
             if ra != rb:
                 parent[ra] = rb
@@ -439,16 +439,17 @@ class CycleSpace:
 
     The tree is rooted at the least vertex and walked once, breadth first.
     With no `tree` given, the walk takes every edge that reaches a new
-    vertex, which makes the cycles short; a given `tree` must be V - 1
-    current edges that reach every vertex (else NotComplement).  Each
-    complement edge (in id order) closes one fundamental cycle through the
-    lowest common ancestor of its ends; these cycles are a basis of the
-    integer cycles.  The period matrix is their Gram matrix under the
-    length pairing, sum_e L_e z_i(e) z_j(e): symmetric and positive
-    definite.  It is summed in integers, as numerators over the common
-    denominator D of the edge lengths (each length is `scaled[e]` / D);
-    `_gram` keeps D * period as ints, which the period solve of `divisors`
-    and every box search read, so no period entry is ever a `Fraction`.
+    vertex, which makes the cycles short (`MetricGraph.cycle_space`); a
+    `tree`, given by test references only, must be V - 1 current edges that
+    reach every vertex (else NotComplement).  Each complement edge (in id
+    order) closes one fundamental cycle through the lowest common ancestor
+    of its ends; these cycles are a basis of the integer cycles.  The
+    period matrix is their Gram matrix under the length pairing, sum_e L_e
+    z_i(e) z_j(e): symmetric and positive definite.  It is summed in
+    integers, as numerators over the common denominator D of the edge
+    lengths (each length is `scaled[e]` / D); `_gram` keeps D * period as
+    ints, which the period solve of `divisors` and every box search read, so
+    no period entry is ever a `Fraction`.
 
     Principality, the lifting corrections and break divisors all read the
     period lattice here: `integrals` gives the cycle integrals of a
@@ -464,7 +465,7 @@ class CycleSpace:
     """
 
     def __init__(self, graph: MetricGraph, tree: Optional[Sequence[str]] = None):
-        self.graph = graph
+        self.edges = graph.edges  # not the graph, whose cache of self then forms no cycle
         tset = None if tree is None else set(tree)
         root = graph.vertices[0]
         self.up: dict[str, Optional[str]] = {root: None}  # tree edge toward the root
@@ -508,7 +509,7 @@ class CycleSpace:
         """The cycle along comp_edge from a to b, then back through the
         tree: up from b to the lowest common ancestor of its ends, then down
         to a.  Coefficient +1 means the cycle traverses the edge a->b."""
-        edges, up, depth = self.graph.edges, self.up, self.depth
+        edges, up, depth = self.edges, self.up, self.depth
         e = edges[comp_edge]
         ends = {1: e.b, -1: e.a}  # the b end walks with sign +1, the a end with -1
         walks: dict[int, list[tuple[str, int]]] = {1: [], -1: []}
@@ -529,7 +530,7 @@ class CycleSpace:
             rest[v] += c
         out = {}
         for v in reversed(self.order[1:]):
-            t = self.graph.edges[self.up[v]]
+            t = self.edges[self.up[v]]
             out[t.id] = rest[v] if t.b == v else -rest[v]
             rest[t.other(v)] += rest[v]
         if rest[self.order[0]]:
@@ -549,7 +550,7 @@ class CycleSpace:
         much, so every cycle through the edge loses c times the chip's
         distance to b, which is paired only with the cycles through that
         edge."""
-        edges = self.graph.edges
+        edges = self.edges
         charges: dict[str, int] = {}
         inner = []
         for pt, c in terms:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError
+from .errors import InvalidExtRational, ParseError
 
 RatLike = Union[Fraction, int, str]
 
@@ -64,11 +64,11 @@ class ExtRational:
     def __init__(self, sign: int, value: Fraction | None = None):
         if sign == 0:
             if value is None:
-                raise ValueError("finite ExtRational needs a value")
+                raise InvalidExtRational("finite ExtRational needs a value")
             object.__setattr__(self, "value", rat(value))
         else:
             if sign not in (-1, 1):
-                raise ValueError("sign must be -1, 0 or +1")
+                raise InvalidExtRational(f"sign must be -1, 0 or +1, got {sign!r}")
             object.__setattr__(self, "value", None)
         object.__setattr__(self, "sign", sign)
 

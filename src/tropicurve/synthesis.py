@@ -71,7 +71,6 @@ from .errors import (
     UnknownEdge,
 )
 from .graphs import (
-    CycleSpace,
     ExtendedGraph,
     GraphPoint,
     MetricGraph,
@@ -537,40 +536,36 @@ def vertex_function(
 
 def _core_ramp(skel: ExtendedGraph, frames: Frames, root_e: str) -> PLFunction:
     """Corrected witness of (a) - (b) for fresh points a, b near the two
-    ends of root_e; the spanning tree takes the pieces of root_e first, so
-    none of them is a complement edge.  Corrections may still land on
-    root_e: on a cycle of their own its pieces are sites like any other."""
+    ends of root_e.  No frame is spared: corrections may land on root_e,
+    whose pieces are sites like any other edge's."""
     fin = skel.finite
     length = fin.frame_length(root_e)
     a_off = frames.claim(root_e, Fraction(0), length / 4)
     b_off = frames.claim(root_e, length - length / 4, length)
     base = make_divisor(fin, [(P(root_e, a_off), 1), (P(root_e, b_off), -1)])
-    return _corrected_witness(skel, frames, base, keep_in_tree=root_e)
+    return _corrected_witness(skel, frames, base)
 
 
 def _corrected_witness(
-    skel: ExtendedGraph, frames: Frames, base: Divisor,
-    keep_in_tree: Optional[str] = None, basepoint: Optional[GraphPoint] = None,
+    skel: ExtendedGraph, frames: Frames, base: Divisor, basepoint: Optional[GraphPoint] = None
 ) -> PLFunction:
     """The `is_principal` witness of `base` plus +-1 correction pairs that
-    cancel its cycle obstruction.  Cycle j takes all its pairs on one site,
-    read from the cycle space's incidence: its longest edge that lies on no
-    other fundamental cycle, first in id order on ties (its complement edge
-    always qualifies).  The spanning tree takes the pieces of `keep_in_tree`
-    first, which keeps them out of the complement only: a correction lands
-    on them when one is a site.  A base with zero cycle integrals (two
-    points joined by bridges alone) gets no pair and claims no offset.  The
-    one constructor of every ramp; the witness is a function on the finite
-    part, 0 at `basepoint` (default: the least vertex).  Raises
-    CertificateFailure when the corrected divisor is not principal."""
+    cancel its cycle obstruction, searched on the cached cycle space of the
+    model cut at the base: for an edge ramp, whose base sits at vertices,
+    the finite part, whose final `is_principal` reads the same.  Cycle j
+    takes all its pairs on one site, read from the cycle space's incidence:
+    its longest edge that lies on no other fundamental cycle, first in id
+    order on ties (its complement edge always qualifies).  A base with zero
+    cycle integrals (two points joined by bridges alone) gets no pair and
+    claims no offset.  The one constructor of every ramp; the witness is a
+    function on the finite part, 0 at `basepoint` (default: the least
+    vertex).  Raises CertificateFailure when the corrected divisor is not
+    principal."""
     fin = skel.finite
     refined = skel.subdivide_many(base.support())
     model = refined.finite
     dm = make_divisor(model, base.terms)
-    priority = []
-    if keep_in_tree is not None:
-        priority = sorted(cid for _kind, cid, _lo, _hi in model.segments_of(keep_in_tree))
-    cs = CycleSpace(model, model.canonical_spanning_tree(first=priority))
+    cs = model.cycle_space
     g = len(cs.cycles)
     _chain, w, den = cs.integrals(dm.terms)
     w = [Fraction(x, den) for x in w]

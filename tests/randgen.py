@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 
-from tropicurve.divisors import EdgeProfile, PLFunction
+from tropicurve.divisors import EdgeProfile, PLFunction, RayProfile
 from tropicurve.graphs import MetricGraph, build_graph
 from tropicurve.linalg import integer_inverse
 
@@ -96,6 +96,27 @@ def ladder(rng: random.Random, rungs: int) -> MetricGraph:
     return build_graph([f"{side}{i}" for side in "uw" for i in range(rungs)], edges)
 
 
+def random_tree(rng: random.Random, graph: MetricGraph) -> list[str]:
+    """Kruskal over the edges in a random order: a spanning tree, often
+    neither the breadth-first one nor Kruskal's by edge id, for the
+    references that build a `CycleSpace` on a given tree."""
+    parent = {v: v for v in graph.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    tree = []
+    for eid in rng.sample(sorted(graph.edges), len(graph.edges)):
+        e = graph.edges[eid]
+        ra, rb = find(e.a), find(e.b)
+        if ra != rb:
+            parent[ra] = rb
+            tree.append(eid)
+    return tree
+
+
 def random_pl_function(rng: random.Random, graph: MetricGraph) -> PLFunction:
     tree = graph.canonical_spanning_tree()
     tset = set(tree)
@@ -131,6 +152,13 @@ def random_pl_function(rng: random.Random, graph: MetricGraph) -> PLFunction:
     return PLFunction(graph, profiles, {})
 
 
+def negated(f: PLFunction) -> PLFunction:
+    """-f, built from the negated profiles and checked for continuity."""
+    profiles = {eid: EdgeProfile(-p.start, p.breaks, tuple(-s for s in p.slopes)) for eid, p in f.edge_profiles.items()}
+    rays = {rid: RayProfile(-p.start, -p.slope) for rid, p in f.ray_profiles.items()}
+    return PLFunction(f.domain, profiles, rays)
+
+
 def period_inverse(period: list[list[Fraction]]) -> list[list[Fraction]]:
     """period^-1 in `Fraction`s, from the integer inverse of D * period, D
     the common denominator of its entries."""
@@ -142,5 +170,5 @@ def period_inverse(period: list[list[Fraction]]) -> list[list[Fraction]]:
 def length_pairing(cs, chain) -> list[Fraction]:
     """sum_e L_e chain(e) z_i(e) with each cycle z_i of the cycle space cs,
     summed in `Fraction`s."""
-    lengths = {eid: e.length for eid, e in cs.graph.edges.items()}
+    lengths = {eid: e.length for eid, e in cs.edges.items()}
     return [sum((lengths[eid] * c * chain.get(eid, 0) for eid, c in cyc.items()), Fraction(0)) for cyc in cs.cycles]

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -399,11 +400,11 @@ def test_decomposition_matches_the_model_reference_on_ladders(monkeypatch, rungs
     assert interior
 
 
-def test_one_decomposition_builds_two_cycle_spaces(monkeypatch):
-    """A genus-4 decomposition reads all 200-odd complements from one
-    reference cycle space; `is_principal` builds the other.  The box search
-    in the reference frame finds a candidate, and so inverts Z, for fewer
-    than a quarter of them."""
+def test_one_decomposition_builds_one_cycle_space(monkeypatch):
+    """A genus-4 decomposition reads all 200-odd complements from the
+    graph's cached cycle space, and its final `is_principal` reads the same
+    one.  The box search in that frame finds a candidate, and so inverts Z,
+    for fewer than a quarter of them."""
     built, inverted = [], []
     init, inverse = CycleSpace.__init__, graphs.integer_inverse
 
@@ -423,7 +424,7 @@ def test_one_decomposition_builds_two_cycle_spaces(monkeypatch):
     assert len(complements) > 200
     b, _f = break_divisor_decompose(g, d)
     assert is_break_divisor(g, b).ok
-    assert built == [g, g]
+    assert built == [g]
     # one inversion is the reference gram's `_inverse`
     assert 0 < len(inverted) - 1 < len(complements) / 4
 
@@ -451,6 +452,29 @@ def test_break_check_leaves_no_reference_cycle():
         assert gc.collect() == 0
         break_divisor_decompose(lad, d)
         assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("call", ["is_principal", "break_divisor_decompose"])
+def test_a_graph_and_its_cached_cycle_space_are_freed_by_reference_counting(call):
+    """A graph caches its cycle space on the first read, here in
+    `is_principal` or a genus-4 decomposition.  The cycle space keeps the
+    edge table, not the graph, so once the last reference to the graph
+    goes, both are freed with gc disabled."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = ladder(random.Random(1), 5)
+        if call == "is_principal":
+            is_principal(g, make_divisor(g, [(P("a0", Fraction(1, 2)), 1), (V("w3"), -1)]))
+        else:
+            break_divisor_decompose(g, make_divisor(g, [(P("a0", Fraction(1, 2)), 2), (V("w3"), 2)]))
+        refs = [weakref.ref(g), weakref.ref(g.__dict__["cycle_space"])]
+        del g
+        assert [ref() for ref in refs] == [None, None]
     finally:
         if enabled:
             gc.enable()

@@ -27,7 +27,7 @@ from tropicurve.errors import (
 )
 from tropicurve.graphs import CycleSpace, GraphPoint, MetricGraph, build_extended, build_graph
 
-from randgen import ladder, random_graph, random_pl_function
+from randgen import ladder, negated, random_graph, random_pl_function
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -151,7 +151,7 @@ class TestDivisorOf:
             shifted = {eid: EdgeProfile(p.start + Fraction(3, 7), p.breaks, p.slopes)
                        for eid, p in f1.edge_profiles.items()}
             assert divisor_of(PLFunction(g, shifted)) == divisor_of(f1)
-            assert divisor_of(-f1) == -divisor_of(f1)
+            assert divisor_of(negated(f1)) == -divisor_of(f1)
 
 
 class TestPLFunction:
@@ -169,9 +169,9 @@ class TestPLFunction:
 
 
     def test_trusted_vertex_values_equal_the_checked_reading(self):
-        """`+`, `-` and `is_principal` pass their vertex values in; a
-        function built from the same profiles reads and checks the same
-        values, also with rays and a basepoint inside an edge."""
+        """`+` and `is_principal` pass their vertex values in; a function
+        built from the same profiles reads and checks the same values, also
+        with rays and a basepoint inside an edge."""
         rng = random.Random(13)
         for _ in range(30):
             g = random_graph(rng)
@@ -181,7 +181,7 @@ class TestPLFunction:
             fx = PLFunction(ext, f1.edge_profiles, rays)
             eid = rng.choice(sorted(g.edges))
             witness = construct_pl_with_divisor(g, divisor_of(f2), P(eid, g.edges[eid].length / 3))
-            for h in (f1 + f2, -f1, fx + fx, -fx, witness):
+            for h in (f1 + f2, fx + fx, fx + negated(fx), witness):
                 checked = PLFunction(h.domain, h.edge_profiles, h.ray_profiles)
                 assert [h.vertex_value(v) for v in g.vertices] == [checked.vertex_value(v) for v in g.vertices]
 
@@ -491,11 +491,13 @@ class TestIsPrincipal:
         assert verdicts == {True, False} and cut > 20
 
     def test_the_witness_does_not_depend_on_the_tree(self, monkeypatch):
-        """`is_principal` solves on the cycles of a breadth-first tree; the
-        same solve on the cycle space of the canonical tree gives the same
-        verdict, obstruction, profiles and vertex values.  Random graphs and
-        ladders, each with a principal divisor and one with a chip moved
-        into an edge, with and without a basepoint."""
+        """`is_principal` solves on the graph's cached cycle space, on the
+        cycles of a breadth-first tree; the same solve on the cycle space of
+        the canonical tree gives the same verdict, obstruction, profiles and
+        vertex values.  Random graphs and ladders, each with a principal
+        divisor and one with a chip moved into an edge, with and without a
+        basepoint.  The patched property shadows each graph's cache, and
+        every graph reads it."""
         rng = random.Random(31)
         graphs = [random_graph(rng) for _ in range(60)] + [ladder(rng, n) for n in (3, 6, 12, 20)]
         cases = []
@@ -506,8 +508,15 @@ class TestIsPrincipal:
             for div in (d, moved):
                 cases += [(g, div, None), (g, div, P(eid, g.edges[eid].length / 2))]
         bfs = [is_principal(*case) for case in cases]
-        monkeypatch.setattr(divisors, "CycleSpace", lambda g: CycleSpace(g, g.canonical_spanning_tree()))
+        read = []
+
+        def kruskal(g):
+            read.append(g)
+            return CycleSpace(g, g.canonical_spanning_tree())
+
+        monkeypatch.setattr(MetricGraph, "cycle_space", property(kruskal))
         canonical = [is_principal(*case) for case in cases]
+        assert set(read) == set(graphs)
         for (g, _d, _bp), got, ref in zip(cases, bfs, canonical):
             assert (got.principal, got.obstruction) == (ref.principal, ref.obstruction)
             if got.principal:

@@ -267,7 +267,7 @@ def test_forward_elimination_keeps_the_band_of_a_ladder():
     tenth square, and no echelon row gets more than three coefficients."""
     cs = CycleSpace(ladder(random.Random(0), 40))
     n = len(cs._gram)
-    assert len(cs.graph.edges) == 118 and n == 39
+    assert len(cs.edges) == 118 and n == 39
     along = sorted(range(n), key=lambda i: int(cs.complement[i].removeprefix("b")))
     a = [{j: v for j, v in enumerate([cs._gram[i][k] for k in along] + [1]) if v} for i in along]
     assert all(abs(i - j) <= 1 for i, row in enumerate(a) for j in row if j < n)

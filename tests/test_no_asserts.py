@@ -18,7 +18,9 @@ through `PLFunction.transport`, which only `tropicalize.assemble` and the
 input builder `synthesis.tate_demo` call; and only `graphs` builds a graph
 or calls a one-point `subdivide_at`, so every cut goes through
 `subdivide_many`; and only `graphs` calls `integer_inverse`, so every
-reading of the period lattice stays behind `CycleSpace`."""
+reading of the period lattice stays behind `CycleSpace`; and only `graphs`
+builds a `CycleSpace`, so every reader shares the graph's cached
+`cycle_space`."""
 
 import ast
 import importlib
@@ -357,6 +359,19 @@ def test_only_graphs_inverts_integer_matrices():
         for path in SOURCES
         if path.name != "graphs.py"
         for line in _calls(path.read_text(), "integer_inverse")
+    ]
+    assert found == []
+
+
+def test_only_graphs_builds_a_cycle_space():
+    """Principality, the lifting corrections and break divisors read
+    `MetricGraph.cycle_space`, cached on the graph, so no other library
+    module builds a `CycleSpace` and one graph builds one."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "graphs.py"
+        for line in _calls(path.read_text(), "CycleSpace")
     ]
     assert found == []
 

@@ -23,7 +23,7 @@ from tropicurve.errors import (
     Stage0Failure,
     UnknownEdge,
 )
-from tropicurve.graphs import GraphPoint, build_extended, build_graph
+from tropicurve.graphs import CycleSpace, GraphPoint, build_extended, build_graph
 from tropicurve.synthesis import (
     CLAIM_DEPTH,
     PILLAR_TRIES,
@@ -36,6 +36,7 @@ from tropicurve.synthesis import (
     _separating_bump,
     _side_frame,
     designate_core,
+    edge_ramp,
     fully_faithful_pipeline,
     select_pillars,
     smoothing_pipeline,
@@ -52,7 +53,7 @@ from tropicurve.tropicalize import (
     tropicalize,
 )
 
-from randgen import random_graph
+from randgen import negated, random_graph
 from test_tropicalize import (
     TROPICALIZATION_DIGESTS,
     contracted_embedding,
@@ -150,10 +151,10 @@ def test_aj_corrections_are_principal_and_spare_the_kept_frame(graph, keep):
     emb = Embedding(build_extended(graph, []), [])
     d = divisor_of(_core_ramp(emb.skeleton, Frames(emb.skeleton), keep))
     assert is_principal(graph, d).principal
-    # The tree priority keeps the frame out of the complement only.  No
-    # correction lands on it here because of these shapes: on the theta e1
-    # lies on both fundamental cycles, so it is no correction site; on the
-    # dumbbell the pieces of l0.0 are shorter than l0.1, the site taken.
+    # No frame is kept out of the search.  No correction lands on the kept
+    # frame here because of these shapes: on the theta e1 lies on both
+    # fundamental cycles, so it is no correction site; on the dumbbell the
+    # pieces of l0.0 are shorter than l0.1, the site taken.
     on_kept = [(pt, c) for pt, c in d.terms if not pt.is_vertex and pt.edge == keep]
     assert sorted(c for _pt, c in on_kept) == [-1, 1]  # only the two base points
     assert len(d.terms) > 2  # the base pair alone is not principal
@@ -353,6 +354,33 @@ def test_slope_one_ramp_is_the_witness_of_two_vertices(seed):
     fin = emb.skeleton.finite
     va, vb = random.Random(seed).sample(list(fin.vertices), 2)
     assert assert_plain_witness(emb, va, vb) == tree_path_length(fin, va, vb)
+
+
+def test_an_edge_ramp_builds_one_cycle_space_for_its_search_and_check(monkeypatch):
+    """On a tree, both ends of an edge ramp's base are vertices, so its
+    lattice search and its final `is_principal` read one graph, and one
+    cycle space cached on it: each ramp of the first finite targets builds
+    exactly one, on the finite part it returns."""
+    built, checked = [], []
+    init, check = CycleSpace.__init__, synthesis.is_principal
+
+    def counted(cs, graph, tree=None):
+        built.append(graph)
+        init(cs, graph, tree)
+
+    monkeypatch.setattr(CycleSpace, "__init__", counted)
+    monkeypatch.setattr(synthesis, "is_principal", lambda graph, *a: checked.append(graph) or check(graph, *a))
+    emb = bare_skeleton(random_graph(random.Random(TREE_SEEDS[0])))
+    core_edges, core_vertices = designate_core(emb.skeleton.finite)
+    targets = sorted(emb.skeleton.finite.edges)[:3]
+    for target in targets:
+        frames = Frames(emb.skeleton)
+        pset = select_pillars(emb.skeleton, frames, (emb, target))
+        built.clear()
+        checked.clear()
+        skel, f, *_ = edge_ramp(emb.skeleton, target, pset, core_edges, core_vertices, frames)
+        assert built == checked == [skel.finite]
+        assert divisor_of(f).degree() == 0
 
 
 def test_corrected_witness_of_a_bridge_joined_pair_claims_nothing():
@@ -814,7 +842,7 @@ def test_first_pipeline_refuses_a_violation_its_construction_leaves(monkeypatch)
     adjoin = synthesis.adjoin
     monkeypatch.setattr(
         synthesis, "adjoin",
-        lambda skel, f, name, slopes=None: adjoin(skel, f + -f if name == "f.e2" else f, name, slopes),
+        lambda skel, f, name, slopes=None: adjoin(skel, f + negated(f) if name == "f.e2" else f, name, slopes),
     )
     certify = synthesis.is_fully_faithful
     reports = []

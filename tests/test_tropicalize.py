@@ -18,11 +18,13 @@ from tropicurve.errors import (
     DivisorCollision,
     EmptyCoordinates,
     InvalidCoordinate,
+    InvalidExtRational,
     NonSimplePoint,
+    TropicurveError,
     UnknownEdge,
 )
 from tropicurve.graphs import GraphPoint, build_extended, build_graph
-from tropicurve.rationals import MINUS_INF, PLUS_INF
+from tropicurve.rationals import MINUS_INF, PLUS_INF, ExtRational
 from tropicurve.synthesis import tate_demo
 from tropicurve.tropicalize import (
     Embedding,
@@ -673,3 +675,17 @@ class TestRandomizedBalancing:
             assert check_balancing(curve).balanced
             count += 1
         assert count >= 30
+
+
+@pytest.mark.parametrize(
+    "sign, value", [(0, None), (2, None), (-2, Fraction(1))], ids=["finite-without-value", "sign-2", "sign-minus-2"]
+)
+def test_ext_rational_rejects_a_missing_value_and_a_bad_sign(sign, value):
+    """A finite `ExtRational` needs its value and a sign is -1, 0 or +1;
+    either fault raises the typed `InvalidExtRational`, which is still a
+    ValueError."""
+    with pytest.raises(InvalidExtRational) as exc:
+        ExtRational(sign, value)
+    assert isinstance(exc.value, TropicurveError) and isinstance(exc.value, ValueError)
+    assert ExtRational(0, Fraction(1, 2)) == ExtRational.finite("1/2")
+    assert (ExtRational(1), ExtRational(-1)) == (PLUS_INF, MINUS_INF)
