@@ -185,6 +185,8 @@ class EdgeProfile:
         return self.slopes[-1]
 
     def sub_profile(self, lo: Fraction, hi: Fraction) -> "EdgeProfile":
+        """The piece [lo, hi], read from the start: the independent form
+        of `cut` that tests check it against."""
         inner = tuple(b - lo for b in self.breaks if lo < b < hi)
         slopes = []
         for b, s in zip(self.breaks + (None,), self.slopes):
@@ -194,6 +196,31 @@ class EdgeProfile:
             if b is None or b >= hi:
                 break
         return EdgeProfile(self.value_at(lo), inner, tuple(slopes))
+
+    def cut(self, spans: Sequence[tuple[Fraction, Fraction]]) -> list["EdgeProfile"]:
+        """The profiles of consecutive pieces [lo, hi] of the edge, the
+        first from offset 0, read in one walk over the breaks: each piece
+        starts at the value the walk has reached, and its end value, the
+        next piece's start, is kept as its `end_value` memo for the length
+        hi - lo."""
+        breaks, slopes = self.breaks, self.slopes
+        out = []
+        k, x, val = 0, 0, self.start  # next break, walk offset, value there
+        for lo, hi in spans:
+            if k < len(breaks) and breaks[k] == lo:  # a cut at a break
+                k += 1
+            first, start = k, val
+            while k < len(breaks) and breaks[k] < hi:
+                if slopes[k]:
+                    val += slopes[k] * (breaks[k] - x)
+                x, k = breaks[k], k + 1
+            if slopes[k]:
+                val += slopes[k] * (hi - x)
+            x = hi
+            piece = EdgeProfile(start, tuple(b - lo for b in breaks[first:k]), slopes[first : k + 1])
+            object.__setattr__(piece, "_end", (hi - lo, val))
+            out.append(piece)
+        return out
 
 
 @dataclass(frozen=True)
@@ -216,6 +243,24 @@ class RayProfile:
         if hi is None:
             return RayProfile(self.value_at(lo), self.slope)
         return EdgeProfile(self.value_at(lo), (), (self.slope,))
+
+    def cut(self, spans: Sequence[tuple[Fraction, Optional[Fraction]]]) -> list[Union["RayProfile", EdgeProfile]]:
+        """The consecutive pieces [lo, hi] of the ray, the first from
+        offset 0: a one-slope edge profile per finite stub, its end value,
+        the next piece's start, kept as its `end_value` memo, and a ray for
+        the unbounded tail (hi None)."""
+        out: list[Union[RayProfile, EdgeProfile]] = []
+        val = self.start
+        for lo, hi in spans:
+            if hi is None:
+                out.append(RayProfile(val, self.slope))
+                continue
+            piece = EdgeProfile(val, (), (self.slope,))
+            if self.slope:
+                val += self.slope * (hi - lo)
+            object.__setattr__(piece, "_end", (hi - lo, val))
+            out.append(piece)
+        return out
 
     def leaf_value(self) -> ExtRational:
         if self.slope > 0:
@@ -356,10 +401,13 @@ class PLFunction:
         An edge id still current in the new domain keeps its `EdgeProfile`
         object, and a ray id that is still a ray keeps its `RayProfile`;
         only ids the refinement retired are cut into the profiles of their
-        current pieces.  Rays of the new domain that do not descend from the
-        old one get the slope given in `new_ray_slopes` (default 0, a
-        constant extension).  The result is checked for continuity on every
-        edge, shared profiles included.
+        current pieces, each retired profile in one walk over its breaks
+        (`cut`), which leaves every piece's end value in its `end_value`
+        memo.  Rays of the new domain that do not descend from the old one
+        get the slope given in `new_ray_slopes` (default 0, a constant
+        extension).  The result is checked for continuity on every edge,
+        shared profiles included; a cut piece's end is read from its memo,
+        not walked again.
 
         Precondition: every edge of the new domain descends from an edge or
         ray of this function's domain, so no ray attached after that domain
@@ -376,8 +424,10 @@ class PLFunction:
             elif old in new_rays:
                 rays[old] = prof
             else:
-                for kind, cid, lo, hi in new_domain.segments_of(old):
-                    (rays if kind == "ray" else profiles)[cid] = prof.sub_profile(lo, hi)
+                segs = new_domain.segments_of(old)
+                pieces = prof.cut([(lo, hi) for _kind, _cid, lo, hi in segs])
+                for (kind, cid, _lo, _hi), piece in zip(segs, pieces):
+                    (rays if kind == "ray" else profiles)[cid] = piece
         if uncovered := new_fin.edges.keys() - profiles.keys():
             raise DiscontinuousFunction(f"edge {min(uncovered)!r} descends from no edge or ray of the domain")
         for rid, r in new_rays.items():

@@ -254,21 +254,30 @@ def _images_disjoint(emb: Embedding, a, b) -> bool:
     )
 
 
+def _tree_complement(fin: MetricGraph) -> tuple[str, ...]:
+    """The edges of `fin` off its canonical spanning tree, in id order:
+    where `select_pillars` places pillars."""
+    tree = set(fin.canonical_spanning_tree())
+    return tuple(eid for eid in sorted(fin.edges) if eid not in tree)
+
+
 def select_pillars(
     skel: ExtendedGraph,
     frames: Frames,
     avoid_image_of: Optional[tuple[Embedding, str]] = None,
     forbidden: tuple[tuple[str, Fraction, Fraction], ...] = (),
+    complement: Optional[tuple[str, ...]] = None,
 ) -> PillarSet:
     """Deterministic pillar placement for one target: a valid four-point
     tuple on every spanning-tree complement edge of `skel`, its support
     clear of earlier supports and of the root-frame `forbidden` zones and,
     when `avoid_image_of` is an (embedding on `skel`, frame) pair, with
     image disjoint from that frame's image: one `Frames.bump` per
-    complement edge.  Without it no coordinate is read."""
-    fin = skel.finite
-    tree = set(fin.canonical_spanning_tree())
-    complement = tuple(eid for eid in sorted(fin.edges) if eid not in tree)
+    complement edge.  Without it no coordinate is read.  `complement` is
+    `_tree_complement(skel.finite)`, which a caller placing pillars for
+    many targets on one skeleton computes once."""
+    if complement is None:
+        complement = _tree_complement(skel.finite)
     emb, frame = avoid_image_of or (None, None)
     tuples = []
     for cid in complement:
@@ -897,7 +906,8 @@ def _fully_faithful(
     # only adds a coordinate, so images disjoint now stay disjoint.  The
     # ramps refine the skeleton alone; `assemble` transports each coordinate once.
     targets = finite_targets + ray_targets
-    psets = [select_pillars(emb.skeleton, frames, (emb, t)) for t in targets]
+    complement = _tree_complement(emb.skeleton.finite)
+    psets = [select_pillars(emb.skeleton, frames, (emb, t), complement=complement) for t in targets]
     skel, adjoined = emb.skeleton, []
     for target, pset in zip(targets, psets):
         skel, f, slopes, zero, pole = edge_ramp(skel, target, pset, core_edges, core_vertices, frames)

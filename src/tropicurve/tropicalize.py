@@ -15,15 +15,23 @@ and edges are collected in one pass and numbered once at the end, by
 coordinates and by ends and direction, so equal inputs get equal ids.
 
 Everything is exact.  Image points are carried as Python ints over one
-common denominator D per tropicalization (the lcm of the denominators of
-every piece's offsets and start values), so line keys, breakpoints, hulls
-and vertex keys hash and compare ints; a crossing parameter is a Fraction
-only where the crossing's determinant does not divide it.  Fractions are
-made only for the returned curve and edge map.  Crossings are searched only
-between lines whose covered hulls (the coordinate box of the part a line's
-pieces cover) overlap, and the overlapping pairs are found by a sweep on
-one coordinate rather than by testing all pairs.  Injectivity and
-weight-one checks are exact.
+common denominator D per tropicalization, taken up front: the lcm of the
+denominators of the edge lengths, of every coordinate's profile starts and
+breaks and of the ray starts, so contracted pieces count too.  Each current
+edge's profiles are then walked once (`_steps`, the loop `frame_pieces`
+shares), stepping the values as ints over D, so line keys, breakpoints,
+hulls and vertex keys hash and compare ints; a crossing parameter is a
+Fraction only where the crossing's determinant does not divide it.  A piece
+end's skeleton preimage comes from the piece: the edge's a or b vertex, or
+the ray's attach vertex, at its ends and the break point inside; only a
+crossing strictly inside a piece reads its source offset from the line
+parameter.  Fractions are made only for the returned curve and edge map,
+and each distinct finite coordinate value is one `ExtRational`, shared by
+the finite vertices and the finite coordinates of the infinite points.
+Crossings are searched only between lines whose covered hulls (the
+coordinate box of the part a line's pieces cover) overlap, and the
+overlapping pairs are found by a sweep on one coordinate rather than by
+testing all pairs.  Injectivity and weight-one checks are exact.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ from .errors import (
 from .graphs import ExtendedGraph, GraphPoint
 from .linalg import primitive
 from .rationals import MINUS_INF, PLUS_INF, ExtRational
+
+_ZERO = Fraction(0)
 
 
 def validate_coordinate(skeleton: ExtendedGraph, f: PLFunction) -> Divisor:
@@ -90,6 +100,8 @@ class _Item:
 
     Line parameters are ints over the tropicalization's common denominator
     D: the piece's point at parameter u is (origin + u * direction) / D.
+    `at_lo` and `at_hi` are the piece's ends on the skeleton (`at_hi` the
+    leaf on a ray tail); `line_item` leaves them None.
     """
 
     source: str
@@ -100,10 +112,25 @@ class _Item:
     u_lo: Optional[int]  # None = unbounded below
     u_hi: Optional[int]  # None = unbounded above
     anchor_u: int  # u at source offset src_lo
+    end_u: Optional[int]  # u at source offset src_hi
     scale: int  # stretch * D: line parameters per unit of source offset
+    at_lo: Optional[GraphPoint] = None
+    at_hi: Optional[GraphPoint] = None
 
     def src_at(self, u) -> Fraction:
         return self.src_lo + Fraction(self.sense * (u - self.anchor_u), self.scale)
+
+    def preimage(self, u) -> tuple[Fraction, GraphPoint]:
+        """Source offset and canonical skeleton point of the piece's point
+        at u: a piece end as the piece holds it, a crossing inside the
+        piece, which lies strictly inside its current edge or ray, read
+        from u."""
+        if u == self.anchor_u:
+            return self.src_lo, self.at_lo
+        if u == self.end_u:
+            return self.src_hi, self.at_hi
+        off = self.src_at(u)
+        return off, GraphPoint.on_edge(self.source, off)
 
     def covers(self, u) -> bool:
         if self.u_lo is not None and u < self.u_lo:
@@ -147,13 +174,50 @@ class EdgeMap:
     edge_sources: dict[str, tuple[tuple[str, Fraction, Optional[Fraction]], ...]]
 
 
+def _steps(profiles, length: Fraction, num):
+    """One current edge's coordinate profiles walked once, cut at the union
+    of their breaks: the one break-merge loop, which `frame_pieces` and
+    `tropicalize` share.
+
+    Yields (lo, hi, start_values, slopes, span) per linear piece: lo and hi
+    are the edge's own offsets (the profiles' break objects, 0 and
+    `length`), and the values at lo and the span hi - lo are given as `num`
+    gives a Fraction, itself or an int over a common denominator.
+    """
+    # every break as (offset as num gives it, profile index, offset), then
+    # the edge's end, marked by the index -1
+    events = sorted((num(b), k, b) for k, p in enumerate(profiles) for b in p.breaks)
+    events.append((num(length), -1, length))
+    passed = [0] * len(profiles)  # breaks of each profile walked past
+    slopes = [p.slopes[0] for p in profiles]
+    vals = [num(p.start) for p in profiles]
+    lo, at, i = _ZERO, 0, 0
+    while True:
+        at_x, k, x = events[i]
+        span = at_x - at
+        yield lo, x, tuple(vals), tuple(slopes), span
+        if k < 0:
+            return
+        # no break lies inside (lo, x): step every value to x
+        vals = [v + s * span if s else v for v, s in zip(vals, slopes)]
+        while k >= 0 and events[i][0] == at_x:
+            passed[k] += 1
+            slopes[k] = profiles[k].slopes[passed[k]]
+            i += 1
+            k = events[i][1]
+        lo, at = x, at_x
+
+
 def frame_pieces(emb: Embedding, frame: str):
     """Walk an edge or ray id, possibly subdivided since, cut at every
-    coordinate breakpoint.
+    coordinate breakpoint, with Fraction values.
 
     Yields (current_id, lo, hi, start_values, slope_vector) per linear
     piece, lo and hi in the frame's offsets; hi is None on an unbounded ray
-    tail.
+    tail.  It serves the pillar and gap searches of `synthesis`
+    (`_clipped_pieces`, `_root_slope_cover`), whose pieces `images_meet`
+    compares; each current edge of the frame is walked once, by the
+    `_steps` loop that `tropicalize` walks in integers.
     """
     for kind, cid, slo, shi in emb.skeleton.segments_of(frame):
         if kind == "ray":
@@ -161,23 +225,20 @@ def frame_pieces(emb: Embedding, frame: str):
             slopes = tuple(f.ray_profiles[cid].slope for f in emb.coords)
             yield cid, slo, None, vals, slopes
             continue
-        cuts = {Fraction(0), shi - slo}
-        for f in emb.coords:
-            cuts.update(f.edge_profiles[cid].breaks)
-        xs = sorted(cuts)
         profiles = [f.edge_profiles[cid] for f in emb.coords]
-        vals = tuple(p.start for p in profiles)
-        for lo, hi in zip(xs, xs[1:]):
-            slopes = tuple(p.slope_at(lo, +1) for p in profiles)
+        for lo, hi, vals, slopes, _span in _steps(profiles, shi - slo, _same):
             yield cid, slo + lo, slo + hi, vals, slopes
-            # no breakpoint lies inside (lo, hi): step every value to hi
-            step = hi - lo
-            vals = tuple(v + s * step if s else v for v, s in zip(vals, slopes))
+
+
+def _same(x):
+    return x
 
 
 def _denominator(pieces) -> int:
-    """D: the lcm of the denominators of the pieces' offsets and start
-    values, folded one entry at a time (see `linalg._sparse`)."""
+    """The lcm of the denominators of the offsets and start values of
+    `frame_pieces` tuples, folded one entry at a time (see
+    `linalg._sparse`): the common denominator `images_meet` reads pieces
+    over."""
     den = 1
     for _source, lo, hi, vals, _slopes in pieces:
         den = math.lcm(den, lo.denominator)
@@ -186,6 +247,20 @@ def _denominator(pieces) -> int:
         for x in vals:
             den = math.lcm(den, x.denominator)
     return den
+
+
+def _common_denominator(emb: Embedding) -> int:
+    """D of a tropicalization: the lcm of the denominators of the edge
+    lengths, of every coordinate's profile starts and breaks, and of the
+    ray starts.  Every piece end and every value at one is then an int
+    over D, contracted pieces included."""
+    dens = {e.length.denominator for e in emb.skeleton.finite.edges.values()}
+    for f in emb.coords:
+        for p in f.edge_profiles.values():
+            dens.add(p.start.denominator)
+            dens.update(b.denominator for b in p.breaks)
+        dens.update(p.start.denominator for p in f.ray_profiles.values())
+    return math.lcm(*dens)
 
 
 def _scaled(values, den: int) -> tuple[int, ...]:
@@ -252,15 +327,23 @@ def line_item(source: str, lo: Fraction, hi: Optional[Fraction], vals, slopes, d
     """A non-contracted linear piece (a `frame_pieces` tuple) on its image
     line, in integers over a common denominator `den` of its offsets and
     values: the line's key (canonical direction, origin) and the `_Item`."""
+    span = None if hi is None else _scaled((hi - lo,), den)[0]
+    return _line_item(source, lo, hi, _scaled(vals, den), slopes, span, den)
+
+
+def _line_item(source, lo, hi, vals, slopes, span, den, at_lo=None, at_hi=None):
+    """`line_item` of a piece whose start values and span hi - lo (None on
+    a ray tail) are already ints over den, with its skeleton ends."""
     m, wc, sense = _canonical_direction(slopes)
-    origin, u0 = _line_frame(_scaled(vals, den), wc)
-    if hi is None:
+    origin, u0 = _line_frame(vals, wc)
+    if span is None:
+        end_u = None
         u_lo, u_hi = (u0, None) if sense > 0 else (None, u0)
     else:
-        d = hi - lo
-        span = m * d.numerator * (den // d.denominator)
-        u_lo, u_hi = (u0, u0 + span) if sense > 0 else (u0 - span, u0)
-    return (wc, origin), _Item(source, lo, hi, m, sense, u_lo, u_hi, u0, m * den)
+        end_u = u0 + sense * m * span
+        u_lo, u_hi = (u0, end_u) if sense > 0 else (end_u, u0)
+    item = _Item(source, lo, hi, m, sense, u_lo, u_hi, u0, end_u, m * den, at_lo, at_hi)
+    return (wc, origin), item
 
 
 def _covered_hull(key, items) -> tuple:
@@ -362,26 +445,30 @@ class _ImageEdge(NamedTuple):
     sources: tuple
 
 
-def _infinite_point(key, den: int, sign: int) -> tuple[TropPoint, tuple]:
+def _infinite_point(key, den: int, sign: int, value) -> tuple[TropPoint, tuple]:
     """Limit point of a ray: infinite in the direction's support, with the
     line's point that is zero at its direction's first nonzero index as the
     boundary-stratum anchor (rays on distinct parallel lines converge to
     distinct stratum points).  Also returns the point's sort key in the
-    line's integers (see `tropicalize`)."""
+    line's integers (see `tropicalize`).  `value(x)` is the shared
+    `ExtRational` of x / den; a coordinate the direction leaves fixed is
+    its origin's, and the anchor reads that value too."""
     wc, origin = key
     pivot = next(i for i, x in enumerate(wc) if x)
-    anchor = tuple(Fraction(x, den * wc[pivot]) for x in _pivot_numerators(key))
     coords = []
+    anchor = []
     order = []
-    for a, o, w in zip(anchor, origin, wc):
+    for x, o, w in zip(_pivot_numerators(key), origin, wc):
         if w == 0:
-            coords.append(ExtRational.finite(a))
+            coords.append(value(o))
+            anchor.append(coords[-1].value)
             order.append((0, o))
         else:
             inf = PLUS_INF if w * sign > 0 else MINUS_INF
             coords.append(inf)
+            anchor.append(Fraction(x, den * wc[pivot]))
             order.append((inf.sign, 0))
-    return TropPoint(tuple(coords), anchor=(tuple(wc), anchor)), tuple(order)
+    return TropPoint(tuple(coords), anchor=(tuple(wc), tuple(anchor))), tuple(order)
 
 
 def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
@@ -391,29 +478,52 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
         raise EmptyCoordinates("embedding has no coordinates")
     n = emb.ambient_dim
     skel = emb.skeleton
+    fin = skel.finite
+    den = _common_denominator(emb)
 
+    def num(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    # every current edge and ray, in id order, walked once: a piece and its
+    # skeleton ends (a vertex at an edge's ends and a ray's attach point, the
+    # break point inside, the leaf at a ray's infinite end), the values at
+    # its start as ints over D, and then either its image line or, for a
+    # contracted piece, its start and values
+    pieces: list[PieceRecord] = []
     contracted = []
-    moving = []
-    # a current edge or ray is its own frame, so each piece's id is its source
-    sources = sorted(skel.finite.edges) + sorted(skel.rays)
-    for piece in chain.from_iterable(frame_pieces(emb, frame) for frame in sources):
-        (moving if any(piece[4]) else contracted).append(piece)
-    pieces = [PieceRecord(source, lo, hi, 0) for source, lo, hi, _vals, _slopes in contracted]
-
-    if not moving:
-        # everything contracted: a single image point
-        vals = contracted[0][3] if contracted else (Fraction(0),) * n
-        points = frozenset(skel.canonical_point(GraphPoint.on_edge(p.source, p.lo)) for p in pieces)
-        curve = TropicalCurve(n, {"t0": TropPoint.finite(vals)}, {})
-        return curve, EdgeMap(pieces, {"t0": points}, {})
-
-    den = _denominator(moving)
     lines: dict = {}
-    for piece in moving:
-        key, item = line_item(*piece, den)
+
+    def place(source, lo, hi, vals, slopes, span, at_lo, at_hi):
+        if not any(slopes):
+            pieces.append(PieceRecord(source, lo, hi, 0))
+            contracted.append((at_lo, vals))
+            return
+        key, item = _line_item(source, lo, hi, vals, slopes, span, den, at_lo, at_hi)
         lines.setdefault(key, []).append(item)
-        pieces.append(PieceRecord(item.source, item.src_lo, item.src_hi, item.stretch))
-    pieces.sort(key=lambda p: (p.source, p.lo))
+        pieces.append(PieceRecord(source, lo, hi, item.stretch))
+
+    for source in sorted(chain(fin.edges, skel.rays)):
+        if source in skel.rays:
+            ray = skel.rays[source]
+            profiles = [f.ray_profiles[source] for f in emb.coords]
+            vals = tuple(num(p.start) for p in profiles)
+            slopes = tuple(p.slope for p in profiles)
+            ends = GraphPoint.at_vertex(ray.attach), GraphPoint.at_vertex(ray.leaf)
+            place(source, _ZERO, None, vals, slopes, None, *ends)
+            continue
+        e = fin.edges[source]
+        at_lo = GraphPoint.at_vertex(e.a)
+        for lo, hi, vals, slopes, span in _steps([f.edge_profiles[source] for f in emb.coords], e.length, num):
+            # the last piece ends at `e.length` itself, every other at a break
+            at_hi = GraphPoint.at_vertex(e.b) if hi is e.length else GraphPoint.on_edge(source, hi)
+            place(source, lo, hi, vals, slopes, span, at_lo, at_hi)
+            at_lo = at_hi
+
+    if not lines:
+        # everything contracted: a single image point
+        vals = tuple(Fraction(x, den) for x in contracted[0][1]) if contracted else (_ZERO,) * n
+        curve = TropicalCurve(n, {"t0": TropPoint.finite(vals)}, {})
+        return curve, EdgeMap(pieces, {"t0": frozenset(at for at, _vals in contracted)}, {})
 
     line_keys = sorted(lines, key=lambda key: (key[0], _pivot_numerators(key)))
     # transversal crossings: split both lines where covered on both
@@ -436,20 +546,28 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
     # overlay each line.  A vertex is labelled by its integer coordinates
     # over D, or by (sign, line key) at infinity; `table` maps each label to
     # its `_ImageVertex` and `edges` lists the `_ImageEdge`s, both in
-    # creation order.
+    # creation order.  Each distinct finite coordinate value is one shared
+    # `ExtRational`.
     table: dict = {}
+    shared: dict[int, ExtRational] = {}
+
+    def value(x: int) -> ExtRational:
+        ext = shared.get(x)
+        if ext is None:
+            ext = shared[x] = ExtRational.finite(Fraction(x, den))
+        return ext
 
     def finite_vertex(key, u):
         wc, origin = key
         at = tuple(o + u * w for o, w in zip(origin, wc))
         if at not in table:
-            point = TropPoint.finite(tuple(Fraction(x, den) for x in at))
+            point = TropPoint(tuple(value(x) for x in at))
             table[at] = _ImageVertex(point, tuple((0, x) for x in at), set())
         return at
 
     def infinite_vertex(key, sign):
         if (sign, key) not in table:
-            table[sign, key] = _ImageVertex(*_infinite_point(key, den, sign), set())
+            table[sign, key] = _ImageVertex(*_infinite_point(key, den, sign, value), set())
         return sign, key
 
     edges: list[_ImageEdge] = []
@@ -484,13 +602,16 @@ def tropicalize(emb: Embedding) -> tuple[TropicalCurve, EdgeMap]:
             length = Fraction(u2 - u1, den) if len(finite_ends) == 2 else None
             srcs = []
             for i in covering:
-                offs = [i.src_at(u) for u in finite_ends]
-                for u, off in zip(finite_ends, offs):
-                    pt = skel.canonical_point(GraphPoint.on_edge(i.source, off))
+                offs = []
+                for u in finite_ends:
+                    off, pt = i.preimage(u)
                     table[at[u]].preimages.add(pt)
+                    offs.append(off)
                 if length is None:  # the infinite end's preimages are the ray leaves
-                    table[v2].preimages.add(GraphPoint.at_vertex(skel.ray(i.source).leaf))
-                srcs.append((i.source, min(offs), None if length is None else max(offs)))
+                    table[v2].preimages.add(i.at_hi)
+                # the source offset grows with u exactly when the sense is +1
+                first, last = (offs[0], offs[-1]) if i.sense > 0 else (offs[-1], offs[0])
+                srcs.append((i.source, first, None if length is None else last))
             weight = sum(i.stretch for i in covering)
             edges.append(_ImageEdge(v1, v2, direction, weight, length, tuple(sorted(srcs))))
 

@@ -251,6 +251,49 @@ class TestTransport:
         assert ray.sub_profile(Fraction(0), None) == ray
         assert ray.sub_profile(Fraction(1, 2), Fraction(3, 2)) == EdgeProfile(Fraction(0), (), (-2,))
 
+    @staticmethod
+    def assert_cut_as_sub_profiles(prof, spans):
+        """`cut` gives `sub_profile` of every span, and each finite piece's
+        memo holds its length and its value there."""
+        pieces = prof.cut(spans)
+        assert pieces == [prof.sub_profile(lo, hi) for lo, hi in spans]
+        for piece, (lo, hi) in zip(pieces, spans):
+            if hi is None:
+                assert "_end" not in piece.__dict__
+                continue
+            length, end = piece.__dict__["_end"]
+            assert length == hi - lo
+            assert end == piece.value_at(length) == prof.value_at(hi)
+
+    def test_one_walk_cut_equals_a_sub_profile_per_piece(self):
+        """Random profiles, with no break one time in four, cut at random
+        points, which take a break point one time in three."""
+        rng = random.Random(59)
+        at_breaks = no_breaks = 0
+        for _ in range(300):
+            length = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+            inside = sorted({length * Fraction(rng.randint(1, 23), 24) for _ in range(rng.randint(0, 5))})
+            breaks = () if rng.random() < 0.25 else tuple(inside)
+            no_breaks += not breaks
+            slopes = tuple(rng.randint(-3, 3) for _ in range(len(breaks) + 1))
+            prof = EdgeProfile(Fraction(rng.randint(-9, 9), rng.randint(1, 3)), breaks, slopes)
+            cuts = {length * Fraction(rng.randint(1, 23), 24) for _ in range(rng.randint(0, 4))}
+            if breaks and rng.random() < 1 / 3:
+                cuts.add(rng.choice(breaks))
+            at_breaks += bool(cuts & set(breaks))
+            xs = [Fraction(0)] + sorted(cuts) + [length]
+            self.assert_cut_as_sub_profiles(prof, list(zip(xs, xs[1:])))
+        assert at_breaks > 50 and no_breaks > 50
+
+    def test_one_walk_cut_of_a_ray_gives_its_stubs_and_tail(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            prof = RayProfile(Fraction(rng.randint(-9, 9), rng.randint(1, 3)), rng.randint(-3, 3))
+            cuts = {Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))}
+            xs = [Fraction(0)] + sorted(cuts)
+            self.assert_cut_as_sub_profiles(prof, list(zip(xs, xs[1:])) + [(xs[-1], None)])
+        assert RayProfile(Fraction(1), -2).cut([(Fraction(0), None)]) == [RayProfile(Fraction(1), -2)]
+
     def test_a_transport_in_one_step_equals_the_chained_transports(self):
         """Across a subdivision, a new ray at an interior point and a second
         subdivision (of any current edge, or of the ray `r` of the

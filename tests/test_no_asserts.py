@@ -20,7 +20,8 @@ or calls a one-point `subdivide_at`, so every cut goes through
 `subdivide_many`; and only `graphs` calls `integer_inverse`, so every
 reading of the period lattice stays behind `CycleSpace`; and only `graphs`
 builds a `CycleSpace`, so every reader shares the graph's cached
-`cycle_space`."""
+`cycle_space`; and `tropicalize` calls neither `frame_pieces` nor
+`canonical_point`, so the certificate reads each profile once."""
 
 import ast
 import importlib
@@ -351,6 +352,51 @@ def test_graph_builds_and_one_point_cuts_are_caught(source, caught):
     assert any(_calls(source, name) for name in GRAPH_BUILDS) == caught
 
 
+def _calls_inside(source: str, function: str, names) -> list[str] | None:
+    """Calls of any of `names`, by name or as an attribute, inside the
+    top-level function `function` of `source`, nested functions included;
+    None when `source` defines no such function."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            return [
+                f"{node.lineno} {name}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                for name in names
+                if name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ]
+    return None
+
+
+CERTIFICATE_READS = ("frame_pieces", "canonical_point")
+
+
+def test_tropicalize_reads_each_profile_once():
+    """`tropicalize` walks every current edge's profiles once, in integers
+    over its own denominator, and takes each piece end's preimage from the
+    piece, so it neither walks a frame again with `frame_pieces` nor reads
+    a point back with `canonical_point`."""
+    source = (Path(tropicurve.__file__).parent / "tropicalize.py").read_text()
+    assert _calls_inside(source, "tropicalize", CERTIFICATE_READS) == []
+
+
+@pytest.mark.parametrize(
+    ("source", "caught"),
+    [
+        ("def tropicalize(emb):\n    return list(frame_pieces(emb, 'e'))", True),
+        ("def tropicalize(emb):\n    return [p for f in fs for p in trop.frame_pieces(emb, f)]", True),
+        ("def tropicalize(emb):\n    return emb.skeleton.canonical_point(pt)", True),
+        ("def tropicalize(emb):\n    def vertex(pt):\n        return skel.canonical_point(pt)\n    return vertex", True),
+        ("def tropicalize_renamed(emb):\n    return emb", True),
+        ("def tropicalize(emb):\n    return list(_steps(profiles, length, num))", False),
+        ("def images_meet(a, b):\n    return frame_pieces(a)\ndef tropicalize(emb):\n    return emb", False),
+        ("def tropicalize(emb):\n    return frame_pieces", False),
+    ],
+)
+def test_certificate_reads_are_caught(source, caught):
+    assert (_calls_inside(source, "tropicalize", CERTIFICATE_READS) != []) == caught
+
+
 def test_only_graphs_inverts_integer_matrices():
     """`CycleSpace` inverts its gram matrix once and a complement's Z in
     `cell_points`; no other library module reads the period lattice."""
@@ -408,8 +454,10 @@ def test_only_assemble_and_tate_demo_transport_a_function():
     assert callers == {"tropicalize.assemble", "synthesis.tate_demo"}
 
 
-# Public names that only tests call: independent oracles.
-TEST_ORACLES = {"matrix_rank", "q_reduced", "is_q_reduced"}
+# Public names that only tests call: independent oracles.  `sub_profile`
+# reads one piece of a profile from its start, the form `cut` is checked
+# against.
+TEST_ORACLES = {"matrix_rank", "q_reduced", "is_q_reduced", "sub_profile"}
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from tropicurve.complexes import check_smooth
 from tropicurve.divisors import (
+    EdgeProfile,
     PLFunction,
     RayProfile,
     divisor_of,
@@ -13,7 +14,7 @@ from tropicurve.divisors import (
     make_divisor,
     trapezoid,
 )
-from tropicurve import synthesis, tropicalize as tropicalize_module
+from tropicurve import graphs, synthesis, tropicalize as tropicalize_module
 from tropicurve.errors import (
     CertificateFailure,
     EmptyCoordinates,
@@ -23,7 +24,8 @@ from tropicurve.errors import (
     Stage0Failure,
     UnknownEdge,
 )
-from tropicurve.graphs import CycleSpace, GraphPoint, build_extended, build_graph
+from tropicurve.graphs import CycleSpace, GraphPoint, MetricGraph, build_extended, build_graph
+from tropicurve.rationals import ExtRational
 from tropicurve.synthesis import (
     CLAIM_DEPTH,
     PILLAR_TRIES,
@@ -731,6 +733,65 @@ def test_tropicalize_intersects_only_lines_with_meeting_hulls(stage0_tate_leaf_o
     assert 0 < len(crossings) <= len(hull_tests)
     assert len(crossings) < 1000  # 25,651 pairs of image lines
     assert len(hull_tests) < 2500  # the sweep makes 1,819 of the 25,651
+
+
+def counted_method(monkeypatch, owner, name) -> list:
+    """Calls of the method `name` of the class `owner`, recorded from now on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(self, *args, **kw):
+        calls.append(args)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_the_certificate_reads_each_profile_once(tate_leaf_outputs, monkeypatch):
+    """The final tropicalization of the seed-0 tate-leaf op walks every
+    profile itself, takes each piece end's preimage from the piece and
+    builds one `ExtRational` per distinct finite coordinate value (96
+    `canonical_point` calls, 65 `frame_pieces` walks and 413 `ExtRational`s
+    when each piece went through `frame_pieces` and each vertex built its
+    own values)."""
+    _first, (out, _report), _calls = tate_leaf_outputs
+    points = counted_method(monkeypatch, graphs._Domain, "canonical_point")
+    walks = counted_calls(monkeypatch, "frame_pieces")
+    values = counted_method(monkeypatch, ExtRational, "__init__")
+    curve, _emap = tropicalize(out)
+    distinct = {c.value for p in curve.vertices.values() for c in p.coords if c.is_finite}
+    assert (len(points), len(walks)) == (0, 0)
+    assert len(values) <= len(distinct) == 34
+
+
+def test_a_tate_leaf_op_cuts_each_retired_profile_in_one_walk(monkeypatch):
+    """`transport` cuts a retired profile's pieces in one walk and leaves
+    their end values in memos, so neither a cut nor the continuity check
+    of a transported coordinate reads a value from an edge's start (329
+    reads when each piece was read from its edge's start and its end
+    walked once more; the 91 left are the continuity checks of the ramps'
+    `add_trapezoids` functions)."""
+    emb = tate_leaf(3, "p5", Fraction(1, 2))
+    reads = counted_method(monkeypatch, EdgeProfile, "value_at")
+    out, _report = fully_faithful_pipeline(emb)
+    smoothing_pipeline(out)
+    assert len(reads) <= 120
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: tate_leaf(3, "p5", Fraction(1, 2)), lambda: bare_skeleton(random_graph(random.Random(TREE_SEEDS[1])))],
+    ids=["tate-leaf", f"tree{TREE_SEEDS[1]}"],
+)
+def test_one_spanning_tree_per_fully_faithful_call(make, monkeypatch):
+    """Every target's pillars are placed on one skeleton, so one Kruskal
+    run gives the complement for all of them (one run per target before)."""
+    emb = make()
+    trees = counted_method(monkeypatch, MetricGraph, "canonical_spanning_tree")
+    _out, report = fully_faithful_pipeline(emb)
+    ramps = [step for step in report.steps if step["construction"].endswith("edge-ramp")]
+    assert len(ramps) > 1 and len(trees) == 1
 
 
 def test_a_certified_output_is_a_noop_for_both_pipelines(monkeypatch):

@@ -28,14 +28,17 @@ from tropicurve.rationals import MINUS_INF, PLUS_INF, ExtRational
 from tropicurve.synthesis import tate_demo
 from tropicurve.tropicalize import (
     Embedding,
+    _common_denominator,
     _covered_hull,
     _denominator,
     _hulls_meet,
     _line_intersection,
     _meeting_pairs,
+    _scaled,
     adjoin,
     assemble,
     extend_embedding,
+    frame_pieces,
     images_meet,
     is_fully_faithful,
     line_item,
@@ -430,6 +433,31 @@ def piece_hull(den, *pieces):
     return _covered_hull(keys[0], items)
 
 
+def test_one_walk_steps_read_every_profile_as_value_at_does():
+    """`_steps`, the break-merge loop of `frame_pieces` and `tropicalize`,
+    cuts an edge at the union of its profiles' breaks, shared ones
+    included, and gives each piece every profile's value and slope at its
+    start, as Fractions or as ints over a common denominator."""
+    rng = random.Random(67)
+    for _ in range(200):
+        length = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        grid = [length * Fraction(k, 12) for k in range(1, 12)]
+        profiles = []
+        for _p in range(rng.randint(0, 4)):
+            breaks = tuple(sorted(rng.sample(grid, rng.randint(0, 3))))
+            slopes = tuple(rng.randint(-3, 3) for _ in range(len(breaks) + 1))
+            profiles.append(EdgeProfile(Fraction(rng.randint(-9, 9), rng.randint(1, 3)), breaks, slopes))
+        xs = sorted({Fraction(0), length} | {b for p in profiles for b in p.breaks})
+        expected = [
+            (lo, hi, tuple(p.value_at(lo) for p in profiles), tuple(p.slope_at(lo, +1) for p in profiles), hi - lo)
+            for lo, hi in zip(xs, xs[1:])
+        ]
+        assert list(tropicalize_module._steps(profiles, length, lambda x: x)) == expected
+        den = 72 * length.denominator
+        scaled = [(lo, hi, _scaled(v, den), s, _scaled((d,), den)[0]) for lo, hi, v, s, d in expected]
+        assert list(tropicalize_module._steps(profiles, length, lambda x: _scaled((x,), den)[0])) == scaled
+
+
 def test_meeting_images_have_meeting_hulls():
     """`tropicalize` intersects two image lines only when their hulls meet:
     the hull of a line holds the image of every piece on it."""
@@ -620,6 +648,49 @@ TROPICALIZED_FIXTURES = {
 @pytest.mark.parametrize("name", TROPICALIZED_FIXTURES)
 def test_tropicalization_digests(name):
     assert tropicalization_digest(TROPICALIZED_FIXTURES[name]()) == TROPICALIZATION_DIGESTS[name]
+
+
+def test_a_contracted_denominator_leaves_the_image_as_it_was():
+    """D counts the contracted piece e2, of length 1/3, which no moving
+    piece's offsets or values share, so it is three times the lcm over the
+    moving pieces alone; the image, read off at the latter, is unchanged."""
+    g = build_graph(["a", "b", "c"], [("e1", "a", "b", 2), ("e2", "b", "c", Fraction(1, 3))])
+    ext = build_extended(g, [("ra", V("a")), ("rb", V("b"))])
+    half = Fraction(1, 2)
+    f = PLFunction(
+        ext,
+        {"e1": EdgeProfile(half, (), (1,)), "e2": EdgeProfile(5 * half, (), (0,))},
+        {"ra": RayProfile(half, -1), "rb": RayProfile(5 * half, 1)},
+    )
+    h = PLFunction(
+        ext,
+        {"e1": EdgeProfile(Fraction(0), (), (-1,)), "e2": EdgeProfile(Fraction(-2), (), (0,))},
+        {"ra": RayProfile(Fraction(0), 1), "rb": RayProfile(Fraction(-2), -1)},
+    )
+    emb = Embedding(ext, [f, h])
+    moving = [p for frame in ("e1", "e2", "ra", "rb") for p in frame_pieces(emb, frame) if any(p[4])]
+    assert (_denominator(moving), _common_denominator(emb)) == (2, 6)
+    curve, emap = tropicalize(emb)
+    fin = ExtRational.finite
+    assert {vid: p.coords for vid, p in curve.vertices.items()} == {
+        "t0": (MINUS_INF, PLUS_INF),
+        "t1": (fin(half), fin(0)),
+        "t2": (fin(5 * half), fin(-2)),
+        "t3": (PLUS_INF, MINUS_INF),
+    }
+    assert curve.vertices["t0"].anchor == curve.vertices["t3"].anchor == ((1, -1), (0, half))
+    assert {eid: (e.v1, e.v2, e.direction, e.weight, e.length) for eid, e in curve.edges.items()} == {
+        "s0": ("t1", "t0", (-1, 1), 1, None),
+        "s1": ("t1", "t2", (1, -1), 1, 2),
+        "s2": ("t2", "t3", (1, -1), 1, None),
+    }
+    assert [(p.source, p.lo, p.hi, p.stretch) for p in emap.pieces] == [
+        ("e1", 0, 2, 1), ("e2", 0, Fraction(1, 3), 0), ("ra", 0, None, 1), ("rb", 0, None, 1)
+    ]
+    assert emap.vertex_sources == {
+        "t0": {V("ra.inf")}, "t1": {V("a")}, "t2": {V("b")}, "t3": {V("rb.inf")}
+    }
+    assert emap.edge_sources == {"s0": (("ra", 0, None),), "s1": (("e1", 0, 2),), "s2": (("rb", 0, None),)}
 
 
 class TestFullyFaithful:
