@@ -46,7 +46,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -304,7 +303,7 @@ class PLFunction:
                 raise InvalidOffset(f"breakpoints of edge {eid!r} leave (0, {e.length})")
             if trusted is None:
                 for v, val in ((e.a, prof.start), (e.b, prof.end_value(e.length))):
-                    if vals.setdefault(v, val) != val:
+                    if (held := vals.setdefault(v, val)) is not val and held != val:
                         raise DiscontinuousFunction(
                             f"value mismatch at vertex {v!r}: {vals[v]} vs {val}"
                         )
@@ -314,7 +313,7 @@ class PLFunction:
                 for rid, r in self.domain.rays.items():
                     vals.setdefault(r.attach, self.ray_profiles[rid].start)
             for rid, r in self.domain.rays.items():
-                if self.ray_profiles[rid].start != vals[r.attach]:
+                if (start := self.ray_profiles[rid].start) is not vals[r.attach] and start != vals[r.attach]:
                     raise DiscontinuousFunction(
                         f"ray {rid!r} start disagrees with vertex {r.attach!r}"
                     )
@@ -362,32 +361,45 @@ class PLFunction:
 
     # -- algebra -----------------------------------------------------------------------
 
-    def _zip(self, other: "PLFunction", op):
-        if self.domain is not other.domain:
-            raise DiscontinuousFunction("functions live on different graphs")
-        profiles = {eid: _merged(self.edge_profiles[eid], other.edge_profiles[eid], op) for eid in self.domain.finite.edges}
-        rays = {
-            rid: RayProfile(
-                op(self.ray_profiles[rid].start, other.ray_profiles[rid].start),
-                op(self.ray_profiles[rid].slope, other.ray_profiles[rid].slope),
-            )
-            for rid in self.ray_profiles
-        }
-        vals = {v: op(x, other._vertex_values[v]) for v, x in self._vertex_values.items()}
-        return PLFunction(self.domain, profiles, rays, _vertex_values=vals)
+    @staticmethod
+    def zero(domain: Domain) -> "PLFunction":
+        """The zero function on `domain`: the base of a bump built alone."""
+        edges = {eid: EdgeProfile(Fraction(0), (), (0,)) for eid in domain.finite.edges}
+        return PLFunction(domain, edges, {rid: RayProfile(Fraction(0), 0) for rid in domain.rays})
 
-    def __add__(self, other: "PLFunction") -> "PLFunction":
-        return self._zip(other, add)
+    def add_trapezoids(self, bumps: Iterable[tuple[str, Sequence, int]]) -> "PLFunction":
+        """The library's one bump constructor: this function plus the trapezoid
+        of every (frame, offsets, slope) in `bumps`, checked for continuity once.
 
-    def add_trapezoids(self, bumps: Iterable[tuple[str, Sequence]]) -> "PLFunction":
-        """This function plus the slope-one `trapezoid` of every (frame,
-        offsets) in `bumps`, added on its frame's current edges with breaks
-        merged as `+` merges them: one checked function, none per bump."""
+        The offsets x1 < x2 < x3 < x4 are in the frame of `frame`, an edge or
+        ray id that may have been subdivided since (a subdivided ray is a
+        finite stub plus an unbounded tail).  The bump rises with the given
+        slope on [x1,x2], plateaus, and returns on [x3,x4]; its divisor is
+        slope * (x1 - x2 - x3 + x4).  Its support may cross subdivision
+        vertices: it is merged into every current edge it meets, and each
+        ray attached at a vertex it reaches starts higher by its value there
+        (a ray that no bump reaches keeps its `RayProfile`).  The bump lifts
+        to a function on the curve because its whole support lies in one
+        root frame, an edge or ray of the input skeleton: subdivision
+        vertices inside it are not vertices of the curve's skeleton.
+
+        Raises InvalidPillars when a bump does not have four offsets, or
+        they do not increase, leave the frame, rise and fall unequally, or
+        reach the unbounded tail of a ray.
+        """
         profiles = dict(self.edge_profiles)
-        for frame, offsets in bumps:
-            for cid, prof in _trapezoid_pieces(self.domain, frame, offsets, 1):
-                profiles[cid] = _merged(profiles[cid], prof, add)
-        return PLFunction(self.domain, profiles, self.ray_profiles)
+        raised: dict[str, Fraction] = {}
+        for frame, offsets, slope in bumps:
+            for cid, prof in _trapezoid_pieces(self.domain, frame, offsets, slope):
+                profiles[cid] = _merged(profiles[cid], prof)
+                # zero at its frame's ends, a bump raises a vertex as one piece's a end
+                a = self.domain.finite.edges[cid].a
+                raised[a] = raised.get(a, 0) + prof.start
+        rays = dict(self.ray_profiles)
+        for rid, r in self.domain.rays.items():
+            if shift := raised.get(r.attach):
+                rays[rid] = RayProfile(rays[rid].start + shift, rays[rid].slope)
+        return PLFunction(self.domain, profiles, rays)
 
     # -- transport across refinements -----------------------------------------------------
 
@@ -443,45 +455,16 @@ class PLFunction:
         return PLFunction(new_domain, profiles, rays)
 
 
-def _merged(pa: EdgeProfile, pb: EdgeProfile, op) -> EdgeProfile:
-    """`op` of two profiles of one edge, on the union of their breaks."""
+def _merged(pa: EdgeProfile, pb: EdgeProfile) -> EdgeProfile:
+    """The sum of two profiles of one edge, on the union of their breaks."""
     breaks = tuple(sorted(set(pa.breaks) | set(pb.breaks)))
-    samples = (Fraction(0),) + breaks
-    slopes = tuple(op(pa.slope_at(x, +1), pb.slope_at(x, +1)) for x in samples)
-    return EdgeProfile(op(pa.start, pb.start), breaks, slopes)
-
-
-def trapezoid(domain: Domain, frame: str, offsets: Sequence, slope: int = 1) -> PLFunction:
-    """Zero function plus a trapezoid bump along one edge or ray id.
-
-    The offsets x1 < x2 < x3 < x4 are in the frame of `frame`, an edge or
-    ray id that may have been subdivided since (a subdivided ray is a finite
-    stub plus an unbounded tail).  The bump rises with the given slope on
-    [x1,x2], plateaus, and returns on [x3,x4]; its divisor is
-    slope * (x1 - x2 - x3 + x4).  The support may cross subdivision
-    vertices, and every ray starts at its attach vertex's value.  The bump
-    lifts to a function on the curve because its whole support lies in one
-    root frame, an edge or ray of the input skeleton: subdivision vertices
-    inside it are not vertices of the curve's skeleton.
-
-    Raises InvalidPillars when there are not four offsets, or they do not
-    increase, leave the frame, rise and fall unequally, or reach the
-    unbounded tail of a ray.
-    """
-    fin = domain.finite
-    profiles = {eid: EdgeProfile(Fraction(0), (), (0,)) for eid in fin.edges}
-    vals: dict[str, Fraction] = {}
-    for cid, prof in _trapezoid_pieces(domain, frame, offsets, slope):
-        profiles[cid] = prof
-        e = fin.edges[cid]
-        vals[e.a], vals[e.b] = prof.start, prof.end_value(e.length)
-    rays = {rid: RayProfile(vals.get(r.attach, Fraction(0)), 0) for rid, r in domain.rays.items()}
-    return PLFunction(domain, profiles, rays)
+    slopes = tuple(pa.slope_at(x, +1) + pb.slope_at(x, +1) for x in (Fraction(0),) + breaks)
+    return EdgeProfile(pa.start + pb.start, breaks, slopes)
 
 
 def _trapezoid_pieces(domain: Domain, frame: str, offsets: Sequence, slope: int):
-    """(current edge id, profile) of a `trapezoid` bump on every current
-    edge of its frame that meets its support, after the checks `trapezoid`
+    """(current edge id, profile) of a bump on every current edge of its
+    frame that meets its support, after the checks `PLFunction.add_trapezoids`
     documents; the bump is zero on the others."""
     xs = tuple(rat(x) for x in offsets)
     if len(xs) != 4:

@@ -24,8 +24,8 @@ id to its root frame, so bookkeeping stays consistent while the skeleton is
 refined and nothing is registered as it grows.  Free offsets come from two
 searches of `Frames`: `claim` for points at fixed gaps (ray attachments,
 divisor pairs) and `bump` for trapezoid supports in free windows (pillars,
-separating bumps).  Every bump coordinate (each side of a tent, a pillar, a
-separating trapezoid) is one `divisors.trapezoid` in a root frame, and
+separating bumps).  Every bump (each side of a tent, a pillar, a separating
+trapezoid) is one `PLFunction.add_trapezoids` record in a root frame, and
 every ramp (a stage-0 core ramp, an edge or ray ramp) is built by
 `_corrected_witness`: the `is_principal` witness of a base divisor plus
 the correction pairs that make it principal, one site per cycle.
@@ -56,13 +56,13 @@ from .divisors import (
     divisor_of,
     is_principal,
     make_divisor,
-    trapezoid,
 )
 from .errors import (
     CertificateFailure,
     EmptyCoordinates,
     EqualEdges,
     MonotonicityViolation,
+    NonpositiveLength,
     NoRoom,
     NotSeparated,
     PillarFailure,
@@ -305,8 +305,8 @@ def _fits_one_edge(skel: ExtendedGraph, root: str, offs) -> bool:
 
 def _apply_pillars(skel: ExtendedGraph, base: PLFunction, pset: PillarSet) -> PLFunction:
     """`base` plus the trapezoid of every pillar tuple, each still inside one current edge."""
-    bumps = [(pts[0].edge, [p.offset for p in pts]) for pts in pset.tuples]
-    for (root, offs), pts in zip(bumps, pset.tuples):
+    bumps = [(pts[0].edge, [p.offset for p in pts], 1) for pts in pset.tuples]
+    for (root, offs, _slope), pts in zip(bumps, pset.tuples):
         if not _fits_one_edge(skel, root, offs):
             raise PillarFailure(f"pillar tuple {pts} no longer fits one edge")
     return base.add_trapezoids(bumps) if bumps else base
@@ -522,13 +522,11 @@ def vertex_function(
             frames.block_point(*cuts[-1])
     skel = skel.subdivide_many([P(root, x) for root, x in cuts])
 
-    def one_sided(spec, sign: int) -> PLFunction:
-        # slope `sign` out to distance r from v, plateau p, back to zero
-        root, v_off, direction, _room = spec
-        offs = sorted(v_off + direction * d for d in (0, r, r + p, 2 * r + p))
-        return trapezoid(skel, root, offs, sign)
-
-    tent = one_sided(spec_neg, -1) + one_sided(spec_pos, +1)
+    # each side: slope -1 or +1 out to distance r from v, plateau p, back to zero
+    tent = PLFunction.zero(skel).add_trapezoids(
+        (root, sorted(v_off + direction * d for d in (0, r, r + p, 2 * r + p)), sign)
+        for (root, v_off, direction, _room), sign in ((spec_neg, -1), (spec_pos, +1))
+    )
     d = divisor_of(tent)
     if d.coeff(V(v)) != 0 or len(d.terms) != 6 or any(abs(c) != 1 for _pt, c in d.terms):
         raise CertificateFailure(f"tent at {v!r} needs six simple points off the vertex: {d}")
@@ -677,17 +675,16 @@ def _separating_bump(
     ghi = shift + (hi if hi is not None else skel.finite.edges[cid].length)
     if around is None:
         offs = frames.bump(root, glo, ghi, lambda offs: _fits_one_edge(skel, root, offs))
-        return None if offs is None else trapezoid(skel, root, offs)
-    at = shift + around
-    win = next(((a, b) for a, b in frames.windows(root, glo, ghi) if a < at < b), None)
-    if win is None:
+    elif win := next(((a, b) for a, b in frames.windows(root, glo, ghi) if a < shift + around < b), None):
+        at = shift + around
+        q = min(at - win[0], win[1] - at) / 8
+        offs = [at - q, at + q, at + 2 * q, at + 4 * q]
+        if not _fits_one_edge(skel, root, offs):
+            return None
+        frames.block_interval(root, offs[0], offs[3])
+    else:
         return None
-    q = min(at - win[0], win[1] - at) / 8
-    offs = [at - q, at + q, at + 2 * q, at + 4 * q]
-    if not _fits_one_edge(skel, root, offs):
-        return None
-    frames.block_interval(root, offs[0], offs[3])
-    return trapezoid(skel, root, offs)
+    return None if offs is None else PLFunction.zero(skel).add_trapezoids([(root, offs, 1)])
 
 
 def _repair_step(skel: ExtendedGraph, frames: Frames, viol: Violation) -> Optional[PLFunction]:
@@ -1043,7 +1040,7 @@ def tate_demo(c=1) -> tuple[Embedding, TropicalCurve]:
     to the symmetric honeycomb with nine rays."""
     c = rat(c)
     if c <= 0:
-        raise NoRoom(f"scale parameter must be positive, got {c}")
+        raise NonpositiveLength(f"scale {c} would give edges of length {c / 2}")
     half = c / 2
     fin = build_graph(
         ["q1", "q2", "q3", "p4", "p5", "p6", "p1", "p2", "p3"],

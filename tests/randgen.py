@@ -1,6 +1,7 @@
 """Seeded random generators shared by the test suite, the rational inverse
-of a period matrix that the lattice-search references bound by, and the
-length pairing in `Fraction`s that the cycle-integral references use.
+of a period matrix that the lattice-search references bound by, the
+length pairing in `Fraction`s that the cycle-integral references use, and
+`bump`, one trapezoid on the zero function.
 
 Random PL functions are built to be valid by construction: profiles on a
 spanning tree are free, and each complement edge gets a two-slope profile
@@ -157,6 +158,11 @@ def negated(f: PLFunction) -> PLFunction:
     profiles = {eid: EdgeProfile(-p.start, p.breaks, tuple(-s for s in p.slopes)) for eid, p in f.edge_profiles.items()}
     rays = {rid: RayProfile(-p.start, -p.slope) for rid, p in f.ray_profiles.items()}
     return PLFunction(f.domain, profiles, rays)
+
+
+def bump(domain, frame: str, offsets, slope: int = 1) -> PLFunction:
+    """The zero function plus one trapezoid in `frame`."""
+    return PLFunction.zero(domain).add_trapezoids([(frame, offsets, slope)])
 
 
 def period_inverse(period: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -15,7 +15,6 @@ from tropicurve.divisors import (
     divisor_of,
     is_principal,
     make_divisor,
-    trapezoid,
 )
 from tropicurve.errors import (
     DiscontinuousFunction,
@@ -27,7 +26,7 @@ from tropicurve.errors import (
 )
 from tropicurve.graphs import CycleSpace, GraphPoint, MetricGraph, build_extended, build_graph
 
-from randgen import ladder, negated, random_graph, random_pl_function
+from randgen import bump, ladder, negated, random_graph, random_pl_function
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -83,7 +82,7 @@ class TestDivisorOf:
 
     def test_trapezoid_divisor(self):
         g = build_graph(["a", "b"], [("e", "a", "b", 10)])
-        f = trapezoid(g, "e", (1, 2, 7, 8))
+        f = bump(g, "e", (1, 2, 7, 8))
         expected = make_divisor(
             g, [(P("e", 1), 1), (P("e", 2), -1), (P("e", 7), -1), (P("e", 8), 1)]
         )
@@ -100,19 +99,44 @@ class TestDivisorOf:
             # two cuts inside the support, two outside it
             cuts = ((x1 + x2) / 2, (x3 + offs[3]) / 2, x1 / 2, (offs[3] + length) / 2)
             g2 = g.subdivide_many(P(eid, x) for x in cuts)
-            f2 = trapezoid(g2, eid, offs)
-            assert f2.edge_profiles == trapezoid(g, eid, offs).transport(g2).edge_profiles
+            f2 = bump(g2, eid, offs)
+            assert f2.edge_profiles == bump(g, eid, offs).transport(g2).edge_profiles
             signs = zip(offs, (1, -1, -1, 1))
             assert divisor_of(f2) == make_divisor(g2, [(P(eid, x), c) for x, c in signs])
 
     def test_trapezoid_gives_a_ray_in_its_support_the_vertex_value(self):
         g = build_graph(["a", "b"], [("e", "a", "b", 10)])
         ext = build_extended(g, [("r", P("e", 4)), ("s", V("b"))])
-        f = trapezoid(ext, "e", (1, 3, 6, 8), slope=-1)
+        f = bump(ext, "e", (1, 3, 6, 8), slope=-1)
         assert f.ray_profiles == {
             "r": RayProfile(Fraction(-2), 0),
             "s": RayProfile(Fraction(0), 0),
         }
+
+    def test_a_bump_on_a_function_raises_the_rays_in_its_support(self):
+        """On a nonzero function, a bump whose support holds a ray's attach
+        vertex raises the ray's start with the vertex: every vertex value
+        and ray start is the function's plus the zero-based bump's, and a
+        ray that no bump reaches keeps its profile."""
+        rng = random.Random(43)
+        for _ in range(30):
+            g = random_graph(rng)
+            eid = rng.choice(sorted(g.edges))
+            length = g.edges[eid].length
+            ext = build_extended(g, [("r", P(eid, length / 2)), ("s", V(g.edges[eid].a))])
+            slopes = {"r": rng.randrange(-2, 3), "s": rng.randrange(-2, 3)}
+            f = random_pl_function(rng, g).transport(ext, slopes)
+            offs = [length * Fraction(k, 8) for k in (1, 3, 5, 7)]
+            slope = rng.choice((-2, -1, 1, 2))
+            h = f.add_trapezoids([(eid, offs, slope)])
+            ref = bump(ext, eid, offs, slope)
+            for v in ext.finite.vertices:
+                assert h.vertex_value(v) == f.vertex_value(v) + ref.vertex_value(v)
+            for rid, prof in f.ray_profiles.items():
+                assert h.ray_profiles[rid] == RayProfile(prof.start + ref.ray_profiles[rid].start, prof.slope)
+            assert h.ray_profiles["r"].start - f.ray_profiles["r"].start == slope * length / 4
+            assert h.ray_profiles["s"] is f.ray_profiles["s"]
+            assert divisor_of(h) == divisor_of(f) + divisor_of(ref)
 
     @pytest.mark.parametrize(
         "frame, offsets",
@@ -130,9 +154,9 @@ class TestDivisorOf:
         g = build_graph(["a", "b"], [("e", "a", "b", 10)])
         ext, _ = build_extended(g, [("r", V("a"))]).subdivide_at(P("r", 2))
         with pytest.raises(InvalidPillars):
-            trapezoid(ext, frame, offsets)
+            bump(ext, frame, offsets)
         with pytest.raises(InvalidPillars):
-            trapezoid(ext, "e", (1, 2, 3, 4)).add_trapezoids([(frame, offsets)])
+            bump(ext, "e", (1, 2, 3, 4)).add_trapezoids([(frame, offsets, 1)])
 
     def test_degree_zero_on_finite_graphs(self):
         rng = random.Random(5)
@@ -146,8 +170,6 @@ class TestDivisorOf:
         for _ in range(25):
             g = random_graph(rng)
             f1 = random_pl_function(rng, g)
-            f2 = random_pl_function(rng, g)
-            assert divisor_of(f1 + f2) == divisor_of(f1) + divisor_of(f2)
             shifted = {eid: EdgeProfile(p.start + Fraction(3, 7), p.breaks, p.slopes)
                        for eid, p in f1.edge_profiles.items()}
             assert divisor_of(PLFunction(g, shifted)) == divisor_of(f1)
@@ -169,21 +191,17 @@ class TestPLFunction:
 
 
     def test_trusted_vertex_values_equal_the_checked_reading(self):
-        """`+` and `is_principal` pass their vertex values in; a function
-        built from the same profiles reads and checks the same values, also
-        with rays and a basepoint inside an edge."""
+        """`is_principal` passes its vertex values in; a function built from
+        the same profiles reads and checks the same values, also with a
+        basepoint inside an edge."""
         rng = random.Random(13)
         for _ in range(30):
             g = random_graph(rng)
-            f1, f2 = random_pl_function(rng, g), random_pl_function(rng, g)
-            ext = build_extended(g, [("r", V(g.vertices[-1]))])
-            rays = {"r": RayProfile(f1.vertex_value(g.vertices[-1]), rng.randrange(-2, 3))}
-            fx = PLFunction(ext, f1.edge_profiles, rays)
+            f = random_pl_function(rng, g)
             eid = rng.choice(sorted(g.edges))
-            witness = construct_pl_with_divisor(g, divisor_of(f2), P(eid, g.edges[eid].length / 3))
-            for h in (f1 + f2, fx + fx, fx + negated(fx), witness):
-                checked = PLFunction(h.domain, h.edge_profiles, h.ray_profiles)
-                assert [h.vertex_value(v) for v in g.vertices] == [checked.vertex_value(v) for v in g.vertices]
+            witness = construct_pl_with_divisor(g, divisor_of(f), P(eid, g.edges[eid].length / 3))
+            checked = PLFunction(g, witness.edge_profiles)
+            assert [witness.vertex_value(v) for v in g.vertices] == [checked.vertex_value(v) for v in g.vertices]
 
 
 def refined_function(rng):
@@ -336,7 +354,7 @@ class TestTransport:
         break `transport`'s precondition: the ray's stub descends from no
         profile, and the error names it."""
         ext = build_extended(circle(), [])
-        f = trapezoid(ext, "loop", (Fraction(1, 4), Fraction(1, 2), 1, Fraction(5, 4)))
+        f = bump(ext, "loop", (Fraction(1, 4), Fraction(1, 2), 1, Fraction(5, 4)))
         new = ext.with_new_rays([("n", P("loop", 2))])
         assert f.transport(new, {"n": 1}).ray_profiles == {"n": RayProfile(Fraction(0), 1)}
         cut, _ = new.subdivide_at(P("n", 1))
@@ -607,7 +625,7 @@ class TestConstruct:
             g, [(P("e", 1), 1), (P("e", 2), -1), (P("e", 7), -1), (P("e", 8), 1)]
         )
         f = construct_pl_with_divisor(g, d, V("a"))
-        ref = trapezoid(g, "e", (1, 2, 7, 8))
+        ref = bump(g, "e", (1, 2, 7, 8))
         for off in (0, 1, Fraction(3, 2), 2, 5, 7, Fraction(15, 2), 8, 10):
             assert f.value(P("e", off)) == ref.value(P("e", off))
 
@@ -677,8 +695,7 @@ class TestCor34:
         assert divisor_of(f) == d + extra
         # equals witness-of-base plus the trapezoid, up to a constant
         base = construct_pl_with_divisor(g, d)
-        trap = trapezoid(g, eid, [p.offset for p in pts])
-        combined = base + trap
+        combined = base.add_trapezoids([(eid, [p.offset for p in pts], 1)])
         diff0 = f.value(V("q1")) - combined.value(V("q1"))
         for v in g.vertices:
             assert f.value(V(v)) - combined.value(V(v)) == diff0

@@ -20,7 +20,9 @@ or calls a one-point `subdivide_at`, so every cut goes through
 `subdivide_many`; and only `graphs` calls `integer_inverse`, so every
 reading of the period lattice stays behind `CycleSpace`; and only `graphs`
 builds a `CycleSpace`, so every reader shares the graph's cached
-`cycle_space`; and `tropicalize` calls neither `frame_pieces` nor
+`cycle_space`; and only `PLFunction.add_trapezoids` calls
+`_trapezoid_pieces` and no module names `trapezoid`, so every bump goes
+through the one bump constructor; and `tropicalize` calls neither `frame_pieces` nor
 `canonical_point`, so the certificate reads each profile once."""
 
 import ast
@@ -452,6 +454,65 @@ def test_only_assemble_and_tate_demo_transport_a_function():
             inner = max((f for f in functions if f.lineno <= line <= f.end_lineno), key=lambda f: f.lineno)
             callers.add(f"{path.stem}.{inner.name}")
     assert callers == {"tropicalize.assemble", "synthesis.tate_demo"}
+
+
+def _bump_builders(source: str) -> list[str]:
+    """A `_trapezoid_pieces` call outside the method `add_trapezoids` of a
+    top-level class `PLFunction`, and any definition, import or reading of
+    the name `trapezoid`."""
+    tree = ast.parse(source)
+    home = [
+        (fn.lineno, fn.end_lineno)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "PLFunction"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "add_trapezoids"
+    ]
+    found = [
+        f"{line} _trapezoid_pieces"
+        for line in _calls(source, "_trapezoid_pieces")
+        if not any(lo <= line <= hi for lo, hi in home)
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef, ast.ClassDef, ast.alias)):
+            if "trapezoid" in {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}:
+                found.append(f"{node.lineno} trapezoid")
+    return found
+
+
+def test_only_add_trapezoids_builds_a_bump():
+    """Tent sides, pillars and separating bumps are all records of
+    `PLFunction.add_trapezoids`, the one bump constructor, so its piece
+    loop `_trapezoid_pieces` has that one caller, and the zero-based
+    `trapezoid` is gone."""
+    found = [f"{path.name}:{hit}" for path in SOURCES for hit in _bump_builders(path.read_text())]
+    assert found == []
+    assert sum(len(_calls(path.read_text(), "_trapezoid_pieces")) for path in SOURCES) == 1
+
+
+@pytest.mark.parametrize(
+    ("source", "caught"),
+    [
+        ("class PLFunction:\n    def add_trapezoids(self, bumps):\n"
+         "        return [p for b in bumps for p in _trapezoid_pieces(self.domain, *b)]", False),
+        ("class PLFunction:\n    def add_trapezoids(self, bumps):\n        def pieces(b):\n"
+         "            return _trapezoid_pieces(self.domain, *b)\n        return pieces", False),
+        ("tent = PLFunction.zero(skel).add_trapezoids([(root, offs, -1), (other, offs2, 1)])", False),
+        ('"""one trapezoid per pillar"""', False),
+        ("pieces = _trapezoid_pieces", False),
+        ("def add_trapezoids(f, bumps):\n    return _trapezoid_pieces(f.domain, *bumps[0])", True),
+        ("class PLFunction:\n    def transport(self, g):\n        return _trapezoid_pieces(g, 'e', offs, 1)", True),
+        ("class Other:\n    def add_trapezoids(self, bumps):\n        return _trapezoid_pieces(d, *bumps[0])", True),
+        ("from . import divisors\nps = divisors._trapezoid_pieces(d, 'e', offs, 1)", True),
+        ("def trapezoid(domain, frame, offsets, slope=1):\n    return PLFunction.zero(domain)", True),
+        ("from .divisors import trapezoid", True),
+        ("from .divisors import bump as trapezoid", True),
+        ("f = divisors.trapezoid(skel, root, offs)", True),
+        ("makers = [trapezoid]", True),
+    ],
+)
+def test_bump_builders_are_caught(source, caught):
+    assert bool(_bump_builders(source)) == caught
 
 
 # Public names that only tests call: independent oracles.  `sub_profile`

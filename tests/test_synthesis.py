@@ -12,13 +12,13 @@ from tropicurve.divisors import (
     divisor_of,
     is_principal,
     make_divisor,
-    trapezoid,
 )
 from tropicurve import graphs, synthesis, tropicalize as tropicalize_module
 from tropicurve.errors import (
     CertificateFailure,
     EmptyCoordinates,
     EqualEdges,
+    NonpositiveLength,
     NoRoom,
     PillarSearchExhausted,
     Stage0Failure,
@@ -55,7 +55,7 @@ from tropicurve.tropicalize import (
     tropicalize,
 )
 
-from randgen import negated, random_graph
+from randgen import bump, random_graph
 from test_tropicalize import (
     TROPICALIZATION_DIGESTS,
     contracted_embedding,
@@ -300,7 +300,7 @@ def test_root_frames_survive_subdivision():
     emb = Embedding(build_extended(dumbbell(), [("r", V("v"))]), [])
     frames = Frames(emb.skeleton)
     start_ids = sorted(emb.skeleton.finite.edges) + sorted(emb.skeleton.rays)
-    emb = extend_embedding(emb, trapezoid(emb.skeleton, "l1.0", ["1/4", "1/2", 1, "5/4"]), "t")
+    emb = extend_embedding(emb, bump(emb.skeleton, "l1.0", ["1/4", "1/2", 1, "5/4"]), "t")
     added = sorted(set(emb.skeleton.rays) - set(start_ids))
     assert added == [f"t.{k}" for k in range(4)]
     assert all(emb.skeleton.parent(rid) is None for rid in added)
@@ -493,7 +493,7 @@ def test_separating_bump_centres_its_rise_on_the_colliding_point():
     f = _separating_bump(emb.skeleton, frames, "e", Fraction(0), Fraction(2), around=Fraction(1, 2))
     q = Fraction(1, 32)  # an eighth of the way from 1/2 to the free window's end at 3/4
     offs = [Fraction(1, 2) + k * q for k in (-1, 1, 2, 4)]
-    assert divisor_of(f) == divisor_of(trapezoid(emb.skeleton, "e", offs))
+    assert divisor_of(f) == divisor_of(bump(emb.skeleton, "e", offs))
     assert frames.intervals == {"e": [(offs[0], offs[3])]}
     assert _separating_bump(emb.skeleton, frames, "e", Fraction(0), Fraction(2), around=Fraction(3, 4)) is None
 
@@ -903,7 +903,7 @@ def test_first_pipeline_refuses_a_violation_its_construction_leaves(monkeypatch)
     adjoin = synthesis.adjoin
     monkeypatch.setattr(
         synthesis, "adjoin",
-        lambda skel, f, name, slopes=None: adjoin(skel, f + negated(f) if name == "f.e2" else f, name, slopes),
+        lambda skel, f, name, slopes=None: adjoin(skel, PLFunction.zero(f.domain) if name == "f.e2" else f, name, slopes),
     )
     certify = synthesis.is_fully_faithful
     reports = []
@@ -982,6 +982,14 @@ def test_smooth_output_has_the_first_betti_number_of_its_skeleton():
         smoothing_pipeline(emb)
     out, _report = smoothing_pipeline(line_embedding())
     assert len(out.coords) == 1
+
+
+@pytest.mark.parametrize("c", [0, -1])
+def test_tate_demo_refuses_a_nonpositive_scale(c):
+    """Its edges would have length c/2: a bad length, not a search that ran
+    out of room."""
+    with pytest.raises(NonpositiveLength, match="length"):
+        tate_demo(c)
 
 
 def test_a_singular_vertex_inside_an_edge_is_refused():

@@ -11,7 +11,6 @@ from tropicurve.divisors import (
     PLFunction,
     RayProfile,
     divisor_of,
-    trapezoid,
 )
 from tropicurve.errors import (
     CertificateFailure,
@@ -46,7 +45,7 @@ from tropicurve.tropicalize import (
     validate_coordinate,
 )
 
-from randgen import random_graph
+from randgen import bump, random_graph
 
 V = GraphPoint.at_vertex
 P = GraphPoint.on_edge
@@ -127,7 +126,7 @@ class TestEmbedding:
         # a trapezoid is not harmonic either; it needs the extension step
         g = build_graph(["a", "b"], [("e", "a", "b", 10)])
         ext = build_extended(g, [])
-        f = trapezoid(ext, "e", (1, 2, 7, 8))
+        f = bump(ext, "e", (1, 2, 7, 8))
         with pytest.raises(InvalidCoordinate):
             Embedding(ext, [f])
 
@@ -325,8 +324,8 @@ class TestExtend:
         )
         emb = Embedding(ext, [arclen])
         curve1, _ = tropicalize(emb)
-        bump = trapezoid(ext, "e", (1, 2, 7, 8))
-        emb2 = extend_embedding(emb, bump, "c1")
+        trap = bump(ext, "e", (1, 2, 7, 8))
+        emb2 = extend_embedding(emb, trap, "c1")
         # dropping the new coordinate and contracting new rays gives back
         # the previous image, up to vertex naming
         proj = Embedding(emb2.skeleton, emb2.coords[:-1])
@@ -346,7 +345,7 @@ class TestExtend:
             {"ra": RayProfile(Fraction(0), -1), "rb": RayProfile(Fraction(10), 1)},
         )
         emb = Embedding(ext, [arclen])
-        emb2 = extend_embedding(emb, trapezoid(ext, "e", (1, 2, 7, 8)), "c1")
+        emb2 = extend_embedding(emb, bump(ext, "e", (1, 2, 7, 8)), "c1")
         new_rays = [rid for rid in emb2.skeleton.rays if rid.startswith("c1.")]
         assert len(new_rays) == 4
         for rid in new_rays:
@@ -735,8 +734,8 @@ class TestRandomizedBalancing:
                         ok = False
                         break
                 try:
-                    bump = trapezoid(emb.skeleton, eid, offs)
-                    emb = extend_embedding(emb, bump, f"c{k}")
+                    trap = bump(emb.skeleton, eid, offs)
+                    emb = extend_embedding(emb, trap, f"c{k}")
                 except Exception:
                     ok = False
                     break
